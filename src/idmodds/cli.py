@@ -24,7 +24,7 @@ import numpy as np
 
 from idmodds import __version__
 from idmodds.config import ConfigError, RunConfig, load_run_config
-from idmodds.fit import fit
+from idmodds.fit import RatioHorizonError, fit
 from idmodds.prevalence import (
     cross_section_profile,
     effective_diseased_mortality,
@@ -221,7 +221,10 @@ def cmd_fit(config: RunConfig, args) -> int:
     except ValueError as error:
         raise ConfigError(f"malformed data CSV {data_path}: {error}") from error
     fit_config = config.build_fit_config()
-    result = fit(table, fit_config)
+    try:
+        result = fit(table, fit_config)
+    except RatioHorizonError as error:
+        raise ConfigError(str(error)) from error
 
     declared = config.declared_gamma()
     payload = result.to_json_dict()
@@ -245,6 +248,7 @@ def cmd_fit(config: RunConfig, args) -> int:
     manifest.add_output(csv_path)
 
     manifest.note("converged", result.converged)
+    manifest.note("quadrature_gap", result.diagnostics["quadrature_gap"])
     manifest.write(out_dir)
     estimates = ", ".join(f"{name}={value:.6g}" for name, value in zip(("g1", "g2", "g3"), result.gamma_hat))
     print(f"wrote {json_path} and {csv_path} ({estimates})")

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from idmodds.quadrature import DEFAULT_QUADRATURE, QuadratureConfig, adaptive_quad
+from idmodds.quadrature import DEFAULT_QUADRATURE, EDGE_NODE_OFFSET, QuadratureConfig, adaptive_quad
 from idmodds.rates import ExponentialIncidence, RateModel
 
 __all__ = [
@@ -143,11 +143,34 @@ class AgeProfile:
         object.__setattr__(self, "values", values)
 
 
+def _lookback_kinks(incidence, t: float, a: float):
+    """Lookbacks delta in (0, a) where the life line ending at (t, a) crosses an incidence kink."""
+    edges = [a - g for g in incidence.kink_ages]
+    edges += [t - g for g in incidence.kink_times]
+    return [x for x in edges if 0.0 < x < a]
+
+
+def _recent_onset_edges(model: RateModel, t: float, a: float, first_piece: float):
+    """Durations, graded by factors of 2, that resolve the layer of just-begun disease courses.
+
+    A course that ends at (t, a) after duration d survives as exp(-m1 d) for
+    small d, with m1 = m0(t, a) R(0): integrands over the duration fall by e
+    within 1/m1 of zero duration.  When the outermost node of the 15-point
+    rule on the first piece (of length ``first_piece``) lies beyond that,
+    every node reads about zero and the error estimate passes, so edges are
+    placed at 1/m1, 2/m1, 4/m1, ... up to the first piece's end.  Otherwise
+    the rule sees the layer and nothing is added.
+    """
+    rate = float(model.mortality_healthy(t, a)) * model.ratio.coefficients[0]
+    if not 1.0 < rate * EDGE_NODE_OFFSET * first_piece < math.inf:
+        return []
+    return [2.0**k / rate for k in range(math.ceil(math.log2(rate * first_piece)))]
+
+
 def _lookback_breakpoints(model: RateModel, t: float, a: float):
     """Edges for integrals over the lookback delta ending at (t, a)."""
-    edges = [a - g for g in model.incidence.kink_ages]
-    edges += [t - g for g in model.incidence.kink_times]
-    return [x for x in edges if 0.0 < x < a]
+    kinks = _lookback_kinks(model.incidence, t, a)
+    return kinks + _recent_onset_edges(model, t, a, min(kinks, default=a))
 
 
 def _onset_age_breakpoints(model: RateModel, t: float, a: float):
@@ -155,7 +178,10 @@ def _onset_age_breakpoints(model: RateModel, t: float, a: float):
     birth = t - a
     edges = list(model.incidence.kink_ages)
     edges += [g - birth for g in model.incidence.kink_times]
-    return [x for x in edges if 0.0 < x < a]
+    edges = [x for x in edges if 0.0 < x < a]
+    # zero duration sits at y = a
+    layer = _recent_onset_edges(model, t, a, a - max(edges, default=0.0))
+    return edges + [a - d for d in layer]
 
 
 def _exit_hazard(model: RateModel, t, a):
@@ -336,7 +362,7 @@ def prevalence_odds_exponential(
         delta = np.asarray(delta, dtype=float)
         return np.exp(kappa * (t - delta)) * odds_kernel(model, t, a, delta)
 
-    odds = front * adaptive_quad(integrand, 0.0, a, quadrature)
+    odds = front * adaptive_quad(integrand, 0.0, a, quadrature, breakpoints=_lookback_breakpoints(model, t, a))
     return PrevalenceResult.from_odds(t, a, odds, "convolution_special")
 
 

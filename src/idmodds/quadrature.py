@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureConfig", "QuadratureError", "DEFAULT_QUADRATURE", "adaptive_quad"]
+__all__ = ["QuadratureConfig", "QuadratureError", "DEFAULT_QUADRATURE", "EDGE_NODE_OFFSET", "adaptive_quad"]
 
 
 class QuadratureError(RuntimeError):
@@ -49,6 +49,9 @@ _WGK = np.array([
 _WG = np.array([
     0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469,
 ])
+
+# Distance of the rule's outermost node from its interval edge, as a fraction of the interval.
+EDGE_NODE_OFFSET = 0.5 * (1.0 - _XGK[0])
 
 # All 15 node offsets in ascending order with matching weight vectors.
 _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))

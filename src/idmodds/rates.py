@@ -28,6 +28,7 @@ __all__ = [
     "IncidenceSpec",
     "MortalityRatioParams",
     "RateModel",
+    "course_moments",
     "reference_rate_model",
 ]
 
@@ -256,6 +257,12 @@ class MortalityRatioParams:
         out = self.gamma1 * np.square(d - self.gamma2) + self.gamma3
         return float(out) if out.ndim == 0 else out
 
+    @property
+    def coefficients(self) -> tuple:
+        """(c0, c1, c2) with R(d) = c0 + c1*d + c2*d**2."""
+        g1, g2, g3 = self.gamma1, self.gamma2, self.gamma3
+        return (g1 * g2 * g2 + g3, -(2.0 * g1 * g2), g1)
+
 
 def _poly_exp_integrals(lam, d):
     """Integrals of d**k * exp(lam*d) over [0, d] for k = 0, 1, 2.
@@ -277,6 +284,20 @@ def _poly_exp_integrals(lam, d):
     j1 = np.where(small, j1_series, j1_direct)
     j2 = np.where(small, j2_series, j2_direct)
     return j0, j1, j2
+
+
+def course_moments(m0: GompertzParams, t, a, d):
+    """Duration moments of the healthy mortality over a disease course of length ``d`` ending at (t, a).
+
+    The k-th moment is the integral of u**k * m0 over the course, u being the
+    duration, for k = 0, 1, 2.  Along the life line m0 grows as exp(slope*u)
+    from its value at the course start, so each moment is that start rate
+    times a polynomial-exponential integral; both factors are returned, as
+    ``(start_rate, (j0, j1, j2))``.  The diseased cumulative hazard is the
+    moments combined with the coefficients of R, the one place where gamma
+    enters.
+    """
+    return m0.rate(t - d, a - d), _poly_exp_integrals(m0.slope, d)
 
 
 @dataclass(frozen=True)
@@ -330,15 +351,13 @@ class RateModel:
         """Integral of the diseased mortality over a disease course of length ``d`` ending at (t, a).
 
         The course starts at (t - d, a - d) with duration zero.  Factorizing
-        m1 = m0 * R and expanding the quadratic R gives a closed form in the
-        three polynomial-exponential integrals.
+        m1 = m0 * R and expanding the quadratic R gives the course moments
+        combined with the coefficients of R.
         """
         self._check_span(a, d)
-        g1, g2, g3 = self.ratio.gamma1, self.ratio.gamma2, self.ratio.gamma3
-        lam = self.m0.slope
-        base = self.m0.rate(t - d, a - d)
-        j0, j1, j2 = _poly_exp_integrals(lam, d)
-        return base * (g1 * j2 - 2.0 * g1 * g2 * j1 + (g1 * g2 * g2 + g3) * j0)
+        c0, c1, c2 = self.ratio.coefficients
+        base, (j0, j1, j2) = course_moments(self.m0, t, a, d)
+        return base * (c2 * j2 + c1 * j1 + c0 * j0)
 
 
 def reference_rate_model(max_duration: float = 100.0) -> RateModel:

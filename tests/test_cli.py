@@ -294,6 +294,27 @@ class TestFit:
         config = write_config(tmp_path, document)
         assert main(["fit", "--config", config, "--out-dir", str(tmp_path / "o")]) == 3
 
+    def test_manifest_records_quadrature_gap(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["fit", "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        result = json.loads((out / "fit_result.json").read_text())
+        assert 0.0 <= manifest["quadrature_gap"] <= 1e-12
+        assert result["diagnostics"]["quadrature_gap"] == manifest["quadrature_gap"]
+
+    def test_ratio_horizon_beyond_max_duration_is_input_error(self, tmp_path, capsys):
+        rows = ["k,age_lo,age_hi,n,c"]
+        for k, lo in enumerate(range(40, 100, 5), start=1):
+            rows.append(f"{k},{lo},{lo + 5},1000,{k * 10}")
+        rows.append("13,100,110,500,150")
+        data = tmp_path / "old.csv"
+        data.write_text("\n".join(rows) + "\n")
+        config = write_config(tmp_path, {"fit": {"bounds": [[-0.01, 1.0], [0.0, 50.0], [0.0, 20.0]]}})
+        code = main(["fit", "--config", config, "--data", str(data), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "105" in err and "max_duration=100" in err
+
 
 class TestCrosscheck:
     def test_reference_model_skips_odds_pde(self, tmp_path):

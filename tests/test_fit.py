@@ -6,9 +6,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from idmodds.fit import (
     FitConfig,
+    _likelihood_plan,
     fit,
     group_prevalence,
     log_likelihood,
@@ -16,7 +19,14 @@ from idmodds.fit import (
     wald_intervals,
 )
 from idmodds.prevalence import prevalence
-from idmodds.rates import ExponentialIncidence, GompertzParams, RateModel, reference_rate_model
+from idmodds.rates import (
+    ExponentialIncidence,
+    GompertzParams,
+    PositivePartIncidence,
+    RateModel,
+    TabulatedIncidence,
+    reference_rate_model,
+)
 from idmodds.simulate import AgeGroupTable
 
 REFERENCE_N = (9858, 9786, 9597, 9328, 8857, 8040, 6873, 5329, 3706, 2104, 910)
@@ -90,8 +100,16 @@ class TestLogLikelihood:
 
     def test_reference_value_reproducible(self):
         table = reference_table()
+        # the sum over adaptive-quadrature group prevalences is pinned exactly; the plan must match it
+        model = reference_rate_model()
+        oracle = 0.0
+        for lo, hi, n, c in zip(table.age_lo, table.age_hi, REFERENCE_N, REFERENCE_C):
+            p = group_prevalence(model, float(lo), float(hi), 100.0, "midpoint", FitConfig().quadrature)
+            oracle += c * math.log(p)
+            oracle += (n - c) * math.log1p(-p)
+        assert oracle == -25635.46410247066
         value = log_likelihood((0.04, 5.0, 1.0), table, FitConfig())
-        assert value == -25635.46410247066
+        assert abs(value - oracle) <= 1e-9
         assert value == log_likelihood((0.04, 5.0, 1.0), table, FitConfig())
 
     def test_binomial_constant_shifts_value_not_argmax(self):
@@ -126,6 +144,62 @@ class TestLogLikelihood:
 
     def test_non_finite_gamma_is_minus_infinity(self):
         assert log_likelihood((math.nan, 5.0, 1.0), reference_table(), FitConfig()) == -math.inf
+
+
+def _tabulated_incidence() -> TabulatedIncidence:
+    ages = np.array([0.0, 25.0, 50.0, 75.0, 110.0])
+    times = np.array([0.0, 30.0, 60.0, 90.0, 120.0])
+    drift = np.linspace(0.8, 1.2, len(times))[:, None]
+    return TabulatedIncidence(times, ages, drift * np.maximum(ages - 30.0, 0.0)[None, :] / 3000.0)
+
+
+PLAN_INCIDENCES = {
+    "positive_part": PositivePartIncidence(),
+    "exponential": ExponentialIncidence(-9.0, 0.04, 0.005),
+    "tabulated": _tabulated_incidence(),
+}
+
+
+class TestLikelihoodPlan:
+    # the whole default bounds box, corners included
+    @pytest.mark.parametrize("mode", ["midpoint", "averaged"])
+    @pytest.mark.parametrize("family", sorted(PLAN_INCIDENCES))
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        g1=st.floats(0.0, 1.0),
+        g2=st.floats(0.0, 50.0),
+        g3=st.floats(0.0, 20.0),
+    )
+    def test_plan_matches_adaptive_oracle(self, family, mode, g1, g2, g3):
+        config = FitConfig(incidence=PLAN_INCIDENCES[family], group_evaluation=mode)
+        try:
+            model = config.build_model((g1, g2, g3))
+        except ValueError:
+            assume(False)
+        # the tabulated oracle runs a quadrature inside every node, so it gets
+        # one group, the oldest, where the recent-onset layer is thinnest
+        table = reference_table()
+        if family == "tabulated":
+            keep = [10]
+            table = AgeGroupTable(100.0, table.age_lo[keep], table.age_hi[keep], table.n[keep], table.c[keep])
+        fast = _likelihood_plan(table, config).group_prevalence(model.ratio.coefficients)
+        oracle = [
+            group_prevalence(model, lo, hi, 100.0, mode, config.quadrature)
+            for lo, hi in zip(table.age_lo, table.age_hi)
+        ]
+        np.testing.assert_allclose(fast, oracle, rtol=1e-9, atol=0.0)
+
+    def test_ratio_horizon_beyond_max_duration_rejected(self):
+        # gamma1 < 0 is allowed by these bounds, so R may turn negative past max_duration
+        age_lo = np.append(np.arange(40.0, 95.0, 5.0), 100.0)
+        age_hi = np.append(age_lo[:-1] + 5.0, 110.0)
+        table = AgeGroupTable(100.0, age_lo, age_hi, np.append(REFERENCE_N, 500), np.append(REFERENCE_C, 100))
+        config = FitConfig(bounds=((-0.01, 1.0), (0.0, 50.0), (0.0, 20.0)))
+        with pytest.raises(ValueError, match=r"105.*max_duration=100"):
+            fit(table, config)
+        averaged = FitConfig(bounds=config.bounds, group_evaluation="averaged")
+        with pytest.raises(ValueError, match=r"110.*max_duration=100"):
+            fit(table, averaged)
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +251,10 @@ class TestFitReferenceTable:
         result, _ = reference_fit
         assert result.diagnostics["boundary_hits"] == []
         assert result.diagnostics["flat_components"] == []
+
+    def test_quadrature_gap_recorded(self, reference_fit):
+        result, _ = reference_fit
+        assert 0.0 <= result.diagnostics["quadrature_gap"] <= 1e-12
 
     def test_json_serialization(self, reference_fit):
         result, _ = reference_fit

@@ -218,6 +218,28 @@ class TestOddsFormulas:
             for x, y in ((k, p), (k, c), (p, c)):
                 assert x == pytest.approx(y, rel=1e-6, abs=1e-10)
 
+    @pytest.mark.parametrize("gamma", [(1.0, 50.0, 20.0), (0.88, 46.3, 15.0)])
+    def test_routes_resolve_recent_onset_layer(self, gamma):
+        # R(0) in the thousands makes m1(100, 92.5, 0) about 480/yr, so the
+        # kernel lives within a few thousandths of a year of zero duration,
+        # far inside the first node of an unrefined rule on [0, a - 30]
+        m = RateModel(
+            PositivePartIncidence(), GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(*gamma)
+        )
+        t, a = 100.0, 92.5
+
+        def integrand(delta):
+            return float(m.incidence_rate(t - delta, a - delta)) * float(odds_kernel(m, t, a, delta))
+
+        edges = [0.0, *np.geomspace(1e-5, a - 30.0, 60)]
+        want = sum(
+            integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        )
+        assert want > 1e-5
+        for method in ("pseudo_convolution", "keiding", "cohort_ratio"):
+            assert prevalence(m, t, a, method).odds == pytest.approx(want, rel=1e-8)
+
     def test_curve_shape(self, model):
         # rises from zero, peaks in the early 80s, then falls as the excess
         # mortality of long-duration cases outweighs new onsets
