@@ -22,11 +22,9 @@ from idmodds.rates import (
 )
 from idmodds.prevalence import (
     AgeProfile,
-    CharacteristicGrid,
     CohortBaseline,
     PrevalenceResult,
     case_density,
-    characteristic_grid,
     cross_section_profile,
     diseased_population,
     effective_diseased_mortality,
@@ -75,11 +73,9 @@ __all__ = [
     "TabulatedIncidence",
     "reference_rate_model",
     "AgeProfile",
-    "CharacteristicGrid",
     "CohortBaseline",
     "PrevalenceResult",
     "case_density",
-    "characteristic_grid",
     "cross_section_profile",
     "diseased_population",
     "effective_diseased_mortality",

@@ -24,7 +24,7 @@ import numpy as np
 
 from idmodds import __version__
 from idmodds.config import ConfigError, RunConfig, load_run_config
-from idmodds.fit import RatioHorizonError, fit
+from idmodds.fit import FitInputError, fit
 from idmodds.prevalence import (
     cross_section_profile,
     effective_diseased_mortality,
@@ -135,10 +135,6 @@ def _prepare_output_dir(config: RunConfig, override) -> str:
     return directory
 
 
-def _odds_cohort(model: RateModel, t: float, a: float) -> float:
-    return prevalence(model, t, a, method="cohort_ratio").odds
-
-
 def cmd_evaluate(config: RunConfig, args) -> int:
     out_dir = _prepare_output_dir(config, args.out_dir)
     manifest = _Manifest(
@@ -155,20 +151,12 @@ def cmd_evaluate(config: RunConfig, args) -> int:
     ages = args.age_min + args.step * np.arange(count + 1)
     ages = ages[ages <= args.age_max + 1e-9]
 
-    primary = "pseudo_convolution" if args.method == "all" else args.method
     header = ["age", "odds_analytic"]
-    columns = [ages]
-    if primary == "cohort_ratio":
-        main_odds = np.array([_odds_cohort(model, args.t, float(a)) for a in ages])
-    elif primary == "keiding":
-        main_odds = np.array([prevalence_odds_keiding(model, args.t, float(a)).odds for a in ages])
-    else:
-        main_odds = np.array([prevalence_odds_pseudo_convolution(model, args.t, float(a)).odds for a in ages])
-    columns.append(main_odds)
+    routes = [args.method]
     if args.method == "all":
         header += ["odds_keiding", "odds_cohort"]
-        columns.append(np.array([prevalence_odds_keiding(model, args.t, float(a)).odds for a in ages]))
-        columns.append(np.array([_odds_cohort(model, args.t, float(a)) for a in ages]))
+        routes = ["pseudo_convolution", "keiding", "cohort_ratio"]
+    columns = [ages] + [[prevalence(model, args.t, float(a), route).odds for a in ages] for route in routes]
 
     lines = [",".join(header)]
     for row in zip(*columns):
@@ -223,7 +211,7 @@ def cmd_fit(config: RunConfig, args) -> int:
     fit_config = config.build_fit_config()
     try:
         result = fit(table, fit_config)
-    except RatioHorizonError as error:
+    except FitInputError as error:
         raise ConfigError(str(error)) from error
 
     declared = config.declared_gamma()
@@ -284,7 +272,7 @@ def cmd_crosscheck(config: RunConfig, args) -> int:
 
     keiding = prevalence_odds_keiding(model, t, a).odds
     pseudo = prevalence_odds_pseudo_convolution(model, t, a).odds
-    cohort = _odds_cohort(model, t, a)
+    cohort = prevalence(model, t, a, "cohort_ratio").odds
     spread = _relative_spread([keiding, pseudo, cohort])
     report["formula_triangle"] = {
         "odds_keiding": keiding,
@@ -324,7 +312,7 @@ def cmd_crosscheck(config: RunConfig, args) -> int:
         companion = model
         builtin = False
     else:
-        companion = RateModel(ExponentialIncidence(-9.0, 0.03, 0.01), model.m0, model.ratio)
+        companion = RateModel(ExponentialIncidence(k2=0.01), model.m0, model.ratio)
         builtin = True
     special = prevalence_odds_exponential(companion, t, a).odds
     general = prevalence_odds_pseudo_convolution(companion, t, a).odds
@@ -440,10 +428,7 @@ def main(argv=None) -> int:
     except ConfigError as error:
         print(f"error: {error}", file=sys.stderr)
         return _EXIT_CONFIG
-    except _NUMERIC_ERRORS as error:
-        print(f"numerical failure: {error}", file=sys.stderr)
-        return _EXIT_NUMERIC
-    except ValueError as error:
+    except (*_NUMERIC_ERRORS, ValueError) as error:
         print(f"numerical failure: {error}", file=sys.stderr)
         return _EXIT_NUMERIC
 

@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
-import numpy as np
 from jsonschema import Draft202012Validator
 
 from idmodds.fit import FitConfig
-from idmodds.quadrature import QuadratureConfig
 from idmodds.rates import (
     ExponentialIncidence,
     GompertzParams,
@@ -27,8 +24,9 @@ from idmodds.rates import (
     PositivePartIncidence,
     RateModel,
     TabulatedIncidence,
+    reference_rate_model,
 )
-from idmodds.simulate import DEFAULT_AGE_GROUPS, SimConfig
+from idmodds.simulate import SimConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_run_config", "parse_run_config", "config_hash"]
 
@@ -108,7 +106,6 @@ _SCHEMA = {
                 "fatol": {"type": "number", "exclusiveMinimum": 0},
                 "max_iterations": {"type": "integer", "exclusiveMinimum": 0},
                 "include_binomial_coefficient": {"type": "boolean"},
-                "hessian_step_scale": {"type": "number", "exclusiveMinimum": 0},
                 "quadrature": {
                     "type": "object",
                     "additionalProperties": False,
@@ -139,35 +136,25 @@ def config_hash(document: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+_INCIDENCE_FAMILIES = {
+    "positive_part": PositivePartIncidence,
+    "exponential": ExponentialIncidence,
+    "tabulated": TabulatedIncidence,
+}
+
+
 def _build_incidence(section: dict):
-    family = section.get("family", "positive_part")
-    if family == "positive_part":
-        allowed = {"family", "onset_age", "denominator"}
-        extra = set(section) - allowed
-        if extra:
-            raise ConfigError(f"incidence keys {sorted(extra)} do not apply to family 'positive_part'")
-        return PositivePartIncidence(
-            onset_age=section.get("onset_age", 30.0),
-            denominator=section.get("denominator", 3000.0),
-        )
-    if family == "exponential":
-        allowed = {"family", "k0", "k1", "k2"}
-        extra = set(section) - allowed
-        if extra:
-            raise ConfigError(f"incidence keys {sorted(extra)} do not apply to family 'exponential'")
-        return ExponentialIncidence(section.get("k0", -9.0), section.get("k1", 0.03), section.get("k2", 0.0))
-    allowed = {"family", "times", "ages", "table"}
-    extra = set(section) - allowed
+    params = dict(section)
+    family = params.pop("family", "positive_part")
+    kind = _INCIDENCE_FAMILIES[family]
+    keys = {f.name: f.default is MISSING for f in fields(kind)}
+    extra = set(params) - set(keys)
     if extra:
-        raise ConfigError(f"incidence keys {sorted(extra)} do not apply to family 'tabulated'")
-    for key in ("times", "ages", "table"):
-        if key not in section:
-            raise ConfigError(f"tabulated incidence requires '{key}'")
-    return TabulatedIncidence(
-        times=np.asarray(section["times"], dtype=float),
-        ages=np.asarray(section["ages"], dtype=float),
-        table=np.asarray(section["table"], dtype=float),
-    )
+        raise ConfigError(f"incidence keys {sorted(extra)} do not apply to family '{family}'")
+    for key, required in keys.items():
+        if required and key not in params:
+            raise ConfigError(f"{family} incidence requires '{key}'")
+    return kind(**params)
 
 
 @dataclass(frozen=True)
@@ -199,21 +186,10 @@ class RunConfig:
         return _build_incidence(self.document.get("incidence", {}))
 
     def build_m0(self) -> GompertzParams:
-        section = self.document.get("m0", {})
-        return GompertzParams(
-            section.get("xi1", -10.7),
-            section.get("xi2", 0.1),
-            section.get("xi3", math.log(0.998)),
-        )
+        return replace(reference_rate_model().m0, **self.document.get("m0", {}))
 
     def build_ratio(self) -> MortalityRatioParams:
-        section = self.document.get("ratio", {})
-        return MortalityRatioParams(
-            section.get("gamma1", 0.04),
-            section.get("gamma2", 5.0),
-            section.get("gamma3", 1.0),
-            max_duration=section.get("max_duration", 100.0),
-        )
+        return replace(reference_rate_model().ratio, **self.document.get("ratio", {}))
 
     def declared_gamma(self):
         if not self.declares_ratio:
@@ -228,40 +204,34 @@ class RunConfig:
             raise ConfigError(str(error)) from error
 
     def build_sim_config(self) -> SimConfig:
-        section = self.document.get("simulation", {})
-        groups = section.get("age_groups")
+        section = dict(self.document.get("simulation", {}))
+        if "birth_window" in section:
+            section["birth_window"] = tuple(section["birth_window"])
+        if "age_groups" in section:
+            section["age_groups"] = tuple(tuple(g) for g in section["age_groups"])
         try:
-            return SimConfig(
-                births_per_year=section.get("births_per_year"),
-                birth_window=tuple(section.get("birth_window", (0.0, 65.0))),
-                cross_section_time=section.get("cross_section_time", 100.0),
-                age_groups=DEFAULT_AGE_GROUPS if groups is None else tuple(tuple(g) for g in groups),
-                rng_seed=section.get("rng_seed", 0),
-                max_age=section.get("max_age", 110.0),
-                target_alive=section.get("target_alive", 74388),
-            )
+            return replace(SimConfig(), **section)
         except ValueError as error:
             raise ConfigError(str(error)) from error
 
     def build_fit_config(self) -> FitConfig:
+        default = FitConfig()
         section = dict(self.document.get("fit", {}))
-        kwargs = {}
-        if "quadrature" in section:
-            quad = section.pop("quadrature")
-            kwargs["quadrature"] = QuadratureConfig(
-                rel_tol=quad.get("rel_tol", 1e-10),
-                abs_tol=quad.get("abs_tol", 1e-14),
-                max_subdivisions=quad.get("max_subdivisions", 400),
-            )
-        if "bounds" in section:
-            kwargs["bounds"] = tuple(tuple(b) for b in section.pop("bounds"))
-        if "starts" in section:
-            kwargs["starts"] = tuple(tuple(s) for s in section.pop("starts"))
+        for key in ("bounds", "starts"):
+            if key in section:
+                section[key] = tuple(tuple(row) for row in section[key])
         if "fixed_gamma" in section:
-            kwargs["fixed_gamma"] = tuple(section.pop("fixed_gamma"))
-        kwargs.update(section)
+            section["fixed_gamma"] = tuple(section["fixed_gamma"])
         try:
-            return FitConfig(incidence=self.build_incidence(), m0=self.build_m0(), **kwargs)
+            if "quadrature" in section:
+                section["quadrature"] = replace(default.quadrature, **section["quadrature"])
+            return replace(
+                default,
+                incidence=self.build_incidence(),
+                m0=self.build_m0(),
+                max_duration=self.build_ratio().max_duration,
+                **section,
+            )
         except ValueError as error:
             raise ConfigError(str(error)) from error
 

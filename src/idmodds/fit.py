@@ -40,12 +40,14 @@ from idmodds.rates import (
     RateModel,
     TabulatedIncidence,
     course_moments,
+    reference_rate_model,
 )
 from idmodds.simulate import AgeGroupTable
 
 __all__ = [
     "FitConfig",
     "FitResult",
+    "FitInputError",
     "RatioHorizonError",
     "group_prevalence",
     "log_likelihood",
@@ -57,10 +59,10 @@ __all__ = [
 _DEFAULT_BOUNDS = ((0.0, 1.0), (0.0, 50.0), (0.0, 20.0))
 _DEFAULT_STARTS = ((0.01, 2.0, 1.0), (0.001, 1.0, 0.5), (0.1, 10.0, 1.5), (0.3, 20.0, 3.0))
 _FIT_QUADRATURE = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=400)
-
-
-def _default_m0() -> GompertzParams:
-    return GompertzParams(-10.7, 0.1, math.log(0.998))
+# Finite-difference step of the observed information, relative to max(1, |gamma|).
+# 1e-3 keeps second-difference rounding noise (~1e-11 in the log-likelihood)
+# far below the smallest curvature eigenvalue; 1e-4 sits at its edge.
+_HESSIAN_STEP_SCALE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class FitConfig:
     """
 
     incidence: IncidenceSpec = field(default_factory=PositivePartIncidence)
-    m0: GompertzParams = field(default_factory=_default_m0)
+    m0: GompertzParams = field(default_factory=lambda: reference_rate_model().m0)
     bounds: tuple = _DEFAULT_BOUNDS
     starts: tuple = _DEFAULT_STARTS
     fixed_gamma: tuple = (None, None, None)
@@ -83,9 +85,6 @@ class FitConfig:
     max_iterations: int = 4000
     include_binomial_coefficient: bool = False
     max_duration: float = 100.0
-    # 1e-3 keeps second-difference rounding noise (~1e-11 in the log-likelihood)
-    # far below the smallest curvature eigenvalue; 1e-4 sits at its edge.
-    hessian_step_scale: float = 1e-3
     quadrature: QuadratureConfig = _FIT_QUADRATURE
 
     def __post_init__(self):
@@ -93,7 +92,7 @@ class FitConfig:
             raise ValueError("bounds must be three increasing (lo, hi) pairs")
         if self.group_evaluation not in ("midpoint", "averaged"):
             raise ValueError("group_evaluation must be 'midpoint' or 'averaged'")
-        if not (self.xatol > 0.0 and self.fatol > 0.0 and self.hessian_step_scale > 0.0):
+        if not (self.xatol > 0.0 and self.fatol > 0.0):
             raise ValueError("tolerances must be positive")
         if len(self.fixed_gamma) != 3:
             raise ValueError("fixed_gamma must have three entries")
@@ -176,12 +175,12 @@ def group_prevalence(
     these smooth curves).
     """
     if mode == "midpoint":
-        return prevalence(model, t, 0.5 * (age_lo + age_hi), "pseudo_convolution", None, quadrature).prevalence
+        return prevalence(model, t, 0.5 * (age_lo + age_hi), "pseudo_convolution", quadrature).prevalence
     if mode == "averaged":
         half = 0.5 * (age_hi - age_lo)
         center = 0.5 * (age_lo + age_hi)
         values = [
-            prevalence(model, t, center + half * float(node), "pseudo_convolution", None, quadrature).prevalence
+            prevalence(model, t, center + half * float(node), "pseudo_convolution", quadrature).prevalence
             for node in _GL_NODES
         ]
         return float(np.dot(_GL_WEIGHTS, values) / 2.0)
@@ -192,7 +191,11 @@ def _within_bounds(gamma, bounds) -> bool:
     return all(lo <= value <= hi for value, (lo, hi) in zip(gamma, bounds))
 
 
-class RatioHorizonError(ValueError):
+class FitInputError(ValueError):
+    """The table and configuration admit no fit: nothing is free, too few informative rows, or no finite start."""
+
+
+class RatioHorizonError(FitInputError):
     """The table needs the mortality ratio at durations beyond those checked for positivity."""
 
 
@@ -458,19 +461,24 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     """Maximize the likelihood over the free mortality-ratio parameters.
 
     Runs the simplex search from every configured start, keeps the best, and
-    restarts once from the incumbent to escape premature contraction.  The
-    result always comes back; ``converged`` and the diagnostics say how much
-    to trust it.
+    restarts once from the incumbent to escape premature contraction.  Once
+    the search can start, the result always comes back; ``converged`` and the
+    diagnostics say how much to trust it.  Raises FitInputError when nothing
+    is free, too few rows are informative, or every start is impossible.
     """
     free = config.free_indices
     if len(free) == 0:
-        raise ValueError("at least one component must be free")
+        raise FitInputError("at least one component must be free")
     informative = np.count_nonzero((table.n > 0) & (table.c > 0) & (table.c < table.n))
     if informative < len(free):
-        raise ValueError(
+        raise FitInputError(
             f"{len(free)} free parameters need at least that many informative rows, got {informative}"
         )
     plan = _likelihood_plan(table, config)
+    starts = [np.array([start[j] for j in free]) for start in config.starts]
+    # screened outside ``evals``, which counts the search's evaluations alone
+    if not any(math.isfinite(log_likelihood(config.full_gamma(x0), table, config)) for x0 in starts):
+        raise FitInputError("the likelihood is minus infinity at every start point")
 
     evals = 0
 
@@ -488,14 +496,11 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     }
     best = None
     iterations = 0
-    for start in config.starts:
-        x0 = np.array([start[j] for j in free])
+    for x0 in starts:
         outcome = optimize.minimize(objective, x0, method="Nelder-Mead", bounds=bounds, options=options)
         iterations += outcome.nit
         if np.isfinite(outcome.fun) and (best is None or outcome.fun < best.fun):
             best = outcome
-    if best is None:
-        raise ValueError("the likelihood is minus infinity at every start point")
     restart = optimize.minimize(objective, best.x, method="Nelder-Mead", bounds=bounds, options=options)
     iterations += restart.nit
     if np.isfinite(restart.fun) and restart.fun <= best.fun:
@@ -518,7 +523,7 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
         if min(gamma_hat[j] - lo, hi - gamma_hat[j]) < 1e-4 * span:
             diagnostics["boundary_hits"].append(j)
 
-    steps = config.hessian_step_scale * np.maximum(1.0, np.abs(gamma_hat[list(free)]))
+    steps = _HESSIAN_STEP_SCALE * np.maximum(1.0, np.abs(gamma_hat[list(free)]))
     # curvature stencil must stay strictly inside the bounds (the model can be
     # degenerate on a boundary face, e.g. a zero mortality ratio), so at a
     # boundary optimum the evaluation center shifts inward by just over one step

@@ -30,7 +30,6 @@ from idmodds.rates import ExponentialIncidence, RateModel
 __all__ = [
     "CohortBaseline",
     "PrevalenceResult",
-    "CharacteristicGrid",
     "AgeProfile",
     "PREVALENCE_METHODS",
     "survivor_fraction",
@@ -47,7 +46,6 @@ __all__ = [
     "pde_residual_odds",
     "reconstruct_incidence",
     "cross_section_profile",
-    "characteristic_grid",
 ]
 
 
@@ -99,27 +97,6 @@ class PrevalenceResult:
         if -1e-12 < odds < 0.0:
             odds = 0.0
         return PrevalenceResult(t, a, odds, odds / (1.0 + odds), method)
-
-
-@dataclass(frozen=True, eq=False)
-class CharacteristicGrid:
-    """Values sampled along one life line t - a = birth_time."""
-
-    birth_time: float
-    ages: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        ages = np.asarray(self.ages, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if ages.ndim != 1 or ages.shape != values.shape:
-            raise ValueError("ages and values must be matching 1-D arrays")
-        if len(ages) >= 2 and np.any(np.diff(ages) <= 0.0):
-            raise ValueError("ages must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "ages", ages)
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,14 +348,12 @@ def prevalence(
     t: float,
     a: float,
     method: str = "pseudo_convolution",
-    baseline: Optional[CohortBaseline] = None,
     quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> PrevalenceResult:
     """Fraction diseased among those alive at (t, a), by any of the odds routes.
 
-    ``baseline`` is accepted for interface symmetry but cannot influence the
-    result: both the diseased and the healthy count scale linearly in the
-    cohort size, so the ratio is formed with the baseline cancelled.
+    No cohort baseline enters: the diseased and the healthy count both scale
+    linearly in the cohort size, which cancels in their ratio.
     """
     if method == "keiding":
         return prevalence_odds_keiding(model, t, a, quadrature)
@@ -391,8 +366,8 @@ def prevalence(
             raise ValueError("age must be nonnegative")
         if a == 0.0:
             return PrevalenceResult.from_odds(t, a, 0.0, "cohort_ratio")
-        cases = diseased_population(model, t, a, None, quadrature)
-        healthy = healthy_population(model, t, a, None)
+        cases = diseased_population(model, t, a, quadrature=quadrature)
+        healthy = healthy_population(model, t, a)
         return PrevalenceResult.from_odds(t, a, cases / healthy, "cohort_ratio")
     raise ValueError(f"unknown prevalence method {method!r}; choose one of {PREVALENCE_METHODS}")
 
@@ -416,9 +391,9 @@ def pde_residual_prevalence(
     """
     if not 0.0 < h <= a:
         raise ValueError("step must satisfy 0 < h <= a")
-    p_plus = prevalence(model, t + h, a + h, "pseudo_convolution", None, quadrature).prevalence
-    p_minus = prevalence(model, t - h, a - h, "pseudo_convolution", None, quadrature).prevalence
-    p_here = prevalence(model, t, a, "pseudo_convolution", None, quadrature).prevalence
+    p_plus = prevalence(model, t + h, a + h, "pseudo_convolution", quadrature).prevalence
+    p_minus = prevalence(model, t - h, a - h, "pseudo_convolution", quadrature).prevalence
+    p_here = prevalence(model, t, a, "pseudo_convolution", quadrature).prevalence
     drift = (p_plus - p_minus) / (2.0 * h)
     i_here = float(model.incidence_rate(t, a))
     m0_here = float(model.mortality_healthy(t, a))
@@ -504,7 +479,7 @@ def cross_section_profile(
 ) -> AgeProfile:
     """Prevalence (or odds) over an age grid at one calendar time."""
     ages = np.asarray(ages, dtype=float)
-    results = [prevalence(model, time, float(a), method, None, quadrature) for a in ages]
+    results = [prevalence(model, time, float(a), method, quadrature) for a in ages]
     if kind == "prevalence":
         values = np.array([r.prevalence for r in results])
     elif kind == "odds":
@@ -512,23 +487,3 @@ def cross_section_profile(
     else:
         raise ValueError("kind must be 'prevalence' or 'odds'")
     return AgeProfile(time, ages, values)
-
-
-def characteristic_grid(
-    model: RateModel,
-    birth_time: float,
-    ages,
-    kind: str = "prevalence",
-    method: str = "pseudo_convolution",
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> CharacteristicGrid:
-    """Prevalence (or odds) along the single life line with the given birth time."""
-    ages = np.asarray(ages, dtype=float)
-    results = [prevalence(model, birth_time + float(a), float(a), method, None, quadrature) for a in ages]
-    if kind == "prevalence":
-        values = np.array([r.prevalence for r in results])
-    elif kind == "odds":
-        values = np.array([r.odds for r in results])
-    else:
-        raise ValueError("kind must be 'prevalence' or 'odds'")
-    return CharacteristicGrid(birth_time, ages, values)

@@ -114,9 +114,9 @@ class PositivePartIncidence:
 class ExponentialIncidence:
     """Incidence exp(k0 + k1*a + k2*t)."""
 
-    k0: float
-    k1: float
-    k2: float
+    k0: float = -9.0
+    k1: float = 0.03
+    k2: float = 0.0
 
     def __post_init__(self):
         if not _all_finite(self.k0, self.k1, self.k2):
@@ -360,10 +360,10 @@ class RateModel:
         return base * (c2 * j2 + c1 * j1 + c0 * j0)
 
 
-def reference_rate_model(max_duration: float = 100.0) -> RateModel:
-    """Rate configuration of the bundled cross-sectional simulation study."""
+def reference_rate_model() -> RateModel:
+    """Rate configuration of the reference study; a run configuration's omitted rate keys take these values."""
     return RateModel(
-        incidence=PositivePartIncidence(onset_age=30.0, denominator=3000.0),
+        incidence=PositivePartIncidence(),
         m0=GompertzParams(-10.7, 0.1, math.log(0.998)),
-        ratio=MortalityRatioParams(0.04, 5.0, 1.0, max_duration=max_duration),
+        ratio=MortalityRatioParams(0.04, 5.0, 1.0),
     )

@@ -436,7 +436,7 @@ class _LifeKernel:
         return onset_time, onset_time + duration
 
 
-def sample_life(model: RateModel, birth_time: float, rng, max_age: float = 110.0) -> LifeRecord:
+def sample_life(model: RateModel, birth_time: float, rng, max_age: float = SimConfig.max_age) -> LifeRecord:
     """Draw one complete life course starting healthy at ``birth_time``.
 
     Consumes exactly three draws from ``rng`` (first exit, event type,

@@ -1,6 +1,7 @@
 """Tests for the run configuration and the command-line interface."""
 
 import filecmp
+import importlib.util
 import json
 import math
 import os
@@ -15,8 +16,12 @@ import pytest
 import idmodds
 from idmodds.cli import main, thread_limit
 from idmodds.config import ConfigError, config_hash, load_run_config, parse_run_config
+from idmodds.fit import FitConfig
 from idmodds.prevalence import prevalence_odds_pseudo_convolution
-from idmodds.rates import PositivePartIncidence, TabulatedIncidence
+from idmodds.rates import PositivePartIncidence, TabulatedIncidence, reference_rate_model
+from idmodds.simulate import SimConfig
+
+BUNDLED_CONFIG = Path(idmodds.__file__).resolve().parent / "data" / "reference_config.json"
 
 
 def write_config(tmp_path, document, name="config.json"):
@@ -103,6 +108,24 @@ class TestRunConfig:
         assert fit_config.group_evaluation == "averaged"
         assert fit_config.xatol == 1e-5
         assert fit_config.quadrature.rel_tol == 1e-6
+
+    def test_partial_quadrature_section_keeps_fit_defaults(self):
+        quadrature = parse_run_config({"fit": {"quadrature": {"rel_tol": 1e-9}}}).build_fit_config().quadrature
+        assert quadrature.rel_tol == 1e-9
+        assert quadrature.abs_tol == FitConfig().quadrature.abs_tol
+        assert quadrature.max_subdivisions == FitConfig().quadrature.max_subdivisions
+
+    def test_bundled_document_states_library_defaults(self):
+        # the bundled document repeats the reference study as data; it must not drift from the library
+        empty = parse_run_config({})
+        bundled = load_run_config(str(BUNDLED_CONFIG))
+        assert bundled.build_model() == empty.build_model() == reference_rate_model()
+        assert bundled.build_sim_config() == empty.build_sim_config() == SimConfig()
+        assert bundled.build_fit_config() == empty.build_fit_config() == FitConfig()
+
+    def test_hessian_step_scale_no_longer_accepted(self):
+        with pytest.raises(ConfigError, match="invalid configuration at fit"):
+            parse_run_config({"fit": {"hessian_step_scale": 1e-3}})
 
 
 ZERO_INCIDENCE = {"incidence": {"family": "exponential", "k0": -1000.0, "k1": 0.0, "k2": 0.0}}
@@ -315,6 +338,29 @@ class TestFit:
         err = capsys.readouterr().err
         assert "105" in err and "max_duration=100" in err
 
+    def test_ratio_max_duration_extends_fit_horizon(self, tmp_path):
+        rows = ["k,age_lo,age_hi,n,c"]
+        for k, lo in enumerate(range(40, 100, 5), start=1):
+            rows.append(f"{k},{lo},{lo + 5},1000,{k * 10}")
+        rows.append("13,100,110,500,150")
+        data = tmp_path / "old.csv"
+        data.write_text("\n".join(rows) + "\n")
+        document = {"ratio": {"max_duration": 120}, "fit": {"bounds": [[-0.01, 1.0], [0.0, 50.0], [0.0, 20.0]]}}
+        assert parse_run_config(document).build_fit_config().max_duration == 120
+        config = write_config(tmp_path, document)
+        assert main(["fit", "--config", config, "--data", str(data), "--out-dir", str(tmp_path / "o")]) == 0
+
+    def test_impossible_starts_are_input_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, ZERO_INCIDENCE)
+        assert main(["fit", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "every start point" in capsys.readouterr().err
+
+    def test_too_few_informative_rows_is_input_error(self, tmp_path, capsys):
+        data = tmp_path / "thin.csv"
+        data.write_text("k,age_lo,age_hi,n,c\n1,40.0,45.0,1000,30\n2,45.0,50.0,1000,0\n")
+        assert main(["fit", "--data", str(data), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "informative" in capsys.readouterr().err
+
 
 class TestCrosscheck:
     def test_reference_model_skips_odds_pde(self, tmp_path):
@@ -450,3 +496,23 @@ class TestConsoleScript:
                 [executable, "--help"], capture_output=True, text=True, env=package_env()
             )
             assert_help_lists_subcommands(proc)
+
+
+class TestBenchmarkTracer:
+    def test_tracer_finds_every_wrapped_name(self):
+        # the benchmark's span tracer patches names by attribute; a renamed or
+        # deleted one would only surface in a traced benchmark run
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        import idmodds.cli as cli_module
+
+        fit_before = cli_module.fit
+        tracer = spans.Tracer()
+        try:
+            tracer.install()
+            assert cli_module.fit is not fit_before
+        finally:
+            tracer.uninstall()
+        assert cli_module.fit is fit_before

@@ -1,5 +1,6 @@
 """Tests for maximum-likelihood estimation of the mortality-ratio parameters."""
 
+import importlib
 import json
 import math
 import time
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from idmodds.fit import (
     FitConfig,
+    FitInputError,
     _likelihood_plan,
     fit,
     group_prevalence,
@@ -366,6 +368,20 @@ class TestFitProperties:
         config = FitConfig(incidence=ExponentialIncidence(-1000.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="minus infinity"):
             fit(reference_table(), config)
+
+    def test_impossible_starts_rejected_before_search(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return log_likelihood(*args, **kwargs)
+
+        # import_module, because the package re-exports a function named fit
+        monkeypatch.setattr(importlib.import_module("idmodds.fit"), "log_likelihood", counted)
+        config = FitConfig(incidence=ExponentialIncidence(-1000.0, 0.0, 0.0))
+        with pytest.raises(FitInputError, match="every start point"):
+            fit(reference_table(), config)
+        assert 0 < len(calls) <= len(config.starts)
 
 
 class TestFitConfigValidation:

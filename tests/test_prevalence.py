@@ -13,11 +13,9 @@ from scipy import integrate
 
 from idmodds.prevalence import (
     AgeProfile,
-    CharacteristicGrid,
     CohortBaseline,
     PrevalenceResult,
     case_density,
-    characteristic_grid,
     cross_section_profile,
     diseased_population,
     effective_diseased_mortality,
@@ -335,9 +333,9 @@ class TestPrevalenceDispatch:
             assert v == pytest.approx(values[0], rel=1e-6)
 
     def test_baseline_cannot_change_prevalence(self, model):
-        plain = prevalence(model, 100.0, 62.5, "cohort_ratio")
-        scaled = prevalence(model, 100.0, 62.5, "cohort_ratio", CohortBaseline.constant(9999.0))
-        assert scaled.odds == plain.odds
+        baseline = CohortBaseline.constant(9999.0)
+        scaled = diseased_population(model, 100.0, 62.5, baseline) / healthy_population(model, 100.0, 62.5, baseline)
+        assert scaled == pytest.approx(prevalence(model, 100.0, 62.5, "cohort_ratio").odds, rel=1e-14)
 
     def test_constant_incidence_closed_form(self):
         # with equal mortality in both states the odds depend on incidence alone
@@ -454,15 +452,9 @@ class TestReconstruction:
 
 
 class TestProfiles:
-    def test_characteristic_grid_consistent_with_pointwise(self, model):
-        ages = np.array([40.0, 50.0, 60.0])
-        grid = characteristic_grid(model, 40.0, ages)
-        for age, value in zip(ages, grid.values):
-            assert value == prevalence(model, 40.0 + age, age).prevalence
-
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            CharacteristicGrid(40.0, np.array([1.0, 1.0]), np.array([0.0, 0.0]))
+            AgeProfile(100.0, np.array([1.0, 1.0]), np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
             AgeProfile(100.0, np.array([1.0, 2.0]), np.array([0.0, math.inf]))
 
