@@ -38,7 +38,13 @@ from idmodds.prevalence import (
 )
 from idmodds.quadrature import QuadratureError
 from idmodds.rates import ExponentialIncidence, RateModel
-from idmodds.simulate import AgeGroupTable, calibrate_births_per_year, replicate_study
+from idmodds.simulate import (
+    AgeGroupTable,
+    SamplerConvergenceError,
+    SimulationHorizonError,
+    calibrate_births_per_year,
+    replicate_study,
+)
 
 __all__ = ["main"]
 
@@ -47,7 +53,14 @@ _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 _EXIT_NO_CONVERGENCE = 4
 
-_NUMERIC_ERRORS = (QuadratureError, FloatingPointError, np.linalg.LinAlgError, ZeroDivisionError, OverflowError)
+_NUMERIC_ERRORS = (
+    QuadratureError,
+    SamplerConvergenceError,
+    FloatingPointError,
+    np.linalg.LinAlgError,
+    ZeroDivisionError,
+    OverflowError,
+)
 
 
 def _bundled_path(name: str) -> str:
@@ -187,7 +200,10 @@ def cmd_simulate(config: RunConfig, args) -> int:
     manifest.note("replicate_seeds", [sim_config.rng_seed + i for i in range(args.replicates)])
     manifest.note("workers", workers)
 
-    tables = replicate_study(model, sim_config, args.replicates, workers=workers)
+    try:
+        tables = replicate_study(model, sim_config, args.replicates, workers=workers)
+    except SimulationHorizonError as error:
+        raise ConfigError(str(error)) from error
     for index, table in enumerate(tables):
         path = os.path.join(out_dir, f"study_{index + 1:04d}.csv")
         table.to_csv(path)

@@ -17,7 +17,8 @@ from typing import Union
 
 import numpy as np
 
-from idmodds.quadrature import QuadratureConfig, adaptive_quad
+# adaptive_quad is unused here but kept importable: the benchmark tracer (perfbench/spans.py) patches it
+from idmodds.quadrature import adaptive_quad  # noqa: F401
 
 __all__ = [
     "RateDomainError",
@@ -141,16 +142,14 @@ class ExponentialIncidence:
         return base * np.expm1(kappa * np.asarray(delta, dtype=float)) / kappa
 
 
-_TAB_QUAD = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=400)
-
-
 @dataclass(frozen=True, eq=False)
 class TabulatedIncidence:
     """Incidence given on a rectangular (time, age) grid, bilinearly interpolated.
 
-    Evaluations outside the grid are clamped to the nearest edge.  The
-    cumulative hazard has no closed form and falls back to quadrature along
-    the life line, with breakpoints at every grid-line crossing.
+    Evaluations outside the grid are clamped to the nearest edge.  Along a
+    life line the clamped interpolant is linear in time and in age between
+    grid-line crossings, hence quadratic there, so the cumulative hazard is
+    exact: Simpson's rule on every piece between consecutive crossings.
     """
 
     times: np.ndarray
@@ -202,25 +201,23 @@ class TabulatedIncidence:
         return float(out) if out.ndim == 0 else out
 
     def cumulative(self, t, a, delta):
-        if np.ndim(delta) > 0 or np.ndim(t) > 0 or np.ndim(a) > 0:
-            t, a, delta = np.broadcast_arrays(
-                np.asarray(t, dtype=float), np.asarray(a, dtype=float), np.asarray(delta, dtype=float)
-            )
-            return np.array(
-                [self.cumulative(float(ti), float(ai), float(di)) for ti, ai, di in zip(t, a, delta)]
-            )
-        delta = float(delta)
-        if delta == 0.0:
-            return 0.0
-        breaks = [a - float(g) for g in self.ages] + [t - float(g) for g in self.times]
-        breaks = [delta - x for x in breaks]  # convert to tau along the segment
-        return adaptive_quad(
-            lambda tau: self.rate(t - delta + tau, a - delta + tau),
-            0.0,
-            delta,
-            _TAB_QUAD,
-            breakpoints=[x for x in breaks if 0.0 < x < delta],
+        t, a, delta = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (t, a, delta)))
+        t, a = t[..., None], a[..., None]
+        # lookbacks from (t, a) to every grid line, clipped to the segment, and its two ends
+        crossings = np.concatenate([a - self.ages, t - self.times], axis=-1)
+        edges = np.sort(
+            np.concatenate(
+                [np.zeros_like(t), delta[..., None], np.clip(crossings, 0.0, delta[..., None])], axis=-1
+            ),
+            axis=-1,
         )
+        at_edges = self.rate(t - edges, a - edges)
+        mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+        pieces = (edges[..., 1:] - edges[..., :-1]) / 6.0 * (
+            at_edges[..., :-1] + 4.0 * self.rate(t - mid, a - mid) + at_edges[..., 1:]
+        )
+        out = pieces.sum(axis=-1)
+        return float(out) if out.ndim == 0 else out
 
 
 IncidenceSpec = Union[PositivePartIncidence, ExponentialIncidence, TabulatedIncidence]

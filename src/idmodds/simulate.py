@@ -24,11 +24,13 @@ import numpy as np
 
 from idmodds.prevalence import diseased_population, healthy_population
 from idmodds.quadrature import DEFAULT_QUADRATURE, adaptive_quad
-from idmodds.rates import ExponentialIncidence, PositivePartIncidence, RateModel
+from idmodds.rates import RateModel
 
 __all__ = [
     "DEFAULT_AGE_GROUPS",
     "SimConfig",
+    "SimulationHorizonError",
+    "SamplerConvergenceError",
     "LifeRecord",
     "PopulationLedger",
     "AgeGroupTable",
@@ -257,183 +259,108 @@ class AgeGroupTable:
             raise ValueError(f"invalid table in {path}: {exc}") from None
 
 
-class _HazardInversionError(RuntimeError):
-    pass
+class SimulationHorizonError(ValueError):
+    """The mortality ratio is not positive over every duration a simulated disease course can reach."""
 
 
-def _invert_hazard(value_at, slope_at, target, cap):
-    """Solve value_at(s) = target for s in [0, cap]; None when the cap is never reached.
+class SamplerConvergenceError(RuntimeError):
+    """The hazard inversion left lives unsolved after the step limit."""
+
+
+# Lives are solved this many at a time, which bounds the per-step temporaries
+# (a tabulated incidence adds a column per grid line) while keeping the array
+# arithmetic.
+_CHUNK = 16_384
+# Newton-with-bisection steps allowed per life, and its convergence tolerance in years.
+_MAX_STEPS = 200
+_TOL = 1e-10
+
+
+def _invert(value_at, rate_at, target, cap):
+    """Solve value_at(i, s) = target[i] for s in [0, cap[i]] for all lives i; NaN where the cap is never reached.
 
     Newton iteration clipped to a shrinking bracket, with bisection whenever
-    the step leaves it.  ``value_at`` must be nondecreasing with
-    value_at(0) = 0.
+    the step leaves it; every life stops on its own and only the unfinished
+    ones are evaluated again.  ``value_at`` must be nondecreasing in ``s``
+    with value 0 at ``s = 0``; ``rate_at`` is its derivative.
     """
-    f_cap = value_at(cap) - target
-    if f_cap < 0.0:
-        return None
-    lo, hi = 0.0, cap
-    s = 0.5 * cap
-    for _ in range(200):
-        f = value_at(s) - target
-        if f < 0.0:
-            lo = s
-        else:
-            hi = s
-        slope = slope_at(s)
-        if slope > 0.0:
+    out = np.full(target.shape, np.nan)
+    live = np.flatnonzero(value_at(np.arange(target.size), cap) - target >= 0.0)
+    lo = np.zeros(live.size)
+    hi = cap[live]
+    s = 0.5 * hi
+    for _ in range(_MAX_STEPS):
+        if live.size == 0:
+            return out
+        f = value_at(live, s) - target[live]
+        below = f < 0.0
+        lo = np.where(below, s, lo)
+        hi = np.where(below, hi, s)
+        slope = rate_at(live, s)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = f / slope
             candidate = s - step
-            if lo < candidate < hi:
-                if abs(step) < 1e-10:
-                    return candidate
-                s = candidate
-                continue
-        if hi - lo < 1e-10:
-            return 0.5 * (lo + hi)
-        s = 0.5 * (lo + hi)
-    raise _HazardInversionError("hazard inversion did not converge within 200 iterations")
+        newton = (slope > 0.0) & (lo < candidate) & (candidate < hi)
+        s = np.where(newton, candidate, 0.5 * (lo + hi))
+        done = np.where(newton, np.abs(step) < _TOL, hi - lo < _TOL)
+        out[live[done]] = s[done]
+        busy = ~done
+        live, s, lo, hi = live[busy], s[busy], lo[busy], hi[busy]
+    if live.size:
+        raise SamplerConvergenceError(
+            f"hazard inversion did not converge within {_MAX_STEPS} iterations for {live.size} lives"
+        )
+    return out
 
 
-class _LifeKernel:
-    """Scalar samplers for one rate model, specialized per incidence family.
+def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draws, max_age: float):
+    """Onset and death times of lives born healthy, NaN marking absent events.
 
-    The closed-form rate families admit plain ``math`` arithmetic along a
-    life line, which is much faster than the vectorized model methods when
-    called once per individual.  Tabulated incidence falls back to the model
-    methods (with their internal quadrature).
+    Each life inverts the healthy cumulative hazard (mortality plus
+    incidence) at its exit draw, lets its type draw pick onset or death in
+    proportion to the two rates at that age, and after an onset inverts the
+    course's cumulative diseased mortality at its duration draw.  A life
+    whose hazard stays below the draw until ``max_age`` is censored there.
     """
+    try:
+        replace(model.ratio, max_duration=max_age)
+    except ValueError as error:
+        raise SimulationHorizonError(
+            f"{error}; a simulated disease course can last up to max_age={max_age:g} years"
+        ) from None
+    onset = np.full(birth.shape, np.nan)
+    death = np.full(birth.shape, np.nan)
+    for start in range(0, birth.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        born = birth[part]
+        first_exit = _invert(
+            lambda i, s: model.cumulative_m0(born[i] + s, s, s) + model.cumulative_incidence(born[i] + s, s, s),
+            lambda i, s: model.mortality_healthy(born[i] + s, s) + model.incidence_rate(born[i] + s, s),
+            exit_draws[part],
+            np.full(born.shape, max_age),
+        )
+        exited = np.flatnonzero(~np.isnan(first_exit))
+        age = first_exit[exited]
+        when = born[exited] + age
+        onset_rate = model.incidence_rate(when, age)
+        total = onset_rate + model.mortality_healthy(when, age)
+        sick = type_draws[part][exited] * total < onset_rate
+        death[part][exited[~sick]] = when[~sick]
+        onset_time = when[sick]
+        duration = _course_durations(model, onset_time, age[sick], duration_draws[part][exited[sick]], max_age)
+        onset[part][exited[sick]] = onset_time
+        death[part][exited[sick]] = onset_time + duration
+    return onset, death
 
-    def __init__(self, model: RateModel, max_age: float):
-        self.model = model
-        self.max_age = max_age
-        self.lam = model.m0.slope
-        self.xi1 = model.m0.xi1
-        self.xi3 = model.m0.xi3
-        ratio = model.ratio
-        self.g1 = ratio.gamma1
-        self.g2 = ratio.gamma2
-        self.g3 = ratio.gamma3
-        self.ratio_c0 = ratio.gamma1 * ratio.gamma2 * ratio.gamma2 + ratio.gamma3
-        inc = model.incidence
-        if isinstance(inc, PositivePartIncidence):
-            self.family = "positive_part"
-            self.alpha = inc.onset_age
-            self.denominator = inc.denominator
-        elif isinstance(inc, ExponentialIncidence):
-            self.family = "exponential"
-            self.inc_k0 = inc.k0
-            self.inc_k2 = inc.k2
-            self.kappa = inc.k1 + inc.k2
-        else:
-            self.family = "generic"
 
-    # -- healthy phase ----------------------------------------------------
-
-    def _healthy_solvers(self, birth):
-        c0 = math.exp(self.xi1 + self.xi3 * birth)
-        lam = self.lam
-        if self.family == "positive_part":
-            alpha, den = self.alpha, self.denominator
-
-            def value(s):
-                grown = s - alpha
-                extra = grown * grown / (2.0 * den) if grown > 0.0 else 0.0
-                return c0 * math.expm1(lam * s) / lam + extra
-
-            def slope(s):
-                grown = s - alpha
-                return c0 * math.exp(lam * s) + (grown / den if grown > 0.0 else 0.0)
-
-            def onset_rate(s):
-                grown = s - alpha
-                return grown / den if grown > 0.0 else 0.0
-
-        elif self.family == "exponential":
-            ci = math.exp(self.inc_k0 + self.inc_k2 * birth)
-            kappa = self.kappa
-
-            def value(s):
-                if kappa == 0.0:
-                    grown = ci * s
-                else:
-                    grown = ci * math.expm1(kappa * s) / kappa
-                return c0 * math.expm1(lam * s) / lam + grown
-
-            def slope(s):
-                return c0 * math.exp(lam * s) + ci * math.exp(kappa * s)
-
-            def onset_rate(s):
-                return ci * math.exp(kappa * s)
-
-        else:
-            model = self.model
-
-            def value(s):
-                return float(
-                    model.cumulative_m0(birth + s, s, s) + model.cumulative_incidence(birth + s, s, s)
-                )
-
-            def slope(s):
-                return float(model.mortality_healthy(birth + s, s) + model.incidence_rate(birth + s, s))
-
-            def onset_rate(s):
-                return float(model.incidence_rate(birth + s, s))
-
-        def death_rate(s):
-            return c0 * math.exp(lam * s)
-
-        return value, slope, onset_rate, death_rate
-
-    # -- diseased phase ---------------------------------------------------
-
-    def _course_hazard(self, onset_time, onset_age):
-        """Cumulative diseased mortality over duration d for a course starting at onset."""
-        base = math.exp(self.xi1 + self.xi3 * (onset_time - onset_age) + self.lam * onset_age)
-        lam, g1, g2 = self.lam, self.g1, self.g2
-        weight0 = self.ratio_c0
-
-        def value(d):
-            x = lam * d
-            j0 = math.expm1(x) / lam
-            if abs(x) < 1e-3:
-                d2 = d * d
-                j1 = d2 * (0.5 + x * (1.0 / 3.0 + x * (0.125 + x * (1.0 / 30.0 + x / 144.0))))
-                j2 = d2 * d * (1.0 / 3.0 + x * (0.25 + x * (0.1 + x * (1.0 / 36.0 + x / 168.0))))
-            else:
-                ex = math.exp(x)
-                j1 = (ex * (x - 1.0) + 1.0) / (lam * lam)
-                j2 = (ex * (x * x - 2.0 * x + 2.0) - 2.0) / (lam * lam * lam)
-            return base * (g1 * j2 - 2.0 * g1 * g2 * j1 + weight0 * j0)
-
-        g3 = self.g3
-
-        def slope(d):
-            off = d - g2
-            return base * math.exp(lam * d) * (g1 * off * off + g3)
-
-        return value, slope
-
-    # -- one full life ----------------------------------------------------
-
-    def simulate(self, birth, exit_draw, type_draw, duration_draw):
-        """Event times for one individual from its three unit draws.
-
-        Returns (onset_time, death_time) with NaN for absent events.
-        """
-        value, slope, onset_rate, death_rate = self._healthy_solvers(birth)
-        first_exit = _invert_hazard(value, slope, exit_draw, self.max_age)
-        if first_exit is None:
-            return math.nan, math.nan
-        total = onset_rate(first_exit) + death_rate(first_exit)
-        if type_draw * total >= onset_rate(first_exit):
-            return math.nan, birth + first_exit
-        onset_age = first_exit
-        onset_time = birth + first_exit
-        course_value, course_slope = self._course_hazard(onset_time, onset_age)
-        duration = _invert_hazard(course_value, course_slope, duration_draw, self.max_age - onset_age)
-        if duration is None:
-            return onset_time, math.nan
-        return onset_time, onset_time + duration
+def _course_durations(model: RateModel, onset_time, onset_age, draws, max_age: float):
+    """Disease durations that spend the draws of cumulative diseased mortality; NaN when alive at ``max_age``."""
+    return _invert(
+        lambda i, d: model.cumulative_m1(onset_time[i] + d, onset_age[i] + d, d),
+        lambda i, d: model.mortality_diseased(onset_time[i] + d, onset_age[i] + d, d),
+        draws,
+        max_age - onset_age,
+    )
 
 
 def sample_life(model: RateModel, birth_time: float, rng, max_age: float = SimConfig.max_age) -> LifeRecord:
@@ -441,17 +368,17 @@ def sample_life(model: RateModel, birth_time: float, rng, max_age: float = SimCo
 
     Consumes exactly three draws from ``rng`` (first exit, event type,
     disease duration) regardless of the path taken, so consuming streams
-    stay aligned across individuals.
+    stay aligned across individuals.  Raises SimulationHorizonError when the
+    mortality ratio is not positive on [0, max_age].
     """
-    exit_draw = float(rng.exponential())
-    type_draw = float(rng.random())
-    duration_draw = float(rng.exponential())
-    kernel = _LifeKernel(model, max_age)
-    onset, death = kernel.simulate(birth_time, exit_draw, type_draw, duration_draw)
+    draws = (rng.exponential(), rng.random(), rng.exponential())
+    (onset,), (death,) = _life_courses(
+        model, np.array([float(birth_time)]), *(np.array([float(x)]) for x in draws), max_age
+    )
     return LifeRecord(
         birth_time,
-        None if math.isnan(onset) else onset,
-        None if math.isnan(death) else death,
+        None if math.isnan(onset) else float(onset),
+        None if math.isnan(death) else float(death),
     )
 
 
@@ -513,7 +440,8 @@ def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
 
     Deterministic for a given seed: all random numbers are drawn up front in
     a fixed layout (four per individual), then each life is computed
-    independently.
+    independently.  Raises SimulationHorizonError when the mortality ratio
+    is not positive on [0, max_age].
     """
     births_per_year = (
         config.births_per_year
@@ -534,17 +462,7 @@ def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
         birth[position : position + count] = start + jitter[position : position + count] * length
         position += count
 
-    kernel = _LifeKernel(model, config.max_age)
-    onset = np.empty(total)
-    death = np.empty(total)
-    simulate = kernel.simulate
-    for index in range(total):
-        onset[index], death[index] = simulate(
-            float(birth[index]),
-            float(exit_draws[index]),
-            float(type_draws[index]),
-            float(duration_draws[index]),
-        )
+    onset, death = _life_courses(model, birth, exit_draws, type_draws, duration_draws, config.max_age)
     return PopulationLedger(birth, onset, death)
 
 

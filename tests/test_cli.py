@@ -260,6 +260,26 @@ class TestSimulate:
         assert manifest["calibrated_births_per_year"] > 0.0
 
 
+    def test_ratio_negative_before_max_age_is_config_error(self, tmp_path, capsys):
+        # R(d) = -1e-4 d^2 + 1.1 passes the check on [0, max_duration=100], but a
+        # course can last up to max_age=110, where R(110) < 0
+        document = {"incidence": {"family": "exponential"}, "ratio": {"gamma1": -1e-4, "gamma2": 0.0, "gamma3": 1.1}}
+        config = write_config(tmp_path, document)
+        assert main(["simulate", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_age=110" in err
+
+    def test_sampler_step_limit_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        import idmodds.simulate
+
+        monkeypatch.setattr(idmodds.simulate, "_MAX_STEPS", 1)
+        config = write_config(tmp_path, TINY_SIM)
+        assert main(["simulate", "--config", config, "--out-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestFit:
     def test_bundled_fixture_reproduces_reference_estimates(self, tmp_path):
         out = tmp_path / "out"

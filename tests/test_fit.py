@@ -178,12 +178,7 @@ class TestLikelihoodPlan:
             model = config.build_model((g1, g2, g3))
         except ValueError:
             assume(False)
-        # the tabulated oracle runs a quadrature inside every node, so it gets
-        # one group, the oldest, where the recent-onset layer is thinnest
         table = reference_table()
-        if family == "tabulated":
-            keep = [10]
-            table = AgeGroupTable(100.0, table.age_lo[keep], table.age_hi[keep], table.n[keep], table.c[keep])
         fast = _likelihood_plan(table, config).group_prevalence(model.ratio.coefficients)
         oracle = [
             group_prevalence(model, lo, hi, 100.0, mode, config.quadrature)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from idmodds.rates import (
@@ -169,6 +171,46 @@ class TestTabulatedIncidence:
         for (t, a, delta) in [(100.0, 60.0, 35.0), (105.0, 80.0, 60.0), (96.0, 42.0, 42.0)]:
             want = quad_oracle(lambda tau: tab.rate(t - delta + tau, a - delta + tau), 0.0, delta)
             assert model.cumulative_incidence(t, a, delta) == pytest.approx(want, rel=1e-8)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_cumulative_exact_against_quad(self, data):
+        # random grids, segments reaching outside the grid (the clamped part)
+        # and zero-length segments, in scalar and array calls
+        def grid(origin):
+            steps = data.draw(st.lists(st.floats(0.5, 40.0), min_size=1, max_size=5))
+            return origin + np.concatenate([[0.0], np.cumsum(steps)])
+
+        times = grid(data.draw(st.floats(-20.0, 80.0)))
+        ages = grid(data.draw(st.floats(0.0, 40.0)))
+        values = st.one_of(st.just(0.0), st.floats(0.0, 0.05))
+        table = np.array(data.draw(st.lists(st.lists(values, min_size=len(ages), max_size=len(ages)),
+                                            min_size=len(times), max_size=len(times))))
+        tab = TabulatedIncidence(times, ages, table)
+        segment = st.tuples(
+            st.floats(times[0] - 30.0, times[-1] + 30.0),
+            st.floats(0.01, ages[-1] + 30.0),
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        )
+        segments = data.draw(st.lists(segment, min_size=1, max_size=4))
+        t, a, share = (np.array(column) for column in zip(*segments))
+        delta = share * a
+
+        want = []
+        for ti, ai, di in zip(t, a, delta):
+            crossings = np.concatenate([ai - ages, ti - times])
+            points = crossings[(crossings > 0.0) & (crossings < di)]
+            value, _ = integrate.quad(
+                lambda u: tab.rate(ti - u, ai - u), 0.0, di, points=points if points.size else None,
+                epsabs=0.0, epsrel=1e-13, limit=200,
+            )
+            want.append(value)
+        got = tab.cumulative(t, a, delta)
+        assert got.shape == t.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        scalar = tab.cumulative(float(t[0]), float(a[0]), float(delta[0]))
+        assert isinstance(scalar, float)
+        assert scalar == pytest.approx(want[0], rel=1e-12, abs=0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

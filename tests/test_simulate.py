@@ -23,6 +23,9 @@ from idmodds.simulate import (
     LifeRecord,
     PopulationLedger,
     SimConfig,
+    SimulationHorizonError,
+    _course_durations,
+    _life_courses,
     calibrate_births_per_year,
     cross_section,
     replicate_study,
@@ -38,6 +41,12 @@ def gompertz_only_model():
         GompertzParams(-10.7, 0.1, math.log(0.998)),
         MortalityRatioParams(0.04, 5.0, 1.0),
     )
+
+
+def sample_lives(model, births, rng, max_age):
+    """Onset and death times for ``births`` from the draws sample_life would take, in one array call."""
+    draws = np.array([(rng.exponential(), rng.random(), rng.exponential()) for _ in births]).T
+    return _life_courses(model, np.asarray(births, dtype=float), *draws, max_age)
 
 
 def zero_rate_model():
@@ -80,12 +89,9 @@ class TestSampleLife:
         model = gompertz_only_model()
         rng = np.random.default_rng(42)
         births = 20.0
-        ages = []
-        for _ in range(10**5):
-            record = sample_life(model, births, rng, max_age=500.0)
-            assert record.onset_time is None
-            ages.append(record.death_time - births)
-        ages = np.asarray(ages)
+        onset, death = sample_lives(model, np.full(10**5, births), rng, max_age=500.0)
+        assert np.all(np.isnan(onset)) and not np.any(np.isnan(death))
+        ages = death - births
 
         def cdf(s):
             s = np.asarray(s, dtype=float)
@@ -102,11 +108,8 @@ class TestSampleLife:
         rng = np.random.default_rng(7)
         birth, horizon = 30.0, 60.0
         n = 20000
-        onsets = 0
-        for _ in range(n):
-            record = sample_life(model, birth, rng, max_age=horizon)
-            if record.onset_time is not None:
-                onsets += 1
+        onset, _ = sample_lives(model, np.full(n, birth), rng, max_age=horizon)
+        onsets = np.count_nonzero(~np.isnan(onset))
         # analytic probability of onset before the horizon age: integral of
         # incidence times the stay-healthy fraction
         from idmodds.quadrature import adaptive_quad
@@ -123,51 +126,82 @@ class TestSampleLife:
         se = math.sqrt(want * (1.0 - want) / n)
         assert abs(onsets / n - want) < 4.0 * se
 
-    def test_duration_hazard_matches_closed_form(self):
-        # the scalar fast path must agree with the vectorized closed form
-        from idmodds.simulate import _LifeKernel
+    @pytest.mark.parametrize(
+        "incidence", [PositivePartIncidence(), ExponentialIncidence(-6.5, 0.04, -0.01)], ids=["positive_part", "exponential"]
+    )
+    def test_sampled_times_solve_the_hazards(self, incidence):
+        # the first exit spends the exit draw on the healthy hazard, the
+        # disease duration spends the duration draw on the course hazard
+        model = RateModel(incidence, GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(0.04, 5.0, 1.0))
+        rng = np.random.default_rng(17)
+        n, max_age = 4000, 110.0
+        birth = rng.uniform(0.0, 65.0, n)
+        exit_draws, type_draws, duration_draws = rng.exponential(size=n), rng.random(n), rng.exponential(size=n)
+        onset, death = _life_courses(model, birth, exit_draws, type_draws, duration_draws, max_age)
 
+        exit_age = np.fmin(onset, death) - birth
+        exited = ~np.isnan(exit_age)
+        age = exit_age[exited]
+        healthy = model.cumulative_m0(birth[exited] + age, age, age) + model.cumulative_incidence(
+            birth[exited] + age, age, age
+        )
+        np.testing.assert_allclose(healthy, exit_draws[exited], rtol=1e-9)
+        at_cap = model.cumulative_m0(birth + max_age, max_age, max_age) + model.cumulative_incidence(
+            birth + max_age, max_age, max_age
+        )
+        assert np.all(at_cap[~exited] < exit_draws[~exited])
+
+        sick = ~np.isnan(onset)
+        died = sick & ~np.isnan(death)
+        assert np.count_nonzero(died) > 0
+        duration = death[died] - onset[died]
+        course = model.cumulative_m1(death[died], death[died] - birth[died], duration)
+        np.testing.assert_allclose(course, duration_draws[died], rtol=1e-9)
+        alive = sick & np.isnan(death)
+        cap = max_age - (onset[alive] - birth[alive])
+        assert np.all(model.cumulative_m1(onset[alive] + cap, max_age, cap) < duration_draws[alive])
+
+    def test_one_life_matches_batch(self):
         model = reference_rate_model()
-        kernel = _LifeKernel(model, 110.0)
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            onset_age = rng.uniform(30.0, 80.0)
-            onset_time = rng.uniform(40.0, 120.0)
-            duration = rng.uniform(0.0, 25.0)
-            value, slope = kernel._course_hazard(onset_time, onset_age)
-            want = float(
-                model.cumulative_m1(onset_time + duration, onset_age + duration, duration)
-            )
-            assert value(duration) == pytest.approx(want, rel=1e-12)
-            want_rate = float(
-                model.mortality_diseased(onset_time + duration, onset_age + duration, duration)
-            )
-            assert slope(duration) == pytest.approx(want_rate, rel=1e-12)
+        births = np.random.default_rng(3).uniform(0.0, 65.0, 300)
+        rng_one, rng_batch = np.random.default_rng(23), np.random.default_rng(23)
+        records = [sample_life(model, float(b), rng_one) for b in births]
+        onset, death = sample_lives(model, births, rng_batch, SimConfig.max_age)
+        for record, o, d in zip(records, onset, death):
+            assert record == LifeRecord(record.birth_time, None if math.isnan(o) else o, None if math.isnan(d) else d)
+        assert rng_one.bit_generator.state == rng_batch.bit_generator.state
 
-    def test_healthy_hazard_matches_closed_form(self):
-        from idmodds.simulate import _LifeKernel
+    def test_course_duration_distribution(self):
+        # onset two years before max_age: the duration either follows the
+        # survival law 1 - exp(-cumulative_m1) or is censored at the cap
+        model = reference_rate_model()
+        onset_time, onset_age, max_age = 100.0, 108.0, 110.0
+        cap = max_age - onset_age
+        n = 20000
+        draws = np.random.default_rng(41).exponential(size=n)
+        duration = _course_durations(model, np.full(n, onset_time), np.full(n, onset_age), draws, max_age)
 
-        for incidence in (PositivePartIncidence(), ExponentialIncidence(-6.5, 0.04, -0.01)):
-            model = RateModel(
-                incidence, GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(0.04, 5.0, 1.0)
-            )
-            kernel = _LifeKernel(model, 110.0)
-            rng = np.random.default_rng(17)
-            for _ in range(30):
-                birth = rng.uniform(0.0, 65.0)
-                age = rng.uniform(0.0, 100.0)
-                value, slope, onset_rate, death_rate = kernel._healthy_solvers(birth)
-                want = float(
-                    model.cumulative_m0(birth + age, age, age)
-                    + model.cumulative_incidence(birth + age, age, age)
-                )
-                assert value(age) == pytest.approx(want, rel=1e-12, abs=1e-300)
-                assert onset_rate(age) == pytest.approx(
-                    float(model.incidence_rate(birth + age, age)), rel=1e-12, abs=1e-300
-                )
-                assert death_rate(age) == pytest.approx(
-                    float(model.mortality_healthy(birth + age, age)), rel=1e-12
-                )
+        def law(d):
+            return -np.expm1(-model.cumulative_m1(onset_time + d, onset_age + d, d))
+
+        censored = np.isnan(duration)
+        want_censored = 1.0 - law(cap)
+        se = math.sqrt(want_censored * (1.0 - want_censored) / n)
+        assert abs(np.count_nonzero(censored) / n - want_censored) < 4.0 * se
+        assert np.all(duration[~censored] <= cap)
+        result = stats.kstest(duration[~censored], lambda d: law(np.asarray(d)) / law(cap))
+        assert result.pvalue > 0.01
+
+    def test_ratio_positive_only_up_to_max_duration_rejected(self):
+        # R(d) = -1e-4 d^2 + 1.1 is positive on [0, 100] but not at d = 110
+        model = RateModel(
+            ExponentialIncidence(), GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(-1e-4, 0.0, 1.1)
+        )
+        with pytest.raises(SimulationHorizonError, match="max_age=110"):
+            sample_life(model, 10.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="max_age=110"):
+            run_simulation(model, SimConfig(births_per_year=1.0))
+        sample_life(model, 10.0, np.random.default_rng(0), max_age=100.0)
 
 
 class TestTabulatedIncidenceSampling:
@@ -188,13 +222,10 @@ class TestTabulatedIncidenceSampling:
         )
         birth, cap = 10.0, 90.0
 
-        exact_ages = []
         rng = np.random.default_rng(31)
-        for _ in range(1200):
-            record = sample_life(model, birth, rng, max_age=cap)
-            first = [x for x in (record.onset_time, record.death_time) if x is not None]
-            if first:
-                exact_ages.append(min(first) - birth)
+        onset, death = sample_lives(model, np.full(1200, birth), rng, max_age=cap)
+        first = np.fmin(onset, death)
+        exact_ages = first[~np.isnan(first)] - birth
 
         def total_rate(age):
             return float(
