@@ -61,7 +61,7 @@ recovered = reconstruct_incidence(
     cross_section_profile(model, t, ages),
     cross_section_profile(model, t + 0.5, ages),
     lambda tt, aa: effective_diseased_mortality(model, tt, aa),
-    lambda tt, aa: float(model.mortality_healthy(tt, aa)),
+    model.mortality_healthy,
 )
 keep = recovered.ages <= 90.0
 truth = model.incidence_rate(

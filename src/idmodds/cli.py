@@ -63,6 +63,16 @@ _NUMERIC_ERRORS = (
 )
 
 
+# Most ages one `evaluate` grid may hold, checked before anything is allocated.
+_MAX_AGES = 100_000
+
+
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
+
+
 def _bundled_path(name: str) -> str:
     return str(resources.files("idmodds") / "data" / name)
 
@@ -155,12 +165,18 @@ def cmd_evaluate(config: RunConfig, args) -> int:
         config,
         {"t": args.t, "age_min": args.age_min, "age_max": args.age_max, "step": args.step, "method": args.method},
     )
+    _require_finite(t=args.t, age_min=args.age_min, age_max=args.age_max, step=args.step)
+    if not args.age_min >= 0.0:
+        raise ConfigError("--age-min must be nonnegative")
     if not args.age_min < args.age_max:
         raise ConfigError("--age-min must be below --age-max")
     if not args.step > 0.0:
         raise ConfigError("--step must be positive")
+    span = (args.age_max - args.age_min) / args.step
+    if not span <= _MAX_AGES - 1:
+        raise ConfigError(f"--step {args.step} gives more than {_MAX_AGES} ages, the most one grid may hold")
+    count = int(round(span))
     model = config.build_model()
-    count = int(round((args.age_max - args.age_min) / args.step))
     ages = args.age_min + args.step * np.arange(count + 1)
     ages = ages[ages <= args.age_max + 1e-9]
 
@@ -169,7 +185,7 @@ def cmd_evaluate(config: RunConfig, args) -> int:
     if args.method == "all":
         header += ["odds_keiding", "odds_cohort"]
         routes = ["pseudo_convolution", "keiding", "cohort_ratio"]
-    columns = [ages] + [[prevalence(model, args.t, float(a), route).odds for a in ages] for route in routes]
+    columns = [ages] + [cross_section_profile(model, args.t, ages, "odds", route).values for route in routes]
 
     lines = [",".join(header)]
     for row in zip(*columns):
@@ -280,8 +296,11 @@ def _richardson(coarse: float, fine: float):
 def cmd_crosscheck(config: RunConfig, args) -> int:
     out_dir = _prepare_output_dir(config, args.out_dir)
     manifest = _Manifest("crosscheck", config, {"t": args.t, "age": args.age, "h": args.h})
-    if not args.h > 0.0:
-        raise ConfigError("--h must be positive")
+    _require_finite(t=args.t, age=args.age, h=args.h)
+    if not args.age >= 0.0:
+        raise ConfigError("--age must be nonnegative")
+    if not 0.0 < args.h <= args.age:
+        raise ConfigError("--h must satisfy 0 < h <= age")
     model = config.build_model()
     t, a, h = args.t, args.age, args.h
     report = {"t": t, "age": a, "h": h}
@@ -351,7 +370,7 @@ def cmd_crosscheck(config: RunConfig, args) -> int:
         start,
         end,
         lambda tt, aa: effective_diseased_mortality(model, tt, aa),
-        lambda tt, aa: float(model.mortality_healthy(tt, aa)),
+        model.mortality_healthy,
     )
     keep = recovered.ages <= 90.0 + 1e-9
     truth = model.incidence_rate(np.full(np.count_nonzero(keep), recovered.time), recovered.ages[keep])

@@ -12,6 +12,11 @@ ways so they can be cross-checked against each other:
   (``pseudo_convolution``),
 * diseased over healthy cohort counts (``cohort_ratio``).
 
+Each route's integrand is written once, over arrays of (time, age) points,
+and every integral of a call runs in one batch of
+:func:`~idmodds.quadrature.adaptive_quad_many`: a whole age profile costs a
+few integrand calls per sweep, and one point is the batch of one.
+
 On top of these sit the transport-equation residual checks and the
 reconstruction of incidence from two cross-sectional prevalence profiles.
 """
@@ -24,7 +29,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from idmodds.quadrature import DEFAULT_QUADRATURE, EDGE_NODE_OFFSET, QuadratureConfig, adaptive_quad
+from idmodds.quadrature import DEFAULT_QUADRATURE, EDGE_NODE_OFFSET, QuadratureConfig, adaptive_quad_many
+
+# adaptive_quad is unused here but kept importable: the benchmark tracer (perfbench/spans.py) patches it
+from idmodds.quadrature import adaptive_quad  # noqa: F401
 from idmodds.rates import ExponentialIncidence, RateModel
 
 __all__ = [
@@ -161,32 +169,60 @@ def _onset_age_breakpoints(model: RateModel, t: float, a: float):
     return edges + [a - d for d in layer]
 
 
+def _points(t, a):
+    """Times and ages broadcast to matching flat float arrays, and their common shape."""
+    t, a = np.asarray(t, dtype=float), np.asarray(a, dtype=float)
+    if t.shape != a.shape:
+        t, a = np.broadcast_arrays(t, a)
+    if (a < 0.0).any():
+        raise ValueError("age must be nonnegative")
+    return t.ravel(), a.ravel(), a.shape
+
+
+def _shaped(values, shape):
+    """Per-point values in the callers' shape: a float for a scalar point."""
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
+def _cohort_size(baseline: Optional[CohortBaseline], birth):
+    """Cohort size at each birth time; 1 without a baseline."""
+    if baseline is None:
+        return 1.0
+    return np.reshape([baseline(b) for b in np.ravel(birth).tolist()], np.shape(birth))
+
+
+def _over_lookback(model: RateModel, t, a, integrand, quadrature: QuadratureConfig):
+    """Integrals of ``integrand(delta, k)`` over the lookback [0, a[k]] ending at (t[k], a[k]), in one batch."""
+    edges = [_lookback_breakpoints(model, tk, ak) for tk, ak in zip(t.tolist(), a.tolist())]
+    return adaptive_quad_many(integrand, np.zeros(len(a)), a, quadrature, edges)
+
+
 def _exit_hazard(model: RateModel, t, a):
     """Cumulative hazard of leaving the healthy state (death or onset) since birth."""
     return model.cumulative_m0(t, a, a) + model.cumulative_incidence(t, a, a)
 
 
-def survivor_fraction(model: RateModel, t: float, a: float, y: float) -> float:
+def survivor_fraction(model: RateModel, t, a, y):
     """Probability of still being healthy and alive at age ``y`` on the life line through (t, a).
 
     The exits from the healthy state are death and disease onset, so this is
     exp minus the combined cumulative hazard from birth to age ``y``.
+    Accepts arrays; returns a float for a scalar point.
     """
-    if not 0.0 <= y <= a:
+    y_arr = np.asarray(y, dtype=float)
+    if not np.all((y_arr >= 0.0) & (y_arr <= np.asarray(a))):
         raise ValueError("age on the life line must satisfy 0 <= y <= a")
-    birth = t - a
-    return float(np.exp(-_exit_hazard(model, birth + y, y)))
+    out = np.exp(-_exit_hazard(model, (t - a) + y, y))
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def healthy_population(
-    model: RateModel, t: float, a: float, baseline: Optional[CohortBaseline] = None
-) -> float:
-    """Number of healthy people of age ``a`` at time ``t`` (cohort size 1 by default)."""
-    scale = baseline(t - a) if baseline is not None else 1.0
-    return scale * survivor_fraction(model, t, a, a)
+def healthy_population(model: RateModel, t, a, baseline: Optional[CohortBaseline] = None):
+    """Number of healthy people of age ``a`` at time ``t`` (cohort size 1 by default); accepts arrays."""
+    t, a, shape = _points(t, a)
+    return _shaped(_cohort_size(baseline, t - a) * survivor_fraction(model, t, a, a), shape)
 
 
-def case_density(model: RateModel, t: float, a: float, d, baseline: Optional[CohortBaseline] = None):
+def case_density(model: RateModel, t, a, d, baseline: Optional[CohortBaseline] = None):
     """Density over disease duration ``d`` of the diseased population at (t, a).
 
     Onset happened at (t-d, a-d); the density is the flow into the diseased
@@ -195,7 +231,7 @@ def case_density(model: RateModel, t: float, a: float, d, baseline: Optional[Coh
     long life lines cannot underflow stepwise.
     """
     d = np.asarray(d, dtype=float)
-    scale = baseline(t - a) if baseline is not None else 1.0
+    scale = _cohort_size(baseline, t - a)
     exponent = -(_exit_hazard(model, t - d, a - d) + model.cumulative_m1(t, a, d))
     out = scale * model.incidence_rate(t - d, a - d) * np.exp(exponent)
     return float(out) if out.ndim == 0 else out
@@ -203,57 +239,47 @@ def case_density(model: RateModel, t: float, a: float, d, baseline: Optional[Coh
 
 def diseased_population(
     model: RateModel,
-    t: float,
-    a: float,
+    t,
+    a,
     baseline: Optional[CohortBaseline] = None,
     quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
-    """Total diseased people of age ``a`` at time ``t``: the case density integrated over duration."""
-    if a < 0.0:
-        raise ValueError("age must be nonnegative")
-    scale = baseline(t - a) if baseline is not None else 1.0
-    if a == 0.0:
-        return 0.0
-    value = adaptive_quad(
-        lambda d: case_density(model, t, a, d),
-        0.0,
-        a,
-        quadrature,
-        breakpoints=_lookback_breakpoints(model, t, a),
-    )
-    return scale * max(value, 0.0)
+):
+    """Total diseased people of age ``a`` at time ``t``: the case density integrated over duration.
+
+    Accepts arrays, whose integrals run as one batch; returns a float for a
+    scalar point.
+    """
+    t, a, shape = _points(t, a)
+    value = _over_lookback(model, t, a, lambda d, k: case_density(model, t[k], a[k], d), quadrature)
+    return _shaped(_cohort_size(baseline, t - a) * np.where(value < 0.0, 0.0, value), shape)
 
 
-def effective_diseased_mortality(
-    model: RateModel, t: float, a: float, quadrature: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def effective_diseased_mortality(model: RateModel, t, a, quadrature: QuadratureConfig = DEFAULT_QUADRATURE):
     """Mortality of the diseased at (t, a) averaged over the disease-duration distribution.
 
     Defined as 0 where there are no cases.  When the mortality ratio does not
     depend on duration the average is exact without any integration.
+    Accepts arrays, whose integrals run as one batch; returns a float for a
+    scalar point.
     """
-    if a < 0.0:
-        raise ValueError("age must be nonnegative")
+    t, a, shape = _points(t, a)
     base = model.mortality_healthy(t, a)
     if model.ratio.gamma1 == 0.0:
-        return float(base * model.ratio.gamma3)
-    if a == 0.0:
-        return 0.0
-    breaks = _lookback_breakpoints(model, t, a)
-    total = adaptive_quad(lambda d: case_density(model, t, a, d), 0.0, a, quadrature, breakpoints=breaks)
-    if total <= 0.0:
-        return 0.0
-    weighted = adaptive_quad(
-        lambda d: model.ratio.ratio(d) * case_density(model, t, a, d),
-        0.0,
-        a,
-        quadrature,
-        breakpoints=breaks,
-    )
-    return float(base * weighted / total)
+        return _shaped(base * model.ratio.gamma3, shape)
+    # integrals 0..n-1 count the cases, n..2n-1 weight them by the mortality ratio
+    n = len(a)
+    t2, a2 = np.tile(t, 2), np.tile(a, 2)
+
+    def integrand(d, k):
+        density = case_density(model, t2[k], a2[k], d)
+        return np.where(k < n, density, model.ratio.ratio(d) * density)
+
+    total, weighted = np.split(_over_lookback(model, t2, a2, integrand, quadrature), 2)
+    cases = total > 0.0
+    return _shaped(np.where(cases, base * weighted / np.where(cases, total, 1.0), 0.0), shape)
 
 
-def odds_kernel(model: RateModel, t: float, a: float, delta):
+def odds_kernel(model: RateModel, t, a, delta):
     """Weight the pseudo-convolution odds give to incidence from ``delta`` years back.
 
     Equals exp of (cumulative incidence + healthy mortality - diseased
@@ -270,6 +296,50 @@ def odds_kernel(model: RateModel, t: float, a: float, delta):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _odds_at(model: RateModel, t, ages, method: str, quadrature: QuadratureConfig) -> np.ndarray:
+    """Prevalence odds by ``method`` at the points (t, ages), flattened; all integrals run as one batch.
+
+    Each route's integrand is written once, over arrays of points: node j of
+    integral k belongs to the point (t[k], a[k]).
+    """
+    if method not in PREVALENCE_METHODS:
+        raise ValueError(f"unknown prevalence method {method!r}; choose one of {PREVALENCE_METHODS}")
+    inc = model.incidence
+    if method == "convolution_special" and not isinstance(inc, ExponentialIncidence):
+        raise ValueError("factorized convolution requires an exponential incidence")
+    t, a, _ = _points(t, ages)
+    if method == "keiding":
+        # onset flow times survival with disease up to age a, over the onset age y,
+        # divided by the healthy survivor fraction at a
+        birth = t - a
+
+        def onset_flow(y, k):
+            onset_time, ak = birth[k] + y, a[k]
+            exponent = -(_exit_hazard(model, onset_time, y) + model.cumulative_m1(t[k], ak, ak - y))
+            return model.incidence_rate(onset_time, y) * np.exp(exponent)
+
+        edges = [_onset_age_breakpoints(model, tk, ak) for tk, ak in zip(t.tolist(), a.tolist())]
+        numerator = adaptive_quad_many(onset_flow, np.zeros(len(a)), a, quadrature, edges)
+        return numerator / np.exp(-_exit_hazard(model, t, a))
+    if method == "pseudo_convolution":
+        # past incidence convolved with the damping kernel
+        def past_incidence(delta, k):
+            tk, ak = t[k], a[k]
+            return model.incidence_rate(tk - delta, ak - delta) * odds_kernel(model, tk, ak, delta)
+
+        return _over_lookback(model, t, a, past_incidence, quadrature)
+    if method == "convolution_special":
+        # exp(k0 + k1*a + k2*t - (k1+k2)*delta) splits into a (t, a) front times a function of t - delta
+        front = np.array([math.exp(inc.k0 + inc.k1 * ak - inc.k1 * tk) for tk, ak in zip(t.tolist(), a.tolist())])
+        kappa = inc.k1 + inc.k2
+        def factor(delta, k):
+            tk = t[k]
+            return np.exp(kappa * (tk - delta)) * odds_kernel(model, tk, a[k], delta)
+
+        return front * _over_lookback(model, t, a, factor, quadrature)
+    return diseased_population(model, t, a, None, quadrature) / healthy_population(model, t, a)
+
+
 def prevalence_odds_keiding(
     model: RateModel, t: float, a: float, quadrature: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> PrevalenceResult:
@@ -279,41 +349,14 @@ def prevalence_odds_keiding(
     with disease up to age ``a``, and divides by the healthy survivor
     fraction at ``a``.
     """
-    if a < 0.0:
-        raise ValueError("age must be nonnegative")
-    if a == 0.0:
-        return PrevalenceResult.from_odds(t, a, 0.0, "keiding")
-    birth = t - a
-
-    def integrand(y):
-        y = np.asarray(y, dtype=float)
-        exponent = -(_exit_hazard(model, birth + y, y) + model.cumulative_m1(t, a, a - y))
-        return model.incidence_rate(birth + y, y) * np.exp(exponent)
-
-    numerator = adaptive_quad(
-        integrand, 0.0, a, quadrature, breakpoints=_onset_age_breakpoints(model, t, a)
-    )
-    denominator = float(np.exp(-_exit_hazard(model, t, a)))
-    return PrevalenceResult.from_odds(t, a, numerator / denominator, "keiding")
+    return prevalence(model, t, a, "keiding", quadrature)
 
 
 def prevalence_odds_pseudo_convolution(
     model: RateModel, t: float, a: float, quadrature: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> PrevalenceResult:
     """Prevalence odds as past incidence convolved with the damping kernel."""
-    if a < 0.0:
-        raise ValueError("age must be nonnegative")
-    if a == 0.0:
-        return PrevalenceResult.from_odds(t, a, 0.0, "pseudo_convolution")
-
-    def integrand(delta):
-        delta = np.asarray(delta, dtype=float)
-        return model.incidence_rate(t - delta, a - delta) * odds_kernel(model, t, a, delta)
-
-    odds = adaptive_quad(
-        integrand, 0.0, a, quadrature, breakpoints=_lookback_breakpoints(model, t, a)
-    )
-    return PrevalenceResult.from_odds(t, a, odds, "pseudo_convolution")
+    return prevalence(model, t, a, "pseudo_convolution", quadrature)
 
 
 def prevalence_odds_exponential(
@@ -325,22 +368,7 @@ def prevalence_odds_exponential(
     function of t - delta alone, so the odds become that factor times a true
     convolution of the two single-argument functions.
     """
-    inc = model.incidence
-    if not isinstance(inc, ExponentialIncidence):
-        raise ValueError("factorized convolution requires an exponential incidence")
-    if a < 0.0:
-        raise ValueError("age must be nonnegative")
-    if a == 0.0:
-        return PrevalenceResult.from_odds(t, a, 0.0, "convolution_special")
-    front = math.exp(inc.k0 + inc.k1 * a - inc.k1 * t)
-    kappa = inc.k1 + inc.k2
-
-    def integrand(delta):
-        delta = np.asarray(delta, dtype=float)
-        return np.exp(kappa * (t - delta)) * odds_kernel(model, t, a, delta)
-
-    odds = front * adaptive_quad(integrand, 0.0, a, quadrature, breakpoints=_lookback_breakpoints(model, t, a))
-    return PrevalenceResult.from_odds(t, a, odds, "convolution_special")
+    return prevalence(model, t, a, "convolution_special", quadrature)
 
 
 def prevalence(
@@ -353,23 +381,11 @@ def prevalence(
     """Fraction diseased among those alive at (t, a), by any of the odds routes.
 
     No cohort baseline enters: the diseased and the healthy count both scale
-    linearly in the cohort size, which cancels in their ratio.
+    linearly in the cohort size, which cancels in their ratio.  The one-point
+    case of :func:`cross_section_profile`.
     """
-    if method == "keiding":
-        return prevalence_odds_keiding(model, t, a, quadrature)
-    if method == "pseudo_convolution":
-        return prevalence_odds_pseudo_convolution(model, t, a, quadrature)
-    if method == "convolution_special":
-        return prevalence_odds_exponential(model, t, a, quadrature)
-    if method == "cohort_ratio":
-        if a < 0.0:
-            raise ValueError("age must be nonnegative")
-        if a == 0.0:
-            return PrevalenceResult.from_odds(t, a, 0.0, "cohort_ratio")
-        cases = diseased_population(model, t, a, quadrature=quadrature)
-        healthy = healthy_population(model, t, a)
-        return PrevalenceResult.from_odds(t, a, cases / healthy, "cohort_ratio")
-    raise ValueError(f"unknown prevalence method {method!r}; choose one of {PREVALENCE_METHODS}")
+    odds = _odds_at(model, t, a, method, quadrature)
+    return PrevalenceResult.from_odds(t, a, odds.item(), method)
 
 
 _RESIDUAL_QUADRATURE = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=400)
@@ -430,8 +446,8 @@ def pde_residual_odds(
 def reconstruct_incidence(
     start: AgeProfile,
     end: AgeProfile,
-    effective_mortality: Callable[[float, float], float],
-    healthy_mortality: Callable[[float, float], float],
+    effective_mortality: Callable[[float, np.ndarray], object],
+    healthy_mortality: Callable[[float, np.ndarray], object],
 ) -> AgeProfile:
     """Estimate the incidence rate from prevalence at two cross-sections.
 
@@ -440,7 +456,8 @@ def reconstruct_incidence(
     p * (effective diseased mortality - healthy mortality).  The derivative
     pairs age ``a`` in the earlier profile with age ``a + h`` in the later
     one (h = time gap), placing each estimate at the midpoint of that life
-    line segment.  Both mortality callables take (time, age) scalars.
+    line segment.  Both mortality callables take the midpoint time and the
+    array of midpoint ages, and return a scalar or an array over those ages.
     """
     if not np.array_equal(start.ages, end.ages):
         raise ValueError("the two profiles must share the same age grid")
@@ -459,11 +476,8 @@ def reconstruct_incidence(
     t_mid = start.time + 0.5 * h
     ages_mid = start.ages[usable] + 0.5 * h
     drift = (p_end - p_start) / h
-    gap = np.array(
-        [
-            effective_mortality(t_mid, float(age)) - healthy_mortality(t_mid, float(age))
-            for age in ages_mid
-        ]
+    gap = np.asarray(effective_mortality(t_mid, ages_mid), dtype=float) - np.asarray(
+        healthy_mortality(t_mid, ages_mid), dtype=float
     )
     estimates = drift / (1.0 - p_mid) + p_mid * gap
     return AgeProfile(t_mid, ages_mid, estimates)
@@ -477,13 +491,10 @@ def cross_section_profile(
     method: str = "pseudo_convolution",
     quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> AgeProfile:
-    """Prevalence (or odds) over an age grid at one calendar time."""
-    ages = np.asarray(ages, dtype=float)
-    results = [prevalence(model, time, float(a), method, quadrature) for a in ages]
-    if kind == "prevalence":
-        values = np.array([r.prevalence for r in results])
-    elif kind == "odds":
-        values = np.array([r.odds for r in results])
-    else:
+    """Prevalence (or odds) over an age grid at one calendar time, all ages' integrals in one batch."""
+    if kind not in ("prevalence", "odds"):
         raise ValueError("kind must be 'prevalence' or 'odds'")
-    return AgeProfile(time, ages, values)
+    ages = np.asarray(ages, dtype=float)
+    odds = _odds_at(model, time, ages, method, quadrature)
+    results = [PrevalenceResult.from_odds(time, a, o, method) for a, o in zip(ages.tolist(), odds.tolist())]
+    return AgeProfile(time, ages, np.array([getattr(r, kind) for r in results]))

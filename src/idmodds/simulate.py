@@ -396,10 +396,9 @@ def calibrate_births_per_year(
     reach_lo = t_cross - config.birth_window[1]
     reach_hi = t_cross - config.birth_window[0]
 
-    def alive_density(age):
-        return healthy_population(model, t_cross, age) + diseased_population(
-            model, t_cross, age, None, quadrature
-        )
+    def alive_density(ages):
+        # every node's diseased count is one integral of the same batch
+        return healthy_population(model, t_cross, ages) + diseased_population(model, t_cross, ages, None, quadrature)
 
     expected_per_rate = 0.0
     for glo, ghi in config.age_groups:
@@ -407,12 +406,7 @@ def calibrate_births_per_year(
         hi = min(ghi, reach_hi)
         if lo >= hi:
             continue
-        expected_per_rate += adaptive_quad(
-            lambda age: np.array([alive_density(float(x)) for x in np.atleast_1d(age)]),
-            lo,
-            hi,
-            quadrature,
-        )
+        expected_per_rate += adaptive_quad(alive_density, lo, hi, quadrature)
     if expected_per_rate <= 0.0:
         raise ValueError("no age group is reachable from the birth window")
     return config.target_alive / expected_per_rate

@@ -275,7 +275,7 @@ def test_a7_incidence_recovery_from_cross_sections():
         start,
         end,
         lambda t, a: effective_diseased_mortality(model, t, a),
-        lambda t, a: float(model.mortality_healthy(t, a)),
+        lambda t, a: model.mortality_healthy(t, a),
     )
     keep = recovered.ages <= 90.0 + 1e-9
     truth = model.incidence_rate(

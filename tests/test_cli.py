@@ -428,6 +428,24 @@ class TestCrosscheck:
         assert main(["crosscheck", "--h", "-0.1", "--out-dir", str(tmp_path / "o")]) == 2
 
 
+# Bad numbers for `evaluate` and `crosscheck`: each is refused with one "error:" line and exit 2.
+BAD_INPUTS = {
+    "evaluate-negative-age": ["evaluate", "--age-min", "-5"],
+    "evaluate-grid-too-large": ["evaluate", "--age-min", "30", "--age-max", "40", "--step", "1e-9"],
+    "crosscheck-negative-age": ["crosscheck", "--age", "-1"],
+    "crosscheck-step-above-age": ["crosscheck", "--age", "0.05"],
+    "crosscheck-nan-time": ["crosscheck", "--t", "nan"],
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
+    def test_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 class TestEnvironment:
     def test_thread_limit_default_is_one(self, monkeypatch):
         monkeypatch.delenv("IDM_ODDS_THREADS", raising=False)
@@ -516,6 +534,23 @@ class TestConsoleScript:
                 [executable, "--help"], capture_output=True, text=True, env=package_env()
             )
             assert_help_lists_subcommands(proc)
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+class TestDemos:
+    @pytest.mark.parametrize("script", DEMOS, ids=[path.name for path in DEMOS])
+    def test_demo_runs(self, script, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=tmp_path,
+            env=package_env(),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBenchmarkTracer:

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from idmodds.prevalence import (
@@ -37,6 +39,7 @@ from idmodds.rates import (
     MortalityRatioParams,
     PositivePartIncidence,
     RateModel,
+    TabulatedIncidence,
     reference_rate_model,
 )
 
@@ -415,7 +418,7 @@ class TestReconstruction:
             p0,
             p1,
             lambda t, a: effective_diseased_mortality(model, t, a),
-            lambda t, a: float(model.mortality_healthy(t, a)),
+            lambda t, a: model.mortality_healthy(t, a),
         )
         mask = (est.ages >= 40.0) & (est.ages <= 90.0)
         truth = (est.ages[mask] - 30.0) / 3000.0
@@ -511,3 +514,61 @@ def test_independent_quadrature_oracle(model):
     want = numerator / math.exp(-exit_hazard(t, a))
     got = prevalence_odds_pseudo_convolution(model, t, a).odds
     assert got == pytest.approx(want, rel=1e-8)
+
+
+# -- batched profiles against one-point calls, over random rate models ---------------
+
+GRID_TIMES = (0.0, 30.0, 60.0, 90.0, 120.0)
+GRID_AGES = (0.0, 25.0, 50.0, 75.0, 110.0)
+ODDS_ROUTES = ("pseudo_convolution", "keiding", "cohort_ratio")
+
+
+@st.composite
+def random_models(draw):
+    """Rate models of all three incidence families around the reference study."""
+    family = draw(st.sampled_from(["positive_part", "exponential", "tabulated"]))
+    if family == "positive_part":
+        incidence = PositivePartIncidence(draw(st.floats(25.0, 35.0)), draw(st.floats(2000.0, 4000.0)))
+    elif family == "exponential":
+        incidence = ExponentialIncidence(
+            draw(st.floats(-9.5, -8.5)), draw(st.floats(0.02, 0.06)), draw(st.floats(-0.005, 0.01))
+        )
+    else:
+        onset = draw(st.floats(25.0, 35.0))
+        noise = draw(st.lists(st.floats(-0.2, 0.2), min_size=25, max_size=25))
+        base = np.maximum(np.array(GRID_AGES) - onset, 0.0) / 3000.0
+        table = base[None, :] * np.exp(np.reshape(noise, (5, 5)))
+        incidence = TabulatedIncidence(np.array(GRID_TIMES), np.array(GRID_AGES), table)
+    ratio = MortalityRatioParams(draw(st.floats(0.0, 0.08)), draw(st.floats(0.0, 8.0)), draw(st.floats(0.5, 2.0)))
+    return RateModel(incidence, reference_rate_model().m0, ratio)
+
+
+# ages from 35 up, where the odds exceed 1e-3 and the relative tolerance governs every route
+age_grids = st.lists(st.floats(35.0, 100.0), min_size=1, max_size=6, unique=True).map(sorted)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(random_models(), st.floats(95.0, 105.0), age_grids)
+def test_profiles_match_one_point_routes(model, t, ages):
+    routes = ODDS_ROUTES + (("convolution_special",) if isinstance(model.incidence, ExponentialIncidence) else ())
+    profiles = {}
+    for route in routes:
+        profiles[route] = cross_section_profile(model, t, ages, kind="odds", method=route).values
+        one_point = [prevalence(model, t, a, route).odds for a in ages]
+        np.testing.assert_allclose(profiles[route], one_point, rtol=1e-13, atol=0.0)
+    stacked = np.array([profiles[route] for route in ODDS_ROUTES])
+    spread = (stacked.max(axis=0) - stacked.min(axis=0)) / stacked.max(axis=0)
+    assert spread.max() <= 1e-6
+    scalar = [effective_diseased_mortality(model, t, a) for a in ages]
+    np.testing.assert_allclose(effective_diseased_mortality(model, t, np.array(ages)), scalar, rtol=1e-13, atol=0.0)
+
+
+def test_array_populations_match_scalar_calls(model):
+    ages = np.array([0.0, 12.5, 45.0, 80.0])
+    baseline = CohortBaseline(lambda birth: 100.0 + birth)
+    for function in (healthy_population, diseased_population):
+        array = function(model, 100.0, ages, baseline)
+        np.testing.assert_allclose(array, [function(model, 100.0, a, baseline) for a in ages], rtol=1e-13)
+    assert isinstance(healthy_population(model, 100.0, 45.0), float)
+    assert isinstance(diseased_population(model, 100.0, 45.0), float)
+    assert isinstance(effective_diseased_mortality(model, 100.0, 45.0), float)

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from idmodds.quadrature import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, adaptive_quad
+from idmodds.quadrature import (
+    DEFAULT_QUADRATURE,
+    MAX_INTERVALS,
+    QuadratureConfig,
+    QuadratureError,
+    adaptive_quad,
+    adaptive_quad_many,
+)
 
 
 def test_polynomial_exact():
@@ -87,3 +96,119 @@ def test_tight_tolerance_on_smooth_integrand():
 def test_default_config():
     assert DEFAULT_QUADRATURE.rel_tol == 1e-8
     assert DEFAULT_QUADRATURE.abs_tol == 1e-12
+
+
+# -- the batched driver ---------------------------------------------------------
+
+
+def smooth_family(params):
+    """Batched integrand: integral k is c0*exp(c1*x)*cos(c2*x) + c3*max(x - kink, 0)**2 (kink given as a breakpoint)."""
+    params = np.asarray(params, dtype=float)
+
+    def f(x, k):
+        c0, c1, c2, c3, kink = params[k].T
+        return c0 * np.exp(c1 * x) * np.cos(c2 * x) + c3 * np.maximum(x - kink, 0.0) ** 2
+
+    return f
+
+
+@st.composite
+def batches(draw):
+    """Integrals with random limits (some of zero length), kinks at breakpoints, and repeated rows.
+
+    Frequencies up to 40 over lengths up to 4 make many integrals take several sweeps.
+    """
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.floats(-2.0, 2.0),
+                st.floats(-1.0, 1.0),
+                st.floats(0.0, 40.0),
+                st.floats(-1.0, 1.0),
+                st.floats(-3.0, 3.0),
+                st.one_of(st.just(0.0), st.floats(0.01, 4.0)),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
+    rows = rows + [rows[i] for i in repeats]
+    params = [(c0, c1, c2, c3, lo + frac * length) for c0, c1, c2, c3, lo, length, frac in rows]
+    lo = np.array([row[4] for row in rows])
+    hi = lo + np.array([row[5] for row in rows])
+    breakpoints = [[p[4], p[4] - 10.0] for p in params]
+    return params, lo, hi, breakpoints
+
+
+# A loose tolerance leaves results at the level of the error estimate, so any
+# change in which intervals are split shows in the comparison.
+CONFIGS = (DEFAULT_QUADRATURE, QuadratureConfig(rel_tol=1e-4, abs_tol=1e-8, max_subdivisions=400))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batches(), st.sampled_from(CONFIGS))
+def test_batch_matches_one_integral_calls(batch, config):
+    params, lo, hi, breakpoints = batch
+    f = smooth_family(params)
+    sizes = []
+
+    def recording(x, k):
+        sizes.append(len(x))
+        return f(x, k)
+
+    got = adaptive_quad_many(recording, lo, hi, config, breakpoints)
+    want = [
+        adaptive_quad(lambda x, k=k: f(x, np.full(len(x), k)), lo[k], hi[k], config, breakpoints[k])
+        for k in range(len(lo))
+    ]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert max(sizes, default=0) <= MAX_INTERVALS * 15
+    assert np.all(got[lo == hi] == 0.0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(batches(), st.integers(0, 20))
+def test_one_unconvergeable_integral_fails_the_batch(batch, position):
+    params, lo, hi, breakpoints = batch
+    n = len(lo)
+    bad = min(position, n)
+    f = smooth_family(params)
+    cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)
+
+    def integrand(x, k):
+        # integral ``bad`` is 1/sqrt(x) on [1e-12, 1]; the others shift down past it
+        values = f(x, np.where(k > bad, k - 1, np.minimum(k, n - 1)))
+        return np.where(k == bad, 1.0 / np.sqrt(np.abs(x) + 1e-300), values)
+
+    lo = np.insert(lo, bad, 1e-12)
+    hi = np.insert(hi, bad, 1.0)
+    breakpoints.insert(bad, [])
+    with pytest.raises(QuadratureError):
+        adaptive_quad_many(integrand, lo, hi, cfg, breakpoints)
+
+
+def test_batch_rejects_reversed_limits():
+    with pytest.raises(ValueError):
+        adaptive_quad_many(lambda x, k: x, [0.0, 1.0], [1.0, 0.5])
+
+
+def test_empty_batch_returns_empty_array():
+    got = adaptive_quad_many(lambda x, k: x, [], [])
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
+def test_large_batch_respects_interval_cap():
+    # 40 integrals with 5 pieces each: 200 intervals in the first sweep
+    sizes = []
+
+    def f(x, k):
+        sizes.append(len(x))
+        return np.sin(x + k)
+
+    lo = np.zeros(40)
+    hi = np.full(40, 5.0)
+    got = adaptive_quad_many(f, lo, hi, breakpoints=[[1.0, 2.0, 3.0, 4.0]] * 40)
+    assert len(sizes) > 3 and max(sizes) <= MAX_INTERVALS * 15
+    np.testing.assert_allclose(got, np.cos(np.arange(40)) - np.cos(5.0 + np.arange(40)), rtol=1e-12)
