@@ -56,7 +56,6 @@ from idmodds.fit import (
     fit,
     group_prevalence,
     log_likelihood,
-    observed_information,
     wald_intervals,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "fit",
     "group_prevalence",
     "log_likelihood",
-    "observed_information",
     "wald_intervals",
     "__version__",
 ]

@@ -13,9 +13,10 @@ every parameter-free factor at its nodes; each likelihood evaluation is then
 one array contraction.  At the optimum the plan is checked against adaptive
 quadrature of the same odds, and the largest relative gap is reported.
 
-The likelihood is maximized by a derivative-free simplex search, and
-confidence intervals come from inverting the finite-difference observed
-information.
+The likelihood is maximized by a derivative-free simplex search.  The same
+plan gives the exact derivatives of the odds in those coefficients, hence the
+exact observed information at the optimum, whose inverse yields the
+confidence intervals.
 """
 
 from __future__ import annotations
@@ -52,17 +53,12 @@ __all__ = [
     "group_prevalence",
     "log_likelihood",
     "fit",
-    "observed_information",
     "wald_intervals",
 ]
 
 _DEFAULT_BOUNDS = ((0.0, 1.0), (0.0, 50.0), (0.0, 20.0))
 _DEFAULT_STARTS = ((0.01, 2.0, 1.0), (0.001, 1.0, 0.5), (0.1, 10.0, 1.5), (0.3, 20.0, 3.0))
 _FIT_QUADRATURE = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=400)
-# Finite-difference step of the observed information, relative to max(1, |gamma|).
-# 1e-3 keeps second-difference rounding noise (~1e-11 in the log-likelihood)
-# far below the smallest curvature eigenvalue; 1e-4 sits at its edge.
-_HESSIAN_STEP_SCALE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -124,10 +120,14 @@ class FitConfig:
 class FitResult:
     """Point estimate with curvature-based uncertainty and search diagnostics.
 
-    ``hessian`` is the negative log-likelihood curvature at the optimum;
+    ``hessian`` is the exact observed information, the negative Hessian of the
+    log-likelihood, at ``gamma_hat`` itself, also when that lies on a bound;
     rows/columns of pinned components are NaN.  ``covariance`` and ``ci95``
     are None when the information matrix could not be inverted (see
-    ``diagnostics``).
+    ``diagnostics``).  A free component is listed in
+    ``diagnostics["flat_components"]`` when its row of the free information
+    is at most 1e-12 of that matrix's largest entry, the condition limit of
+    ``wald_intervals``.
     """
 
     gamma_hat: np.ndarray
@@ -192,7 +192,7 @@ def _within_bounds(gamma, bounds) -> bool:
 
 
 class FitInputError(ValueError):
-    """The table and configuration admit no fit: nothing is free, too few informative rows, or no finite start."""
+    """No fit exists: an age is negative, nothing is free, too few rows are informative, or no start is finite."""
 
 
 class RatioHorizonError(FitInputError):
@@ -263,7 +263,7 @@ class _LikelihoodPlan:
     @staticmethod
     def build(table: AgeGroupTable, config: FitConfig) -> "_LikelihoodPlan":
         if np.any(table.age_lo < 0.0):
-            raise ValueError("age groups must start at nonnegative ages")
+            raise FitInputError("age groups must start at nonnegative ages")
         t = float(table.cross_section_time)
         center = 0.5 * (table.age_lo + table.age_hi)
         if config.group_evaluation == "averaged":
@@ -285,14 +285,27 @@ class _LikelihoodPlan:
             moments[row, :size] = base[:, None] * np.column_stack(integrals)
         return _LikelihoodPlan(weighted, exponent, moments, config.group_evaluation == "averaged")
 
+    def _terms(self, coefficients) -> np.ndarray:
+        kernel = np.exp(self.exponent - self.moments @ np.asarray(coefficients, dtype=float))
+        return self.weighted_incidence * kernel
+
     def group_prevalence(self, coefficients) -> np.ndarray:
         """Model prevalence of every group, as ``group_prevalence`` defines it."""
-        kernel = np.exp(self.exponent - self.moments @ np.asarray(coefficients, dtype=float))
-        odds = (self.weighted_incidence * kernel).sum(axis=1)
+        odds = self._terms(coefficients).sum(axis=1)
         values = odds / (1.0 + odds)
         if self.averaged:
             return values.reshape(-1, len(_GL_WEIGHTS)) @ _GL_WEIGHTS / 2.0
         return values
+
+    def odds_derivatives(self, coefficients):
+        """Odds at every evaluated age with their gradient and Hessian in c.
+
+        Only exp(-moments @ c) depends on c, so the derivatives are the row
+        sums of the same terms times -moments[k] and moments[k] * moments[l].
+        """
+        terms = self._terms(coefficients)
+        weighted_moments = terms[:, :, None] * self.moments
+        return terms.sum(axis=1), -weighted_moments.sum(axis=1), weighted_moments.transpose(0, 2, 1) @ self.moments
 
 
 def _incidence_key(incidence):
@@ -373,36 +386,39 @@ def log_likelihood(gamma, table: AgeGroupTable, config: FitConfig = FitConfig())
     return total
 
 
-def observed_information(loglik_fn, point, steps) -> np.ndarray:
-    """Negative central-difference Hessian of ``loglik_fn`` at ``point``.
+def _log_likelihood_derivatives(gamma, table: AgeGroupTable, config: FitConfig):
+    """Exact gradient and Hessian in gamma of ``log_likelihood`` at a feasible ``gamma``.
 
-    At a maximum this is positive definite and its inverse estimates the
-    covariance of the estimator.
+    The plan's odds derivatives in c chain through p = odds / (1 + odds), the
+    Gauss average of ``averaged`` mode, the binomial terms and
+    c(gamma) = (g1*g2**2 + g3, -2*g1*g2, g1).  As in ``log_likelihood``, a
+    term with zero count contributes nothing.
     """
-    objective = loglik_fn
-    point = np.asarray(point, dtype=float)
-    steps = np.asarray(steps, dtype=float)
-    size = len(point)
-    center = objective(point)
-    hessian = np.empty((size, size))
-    for j in range(size):
-        ej = np.zeros(size)
-        ej[j] = steps[j]
-        hessian[j, j] = -(objective(point + ej) - 2.0 * center + objective(point - ej)) / steps[j] ** 2
-    for j in range(size):
-        for k in range(j + 1, size):
-            ej = np.zeros(size)
-            ek = np.zeros(size)
-            ej[j] = steps[j]
-            ek[k] = steps[k]
-            mixed = (
-                objective(point + ej + ek)
-                - objective(point + ej - ek)
-                - objective(point - ej + ek)
-                + objective(point - ej - ek)
-            ) / (4.0 * steps[j] * steps[k])
-            hessian[j, k] = hessian[k, j] = -mixed
-    return hessian
+    plan = _likelihood_plan(table, config)
+    g1, g2, _ = (float(x) for x in gamma)
+    odds, odds_gradient, odds_hessian = plan.odds_derivatives(config.build_model(gamma).ratio.coefficients)
+    # p = odds / (1 + odds) at every evaluated age, then per group
+    scale = 1.0 / (1.0 + odds)
+    outer = np.einsum("rk,rl->rkl", odds_gradient, odds_gradient)
+    gradient = scale[:, None] ** 2 * odds_gradient
+    hessian = scale[:, None, None] ** 2 * (odds_hessian - 2.0 * scale[:, None, None] * outer)
+    weights = _GL_WEIGHTS / 2.0 if plan.averaged else np.ones(1)
+
+    def average(values):
+        return np.einsum("q,gq...->g...", weights, values.reshape(len(table.n), len(weights), *values.shape[1:]))
+
+    p, gradient, hessian = average(odds * scale), average(gradient), average(hessian)
+    cases, rest = table.c.astype(float), (table.n - table.c).astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(cases > 0, cases / p, 0.0) - np.where(rest > 0, rest / (1.0 - p), 0.0)
+        bend = -np.where(cases > 0, cases / p**2, 0.0) - np.where(rest > 0, rest / (1.0 - p) ** 2, 0.0)
+    # the binomial terms in c, then in gamma through the Jacobian of c and its second derivatives
+    gradient_c = slope @ gradient
+    hessian_c = np.einsum("g,gk,gl->kl", bend, gradient, gradient) + np.einsum("g,gkl->kl", slope, hessian)
+    jacobian = np.array([[g2 * g2, 2.0 * g1 * g2, 1.0], [-2.0 * g2, -2.0 * g1, 0.0], [1.0, 0.0, 0.0]])
+    mixed = 2.0 * g2 * gradient_c[0] - 2.0 * gradient_c[1]
+    second = np.array([[0.0, mixed, 0.0], [mixed, 2.0 * g1 * gradient_c[0], 0.0], [0.0, 0.0, 0.0]])
+    return jacobian.T @ gradient_c, jacobian.T @ hessian_c @ jacobian + second
 
 
 def wald_intervals(gamma_hat, hessian):
@@ -463,8 +479,9 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     Runs the simplex search from every configured start, keeps the best, and
     restarts once from the incumbent to escape premature contraction.  Once
     the search can start, the result always comes back; ``converged`` and the
-    diagnostics say how much to trust it.  Raises FitInputError when nothing
-    is free, too few rows are informative, or every start is impossible.
+    diagnostics say how much to trust it.  Raises FitInputError when an age
+    is negative, nothing is free, too few rows are informative, or every
+    start is impossible.
     """
     free = config.free_indices
     if len(free) == 0:
@@ -523,43 +540,21 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
         if min(gamma_hat[j] - lo, hi - gamma_hat[j]) < 1e-4 * span:
             diagnostics["boundary_hits"].append(j)
 
-    steps = _HESSIAN_STEP_SCALE * np.maximum(1.0, np.abs(gamma_hat[list(free)]))
-    # curvature stencil must stay strictly inside the bounds (the model can be
-    # degenerate on a boundary face, e.g. a zero mortality ratio), so at a
-    # boundary optimum the evaluation center shifts inward by just over one step
-    lo_free = np.array([config.bounds[j][0] for j in free])
-    hi_free = np.array([config.bounds[j][1] for j in free])
-    steps = np.minimum(steps, (hi_free - lo_free) / 4.0)
-    margin = 1.0625 * steps
-    center = np.clip(np.asarray(best.x, dtype=float), lo_free + margin, hi_free - margin)
-    if np.any(center != best.x):
-        diagnostics["hessian_center"] = config.full_gamma(center).tolist()
-    center_value = objective(center)
-    for position, j in enumerate(free):
-        probe = np.array(center, dtype=float)
-        probe[position] += steps[position]
-        up = objective(probe)
-        probe[position] -= 2.0 * steps[position]
-        down = objective(probe)
-        if abs(up - center_value) < config.fatol and abs(down - center_value) < config.fatol:
-            diagnostics["flat_components"].append(j)
-
+    information = -_log_likelihood_derivatives(gamma_hat, table, config)[1][np.ix_(free, free)]
     hessian = np.full((3, 3), np.nan)
-    hessian_free = observed_information(lambda values: -objective(values), center, steps)
-    for row, j in enumerate(free):
-        for col, k in enumerate(free):
-            hessian[j, k] = hessian_free[row, col]
+    hessian[np.ix_(free, free)] = information
+    # a row below the condition limit of wald_intervals carries no information
+    rows = np.abs(information).max(axis=1)
+    diagnostics["flat_components"].extend(j for j, row in zip(free, rows) if row <= 1e-12 * rows.max())
 
     covariance_full = None
     ci_full = None
     try:
-        covariance_free, ci_free = wald_intervals(gamma_hat[list(free)], hessian_free)
+        covariance_free, ci_free = wald_intervals(gamma_hat[list(free)], information)
         covariance_full = np.full((3, 3), np.nan)
+        covariance_full[np.ix_(free, free)] = covariance_free
         ci_full = np.full((3, 2), np.nan)
-        for row, j in enumerate(free):
-            ci_full[j] = ci_free[row]
-            for col, k in enumerate(free):
-                covariance_full[j, k] = covariance_free[row, col]
+        ci_full[list(free)] = ci_free
     except ValueError as error:
         diagnostics["covariance_error"] = str(error)
 

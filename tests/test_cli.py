@@ -375,6 +375,15 @@ class TestFit:
         assert main(["fit", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
         assert "every start point" in capsys.readouterr().err
 
+    def test_negative_age_is_input_error(self, tmp_path, capsys):
+        rows = (Path(idmodds.__file__).parent / "data" / "table1.csv").read_text().splitlines()
+        rows[1] = "1,-5.0,45.0,9858,283"
+        data = tmp_path / "negative.csv"
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["fit", "--data", str(data), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "nonnegative ages" in err and "numerical failure" not in err
+
     def test_too_few_informative_rows_is_input_error(self, tmp_path, capsys):
         data = tmp_path / "thin.csv"
         data.write_text("k,age_lo,age_hi,n,c\n1,40.0,45.0,1000,30\n2,45.0,50.0,1000,0\n")

@@ -14,10 +14,10 @@ from idmodds.fit import (
     FitConfig,
     FitInputError,
     _likelihood_plan,
+    _log_likelihood_derivatives,
     fit,
     group_prevalence,
     log_likelihood,
-    observed_information,
     wald_intervals,
 )
 from idmodds.prevalence import prevalence
@@ -40,10 +40,10 @@ PUBLISHED_GAMMA = np.array([0.0330, 3.06, 1.01])
 PUBLISHED_CI = np.array([[-0.0127, 0.0787], [-5.70, 11.8], [0.625, 1.39]])
 
 
-def reference_table() -> AgeGroupTable:
+def reference_table(cross_section_time=100.0) -> AgeGroupTable:
     age_lo = np.arange(40.0, 95.0, 5.0)
     return AgeGroupTable(
-        cross_section_time=100.0,
+        cross_section_time=cross_section_time,
         age_lo=age_lo,
         age_hi=age_lo + 5.0,
         n=np.array(REFERENCE_N),
@@ -99,6 +99,9 @@ class TestLogLikelihood:
         )
         config = FitConfig(incidence=ExponentialIncidence(-1000.0, 0.0, 0.0))
         assert log_likelihood((0.04, 5.0, 1.0), table, config) == 0.0
+        # zero counts against zero prevalence contribute no derivative and no NaN
+        gradient, hessian = _log_likelihood_derivatives((0.04, 5.0, 1.0), table, config)
+        assert np.all(gradient == 0.0) and np.all(hessian == 0.0)
 
     def test_reference_value_reproducible(self):
         table = reference_table()
@@ -162,6 +165,11 @@ PLAN_INCIDENCES = {
 }
 
 
+def _five_point(values, step):
+    """Fourth-order central difference from the values at -2, -1, 1 and 2 steps."""
+    return (8.0 * (values[1] - values[-1]) - (values[2] - values[-2])) / (12.0 * step)
+
+
 class TestLikelihoodPlan:
     # the whole default bounds box, corners included
     @pytest.mark.parametrize("mode", ["midpoint", "averaged"])
@@ -171,20 +179,78 @@ class TestLikelihoodPlan:
         g1=st.floats(0.0, 1.0),
         g2=st.floats(0.0, 50.0),
         g3=st.floats(0.0, 20.0),
+        t=st.floats(50.0, 150.0),
     )
-    def test_plan_matches_adaptive_oracle(self, family, mode, g1, g2, g3):
+    def test_plan_matches_adaptive_oracle(self, family, mode, g1, g2, g3, t):
         config = FitConfig(incidence=PLAN_INCIDENCES[family], group_evaluation=mode)
         try:
             model = config.build_model((g1, g2, g3))
         except ValueError:
             assume(False)
-        table = reference_table()
+        table = reference_table(t)
         fast = _likelihood_plan(table, config).group_prevalence(model.ratio.coefficients)
         oracle = [
-            group_prevalence(model, lo, hi, 100.0, mode, config.quadrature)
+            group_prevalence(model, lo, hi, t, mode, config.quadrature)
             for lo, hi in zip(table.age_lo, table.age_hi)
         ]
         np.testing.assert_allclose(fast, oracle, rtol=1e-9, atol=0.0)
+
+    # every family and mode with all components free, and one fit with gamma1 pinned at 0
+    @pytest.mark.parametrize(
+        "family, mode, fixed",
+        [
+            pytest.param(family, mode, (None, None, None), id=f"{family}-{mode}")
+            for family in sorted(PLAN_INCIDENCES)
+            for mode in ("midpoint", "averaged")
+        ]
+        + [pytest.param("positive_part", "midpoint", (0.0, None, None), id="positive_part-midpoint-pinned")],
+    )
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        g1=st.floats(0.0, 1.0),
+        g2=st.floats(0.0, 50.0),
+        g3=st.floats(0.0, 20.0),
+    )
+    def test_derivatives_match_finite_differences(self, family, mode, fixed, g1, g2, g3):
+        # Fourth-order central differences with steps of 1e-6 of each bound range, the stencil
+        # kept inside the box.  In units of the ranges, the gradient must match differences of
+        # log_likelihood to 1e-6 and the Hessian differences of the exact gradient to 1e-5,
+        # both relative to the largest entry.  Near the box's corners the likelihood bends on
+        # the scale of the step, where a second-order stencil is off by about 1e-5.
+        config = FitConfig(incidence=PLAN_INCIDENCES[family], group_evaluation=mode, fixed_gamma=fixed)
+        free = list(config.free_indices)
+        lo, hi = np.array(config.bounds).T
+        span = hi - lo
+        step = 1e-6 * span
+        gamma = config.full_gamma(np.clip([g1, g2, g3], lo + 3.0 * step, hi - 3.0 * step)[free])
+        try:
+            config.build_model(gamma)
+        except ValueError:
+            assume(False)
+        table = reference_table()
+        gradient, hessian = _log_likelihood_derivatives(gamma, table, config)
+        differences = np.empty(len(free))
+        curvature = np.empty((len(free), len(free)))
+        for col, j in enumerate(free):
+            shift = np.zeros(3)
+            shift[j] = step[j]
+            values = {k: log_likelihood(gamma + k * shift, table, config) for k in (-2, -1, 1, 2)}
+            assume(all(math.isfinite(v) for v in values.values()))
+            differences[col] = _five_point(values, step[j])
+            slopes = {k: _log_likelihood_derivatives(gamma + k * shift, table, config)[0][free] for k in values}
+            curvature[:, col] = _five_point(slopes, step[j])
+        scaled_gradient = gradient[free] * span[free]
+        np.testing.assert_allclose(
+            differences * span[free], scaled_gradient, rtol=0.0, atol=1e-6 * np.abs(scaled_gradient).max()
+        )
+        scale = np.outer(span[free], span[free])
+        scaled_hessian = hessian[np.ix_(free, free)] * scale
+        np.testing.assert_allclose(
+            curvature * scale, scaled_hessian, rtol=0.0, atol=1e-5 * np.abs(scaled_hessian).max()
+        )
+        if fixed[0] == 0.0:
+            # R does not depend on gamma2 when gamma1 = 0, so its row carries no information
+            assert np.all(hessian[1, free] == 0.0)
 
     def test_ratio_horizon_beyond_max_duration_rejected(self):
         # gamma1 < 0 is allowed by these bounds, so R may turn negative past max_duration
@@ -313,11 +379,13 @@ class TestFitProperties:
         # unconstrained optimum has gamma3 slightly above 1, so the cap binds
         assert result.gamma_hat[2] == pytest.approx(1.0, abs=1e-6)
         assert 2 in result.diagnostics["boundary_hits"]
-        # curvature is evaluated just inside the cap, so intervals still exist
-        assert "hessian_center" in result.diagnostics
-        assert result.diagnostics["hessian_center"][2] < 1.0
+        # curvature is the exact information at the optimum on the cap, so intervals still exist
+        information = -_log_likelihood_derivatives(result.gamma_hat, reference_table(), config)[1]
+        np.testing.assert_array_equal(result.hessian, information)
         assert np.all(np.isfinite(result.hessian))
         assert result.ci95 is not None
+        assert np.all(np.isfinite(result.ci95))
+        np.testing.assert_array_equal(result.ci95, wald_intervals(result.gamma_hat, information)[1])
 
     def test_pinned_gamma1_flags_gamma2_unidentifiable(self):
         # with gamma1 = 0 the ratio is flat in gamma2, so the likelihood
@@ -395,19 +463,6 @@ class TestFitConfigValidation:
     def test_pinned_start_component_ignored_by_bounds_check(self):
         config = FitConfig(fixed_gamma=(0.0, 0.0, None), starts=((5.0, -3.0, 1.0),))
         assert config.free_indices == (2,)
-
-
-class TestObservedInformation:
-    def test_quadratic_recovers_hessian(self):
-        matrix = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
-        center = np.array([0.3, -0.2, 0.1])
-
-        def loglik(x):
-            d = np.asarray(x) - center
-            return -0.5 * d @ matrix @ d
-
-        info = observed_information(loglik, center + 0.05, np.full(3, 1e-4))
-        np.testing.assert_allclose(info, matrix, atol=1e-6)
 
 
 class TestWaldIntervals:
