@@ -43,8 +43,8 @@ print(f"simulated {len(ledger.birth)} lives in {time.perf_counter() - start:.1f}
 
 print("\ngroup    n      c     observed   analytic   z")
 extreme = 0
-for lo, hi, n, c in zip(table.age_lo, table.age_hi, table.n, table.c):
-    p = group_prevalence(model, float(lo), float(hi), config.cross_section_time)
+expected = group_prevalence(model, table.age_lo, table.age_hi, config.cross_section_time)
+for lo, hi, n, c, p in zip(table.age_lo, table.age_hi, table.n, table.c, expected.tolist()):
     z = (c / n - p) / math.sqrt(p * (1.0 - p) / n)
     extreme += abs(z) > 2.5758
     print(f"{lo:2.0f}-{hi:2.0f}   {n:5d}  {c:4d}   {c / n:.4f}     {p:.4f}   {z:+.2f}")

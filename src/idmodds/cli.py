@@ -40,6 +40,7 @@ from idmodds.quadrature import QuadratureError
 from idmodds.rates import ExponentialIncidence, RateModel
 from idmodds.simulate import (
     AgeGroupTable,
+    EmptyStudyError,
     SamplerConvergenceError,
     SimulationHorizonError,
     calibrate_births_per_year,
@@ -207,18 +208,17 @@ def cmd_simulate(config: RunConfig, args) -> int:
     sim_config = config.build_sim_config()
     if args.seed is not None:
         sim_config = dataclasses.replace(sim_config, rng_seed=args.seed)
-    if sim_config.births_per_year is None:
-        births = calibrate_births_per_year(model, sim_config)
-        sim_config = dataclasses.replace(sim_config, births_per_year=births)
-        manifest.note("calibrated_births_per_year", births)
-    workers = thread_limit()
-    manifest.note("rng_seed", sim_config.rng_seed)
-    manifest.note("replicate_seeds", [sim_config.rng_seed + i for i in range(args.replicates)])
-    manifest.note("workers", workers)
-
     try:
+        if sim_config.births_per_year is None:
+            births = calibrate_births_per_year(model, sim_config)
+            sim_config = dataclasses.replace(sim_config, births_per_year=births)
+            manifest.note("calibrated_births_per_year", births)
+        workers = thread_limit()
+        manifest.note("rng_seed", sim_config.rng_seed)
+        manifest.note("replicate_seeds", [sim_config.rng_seed + i for i in range(args.replicates)])
+        manifest.note("workers", workers)
         tables = replicate_study(model, sim_config, args.replicates, workers=workers)
-    except SimulationHorizonError as error:
+    except (SimulationHorizonError, EmptyStudyError) as error:
         raise ConfigError(str(error)) from error
     for index, table in enumerate(tables):
         path = os.path.join(out_dir, f"study_{index + 1:04d}.csv")

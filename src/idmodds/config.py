@@ -106,15 +106,6 @@ _SCHEMA = {
                 "fatol": {"type": "number", "exclusiveMinimum": 0},
                 "max_iterations": {"type": "integer", "exclusiveMinimum": 0},
                 "include_binomial_coefficient": {"type": "boolean"},
-                "quadrature": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "rel_tol": {"type": "number", "exclusiveMinimum": 0},
-                        "abs_tol": {"type": "number", "exclusiveMinimum": 0},
-                        "max_subdivisions": {"type": "integer", "exclusiveMinimum": 0},
-                    },
-                },
             },
         },
         "output": {
@@ -215,7 +206,6 @@ class RunConfig:
             raise ConfigError(str(error)) from error
 
     def build_fit_config(self) -> FitConfig:
-        default = FitConfig()
         section = dict(self.document.get("fit", {}))
         for key in ("bounds", "starts"):
             if key in section:
@@ -223,10 +213,8 @@ class RunConfig:
         if "fixed_gamma" in section:
             section["fixed_gamma"] = tuple(section["fixed_gamma"])
         try:
-            if "quadrature" in section:
-                section["quadrature"] = replace(default.quadrature, **section["quadrature"])
             return replace(
-                default,
+                FitConfig(),
                 incidence=self.build_incidence(),
                 m0=self.build_m0(),
                 max_duration=self.build_ratio().max_duration,

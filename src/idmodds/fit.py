@@ -11,7 +11,9 @@ and it is linear in the coefficients of the quadratic mortality ratio, so a
 plan built once per table holds a fixed composite Gauss-Legendre rule and
 every parameter-free factor at its nodes; each likelihood evaluation is then
 one array contraction.  At the optimum the plan is checked against adaptive
-quadrature of the same odds, and the largest relative gap is reported.
+quadrature of the same odds at the same ages (group midpoints, or 7 Gauss
+nodes per group), all groups in one batch, and the largest relative gap is
+reported.
 
 The likelihood is maximized by a derivative-free simplex search.  The same
 plan gives the exact derivatives of the odds in those coefficients, hence the
@@ -31,7 +33,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import optimize
 
-from idmodds.prevalence import _lookback_kinks, prevalence
+from idmodds.prevalence import _lookback_kinks, cross_section_profile
+# prevalence is unused here but kept importable: the benchmark tracer (perfbench/spans.py) patches it
+from idmodds.prevalence import prevalence  # noqa: F401
 from idmodds.quadrature import QuadratureConfig, QuadratureError
 from idmodds.rates import (
     GompertzParams,
@@ -67,7 +71,8 @@ class FitConfig:
 
     Incidence and healthy mortality are treated as known; only the three
     mortality-ratio parameters are estimated.  Components of ``fixed_gamma``
-    that carry a value are pinned and excluded from the search.
+    that carry a value are pinned and excluded from the search.  The adaptive
+    check of the likelihood plan at the optimum has fixed tolerances.
     """
 
     incidence: IncidenceSpec = field(default_factory=PositivePartIncidence)
@@ -81,7 +86,6 @@ class FitConfig:
     max_iterations: int = 4000
     include_binomial_coefficient: bool = False
     max_duration: float = 100.0
-    quadrature: QuadratureConfig = _FIT_QUADRATURE
 
     def __post_init__(self):
         if len(self.bounds) != 3 or any(len(b) != 2 or not b[0] < b[1] for b in self.bounds):
@@ -160,31 +164,48 @@ class FitResult:
 _GL_NODES, _GL_WEIGHTS = leggauss(7)
 
 
+def _evaluated_ages(age_lo, age_hi, mode: str):
+    """Ages that stand for each group, group after group (midpoints, or 7 Gauss nodes each), and their weights."""
+    center = 0.5 * (age_lo + age_hi)
+    if mode == "midpoint":
+        return center, np.ones(1)
+    if mode == "averaged":
+        half = 0.5 * (age_hi - age_lo)
+        return (center[:, None] + half[:, None] * _GL_NODES).ravel(), _GL_WEIGHTS / 2.0
+    raise ValueError("mode must be 'midpoint' or 'averaged'")
+
+
+def _group_average(values, weights) -> np.ndarray:
+    """Per group, the weighted sum over its consecutive evaluated ages, the leading axis of ``values``."""
+    grouped = values.reshape(-1, len(weights), *values.shape[1:])
+    # the likelihood's bits are those of matmul over group values, the information's those of einsum
+    return grouped @ weights if values.ndim == 1 else np.einsum("q,gq...->g...", weights, grouped)
+
+
 def group_prevalence(
     model: RateModel,
-    age_lo: float,
-    age_hi: float,
+    age_lo,
+    age_hi,
     t: float,
     mode: str = "midpoint",
     quadrature: QuadratureConfig = _FIT_QUADRATURE,
-) -> float:
-    """Model prevalence attached to one age group at the study time.
+):
+    """Model prevalence attached to age groups at the study time.
 
     ``midpoint`` evaluates at the central age; ``averaged`` integrates the
     prevalence uniformly over the group (7-point Gauss rule, exact enough for
-    these smooth curves).
+    these smooth curves).  ``age_lo`` and ``age_hi`` are one group's limits,
+    or arrays of groups of positive width, ascending and disjoint; every
+    integral runs in one batch.  Returns a float for one scalar group, else
+    one value per group.
     """
-    if mode == "midpoint":
-        return prevalence(model, t, 0.5 * (age_lo + age_hi), "pseudo_convolution", quadrature).prevalence
-    if mode == "averaged":
-        half = 0.5 * (age_hi - age_lo)
-        center = 0.5 * (age_lo + age_hi)
-        values = [
-            prevalence(model, t, center + half * float(node), "pseudo_convolution", quadrature).prevalence
-            for node in _GL_NODES
-        ]
-        return float(np.dot(_GL_WEIGHTS, values) / 2.0)
-    raise ValueError("mode must be 'midpoint' or 'averaged'")
+    lo, hi = np.asarray(age_lo, dtype=float), np.asarray(age_hi, dtype=float)
+    if np.any(lo >= hi) or np.any(lo.ravel()[1:] < hi.ravel()[:-1]):
+        raise ValueError("age groups must have positive width and be ascending and disjoint")
+    ages, weights = _evaluated_ages(lo.ravel(), hi.ravel(), mode)
+    profile = cross_section_profile(model, t, ages, "prevalence", "pseudo_convolution", quadrature)
+    values = _group_average(profile.values, weights)
+    return float(values[0]) if lo.ndim == 0 else values
 
 
 def _within_bounds(gamma, bounds) -> bool:
@@ -253,24 +274,20 @@ class _LikelihoodPlan:
     Row r holds the lookback nodes of one evaluated age; the odds there are
     sum(weighted_incidence * exp(exponent - moments @ c)) over the row, with
     c the coefficients of R.  Rows are padded with zero weights.
+    ``group_weights`` average each group's evaluated ages.
     """
 
     weighted_incidence: np.ndarray
     exponent: np.ndarray
     moments: np.ndarray
-    averaged: bool
+    group_weights: np.ndarray
 
     @staticmethod
     def build(table: AgeGroupTable, config: FitConfig) -> "_LikelihoodPlan":
         if np.any(table.age_lo < 0.0):
             raise FitInputError("age groups must start at nonnegative ages")
         t = float(table.cross_section_time)
-        center = 0.5 * (table.age_lo + table.age_hi)
-        if config.group_evaluation == "averaged":
-            half = 0.5 * (table.age_hi - table.age_lo)
-            ages = (center[:, None] + half[:, None] * _GL_NODES).ravel()
-        else:
-            ages = center
+        ages, group_weights = _evaluated_ages(table.age_lo, table.age_hi, config.group_evaluation)
         initial_ratio = _largest_initial_ratio(config.bounds)
         rules = [_lookback_rule(config.incidence, config.m0, t, float(a), initial_ratio) for a in ages]
         width = max(len(nodes) for nodes, _ in rules)
@@ -283,7 +300,7 @@ class _LikelihoodPlan:
             exponent[row, :size] = config.incidence.cumulative(t, a, delta) + config.m0.cumulative(t, a, delta)
             base, integrals = course_moments(config.m0, t, a, delta)
             moments[row, :size] = base[:, None] * np.column_stack(integrals)
-        return _LikelihoodPlan(weighted, exponent, moments, config.group_evaluation == "averaged")
+        return _LikelihoodPlan(weighted, exponent, moments, group_weights)
 
     def _terms(self, coefficients) -> np.ndarray:
         kernel = np.exp(self.exponent - self.moments @ np.asarray(coefficients, dtype=float))
@@ -292,10 +309,7 @@ class _LikelihoodPlan:
     def group_prevalence(self, coefficients) -> np.ndarray:
         """Model prevalence of every group, as ``group_prevalence`` defines it."""
         odds = self._terms(coefficients).sum(axis=1)
-        values = odds / (1.0 + odds)
-        if self.averaged:
-            return values.reshape(-1, len(_GL_WEIGHTS)) @ _GL_WEIGHTS / 2.0
-        return values
+        return _group_average(odds / (1.0 + odds), self.group_weights)
 
     def odds_derivatives(self, coefficients):
         """Odds at every evaluated age with their gradient and Hessian in c.
@@ -402,12 +416,7 @@ def _log_likelihood_derivatives(gamma, table: AgeGroupTable, config: FitConfig):
     outer = np.einsum("rk,rl->rkl", odds_gradient, odds_gradient)
     gradient = scale[:, None] ** 2 * odds_gradient
     hessian = scale[:, None, None] ** 2 * (odds_hessian - 2.0 * scale[:, None, None] * outer)
-    weights = _GL_WEIGHTS / 2.0 if plan.averaged else np.ones(1)
-
-    def average(values):
-        return np.einsum("q,gq...->g...", weights, values.reshape(len(table.n), len(weights), *values.shape[1:]))
-
-    p, gradient, hessian = average(odds * scale), average(gradient), average(hessian)
+    p, gradient, hessian = (_group_average(x, plan.group_weights) for x in (odds * scale, gradient, hessian))
     cases, rest = table.c.astype(float), (table.n - table.c).astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(cases > 0, cases / p, 0.0) - np.where(rest > 0, rest / (1.0 - p), 0.0)
@@ -450,17 +459,15 @@ def wald_intervals(gamma_hat, hessian):
 def _quadrature_gap(plan: _LikelihoodPlan, table: AgeGroupTable, config: FitConfig, gamma) -> float:
     """Largest relative gap between the plan's group prevalences and adaptive quadrature at ``gamma``.
 
-    Raises QuadratureError when the adaptive integrals miss their tolerance
-    or the gap exceeds the plan's limit.
+    All groups' adaptive integrals run in one batch at ``_FIT_QUADRATURE``.
+    Raises QuadratureError when they miss their tolerance or the gap exceeds
+    the plan's limit.
     """
     model = config.build_model(gamma)
     fast = plan.group_prevalence(model.ratio.coefficients)
-    t = table.cross_section_time
-    mode = config.group_evaluation
-    oracle = np.array([
-        group_prevalence(model, float(lo), float(hi), t, mode, config.quadrature)
-        for lo, hi in zip(table.age_lo, table.age_hi)
-    ])
+    oracle = group_prevalence(
+        model, table.age_lo, table.age_hi, table.cross_section_time, config.group_evaluation, _FIT_QUADRATURE
+    )
     with np.errstate(divide="ignore", invalid="ignore"):
         gaps = np.abs(fast - oracle) / np.abs(oracle)
     gaps[fast == oracle] = 0.0

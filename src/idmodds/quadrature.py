@@ -13,8 +13,8 @@ integral index of each node, so integrals that share an integrand (an age
 profile of odds, say) pay the per-call cost once per sweep rather than once
 per integral.  No call receives more than ``MAX_INTERVALS`` intervals
 (15 nodes each), which bounds the working memory of a sweep.  Every
-decision stays per integral: its tolerance, round-off stop, error share,
-largest-error fallback and subdivision budget are those of a lone call.
+decision stays per integral: its tolerance, round-off stop, error share
+and subdivision budget are those of a lone call.
 :func:`adaptive_quad` is the one-integral call, with an integrand ``f(x)``.
 """
 
@@ -163,8 +163,6 @@ def adaptive_quad_many(f, lo, hi, config=DEFAULT_QUADRATURE, breakpoints=None):
                 )
             share = tol / (2.0 * count)
             split = seg_err > share
-            if not split.any():
-                split = seg_err >= seg_err.max()
             budget = config.max_subdivisions - splits[k]
             n_split = np.count_nonzero(split)
             if n_split > budget:

@@ -30,6 +30,7 @@ __all__ = [
     "DEFAULT_AGE_GROUPS",
     "SimConfig",
     "SimulationHorizonError",
+    "EmptyStudyError",
     "SamplerConvergenceError",
     "LifeRecord",
     "PopulationLedger",
@@ -263,6 +264,10 @@ class SimulationHorizonError(ValueError):
     """The mortality ratio is not positive over every duration a simulated disease course can reach."""
 
 
+class EmptyStudyError(ValueError):
+    """The configured rates leave no one expected alive in the age groups."""
+
+
 class SamplerConvergenceError(RuntimeError):
     """The hazard inversion left lives unsolved after the step limit."""
 
@@ -390,7 +395,8 @@ def calibrate_births_per_year(
     With births uniform at rate one per year, the expected number alive at
     age a at the cross-section is the total survival (healthy plus diseased),
     so the expectation per unit rate is its integral over the group spans,
-    clipped to ages reachable from the birth window.
+    clipped to ages reachable from the birth window.  Raises EmptyStudyError
+    when that expectation is zero.
     """
     t_cross = config.cross_section_time
     reach_lo = t_cross - config.birth_window[1]
@@ -408,7 +414,7 @@ def calibrate_births_per_year(
             continue
         expected_per_rate += adaptive_quad(alive_density, lo, hi, quadrature)
     if expected_per_rate <= 0.0:
-        raise ValueError("no age group is reachable from the birth window")
+        raise EmptyStudyError("the configured rates leave no one expected alive in the age groups")
     return config.target_alive / expected_per_rate
 
 

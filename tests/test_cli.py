@@ -1,6 +1,8 @@
 """Tests for the run configuration and the command-line interface."""
 
+import dataclasses
 import filecmp
+import importlib
 import importlib.util
 import json
 import math
@@ -15,10 +17,17 @@ import pytest
 
 import idmodds
 from idmodds.cli import main, thread_limit
-from idmodds.config import ConfigError, config_hash, load_run_config, parse_run_config
+from idmodds.config import _SCHEMA, ConfigError, config_hash, load_run_config, parse_run_config
 from idmodds.fit import FitConfig
 from idmodds.prevalence import prevalence_odds_pseudo_convolution
-from idmodds.rates import PositivePartIncidence, TabulatedIncidence, reference_rate_model
+from idmodds.quadrature import QuadratureConfig
+from idmodds.rates import (
+    GompertzParams,
+    MortalityRatioParams,
+    PositivePartIncidence,
+    TabulatedIncidence,
+    reference_rate_model,
+)
 from idmodds.simulate import SimConfig
 
 BUNDLED_CONFIG = Path(idmodds.__file__).resolve().parent / "data" / "reference_config.json"
@@ -97,23 +106,10 @@ class TestRunConfig:
             load_run_config(str(path))
 
     def test_fit_section_drives_fit_config(self, tmp_path):
-        document = {
-            "fit": {
-                "group_evaluation": "averaged",
-                "xatol": 1e-5,
-                "quadrature": {"rel_tol": 1e-6, "abs_tol": 1e-9, "max_subdivisions": 50},
-            }
-        }
+        document = {"fit": {"group_evaluation": "averaged", "xatol": 1e-5}}
         fit_config = parse_run_config(document).build_fit_config()
         assert fit_config.group_evaluation == "averaged"
         assert fit_config.xatol == 1e-5
-        assert fit_config.quadrature.rel_tol == 1e-6
-
-    def test_partial_quadrature_section_keeps_fit_defaults(self):
-        quadrature = parse_run_config({"fit": {"quadrature": {"rel_tol": 1e-9}}}).build_fit_config().quadrature
-        assert quadrature.rel_tol == 1e-9
-        assert quadrature.abs_tol == FitConfig().quadrature.abs_tol
-        assert quadrature.max_subdivisions == FitConfig().quadrature.max_subdivisions
 
     def test_bundled_document_states_library_defaults(self):
         # the bundled document repeats the reference study as data; it must not drift from the library
@@ -123,9 +119,29 @@ class TestRunConfig:
         assert bundled.build_sim_config() == empty.build_sim_config() == SimConfig()
         assert bundled.build_fit_config() == empty.build_fit_config() == FitConfig()
 
-    def test_hessian_step_scale_no_longer_accepted(self):
+    @pytest.mark.parametrize(
+        "section",
+        [{"hessian_step_scale": 1e-3}, {"quadrature": {"rel_tol": 1e-9}}],
+        ids=["hessian_step_scale", "quadrature"],
+    )
+    def test_hessian_step_scale_no_longer_accepted(self, section):
         with pytest.raises(ConfigError, match="invalid configuration at fit"):
-            parse_run_config({"fit": {"hessian_step_scale": 1e-3}})
+            parse_run_config({"fit": section})
+
+    @pytest.mark.parametrize(
+        "section, kind, built_elsewhere",
+        [
+            ("simulation", SimConfig, ()),
+            ("ratio", MortalityRatioParams, ()),
+            ("m0", GompertzParams, ()),
+            ("fit", FitConfig, ("incidence", "m0", "max_duration")),
+        ],
+        ids=["simulation", "ratio", "m0", "fit"],
+    )
+    def test_schema_sections_match_dataclass_fields(self, section, kind, built_elsewhere):
+        # a field deleted from a dataclass must not linger as an accepted key, nor the reverse
+        keys = set(_SCHEMA["properties"][section]["properties"])
+        assert keys == {f.name for f in dataclasses.fields(kind)} - set(built_elsewhere)
 
 
 ZERO_INCIDENCE = {"incidence": {"family": "exponential", "k0": -1000.0, "k1": 0.0, "k2": 0.0}}
@@ -269,6 +285,13 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "max_age=110" in err
 
+    def test_nobody_alive_is_config_error(self, tmp_path, capsys):
+        # healthy mortality exp(-10.7 + 0.1a + 0.5t) leaves no one alive at ages 40-95 at t=100
+        config = write_config(tmp_path, {"m0": {"xi1": -10.7, "xi2": 0.1, "xi3": 0.5}})
+        assert main(["simulate", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the configured rates leave no one expected alive in the age groups\n"
+
     def test_sampler_step_limit_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         import idmodds.simulate
 
@@ -332,10 +355,10 @@ class TestFit:
         assert result["converged"] is False
         assert (out / "fit_table.csv").exists()
 
-    def test_quadrature_budget_failure_exits_3(self, tmp_path):
-        document = {"fit": {"quadrature": {"rel_tol": 1e-13, "abs_tol": 1e-300, "max_subdivisions": 1}}}
-        config = write_config(tmp_path, document)
-        assert main(["fit", "--config", config, "--out-dir", str(tmp_path / "o")]) == 3
+    def test_quadrature_budget_failure_exits_3(self, tmp_path, monkeypatch):
+        tight = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=1)
+        monkeypatch.setattr(importlib.import_module("idmodds.fit"), "_FIT_QUADRATURE", tight)
+        assert main(["fit", "--out-dir", str(tmp_path / "o")]) == 3
 
     def test_manifest_records_quadrature_gap(self, tmp_path):
         out = tmp_path / "out"

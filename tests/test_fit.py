@@ -86,6 +86,17 @@ class TestGroupPrevalence:
         with pytest.raises(ValueError):
             group_prevalence(reference_rate_model(), 40.0, 45.0, 100.0, mode="edge")
 
+    @pytest.mark.parametrize("mode", ["midpoint", "averaged"])
+    def test_array_of_groups_matches_per_group_calls(self, mode):
+        model = reference_rate_model()
+        age_lo = np.arange(40.0, 95.0, 5.0)
+        batch = group_prevalence(model, age_lo, age_lo + 5.0, 100.0, mode)
+        single = [group_prevalence(model, lo, lo + 5.0, 100.0, mode) for lo in age_lo.tolist()]
+        assert all(type(p) is float for p in single)
+        np.testing.assert_allclose(batch, single, rtol=1e-13, atol=0.0)
+        with pytest.raises(ValueError, match="ascending"):
+            group_prevalence(model, age_lo[::-1], age_lo[::-1] + 5.0, 100.0, mode)
+
 
 class TestLogLikelihood:
     def test_all_zero_counts_with_zero_incidence(self):
@@ -109,7 +120,7 @@ class TestLogLikelihood:
         model = reference_rate_model()
         oracle = 0.0
         for lo, hi, n, c in zip(table.age_lo, table.age_hi, REFERENCE_N, REFERENCE_C):
-            p = group_prevalence(model, float(lo), float(hi), 100.0, "midpoint", FitConfig().quadrature)
+            p = group_prevalence(model, float(lo), float(hi), 100.0, "midpoint")
             oracle += c * math.log(p)
             oracle += (n - c) * math.log1p(-p)
         assert oracle == -25635.46410247066
@@ -189,10 +200,7 @@ class TestLikelihoodPlan:
             assume(False)
         table = reference_table(t)
         fast = _likelihood_plan(table, config).group_prevalence(model.ratio.coefficients)
-        oracle = [
-            group_prevalence(model, lo, hi, t, mode, config.quadrature)
-            for lo, hi in zip(table.age_lo, table.age_hi)
-        ]
+        oracle = group_prevalence(model, table.age_lo, table.age_hi, t, mode)
         np.testing.assert_allclose(fast, oracle, rtol=1e-9, atol=0.0)
 
     # every family and mode with all components free, and one fit with gamma1 pinned at 0

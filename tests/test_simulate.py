@@ -20,6 +20,7 @@ from idmodds.rates import (
 from idmodds.simulate import (
     DEFAULT_AGE_GROUPS,
     AgeGroupTable,
+    EmptyStudyError,
     LifeRecord,
     PopulationLedger,
     SimConfig,
@@ -384,6 +385,14 @@ class TestCalibration:
         base = calibrate_births_per_year(model, SimConfig(target_alive=1000.0))
         double = calibrate_births_per_year(model, SimConfig(target_alive=2000.0))
         assert double == pytest.approx(2.0 * base, rel=1e-12)
+
+    def test_nobody_alive_raises_typed_error(self):
+        # reachable groups, but a healthy mortality that underflows the alive density to 0
+        model = RateModel(PositivePartIncidence(), GompertzParams(-10.7, 0.1, 0.5), reference_rate_model().ratio)
+        with pytest.raises(EmptyStudyError, match="no one expected alive"):
+            calibrate_births_per_year(model, SimConfig())
+        with pytest.raises(EmptyStudyError):
+            replicate_study(model, SimConfig(), 1)
 
 
 class TestReplicates:
