@@ -5,8 +5,12 @@ override the common knobs.  Outputs are CSV and JSON files written
 atomically, accompanied by a run manifest recording versions, the
 configuration hash, seeds, and the produced files.
 
-Exit codes: 0 success, 2 configuration or input error, 3 numerical failure,
-4 estimation did not converge (outputs still written).
+``main`` is the one command boundary: it loads the configuration, creates
+the output directory, starts the manifest, runs the command's handler and
+writes the manifest.  Exit codes: 0 success, 2 configuration or input error
+(an unreadable or unwritable path included), 3 numerical failure,
+4 estimation did not converge (outputs still written).  A failure prints one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from idmodds.simulate import (
     EmptyStudyError,
     SamplerConvergenceError,
     SimulationHorizonError,
+    StudySizeError,
     calibrate_births_per_year,
     replicate_study,
 )
@@ -53,6 +58,15 @@ _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 _EXIT_NO_CONVERGENCE = 4
+
+_INPUT_ERRORS = (
+    ConfigError,
+    FitInputError,
+    SimulationHorizonError,
+    EmptyStudyError,
+    StudySizeError,
+    OSError,
+)
 
 _NUMERIC_ERRORS = (
     QuadratureError,
@@ -66,6 +80,9 @@ _NUMERIC_ERRORS = (
 
 # Most ages one `evaluate` grid may hold, checked before anything is allocated.
 _MAX_AGES = 100_000
+
+# Parsed arguments that are not recorded as the manifest's flags.
+_NOT_FLAGS = ("command", "config", "out_dir", "handler")
 
 
 def _require_finite(**values) -> None:
@@ -124,48 +141,7 @@ def thread_limit() -> int:
     return count
 
 
-class _Manifest:
-    """Provenance record written alongside every command's outputs."""
-
-    def __init__(self, command: str, config: RunConfig, flags: dict):
-        self.payload = {
-            "tool": "idm-odds",
-            "version": __version__,
-            "command": command,
-            "config_path": config.source_path,
-            "config_hash": config.hash,
-            "flags": flags,
-            "started_utc": _utc_now(),
-            "finished_utc": None,
-            "outputs": [],
-        }
-
-    def add_output(self, path: str) -> None:
-        self.payload["outputs"].append(path)
-
-    def note(self, key: str, value) -> None:
-        self.payload[key] = value
-
-    def write(self, directory: str) -> str:
-        self.payload["finished_utc"] = _utc_now()
-        path = os.path.join(directory, "run_manifest.json")
-        _write_json(path, self.payload)
-        return path
-
-
-def _prepare_output_dir(config: RunConfig, override) -> str:
-    directory = override if override else config.output_directory
-    os.makedirs(directory, exist_ok=True)
-    return directory
-
-
-def cmd_evaluate(config: RunConfig, args) -> int:
-    out_dir = _prepare_output_dir(config, args.out_dir)
-    manifest = _Manifest(
-        "evaluate",
-        config,
-        {"t": args.t, "age_min": args.age_min, "age_max": args.age_max, "step": args.step, "method": args.method},
-    )
+def cmd_evaluate(config: RunConfig, args, out_dir: str, manifest: dict) -> int:
     _require_finite(t=args.t, age_min=args.age_min, age_max=args.age_max, step=args.step)
     if not args.age_min >= 0.0:
         raise ConfigError("--age-min must be nonnegative")
@@ -193,65 +169,51 @@ def cmd_evaluate(config: RunConfig, args) -> int:
         lines.append(",".join(_format(value) for value in row))
     path = os.path.join(out_dir, "odds_curve.csv")
     _atomic_write_text(path, "\n".join(lines) + "\n")
-    manifest.add_output(path)
-    manifest.write(out_dir)
+    manifest["outputs"].append(path)
     print(f"wrote {path} ({len(ages)} ages at t={args.t})")
     return _EXIT_OK
 
 
-def cmd_simulate(config: RunConfig, args) -> int:
-    out_dir = _prepare_output_dir(config, args.out_dir)
-    manifest = _Manifest("simulate", config, {"seed": args.seed, "replicates": args.replicates})
+def cmd_simulate(config: RunConfig, args, out_dir: str, manifest: dict) -> int:
     if args.replicates < 1:
         raise ConfigError("--replicates must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     model = config.build_model()
     sim_config = config.build_sim_config()
     if args.seed is not None:
         sim_config = dataclasses.replace(sim_config, rng_seed=args.seed)
-    try:
-        if sim_config.births_per_year is None:
-            births = calibrate_births_per_year(model, sim_config)
-            sim_config = dataclasses.replace(sim_config, births_per_year=births)
-            manifest.note("calibrated_births_per_year", births)
-        workers = thread_limit()
-        manifest.note("rng_seed", sim_config.rng_seed)
-        manifest.note("replicate_seeds", [sim_config.rng_seed + i for i in range(args.replicates)])
-        manifest.note("workers", workers)
-        tables = replicate_study(model, sim_config, args.replicates, workers=workers)
-    except (SimulationHorizonError, EmptyStudyError) as error:
-        raise ConfigError(str(error)) from error
+    if sim_config.births_per_year is None:
+        births = calibrate_births_per_year(model, sim_config)
+        sim_config = dataclasses.replace(sim_config, births_per_year=births)
+        manifest["calibrated_births_per_year"] = births
+    workers = thread_limit()
+    manifest["rng_seed"] = sim_config.rng_seed
+    manifest["replicate_seeds"] = [sim_config.rng_seed + i for i in range(args.replicates)]
+    manifest["workers"] = workers
+    tables = replicate_study(model, sim_config, args.replicates, workers=workers)
     for index, table in enumerate(tables):
         path = os.path.join(out_dir, f"study_{index + 1:04d}.csv")
         table.to_csv(path)
-        manifest.add_output(path)
+        manifest["outputs"].append(path)
         print(f"wrote {path} (alive {table.n_total}, cases {table.c_total})")
-    manifest.write(out_dir)
     return _EXIT_OK
 
 
-def cmd_fit(config: RunConfig, args) -> int:
-    out_dir = _prepare_output_dir(config, args.out_dir)
-    data_path = args.data if args.data else _bundled_path("table1.csv")
-    manifest = _Manifest("fit", config, {"data": data_path})
+def cmd_fit(config: RunConfig, args, out_dir: str, manifest: dict) -> int:
     study_time = config.build_sim_config().cross_section_time
     try:
-        table = AgeGroupTable.from_csv(data_path, cross_section_time=study_time)
-    except FileNotFoundError as error:
-        raise ConfigError(f"data file not found: {data_path}") from error
+        table = AgeGroupTable.from_csv(args.data, cross_section_time=study_time)
     except ValueError as error:
-        raise ConfigError(f"malformed data CSV {data_path}: {error}") from error
-    fit_config = config.build_fit_config()
-    try:
-        result = fit(table, fit_config)
-    except FitInputError as error:
-        raise ConfigError(str(error)) from error
+        raise ConfigError(f"malformed data CSV {args.data}: {error}") from error
+    result = fit(table, config.build_fit_config())
 
     declared = config.declared_gamma()
     payload = result.to_json_dict()
     payload["declared_gamma"] = None if declared is None else list(declared)
     json_path = os.path.join(out_dir, "fit_result.json")
     _write_json(json_path, payload)
-    manifest.add_output(json_path)
+    manifest["outputs"].append(json_path)
 
     lines = ["param,input,estimate,ci_lo,ci_hi"]
     for j, name in enumerate(("gamma1", "gamma2", "gamma3")):
@@ -265,11 +227,10 @@ def cmd_fit(config: RunConfig, args) -> int:
         )
     csv_path = os.path.join(out_dir, "fit_table.csv")
     _atomic_write_text(csv_path, "\n".join(lines) + "\n")
-    manifest.add_output(csv_path)
+    manifest["outputs"].append(csv_path)
 
-    manifest.note("converged", result.converged)
-    manifest.note("quadrature_gap", result.diagnostics["quadrature_gap"])
-    manifest.write(out_dir)
+    manifest["converged"] = result.converged
+    manifest["quadrature_gap"] = result.diagnostics["quadrature_gap"]
     estimates = ", ".join(f"{name}={value:.6g}" for name, value in zip(("g1", "g2", "g3"), result.gamma_hat))
     print(f"wrote {json_path} and {csv_path} ({estimates})")
     if not result.converged:
@@ -293,9 +254,7 @@ def _richardson(coarse: float, fine: float):
     return abs(coarse) / abs(fine)
 
 
-def cmd_crosscheck(config: RunConfig, args) -> int:
-    out_dir = _prepare_output_dir(config, args.out_dir)
-    manifest = _Manifest("crosscheck", config, {"t": args.t, "age": args.age, "h": args.h})
+def cmd_crosscheck(config: RunConfig, args, out_dir: str, manifest: dict) -> int:
     _require_finite(t=args.t, age=args.age, h=args.h)
     if not args.age >= 0.0:
         raise ConfigError("--age must be nonnegative")
@@ -396,8 +355,7 @@ def cmd_crosscheck(config: RunConfig, args) -> int:
 
     path = os.path.join(out_dir, "crosscheck.json")
     _write_json(path, report)
-    manifest.add_output(path)
-    manifest.write(out_dir)
+    manifest["outputs"].append(path)
     print(f"wrote {path} (all_pass={report['all_pass']})")
     return _EXIT_OK
 
@@ -412,7 +370,11 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     def common(sub):
-        sub.add_argument("--config", default=None, help="JSON run configuration (default: bundled reference study)")
+        sub.add_argument(
+            "--config",
+            default=_bundled_path("reference_config.json"),
+            help="JSON run configuration (default: bundled reference study)",
+        )
         sub.add_argument("--out-dir", default=None, help="output directory (overrides the config)")
 
     evaluate = commands.add_parser("evaluate", help="write the analytic odds curve over an age grid")
@@ -437,7 +399,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fit_cmd = commands.add_parser("fit", help="fit mortality-ratio parameters to a study table")
     common(fit_cmd)
-    fit_cmd.add_argument("--data", default=None, help="study table CSV (default: bundled reference table)")
+    fit_cmd.add_argument(
+        "--data", default=_bundled_path("table1.csv"), help="study table CSV (default: bundled reference table)"
+    )
     fit_cmd.set_defaults(handler=cmd_fit)
 
     crosscheck = commands.add_parser("crosscheck", help="run internal consistency diagnostics")
@@ -450,17 +414,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config_path = args.config if args.config else _bundled_path("reference_config.json")
-        config = load_run_config(config_path)
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return _EXIT_CONFIG
-    try:
-        return args.handler(config, args)
-    except ConfigError as error:
+        config = load_run_config(args.config)
+        out_dir = args.out_dir if args.out_dir else config.output_directory
+        os.makedirs(out_dir, exist_ok=True)
+        manifest = {
+            "tool": "idm-odds",
+            "version": __version__,
+            "command": args.command,
+            "config_path": config.source_path,
+            "config_hash": config.hash,
+            "flags": {key: value for key, value in vars(args).items() if key not in _NOT_FLAGS},
+            "started_utc": _utc_now(),
+            "finished_utc": None,
+            "outputs": [],
+        }
+        # a failure is reported by its one stderr line, not by numpy's warnings on the way
+        with np.errstate(all="ignore"):
+            code = args.handler(config, args, out_dir, manifest)
+        if code in (_EXIT_OK, _EXIT_NO_CONVERGENCE):
+            manifest["finished_utc"] = _utc_now()
+            _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
+        return code
+    except _INPUT_ERRORS as error:
         print(f"error: {error}", file=sys.stderr)
         return _EXIT_CONFIG
     except (*_NUMERIC_ERRORS, ValueError) as error:

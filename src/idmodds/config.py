@@ -105,7 +105,6 @@ _SCHEMA = {
                 "xatol": {"type": "number", "exclusiveMinimum": 0},
                 "fatol": {"type": "number", "exclusiveMinimum": 0},
                 "max_iterations": {"type": "integer", "exclusiveMinimum": 0},
-                "include_binomial_coefficient": {"type": "boolean"},
             },
         },
         "output": {
@@ -189,10 +188,7 @@ class RunConfig:
         return (ratio.gamma1, ratio.gamma2, ratio.gamma3)
 
     def build_model(self) -> RateModel:
-        try:
-            return RateModel(self.build_incidence(), self.build_m0(), self.build_ratio())
-        except ValueError as error:
-            raise ConfigError(str(error)) from error
+        return RateModel(self.build_incidence(), self.build_m0(), self.build_ratio())
 
     def build_sim_config(self) -> SimConfig:
         section = dict(self.document.get("simulation", {}))
@@ -200,10 +196,7 @@ class RunConfig:
             section["birth_window"] = tuple(section["birth_window"])
         if "age_groups" in section:
             section["age_groups"] = tuple(tuple(g) for g in section["age_groups"])
-        try:
-            return replace(SimConfig(), **section)
-        except ValueError as error:
-            raise ConfigError(str(error)) from error
+        return replace(SimConfig(), **section)
 
     def build_fit_config(self) -> FitConfig:
         section = dict(self.document.get("fit", {}))
@@ -212,16 +205,13 @@ class RunConfig:
                 section[key] = tuple(tuple(row) for row in section[key])
         if "fixed_gamma" in section:
             section["fixed_gamma"] = tuple(section["fixed_gamma"])
-        try:
-            return replace(
-                FitConfig(),
-                incidence=self.build_incidence(),
-                m0=self.build_m0(),
-                max_duration=self.build_ratio().max_duration,
-                **section,
-            )
-        except ValueError as error:
-            raise ConfigError(str(error)) from error
+        return replace(
+            FitConfig(),
+            incidence=self.build_incidence(),
+            m0=self.build_m0(),
+            max_duration=self.build_ratio().max_duration,
+            **section,
+        )
 
 
 def parse_run_config(document: dict, source_path: Optional[str] = None) -> RunConfig:
@@ -235,9 +225,12 @@ def parse_run_config(document: dict, source_path: Optional[str] = None) -> RunCo
         raise ConfigError(f"invalid configuration at {location}: {first.message}")
     config = RunConfig(document=document, source_path=source_path)
     # exercise the builders so structural problems surface before any command runs
-    config.build_model()
-    config.build_sim_config()
-    config.build_fit_config()
+    try:
+        config.build_model()
+        config.build_sim_config()
+        config.build_fit_config()
+    except ValueError as error:
+        raise ConfigError(str(error)) from error
     return config
 
 
@@ -248,6 +241,6 @@ def load_run_config(path: str) -> RunConfig:
             document = json.load(stream)
     except FileNotFoundError as error:
         raise ConfigError(f"configuration file not found: {path}") from error
-    except json.JSONDecodeError as error:
-        raise ConfigError(f"configuration is not valid JSON ({path}, line {error.lineno}): {error.msg}") from error
+    except ValueError as error:  # json.JSONDecodeError, or UnicodeDecodeError for bytes that are not UTF-8
+        raise ConfigError(f"configuration is not valid JSON ({path}): {error}") from error
     return parse_run_config(document, source_path=path)

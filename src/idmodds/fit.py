@@ -84,7 +84,6 @@ class FitConfig:
     xatol: float = 1e-6
     fatol: float = 1e-8
     max_iterations: int = 4000
-    include_binomial_coefficient: bool = False
     max_duration: float = 100.0
 
     def __post_init__(self):
@@ -371,9 +370,9 @@ def log_likelihood(gamma, table: AgeGroupTable, config: FitConfig = FitConfig())
     prevalence makes the observed count impossible.  Terms with zero count
     against zero prevalence contribute zero (the 0*log(0) convention), so a
     disease-free model fits an all-zero table perfectly.  The binomial
-    coefficient is a constant in the parameters and is omitted unless
-    requested.  The group prevalences come from the table's likelihood plan;
-    a table the plan cannot serve raises RatioHorizonError.
+    coefficient is a constant in the parameters and is omitted.  The group
+    prevalences come from the table's likelihood plan; a table the plan
+    cannot serve raises RatioHorizonError.
     """
     plan = _likelihood_plan(table, config)
     gamma = np.asarray(gamma, dtype=float)
@@ -395,8 +394,6 @@ def log_likelihood(gamma, table: AgeGroupTable, config: FitConfig = FitConfig())
             if p >= 1.0:
                 return -math.inf
             total += (n - c) * math.log1p(-p)
-        if config.include_binomial_coefficient:
-            total += math.lgamma(n + 1) - math.lgamma(c + 1) - math.lgamma(n - c + 1)
     return total
 
 

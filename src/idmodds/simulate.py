@@ -31,6 +31,7 @@ __all__ = [
     "SimConfig",
     "SimulationHorizonError",
     "EmptyStudyError",
+    "StudySizeError",
     "SamplerConvergenceError",
     "LifeRecord",
     "PopulationLedger",
@@ -268,6 +269,10 @@ class EmptyStudyError(ValueError):
     """The configured rates leave no one expected alive in the age groups."""
 
 
+class StudySizeError(ValueError):
+    """The study would simulate more lives than one run may hold."""
+
+
 class SamplerConvergenceError(RuntimeError):
     """The hazard inversion left lives unsolved after the step limit."""
 
@@ -279,6 +284,9 @@ _CHUNK = 16_384
 # Newton-with-bisection steps allowed per life, and its convergence tolerance in years.
 _MAX_STEPS = 200
 _TOL = 1e-10
+# Most lives one study may simulate, about 78 times the reference study's
+# 129 000; each life holds four draws and three event times in memory at once.
+_MAX_LIVES = 10_000_000
 
 
 def _invert(value_at, rate_at, target, cap):
@@ -440,14 +448,18 @@ def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
 
     Deterministic for a given seed: all random numbers are drawn up front in
     a fixed layout (four per individual), then each life is computed
-    independently.  Raises SimulationHorizonError when the mortality ratio
-    is not positive on [0, max_age].
+    independently.  Raises StudySizeError, before any draw, when the births
+    over the window exceed the cap on lives, and SimulationHorizonError when
+    the mortality ratio is not positive on [0, max_age].
     """
     births_per_year = (
         config.births_per_year
         if config.births_per_year is not None
         else calibrate_births_per_year(model, config)
     )
+    lives = births_per_year * (config.birth_window[1] - config.birth_window[0])
+    if not lives <= _MAX_LIVES:
+        raise StudySizeError(f"the study would simulate {lives:.4g} lives, more than the {_MAX_LIVES} one run may hold")
     starts, lengths, counts = _birth_schedule(config, births_per_year)
     total = sum(counts)
     rng = np.random.default_rng(config.rng_seed)

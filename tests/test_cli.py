@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,8 +122,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize(
         "section",
-        [{"hessian_step_scale": 1e-3}, {"quadrature": {"rel_tol": 1e-9}}],
-        ids=["hessian_step_scale", "quadrature"],
+        [{"hessian_step_scale": 1e-3}, {"quadrature": {"rel_tol": 1e-9}}, {"include_binomial_coefficient": True}],
+        ids=["hessian_step_scale", "quadrature", "include_binomial_coefficient"],
     )
     def test_hessian_step_scale_no_longer_accepted(self, section):
         with pytest.raises(ConfigError, match="invalid configuration at fit"):
@@ -354,6 +355,7 @@ class TestFit:
         result = json.loads((out / "fit_result.json").read_text())
         assert result["converged"] is False
         assert (out / "fit_table.csv").exists()
+        assert json.loads((out / "run_manifest.json").read_text())["converged"] is False
 
     def test_quadrature_budget_failure_exits_3(self, tmp_path, monkeypatch):
         tight = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=1)
@@ -460,22 +462,103 @@ class TestCrosscheck:
         assert main(["crosscheck", "--h", "-0.1", "--out-dir", str(tmp_path / "o")]) == 2
 
 
-# Bad numbers for `evaluate` and `crosscheck`: each is refused with one "error:" line and exit 2.
+# Bad input: each is refused with one "error:" line and exit 2.  "{tmp}" is a
+# directory holding a plain file `file`, an empty directory `dir` and the
+# configurations of BAD_CONFIGS; `--out-dir {tmp}/o` goes right after the
+# command, so an entry's own `--out-dir` takes precedence.
 BAD_INPUTS = {
     "evaluate-negative-age": ["evaluate", "--age-min", "-5"],
     "evaluate-grid-too-large": ["evaluate", "--age-min", "30", "--age-max", "40", "--step", "1e-9"],
     "crosscheck-negative-age": ["crosscheck", "--age", "-1"],
     "crosscheck-step-above-age": ["crosscheck", "--age", "0.05"],
     "crosscheck-nan-time": ["crosscheck", "--t", "nan"],
+    "simulate-negative-seed": ["simulate", "--seed", "-1"],
+    "out-dir-is-a-file": ["evaluate", "--out-dir", "{tmp}/file"],
+    "data-is-a-directory": ["fit", "--data", "{tmp}/dir"],
+    "config-is-a-directory": ["evaluate", "--config", "{tmp}/dir"],
+    "config-not-utf8": ["evaluate", "--config", "{tmp}/latin1.json"],
+    "study-size-births": ["simulate", "--config", "{tmp}/huge_births.json"],
+    "study-size-calibrated": ["simulate", "--config", "{tmp}/huge_target.json"],
+    "fit-overflowing-incidence": ["fit", "--config", "{tmp}/overflow.json"],
 }
+
+BAD_CONFIGS = {
+    "latin1.json": '{"output": {"directory": "caf\u00e9"}}'.encode("latin-1"),
+    "huge_births.json": b'{"simulation": {"births_per_year": 1e9}}',
+    "huge_target.json": b'{"simulation": {"births_per_year": null, "target_alive": 1000000000000}}',
+    "overflow.json": b'{"incidence": {"family": "exponential", "k0": 50}}',
+}
+
+# Inputs the configuration admits but the numerics do not: exit 3 with one "numerical failure:" line.
+NUMERIC_FAILURES = {
+    "evaluate-ages-beyond-survival": ["evaluate", "--age-min", "0", "--age-max", "5000", "--step", "100"],
+}
+
+
+def run_quietly(argv, tmp_path, capsys):
+    """Exit code and stderr of one `main` call on the BAD_INPUTS layout; it must raise no warning."""
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    for name, content in BAD_CONFIGS.items():
+        (tmp_path / name).write_bytes(content)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv[:1] + ["--out-dir", str(tmp_path / "o")] + argv[1:])
+    assert [str(warning.message) for warning in caught] == []
+    return code, capsys.readouterr().err
 
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
     def test_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
-        assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
+        code, err = run_quietly(argv, tmp_path, capsys)
+        assert code == 2
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", list(NUMERIC_FAILURES.values()), ids=list(NUMERIC_FAILURES))
+    def test_exits_3_with_one_line(self, argv, tmp_path, capsys):
+        code, err = run_quietly(argv, tmp_path, capsys)
+        assert code == 3
+        assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+
+
+MANIFEST_KEYS = [
+    "tool", "version", "command", "config_path", "config_hash", "flags", "started_utc", "finished_utc", "outputs"
+]
+BUNDLED_DATA = Path(idmodds.__file__).parent / "data"
+
+
+class TestManifest:
+    @pytest.mark.parametrize(
+        "argv, flags, notes",
+        [
+            (
+                ["evaluate", "--age-min", "40", "--age-max", "50", "--step", "5"],
+                {"t": 100.0, "age_min": 40.0, "age_max": 50.0, "step": 5.0, "method": "pseudo_convolution"},
+                [],
+            ),
+            (
+                ["simulate", "--seed", "3"],
+                {"seed": 3, "replicates": 1},
+                ["calibrated_births_per_year", "rng_seed", "replicate_seeds", "workers"],
+            ),
+            (["fit"], {"data": str(BUNDLED_DATA / "table1.csv")}, ["converged", "quadrature_gap"]),
+            (["crosscheck"], {"t": 100.0, "age": 60.0, "h": 0.1}, []),
+        ],
+        ids=["evaluate", "simulate", "fit", "crosscheck"],
+    )
+    def test_keys_order_and_flags(self, argv, flags, notes, tmp_path):
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert list(manifest) == MANIFEST_KEYS + notes
+        assert manifest["command"] == argv[0]
+        assert manifest["config_path"] == str(BUNDLED_DATA / "reference_config.json")
+        assert manifest["config_hash"] == load_run_config(str(BUNDLED_CONFIG)).hash
+        assert json.dumps(manifest["flags"]) == json.dumps(flags)
+        assert manifest["started_utc"] <= manifest["finished_utc"]
+        assert all(os.path.dirname(path) == str(out) for path in manifest["outputs"])
 
 
 class TestEnvironment:

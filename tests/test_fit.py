@@ -128,21 +128,6 @@ class TestLogLikelihood:
         assert abs(value - oracle) <= 1e-9
         assert value == log_likelihood((0.04, 5.0, 1.0), table, FitConfig())
 
-    def test_binomial_constant_shifts_value_not_argmax(self):
-        table = reference_table()
-        plain = FitConfig()
-        with_const = FitConfig(include_binomial_coefficient=True)
-        constant = sum(
-            math.lgamma(n + 1) - math.lgamma(c + 1) - math.lgamma(n - c + 1)
-            for n, c in zip(REFERENCE_N, REFERENCE_C)
-        )
-        grid = [(g1, g2, g3) for g1 in (0.02, 0.04) for g2 in (3.0, 5.0) for g3 in (0.9, 1.1)]
-        values_plain = [log_likelihood(g, table, plain) for g in grid]
-        values_const = [log_likelihood(g, table, with_const) for g in grid]
-        for vp, vc in zip(values_plain, values_const):
-            assert vc == pytest.approx(vp + constant, rel=1e-12)
-        assert np.argmax(values_plain) == np.argmax(values_const)
-
     def test_outside_bounds_is_minus_infinity(self):
         table = reference_table()
         assert log_likelihood((-0.01, 5.0, 1.0), table, FitConfig()) == -math.inf

@@ -25,6 +25,7 @@ from idmodds.simulate import (
     PopulationLedger,
     SimConfig,
     SimulationHorizonError,
+    StudySizeError,
     _course_durations,
     _life_courses,
     calibrate_births_per_year,
@@ -203,6 +204,19 @@ class TestSampleLife:
         with pytest.raises(ValueError, match="max_age=110"):
             run_simulation(model, SimConfig(births_per_year=1.0))
         sample_life(model, 10.0, np.random.default_rng(0), max_age=100.0)
+
+    def test_study_size_cap_raises_before_any_draw(self, monkeypatch):
+        import idmodds.simulate
+
+        def unreachable(*args):
+            raise AssertionError("births were scheduled for an oversized study")
+
+        monkeypatch.setattr(idmodds.simulate, "_birth_schedule", unreachable)
+        # 1e9 births a year over the 65-year window would be 6.5e10 lives
+        with pytest.raises(StudySizeError, match="6.5e\\+10 lives"):
+            run_simulation(reference_rate_model(), SimConfig(births_per_year=1e9))
+        with pytest.raises(StudySizeError):
+            run_simulation(reference_rate_model(), SimConfig(target_alive=1e12))
 
 
 class TestTabulatedIncidenceSampling:
