@@ -2,8 +2,8 @@
 
 A current-status table gives, per age group, the number alive and the number
 diseased.  Holding incidence and healthy mortality fixed, the three
-mortality-ratio parameters determine the analytic prevalence in each group,
-and the diseased counts are binomial around it.
+mortality-ratio parameters determine the analytic prevalence at each group's
+midpoint age, and the diseased counts are binomial around it.
 
 The group odds are the pseudo-convolution integral of past incidence times
 exp(CI + CM0 - CM1) over the lookback.  Only CM1 depends on the parameters,
@@ -11,9 +11,8 @@ and it is linear in the coefficients of the quadratic mortality ratio, so a
 plan built once per table holds a fixed composite Gauss-Legendre rule and
 every parameter-free factor at its nodes; each likelihood evaluation is then
 one array contraction.  At the optimum the plan is checked against adaptive
-quadrature of the same odds at the same ages (group midpoints, or 7 Gauss
-nodes per group), all groups in one batch, and the largest relative gap is
-reported.
+quadrature of the same odds at the same midpoints, all groups in one batch,
+and the largest relative gap is reported.
 
 The likelihood is maximized by a derivative-free simplex search.  The same
 plan gives the exact derivatives of the odds in those coefficients, hence the
@@ -71,8 +70,9 @@ class FitConfig:
 
     Incidence and healthy mortality are treated as known; only the three
     mortality-ratio parameters are estimated.  Components of ``fixed_gamma``
-    that carry a value are pinned and excluded from the search.  The adaptive
-    check of the likelihood plan at the optimum has fixed tolerances.
+    that carry a value are pinned and excluded from the search.  Every age
+    group is evaluated at its midpoint, and the adaptive check of the
+    likelihood plan at the optimum has fixed tolerances.
     """
 
     incidence: IncidenceSpec = field(default_factory=PositivePartIncidence)
@@ -80,7 +80,6 @@ class FitConfig:
     bounds: tuple = _DEFAULT_BOUNDS
     starts: tuple = _DEFAULT_STARTS
     fixed_gamma: tuple = (None, None, None)
-    group_evaluation: str = "midpoint"
     xatol: float = 1e-6
     fatol: float = 1e-8
     max_iterations: int = 4000
@@ -89,8 +88,6 @@ class FitConfig:
     def __post_init__(self):
         if len(self.bounds) != 3 or any(len(b) != 2 or not b[0] < b[1] for b in self.bounds):
             raise ValueError("bounds must be three increasing (lo, hi) pairs")
-        if self.group_evaluation not in ("midpoint", "averaged"):
-            raise ValueError("group_evaluation must be 'midpoint' or 'averaged'")
         if not (self.xatol > 0.0 and self.fatol > 0.0):
             raise ValueError("tolerances must be positive")
         if len(self.fixed_gamma) != 3:
@@ -160,50 +157,19 @@ class FitResult:
         }
 
 
-_GL_NODES, _GL_WEIGHTS = leggauss(7)
+def group_prevalence(model: RateModel, age_lo, age_hi, t: float):
+    """Model prevalence of age groups at the study time, each at its midpoint age.
 
-
-def _evaluated_ages(age_lo, age_hi, mode: str):
-    """Ages that stand for each group, group after group (midpoints, or 7 Gauss nodes each), and their weights."""
-    center = 0.5 * (age_lo + age_hi)
-    if mode == "midpoint":
-        return center, np.ones(1)
-    if mode == "averaged":
-        half = 0.5 * (age_hi - age_lo)
-        return (center[:, None] + half[:, None] * _GL_NODES).ravel(), _GL_WEIGHTS / 2.0
-    raise ValueError("mode must be 'midpoint' or 'averaged'")
-
-
-def _group_average(values, weights) -> np.ndarray:
-    """Per group, the weighted sum over its consecutive evaluated ages, the leading axis of ``values``."""
-    grouped = values.reshape(-1, len(weights), *values.shape[1:])
-    # the likelihood's bits are those of matmul over group values, the information's those of einsum
-    return grouped @ weights if values.ndim == 1 else np.einsum("q,gq...->g...", weights, grouped)
-
-
-def group_prevalence(
-    model: RateModel,
-    age_lo,
-    age_hi,
-    t: float,
-    mode: str = "midpoint",
-    quadrature: QuadratureConfig = _FIT_QUADRATURE,
-):
-    """Model prevalence attached to age groups at the study time.
-
-    ``midpoint`` evaluates at the central age; ``averaged`` integrates the
-    prevalence uniformly over the group (7-point Gauss rule, exact enough for
-    these smooth curves).  ``age_lo`` and ``age_hi`` are one group's limits,
-    or arrays of groups of positive width, ascending and disjoint; every
-    integral runs in one batch.  Returns a float for one scalar group, else
-    one value per group.
+    ``age_lo`` and ``age_hi`` are one group's limits, or arrays of groups of
+    positive width, ascending and disjoint; every midpoint is integrated in
+    one adaptive batch at the fit's fixed tolerances.  Returns a float for
+    one scalar group, else one value per group.
     """
     lo, hi = np.asarray(age_lo, dtype=float), np.asarray(age_hi, dtype=float)
     if np.any(lo >= hi) or np.any(lo.ravel()[1:] < hi.ravel()[:-1]):
         raise ValueError("age groups must have positive width and be ascending and disjoint")
-    ages, weights = _evaluated_ages(lo.ravel(), hi.ravel(), mode)
-    profile = cross_section_profile(model, t, ages, "prevalence", "pseudo_convolution", quadrature)
-    values = _group_average(profile.values, weights)
+    ages = 0.5 * (lo.ravel() + hi.ravel())
+    values = cross_section_profile(model, t, ages, "prevalence", "pseudo_convolution", _FIT_QUADRATURE).values
     return float(values[0]) if lo.ndim == 0 else values
 
 
@@ -227,7 +193,7 @@ _PLAN_RULE = leggauss(20)
 _PLAN_PIECE = 10.0
 # Largest relative gap between the plan and adaptive quadrature tolerated at the optimum.
 _PLAN_GAP_LIMIT = 1e-8
-# Plans kept; each holds about 20 kB per evaluated age.
+# Plans kept; each holds about 20 kB per age group.
 _PLAN_CACHE_SIZE = 4
 _PLAN_CACHE = OrderedDict()
 _PLAN_LOCK = threading.Lock()
@@ -268,25 +234,23 @@ def _lookback_rule(incidence, m0: GompertzParams, t: float, a: float, initial_ra
 
 @dataclass(frozen=True, eq=False)
 class _LikelihoodPlan:
-    """Parameter-free factors of the odds at every age the likelihood evaluates.
+    """Parameter-free factors of the odds at every group's midpoint age.
 
-    Row r holds the lookback nodes of one evaluated age; the odds there are
+    Row g holds the lookback nodes of group g's midpoint; the odds there are
     sum(weighted_incidence * exp(exponent - moments @ c)) over the row, with
     c the coefficients of R.  Rows are padded with zero weights.
-    ``group_weights`` average each group's evaluated ages.
     """
 
     weighted_incidence: np.ndarray
     exponent: np.ndarray
     moments: np.ndarray
-    group_weights: np.ndarray
 
     @staticmethod
     def build(table: AgeGroupTable, config: FitConfig) -> "_LikelihoodPlan":
         if np.any(table.age_lo < 0.0):
             raise FitInputError("age groups must start at nonnegative ages")
         t = float(table.cross_section_time)
-        ages, group_weights = _evaluated_ages(table.age_lo, table.age_hi, config.group_evaluation)
+        ages = 0.5 * (table.age_lo + table.age_hi)
         initial_ratio = _largest_initial_ratio(config.bounds)
         rules = [_lookback_rule(config.incidence, config.m0, t, float(a), initial_ratio) for a in ages]
         width = max(len(nodes) for nodes, _ in rules)
@@ -299,7 +263,7 @@ class _LikelihoodPlan:
             exponent[row, :size] = config.incidence.cumulative(t, a, delta) + config.m0.cumulative(t, a, delta)
             base, integrals = course_moments(config.m0, t, a, delta)
             moments[row, :size] = base[:, None] * np.column_stack(integrals)
-        return _LikelihoodPlan(weighted, exponent, moments, group_weights)
+        return _LikelihoodPlan(weighted, exponent, moments)
 
     def _terms(self, coefficients) -> np.ndarray:
         kernel = np.exp(self.exponent - self.moments @ np.asarray(coefficients, dtype=float))
@@ -308,10 +272,10 @@ class _LikelihoodPlan:
     def group_prevalence(self, coefficients) -> np.ndarray:
         """Model prevalence of every group, as ``group_prevalence`` defines it."""
         odds = self._terms(coefficients).sum(axis=1)
-        return _group_average(odds / (1.0 + odds), self.group_weights)
+        return odds / (1.0 + odds)
 
     def odds_derivatives(self, coefficients):
-        """Odds at every evaluated age with their gradient and Hessian in c.
+        """Odds of every group with their gradient and Hessian in c.
 
         Only exp(-moments @ c) depends on c, so the derivatives are the row
         sums of the same terms times -moments[k] and moments[k] * moments[l].
@@ -330,11 +294,10 @@ def _incidence_key(incidence):
 def _likelihood_plan(table: AgeGroupTable, config: FitConfig) -> _LikelihoodPlan:
     """The plan for this table's groups and this configuration, built at most once per distinct value.
 
-    Raises RatioHorizonError when the oldest evaluated age exceeds the
+    Raises RatioHorizonError when the oldest group midpoint exceeds the
     duration up to which the mortality ratio is checked for positivity.
     """
-    averaged = config.group_evaluation == "averaged"
-    oldest = float(np.max(table.age_hi if averaged else 0.5 * (table.age_lo + table.age_hi)))
+    oldest = float(np.max(0.5 * (table.age_lo + table.age_hi)))
     if oldest > config.max_duration:
         raise RatioHorizonError(
             f"the likelihood evaluates the mortality ratio up to duration {oldest:g}, beyond "
@@ -346,7 +309,6 @@ def _likelihood_plan(table: AgeGroupTable, config: FitConfig) -> _LikelihoodPlan
         table.age_hi.tobytes(),
         _incidence_key(config.incidence),
         config.m0,
-        config.group_evaluation,
         _largest_initial_ratio(config.bounds),
     )
     with _PLAN_LOCK:
@@ -401,19 +363,18 @@ def _log_likelihood_derivatives(gamma, table: AgeGroupTable, config: FitConfig):
     """Exact gradient and Hessian in gamma of ``log_likelihood`` at a feasible ``gamma``.
 
     The plan's odds derivatives in c chain through p = odds / (1 + odds), the
-    Gauss average of ``averaged`` mode, the binomial terms and
-    c(gamma) = (g1*g2**2 + g3, -2*g1*g2, g1).  As in ``log_likelihood``, a
-    term with zero count contributes nothing.
+    binomial terms and c(gamma) = (g1*g2**2 + g3, -2*g1*g2, g1).  As in
+    ``log_likelihood``, a term with zero count contributes nothing.
     """
     plan = _likelihood_plan(table, config)
     g1, g2, _ = (float(x) for x in gamma)
     odds, odds_gradient, odds_hessian = plan.odds_derivatives(config.build_model(gamma).ratio.coefficients)
-    # p = odds / (1 + odds) at every evaluated age, then per group
+    # p = odds / (1 + odds) of every group
     scale = 1.0 / (1.0 + odds)
-    outer = np.einsum("rk,rl->rkl", odds_gradient, odds_gradient)
+    outer = np.einsum("gk,gl->gkl", odds_gradient, odds_gradient)
+    p = odds * scale
     gradient = scale[:, None] ** 2 * odds_gradient
     hessian = scale[:, None, None] ** 2 * (odds_hessian - 2.0 * scale[:, None, None] * outer)
-    p, gradient, hessian = (_group_average(x, plan.group_weights) for x in (odds * scale, gradient, hessian))
     cases, rest = table.c.astype(float), (table.n - table.c).astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(cases > 0, cases / p, 0.0) - np.where(rest > 0, rest / (1.0 - p), 0.0)
@@ -462,9 +423,7 @@ def _quadrature_gap(plan: _LikelihoodPlan, table: AgeGroupTable, config: FitConf
     """
     model = config.build_model(gamma)
     fast = plan.group_prevalence(model.ratio.coefficients)
-    oracle = group_prevalence(
-        model, table.age_lo, table.age_hi, table.cross_section_time, config.group_evaluation, _FIT_QUADRATURE
-    )
+    oracle = group_prevalence(model, table.age_lo, table.age_hi, table.cross_section_time)
     with np.errstate(divide="ignore", invalid="ignore"):
         gaps = np.abs(fast - oracle) / np.abs(oracle)
     gaps[fast == oracle] = 0.0

@@ -83,7 +83,7 @@ PREVALENCE_METHODS = ("pseudo_convolution", "keiding", "cohort_ratio", "convolut
 
 @dataclass(frozen=True)
 class PrevalenceResult:
-    """Prevalence odds and the matching prevalence at one (time, age) point."""
+    """Prevalence odds and the matching prevalence, 1 once the odds pass 2**53, at one (time, age) point."""
 
     t: float
     a: float
@@ -96,15 +96,8 @@ class PrevalenceResult:
             raise ValueError(f"unknown method tag {self.method!r}")
         if not (self.odds >= 0.0 and math.isfinite(self.odds)):
             raise ValueError(f"odds must be finite and nonnegative, got {self.odds}")
-        if not 0.0 <= self.prevalence < 1.0:
-            raise ValueError(f"prevalence must lie in [0, 1), got {self.prevalence}")
-
-    @staticmethod
-    def from_odds(t: float, a: float, odds: float, method: str) -> "PrevalenceResult":
-        # Quadrature of a nonnegative integrand can round to a tiny negative.
-        if -1e-12 < odds < 0.0:
-            odds = 0.0
-        return PrevalenceResult(t, a, odds, odds / (1.0 + odds), method)
+        if not 0.0 <= self.prevalence <= 1.0:
+            raise ValueError(f"prevalence must lie in [0, 1], got {self.prevalence}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,6 +364,15 @@ def prevalence_odds_exponential(
     return prevalence(model, t, a, "convolution_special", quadrature)
 
 
+def _nonnegative_odds(odds: np.ndarray, ages) -> np.ndarray:
+    """Odds with quadrature's tiny negative roundings of zero set to 0; raises unless finite and nonnegative."""
+    odds = np.where((-1e-12 < odds) & (odds < 0.0), 0.0, odds)
+    bad = ~(np.isfinite(odds) & (odds >= 0.0))
+    if np.any(bad):
+        raise ValueError(f"odds must be finite and nonnegative, got {odds[bad][0]} at age {np.ravel(ages)[bad][0]:g}")
+    return odds
+
+
 def prevalence(
     model: RateModel,
     t: float,
@@ -384,8 +386,8 @@ def prevalence(
     linearly in the cohort size, which cancels in their ratio.  The one-point
     case of :func:`cross_section_profile`.
     """
-    odds = _odds_at(model, t, a, method, quadrature)
-    return PrevalenceResult.from_odds(t, a, odds.item(), method)
+    odds = _nonnegative_odds(_odds_at(model, t, a, method, quadrature), a).item()
+    return PrevalenceResult(t, a, odds, odds / (1.0 + odds), method)
 
 
 _RESIDUAL_QUADRATURE = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=400)
@@ -495,6 +497,5 @@ def cross_section_profile(
     if kind not in ("prevalence", "odds"):
         raise ValueError("kind must be 'prevalence' or 'odds'")
     ages = np.asarray(ages, dtype=float)
-    odds = _odds_at(model, time, ages, method, quadrature)
-    results = [PrevalenceResult.from_odds(time, a, o, method) for a, o in zip(ages.tolist(), odds.tolist())]
-    return AgeProfile(time, ages, np.array([getattr(r, kind) for r in results]))
+    odds = _nonnegative_odds(_odds_at(model, time, ages, method, quadrature), ages)
+    return AgeProfile(time, ages, odds if kind == "odds" else odds / (1.0 + odds))

@@ -270,7 +270,7 @@ class EmptyStudyError(ValueError):
 
 
 class StudySizeError(ValueError):
-    """The study would simulate more lives than one run may hold."""
+    """The study would simulate more lives, or span a longer birth window, than one run may hold."""
 
 
 class SamplerConvergenceError(RuntimeError):
@@ -287,6 +287,8 @@ _TOL = 1e-10
 # Most lives one study may simulate, about 78 times the reference study's
 # 129 000; each life holds four draws and three event times in memory at once.
 _MAX_LIVES = 10_000_000
+# Longest birth window, in years, whose one-year slices are numbered exactly in floating point.
+_MAX_SPAN = 2.0**52
 
 
 def _invert(value_at, rate_at, target, cap):
@@ -426,21 +428,27 @@ def calibrate_births_per_year(
     return config.target_alive / expected_per_rate
 
 
-def _birth_schedule(config: SimConfig, births_per_year: float):
-    """Number of births per one-year slice of the window, by cumulative rounding."""
-    lo, hi = config.birth_window
-    span = hi - lo
-    n_slices = int(math.ceil(span - 1e-12))
-    starts, lengths, counts = [], [], []
-    previous = 0
-    for j in range(n_slices):
-        slice_hi = min(float(j + 1), span)
-        cumulative = int(round(births_per_year * slice_hi))
-        counts.append(cumulative - previous)
-        previous = cumulative
-        starts.append(lo + float(j))
-        lengths.append(slice_hi - float(j))
-    return starts, lengths, counts
+def _birth_schedule(lo: float, span: float, births_per_year: float, rng) -> np.ndarray:
+    """Birth times over the window [lo, lo + span], each a jitter draw from ``rng`` into its one-year slice.
+
+    At r births a year, slice j holds the lives numbered from round(r * j)
+    up to, not including, round(r * min(j + 1, span)).  Each life steps to
+    its slice from a first guess, so time and memory grow with the lives,
+    not with the slices.
+    """
+    last = math.ceil(span - 1e-12) - 1.0
+
+    def born_by_end(j):
+        return np.round(births_per_year * np.minimum(j + 1.0, span))
+
+    life = np.arange(born_by_end(last))
+    # a rounding tie can put the guess one slice early, a product rounded onto a tie one slice late
+    j = np.minimum(np.ceil((life + 0.5) / births_per_year) - 1.0, last)
+    while np.any(early := born_by_end(j) <= life):
+        j[early] += 1.0
+    while np.any(late := (j > 0.0) & (born_by_end(j - 1.0) > life)):
+        j[late] -= 1.0
+    return lo + j + rng.random(j.size) * (np.minimum(j + 1.0, span) - j)
 
 
 def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
@@ -449,30 +457,28 @@ def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
     Deterministic for a given seed: all random numbers are drawn up front in
     a fixed layout (four per individual), then each life is computed
     independently.  Raises StudySizeError, before any draw, when the births
-    over the window exceed the cap on lives, and SimulationHorizonError when
-    the mortality ratio is not positive on [0, max_age].
+    over the window up to the cross-section exceed the cap on lives or span
+    too many years, and SimulationHorizonError when the mortality ratio is
+    not positive on [0, max_age].
     """
     births_per_year = (
         config.births_per_year
         if config.births_per_year is not None
         else calibrate_births_per_year(model, config)
     )
-    lives = births_per_year * (config.birth_window[1] - config.birth_window[0])
+    # births after the cross-section never enter the study
+    lo, hi = config.birth_window
+    span = min(hi, config.cross_section_time) - lo
+    lives = births_per_year * span
     if not lives <= _MAX_LIVES:
         raise StudySizeError(f"the study would simulate {lives:.4g} lives, more than the {_MAX_LIVES} one run may hold")
-    starts, lengths, counts = _birth_schedule(config, births_per_year)
-    total = sum(counts)
+    if not span < _MAX_SPAN:
+        raise StudySizeError(f"the birth window spans {span:.4g} years, more than the {_MAX_SPAN:.4g} one run may hold")
     rng = np.random.default_rng(config.rng_seed)
-    jitter = rng.random(total)
-    exit_draws = rng.exponential(size=total)
-    type_draws = rng.random(total)
-    duration_draws = rng.exponential(size=total)
-
-    birth = np.empty(total)
-    position = 0
-    for start, length, count in zip(starts, lengths, counts):
-        birth[position : position + count] = start + jitter[position : position + count] * length
-        position += count
+    birth = _birth_schedule(lo, span, births_per_year, rng)
+    exit_draws = rng.exponential(size=birth.size)
+    type_draws = rng.random(birth.size)
+    duration_draws = rng.exponential(size=birth.size)
 
     onset, death = _life_courses(model, birth, exit_draws, type_draws, duration_draws, config.max_age)
     return PopulationLedger(birth, onset, death)

@@ -20,7 +20,7 @@ import idmodds
 from idmodds.cli import main, thread_limit
 from idmodds.config import _SCHEMA, ConfigError, config_hash, load_run_config, parse_run_config
 from idmodds.fit import FitConfig
-from idmodds.prevalence import prevalence_odds_pseudo_convolution
+from idmodds.prevalence import cross_section_profile, prevalence_odds_pseudo_convolution
 from idmodds.quadrature import QuadratureConfig
 from idmodds.rates import (
     GompertzParams,
@@ -50,7 +50,7 @@ class TestRunConfig:
         sim = config.build_sim_config()
         assert sim.cross_section_time == 100.0
         assert sim.birth_window == (0.0, 65.0)
-        assert config.build_fit_config().group_evaluation == "midpoint"
+        assert config.build_fit_config() == FitConfig()
         assert config.declared_gamma() is None
         assert config.output_directory == "idm_odds_out"
 
@@ -107,9 +107,9 @@ class TestRunConfig:
             load_run_config(str(path))
 
     def test_fit_section_drives_fit_config(self, tmp_path):
-        document = {"fit": {"group_evaluation": "averaged", "xatol": 1e-5}}
+        document = {"fit": {"fatol": 1e-7, "xatol": 1e-5}}
         fit_config = parse_run_config(document).build_fit_config()
-        assert fit_config.group_evaluation == "averaged"
+        assert fit_config.fatol == 1e-7
         assert fit_config.xatol == 1e-5
 
     def test_bundled_document_states_library_defaults(self):
@@ -122,8 +122,13 @@ class TestRunConfig:
 
     @pytest.mark.parametrize(
         "section",
-        [{"hessian_step_scale": 1e-3}, {"quadrature": {"rel_tol": 1e-9}}, {"include_binomial_coefficient": True}],
-        ids=["hessian_step_scale", "quadrature", "include_binomial_coefficient"],
+        [
+            {"hessian_step_scale": 1e-3},
+            {"quadrature": {"rel_tol": 1e-9}},
+            {"include_binomial_coefficient": True},
+            {"group_evaluation": "midpoint"},
+        ],
+        ids=["hessian_step_scale", "quadrature", "include_binomial_coefficient", "group_evaluation"],
     )
     def test_hessian_step_scale_no_longer_accepted(self, section):
         with pytest.raises(ConfigError, match="invalid configuration at fit"):
@@ -192,6 +197,22 @@ class TestEvaluate:
         assert code == 0
         _, data = read_curve(out / "odds_curve.csv")
         assert np.all(data[:, 1] == 0.0)
+
+    def test_odds_beyond_two_to_the_53_are_written(self, tmp_path):
+        # prevalence rounds to exactly 1 at these ages, yet every odds value is finite
+        document = {"incidence": {"family": "exponential", "k0": -1.0, "k1": 0.03, "k2": 0.0}}
+        config = write_config(tmp_path, document)
+        out = tmp_path / "out"
+        code = main(
+            ["evaluate", "--config", config, "--age-min", "30", "--age-max", "60", "--step", "10", "--out-dir", str(out)]
+        )
+        assert code == 0
+        _, data = read_curve(out / "odds_curve.csv")
+        model = parse_run_config(document).build_model()
+        expected = cross_section_profile(model, 100.0, [30.0, 40.0, 50.0, 60.0], "odds").values
+        np.testing.assert_array_equal(data[:, 0], [30.0, 40.0, 50.0, 60.0])
+        np.testing.assert_array_equal(data[:, 1], expected)
+        assert expected[-1] > 2.0**53
 
     def test_reversed_age_range_is_config_error(self, tmp_path):
         code = main(["evaluate", "--age-min", "90", "--age-max", "50", "--out-dir", str(tmp_path / "o")])

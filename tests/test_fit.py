@@ -62,7 +62,6 @@ class TestGroupPrevalence:
         model = zero_incidence_model()
         for lo in range(40, 95, 5):
             assert group_prevalence(model, lo, lo + 5.0, 100.0) == 0.0
-            assert group_prevalence(model, lo, lo + 5.0, 100.0, mode="averaged") == 0.0
 
     def test_group5_midpoint_matches_study_scale(self):
         model = reference_rate_model()
@@ -75,27 +74,15 @@ class TestGroupPrevalence:
         direct = prevalence(model, 100.0, 72.5).prevalence
         assert group_prevalence(model, 70.0, 75.0, 100.0) == pytest.approx(direct, rel=1e-12)
 
-    def test_midpoint_vs_averaged_small_difference(self):
-        model = reference_rate_model()
-        for lo in range(40, 95, 5):
-            mid = group_prevalence(model, lo, lo + 5.0, 100.0)
-            avg = group_prevalence(model, lo, lo + 5.0, 100.0, mode="averaged")
-            assert abs(mid - avg) < 0.005
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError):
-            group_prevalence(reference_rate_model(), 40.0, 45.0, 100.0, mode="edge")
-
-    @pytest.mark.parametrize("mode", ["midpoint", "averaged"])
-    def test_array_of_groups_matches_per_group_calls(self, mode):
+    def test_array_of_groups_matches_per_group_calls(self):
         model = reference_rate_model()
         age_lo = np.arange(40.0, 95.0, 5.0)
-        batch = group_prevalence(model, age_lo, age_lo + 5.0, 100.0, mode)
-        single = [group_prevalence(model, lo, lo + 5.0, 100.0, mode) for lo in age_lo.tolist()]
+        batch = group_prevalence(model, age_lo, age_lo + 5.0, 100.0)
+        single = [group_prevalence(model, lo, lo + 5.0, 100.0) for lo in age_lo.tolist()]
         assert all(type(p) is float for p in single)
         np.testing.assert_allclose(batch, single, rtol=1e-13, atol=0.0)
         with pytest.raises(ValueError, match="ascending"):
-            group_prevalence(model, age_lo[::-1], age_lo[::-1] + 5.0, 100.0, mode)
+            group_prevalence(model, age_lo[::-1], age_lo[::-1] + 5.0, 100.0)
 
 
 class TestLogLikelihood:
@@ -120,7 +107,7 @@ class TestLogLikelihood:
         model = reference_rate_model()
         oracle = 0.0
         for lo, hi, n, c in zip(table.age_lo, table.age_hi, REFERENCE_N, REFERENCE_C):
-            p = group_prevalence(model, float(lo), float(hi), 100.0, "midpoint")
+            p = group_prevalence(model, float(lo), float(hi), 100.0)
             oracle += c * math.log(p)
             oracle += (n - c) * math.log1p(-p)
         assert oracle == -25635.46410247066
@@ -168,8 +155,9 @@ def _five_point(values, step):
 
 class TestLikelihoodPlan:
     # the whole default bounds box, corners included
-    @pytest.mark.parametrize("mode", ["midpoint", "averaged"])
-    @pytest.mark.parametrize("family", sorted(PLAN_INCIDENCES))
+    @pytest.mark.parametrize(
+        "family", [pytest.param(family, id=f"{family}-midpoint") for family in sorted(PLAN_INCIDENCES)]
+    )
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(
         g1=st.floats(0.0, 1.0),
@@ -177,26 +165,22 @@ class TestLikelihoodPlan:
         g3=st.floats(0.0, 20.0),
         t=st.floats(50.0, 150.0),
     )
-    def test_plan_matches_adaptive_oracle(self, family, mode, g1, g2, g3, t):
-        config = FitConfig(incidence=PLAN_INCIDENCES[family], group_evaluation=mode)
+    def test_plan_matches_adaptive_oracle(self, family, g1, g2, g3, t):
+        config = FitConfig(incidence=PLAN_INCIDENCES[family])
         try:
             model = config.build_model((g1, g2, g3))
         except ValueError:
             assume(False)
         table = reference_table(t)
         fast = _likelihood_plan(table, config).group_prevalence(model.ratio.coefficients)
-        oracle = group_prevalence(model, table.age_lo, table.age_hi, t, mode)
+        oracle = group_prevalence(model, table.age_lo, table.age_hi, t)
         np.testing.assert_allclose(fast, oracle, rtol=1e-9, atol=0.0)
 
-    # every family and mode with all components free, and one fit with gamma1 pinned at 0
+    # every family with all components free, and one fit with gamma1 pinned at 0
     @pytest.mark.parametrize(
-        "family, mode, fixed",
-        [
-            pytest.param(family, mode, (None, None, None), id=f"{family}-{mode}")
-            for family in sorted(PLAN_INCIDENCES)
-            for mode in ("midpoint", "averaged")
-        ]
-        + [pytest.param("positive_part", "midpoint", (0.0, None, None), id="positive_part-midpoint-pinned")],
+        "family, fixed",
+        [pytest.param(family, (None, None, None), id=f"{family}-midpoint") for family in sorted(PLAN_INCIDENCES)]
+        + [pytest.param("positive_part", (0.0, None, None), id="positive_part-midpoint-pinned")],
     )
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(
@@ -204,13 +188,13 @@ class TestLikelihoodPlan:
         g2=st.floats(0.0, 50.0),
         g3=st.floats(0.0, 20.0),
     )
-    def test_derivatives_match_finite_differences(self, family, mode, fixed, g1, g2, g3):
+    def test_derivatives_match_finite_differences(self, family, fixed, g1, g2, g3):
         # Fourth-order central differences with steps of 1e-6 of each bound range, the stencil
         # kept inside the box.  In units of the ranges, the gradient must match differences of
         # log_likelihood to 1e-6 and the Hessian differences of the exact gradient to 1e-5,
         # both relative to the largest entry.  Near the box's corners the likelihood bends on
         # the scale of the step, where a second-order stencil is off by about 1e-5.
-        config = FitConfig(incidence=PLAN_INCIDENCES[family], group_evaluation=mode, fixed_gamma=fixed)
+        config = FitConfig(incidence=PLAN_INCIDENCES[family], fixed_gamma=fixed)
         free = list(config.free_indices)
         lo, hi = np.array(config.bounds).T
         span = hi - lo
@@ -253,9 +237,6 @@ class TestLikelihoodPlan:
         config = FitConfig(bounds=((-0.01, 1.0), (0.0, 50.0), (0.0, 20.0)))
         with pytest.raises(ValueError, match=r"105.*max_duration=100"):
             fit(table, config)
-        averaged = FitConfig(bounds=config.bounds, group_evaluation="averaged")
-        with pytest.raises(ValueError, match=r"110.*max_duration=100"):
-            fit(table, averaged)
 
 
 @pytest.fixture(scope="module")
@@ -444,10 +425,6 @@ class TestFitConfigValidation:
     def test_start_outside_bounds_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             FitConfig(starts=((2.0, 5.0, 1.0),))
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            FitConfig(group_evaluation="left_edge")
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):

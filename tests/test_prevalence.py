@@ -469,6 +469,20 @@ class TestProfiles:
         with pytest.raises(ValueError):
             cross_section_profile(model, 100.0, ages, kind="count")
 
+    def test_odds_beyond_two_to_the_53_round_prevalence_to_one(self, model):
+        extreme = RateModel(ExponentialIncidence(-1.0, 0.03, 0.0), model.m0, model.ratio)
+        ages = np.array([30.0, 60.0])
+        odds = cross_section_profile(extreme, 100.0, ages, kind="odds").values
+        prev = cross_section_profile(extreme, 100.0, ages, kind="prevalence").values
+        assert odds[0] < 2.0**53 < odds[1] < math.inf
+        np.testing.assert_array_equal(prev, odds / (1.0 + odds))
+        assert prev[1] == 1.0
+        assert prevalence(extreme, 100.0, 60.0).prevalence == 1.0
+        # the balance divides by 1 - p, so the reconstruction still refuses p = 1
+        start, end = (cross_section_profile(extreme, t, ages) for t in (100.0, 101.0))
+        with pytest.raises(ValueError, match="below 1"):
+            reconstruct_incidence(start, end, lambda t, a: 0.0, lambda t, a: 0.0)
+
 
 def test_tight_quadrature_config_accepted(model):
     cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=400)

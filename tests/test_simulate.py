@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from idmodds.prevalence import survivor_fraction
@@ -26,6 +28,7 @@ from idmodds.simulate import (
     SimConfig,
     SimulationHorizonError,
     StudySizeError,
+    _birth_schedule,
     _course_durations,
     _life_courses,
     calibrate_births_per_year,
@@ -217,6 +220,80 @@ class TestSampleLife:
             run_simulation(reference_rate_model(), SimConfig(births_per_year=1e9))
         with pytest.raises(StudySizeError):
             run_simulation(reference_rate_model(), SimConfig(target_alive=1e12))
+
+
+def per_year_birth_times(lo, hi, births_per_year, jitter):
+    """Birth times over the window [lo, hi] as the per-year loop that preceded the array schedule laid them out."""
+    span = hi - lo
+    n_slices = int(math.ceil(span - 1e-12))
+    starts, lengths, counts = [], [], []
+    previous = 0
+    for j in range(n_slices):
+        slice_hi = min(float(j + 1), span)
+        cumulative = int(round(births_per_year * slice_hi))
+        counts.append(cumulative - previous)
+        previous = cumulative
+        starts.append(lo + float(j))
+        lengths.append(slice_hi - float(j))
+    birth = np.empty(sum(counts))
+    position = 0
+    for start, length, count in zip(starts, lengths, counts):
+        birth[position : position + count] = start + jitter[position : position + count] * length
+        position += count
+    return birth
+
+
+# Whole, reference and tie rates: at 0.5, 1.5 and 2.5 births a year cumulative counts land on
+# rounding ties, and at 3.833333333333333 the product with 3 years rounds up to the tie 11.5, so
+# the first slice guessed for life 11 is one too late.
+SCHEDULE_RATES = [0.5, 1.0, 1.5, 2.5, 3.833333333333333, 1985.0888100629938]
+
+
+class TestBirthSchedule:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        lo=st.floats(-300.0, 100.0),
+        span=st.one_of(st.floats(1e-15, 400.0), st.integers(1, 400).map(float)),
+        births_per_year=st.one_of(st.floats(1e-3, 300.0), st.sampled_from(SCHEDULE_RATES)),
+    )
+    def test_matches_per_year_loop(self, lo, span, births_per_year):
+        hi = lo + span
+        assume(lo < hi)
+        birth = _birth_schedule(lo, hi - lo, births_per_year, np.random.default_rng(0))
+        expected = per_year_birth_times(lo, hi, births_per_year, np.random.default_rng(0).random(birth.size))
+        np.testing.assert_array_equal(birth, expected)
+
+    def test_births_after_cross_section_are_not_simulated(self):
+        # 0.01 births a year: one life before t = 100, 9 999 after it
+        config = SimConfig(births_per_year=0.01, birth_window=(0.0, 1e6), age_groups=((40.0, 45.0),))
+        ledger = run_simulation(reference_rate_model(), config)
+        assert len(ledger) == 1
+        assert ledger.birth[0] < config.cross_section_time
+
+    def test_long_window_scales_with_lives(self):
+        class ZeroJitter:
+            def random(self, size):
+                return np.zeros(size)
+
+        span, rate = 1e12, 1e-8
+        start = _birth_schedule(0.0, span, rate, ZeroJitter())
+        assert start.size == round(rate * span)
+        assert np.all(start == np.floor(start))
+        # life i lies in the first slice whose cumulative rounded count exceeds i
+        life = np.arange(start.size)
+        assert np.all(np.round(rate * start) <= life)
+        assert np.all(np.round(rate * (start + 1.0)) > life)
+
+    def test_window_too_long_to_number_raises(self):
+        config = SimConfig(
+            births_per_year=1e-12,
+            birth_window=(-(2.0**53), 0.0),
+            cross_section_time=0.0,
+            age_groups=((10.0, 20.0),),
+            max_age=1e17,
+        )
+        with pytest.raises(StudySizeError, match="birth window"):
+            run_simulation(reference_rate_model(), config)
 
 
 class TestTabulatedIncidenceSampling:
