@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import optimize
 
 from idmodds.prevalence import _lookback_kinks, cross_section_profile
 # prevalence is unused here but kept importable: the benchmark tracer (perfbench/spans.py) patches it
@@ -466,6 +465,9 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
         nonlocal evals
         evals += 1
         return -log_likelihood(config.full_gamma(free_values), table, config)
+
+    # imported here, its only user, so commands that never fit skip its half-second import
+    from scipy import optimize
 
     bounds = [config.bounds[j] for j in free]
     options = {

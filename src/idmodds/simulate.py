@@ -98,8 +98,9 @@ class SimConfig:
 class LifeRecord:
     """One simulated life: birth, optional disease onset, optional death.
 
-    A missing death time means the individual was still alive when follow-up
-    stopped at ``max_age``.
+    A missing onset or death time means the event had not happened when
+    follow-up stopped: at ``max_age`` for ``sample_life``, at the
+    cross-section for ``run_simulation``.
     """
 
     birth_time: float
@@ -117,7 +118,7 @@ class LifeRecord:
 
 @dataclass(frozen=True, eq=False)
 class PopulationLedger:
-    """Event times of a whole simulated population, NaN marking absent events."""
+    """Event times of a whole simulated population, NaN marking events that did not happen during follow-up."""
 
     birth: np.ndarray
     onset: np.ndarray
@@ -295,9 +296,10 @@ def _invert(value_at, rate_at, target, cap):
     """Solve value_at(i, s) = target[i] for s in [0, cap[i]] for all lives i; NaN where the cap is never reached.
 
     Newton iteration clipped to a shrinking bracket, with bisection whenever
-    the step leaves it; every life stops on its own and only the unfinished
-    ones are evaluated again.  ``value_at`` must be nondecreasing in ``s``
-    with value 0 at ``s = 0``; ``rate_at`` is its derivative.
+    the step leaves it.  Each life stops on its own, at a Newton step or a
+    bracket shorter than ``_TOL``, and only the unfinished ones are
+    evaluated again.  ``value_at`` must be nondecreasing in ``s`` with value
+    0 at ``s = 0``; ``rate_at`` is its derivative.
     """
     out = np.full(target.shape, np.nan)
     live = np.flatnonzero(value_at(np.arange(target.size), cap) - target >= 0.0)
@@ -315,9 +317,11 @@ def _invert(value_at, rate_at, target, cap):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = f / slope
             candidate = s - step
-        newton = (slope > 0.0) & (lo < candidate) & (candidate < hi)
-        s = np.where(newton, candidate, 0.5 * (lo + hi))
-        done = np.where(newton, np.abs(step) < _TOL, hi - lo < _TOL)
+        # a step that lands on the root can fall on a bracket end, which still counts
+        converged = (slope > 0.0) & (np.abs(step) < _TOL)
+        newton = converged | ((slope > 0.0) & (lo < candidate) & (candidate < hi))
+        s = np.where(newton, np.clip(candidate, lo, hi), 0.5 * (lo + hi))
+        done = np.where(newton, converged, hi - lo < _TOL)
         out[live[done]] = s[done]
         busy = ~done
         live, s, lo, hi = live[busy], s[busy], lo[busy], hi[busy]
@@ -328,14 +332,17 @@ def _invert(value_at, rate_at, target, cap):
     return out
 
 
-def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draws, max_age: float):
-    """Onset and death times of lives born healthy, NaN marking absent events.
+def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draws, max_age: float, end_age):
+    """Onset and death times of lives born healthy and followed to age ``end_age``, NaN marking absent events.
 
     Each life inverts the healthy cumulative hazard (mortality plus
     incidence) at its exit draw, lets its type draw pick onset or death in
     proportion to the two rates at that age, and after an onset inverts the
     course's cumulative diseased mortality at its duration draw.  A life
-    whose hazard stays below the draw until ``max_age`` is censored there.
+    whose hazard stays below the draw until its ``end_age`` (a scalar or one
+    age per life, none above ``max_age``) is censored there.  Raises
+    SimulationHorizonError when the mortality ratio is not positive on
+    [0, max_age].
     """
     try:
         replace(model.ratio, max_duration=max_age)
@@ -343,16 +350,17 @@ def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draw
         raise SimulationHorizonError(
             f"{error}; a simulated disease course can last up to max_age={max_age:g} years"
         ) from None
+    end_age = np.broadcast_to(np.asarray(end_age, dtype=float), birth.shape)
     onset = np.full(birth.shape, np.nan)
     death = np.full(birth.shape, np.nan)
     for start in range(0, birth.size, _CHUNK):
         part = slice(start, start + _CHUNK)
-        born = birth[part]
+        born, end = birth[part], end_age[part]
         first_exit = _invert(
             lambda i, s: model.cumulative_m0(born[i] + s, s, s) + model.cumulative_incidence(born[i] + s, s, s),
             lambda i, s: model.mortality_healthy(born[i] + s, s) + model.incidence_rate(born[i] + s, s),
             exit_draws[part],
-            np.full(born.shape, max_age),
+            end,
         )
         exited = np.flatnonzero(~np.isnan(first_exit))
         age = first_exit[exited]
@@ -362,19 +370,19 @@ def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draw
         sick = type_draws[part][exited] * total < onset_rate
         death[part][exited[~sick]] = when[~sick]
         onset_time = when[sick]
-        duration = _course_durations(model, onset_time, age[sick], duration_draws[part][exited[sick]], max_age)
+        duration = _course_durations(model, onset_time, age[sick], duration_draws[part][exited[sick]], end[exited[sick]])
         onset[part][exited[sick]] = onset_time
         death[part][exited[sick]] = onset_time + duration
     return onset, death
 
 
-def _course_durations(model: RateModel, onset_time, onset_age, draws, max_age: float):
-    """Disease durations that spend the draws of cumulative diseased mortality; NaN when alive at ``max_age``."""
+def _course_durations(model: RateModel, onset_time, onset_age, draws, end_age):
+    """Disease durations that spend the draws of cumulative diseased mortality; NaN when alive at ``end_age``."""
     return _invert(
         lambda i, d: model.cumulative_m1(onset_time[i] + d, onset_age[i] + d, d),
         lambda i, d: model.mortality_diseased(onset_time[i] + d, onset_age[i] + d, d),
         draws,
-        max_age - onset_age,
+        end_age - onset_age,
     )
 
 
@@ -388,7 +396,7 @@ def sample_life(model: RateModel, birth_time: float, rng, max_age: float = SimCo
     """
     draws = (rng.exponential(), rng.random(), rng.exponential())
     (onset,), (death,) = _life_courses(
-        model, np.array([float(birth_time)]), *(np.array([float(x)]) for x in draws), max_age
+        model, np.array([float(birth_time)]), *(np.array([float(x)]) for x in draws), max_age, max_age
     )
     return LifeRecord(
         birth_time,
@@ -452,14 +460,16 @@ def _birth_schedule(lo: float, span: float, births_per_year: float, rng) -> np.n
 
 
 def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
-    """Simulate every birth in the window and return the full event ledger.
+    """Simulate every birth in the window and return its events up to the cross-section.
 
-    Deterministic for a given seed: all random numbers are drawn up front in
-    a fixed layout (four per individual), then each life is computed
-    independently.  Raises StudySizeError, before any draw, when the births
-    over the window up to the cross-section exceed the cap on lives or span
-    too many years, and SimulationHorizonError when the mortality ratio is
-    not positive on [0, max_age].
+    Each life is followed until the cross-section; an onset or death after it
+    is NaN, like one that never happens.  Deterministic for a given seed: all
+    random numbers are drawn up front in a fixed layout (four per
+    individual), then each life is computed independently.  Raises
+    StudySizeError, before any draw, when the births over the window up to
+    the cross-section exceed the cap on lives or span too many years, and
+    SimulationHorizonError when the mortality ratio is not positive on
+    [0, max_age].
     """
     births_per_year = (
         config.births_per_year
@@ -480,7 +490,9 @@ def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
     type_draws = rng.random(birth.size)
     duration_draws = rng.exponential(size=birth.size)
 
-    onset, death = _life_courses(model, birth, exit_draws, type_draws, duration_draws, config.max_age)
+    # no study sees an event after the cross-section, so no life is followed past it
+    end_age = config.cross_section_time - birth
+    onset, death = _life_courses(model, birth, exit_draws, type_draws, duration_draws, config.max_age, end_age)
     return PopulationLedger(birth, onset, death)
 
 

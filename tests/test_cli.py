@@ -648,6 +648,17 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "idm-odds" in proc.stdout
 
+    def test_cli_import_skips_the_optimizer(self):
+        # only fit uses scipy.optimize, so every other command is spared its import
+        code = (
+            "import sys; import idmodds.cli; from idmodds.config import load_run_config; "
+            f"load_run_config({str(BUNDLED_CONFIG)!r}); "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_entry_point_help(self):
         # Call the declared target the way the setuptools console-script wrapper does.
         module, attr = declared_console_script("idm-odds").split(":")

@@ -30,6 +30,7 @@ from idmodds.simulate import (
     StudySizeError,
     _birth_schedule,
     _course_durations,
+    _invert,
     _life_courses,
     calibrate_births_per_year,
     cross_section,
@@ -51,7 +52,7 @@ def gompertz_only_model():
 def sample_lives(model, births, rng, max_age):
     """Onset and death times for ``births`` from the draws sample_life would take, in one array call."""
     draws = np.array([(rng.exponential(), rng.random(), rng.exponential()) for _ in births]).T
-    return _life_courses(model, np.asarray(births, dtype=float), *draws, max_age)
+    return _life_courses(model, np.asarray(births, dtype=float), *draws, max_age, max_age)
 
 
 def zero_rate_model():
@@ -60,6 +61,23 @@ def zero_rate_model():
         GompertzParams(-1000.0, 0.1, 0.0),
         MortalityRatioParams(0.0, 0.0, 1.0),
     )
+
+
+class TestInvert:
+    def test_newton_step_onto_the_root_stops(self):
+        # the first Newton step of a linear value lands exactly on each target, which is
+        # also the bracket's upper end; the solve must stop there instead of bisecting on
+        calls = []
+
+        def value_at(i, s):
+            calls.append(i.size)
+            return np.array(s, dtype=float)
+
+        target = np.array([3.0, 1.25, 8.75])
+        out = _invert(value_at, lambda i, s: np.ones(i.size), target, np.full(target.size, 10.0))
+        np.testing.assert_array_equal(out, target)
+        # one call to screen the caps, one at the bracket midpoint, one at the root
+        assert len(calls) <= 3
 
 
 class TestSampleLife:
@@ -142,7 +160,7 @@ class TestSampleLife:
         n, max_age = 4000, 110.0
         birth = rng.uniform(0.0, 65.0, n)
         exit_draws, type_draws, duration_draws = rng.exponential(size=n), rng.random(n), rng.exponential(size=n)
-        onset, death = _life_courses(model, birth, exit_draws, type_draws, duration_draws, max_age)
+        onset, death = _life_courses(model, birth, exit_draws, type_draws, duration_draws, max_age, max_age)
 
         exit_age = np.fmin(onset, death) - birth
         exited = ~np.isnan(exit_age)
@@ -414,7 +432,9 @@ class TestRunSimulation:
         cfg = SimConfig(births_per_year=600.0, rng_seed=99)
         ledger = run_simulation(model, cfg)
         has_onset = ~np.isnan(ledger.onset)
-        stop = np.where(np.isnan(ledger.death), ledger.birth + cfg.max_age, ledger.death)
+        # exposure ends at death, or where follow-up stops: max_age or the cross-section, whichever comes first
+        follow_up_end = np.minimum(ledger.birth + cfg.max_age, cfg.cross_section_time)
+        stop = np.where(np.isnan(ledger.death), follow_up_end, ledger.death)
         observed = np.count_nonzero(has_onset & ~np.isnan(ledger.death))
         onset_t = ledger.onset[has_onset]
         stop_t = stop[has_onset]
@@ -427,6 +447,50 @@ class TestRunSimulation:
         estimate = observed / expected
         se = math.sqrt(observed) / expected
         assert abs(estimate - ratio_true) < 3.0 * se
+
+
+FOLLOW_UP_MODELS = {
+    "positive_part": PositivePartIncidence(),
+    "exponential": ExponentialIncidence(-8.5, 0.05, 0.005),
+    "tabulated": TabulatedIncidence(
+        np.array([0.0, 60.0, 120.0]),
+        np.array([0.0, 30.0, 60.0, 120.0]),
+        np.array([[0.0, 0.0, 0.010, 0.030], [0.0, 0.0, 0.012, 0.032], [0.0, 0.0, 0.014, 0.036]]),
+    ),
+}
+
+
+class TestFollowUpToCrossSection:
+    @pytest.mark.parametrize("family", sorted(FOLLOW_UP_MODELS))
+    def test_matches_follow_up_to_max_age(self, family, monkeypatch):
+        # the oracle follows the same draws to max_age, as sample_life does
+        import idmodds.simulate
+
+        model = RateModel(
+            FOLLOW_UP_MODELS[family], GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(0.04, 5.0, 1.0)
+        )
+        follow_up = idmodds.simulate._life_courses
+
+        def follow_to_max_age(model, birth, exit_draws, type_draws, duration_draws, max_age, end_age):
+            return follow_up(model, birth, exit_draws, type_draws, duration_draws, max_age, max_age)
+
+        for seed in (0, 1, 2):
+            cfg = SimConfig(births_per_year=100.0, rng_seed=seed)
+            fast = run_simulation(model, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(idmodds.simulate, "_life_courses", follow_to_max_age)
+                oracle = run_simulation(model, cfg)
+            t_cross = cfg.cross_section_time
+            np.testing.assert_array_equal(fast.birth, oracle.birth)
+            for got, full in ((fast.onset, oracle.onset), (fast.death, oracle.death)):
+                assert not np.any(got > t_cross)
+                seen = np.where(full <= t_cross, full, np.nan)
+                assert np.count_nonzero(~np.isnan(seen)) > 0
+                np.testing.assert_allclose(got, seen, rtol=0.0, atol=1e-9)
+            assert np.count_nonzero(~np.isnan(oracle.death) & (oracle.death > t_cross)) > 0
+            fast_table, oracle_table = cross_section(fast, cfg), cross_section(oracle, cfg)
+            np.testing.assert_array_equal(fast_table.n, oracle_table.n)
+            np.testing.assert_array_equal(fast_table.c, oracle_table.c)
 
 
 class TestCrossSection:
