@@ -22,14 +22,12 @@ from idmodds.rates import (
 )
 from idmodds.prevalence import (
     AgeProfile,
-    CohortBaseline,
     PrevalenceResult,
     case_density,
     cross_section_profile,
     diseased_population,
     effective_diseased_mortality,
     healthy_population,
-    odds_kernel,
     pde_residual_odds,
     pde_residual_prevalence,
     prevalence,
@@ -41,14 +39,12 @@ from idmodds.prevalence import (
 )
 from idmodds.simulate import (
     AgeGroupTable,
-    LifeRecord,
     PopulationLedger,
     SimConfig,
     calibrate_births_per_year,
     cross_section,
     replicate_study,
     run_simulation,
-    sample_life,
 )
 from idmodds.fit import (
     FitConfig,
@@ -72,14 +68,12 @@ __all__ = [
     "TabulatedIncidence",
     "reference_rate_model",
     "AgeProfile",
-    "CohortBaseline",
     "PrevalenceResult",
     "case_density",
     "cross_section_profile",
     "diseased_population",
     "effective_diseased_mortality",
     "healthy_population",
-    "odds_kernel",
     "pde_residual_odds",
     "pde_residual_prevalence",
     "prevalence",
@@ -89,14 +83,12 @@ __all__ = [
     "reconstruct_incidence",
     "survivor_fraction",
     "AgeGroupTable",
-    "LifeRecord",
     "PopulationLedger",
     "SimConfig",
     "calibrate_births_per_year",
     "cross_section",
     "replicate_study",
     "run_simulation",
-    "sample_life",
     "FitConfig",
     "FitResult",
     "fit",

@@ -101,8 +101,6 @@ _SCHEMA = {
                     "minItems": 3,
                     "maxItems": 3,
                 },
-                "xatol": {"type": "number", "exclusiveMinimum": 0},
-                "fatol": {"type": "number", "exclusiveMinimum": 0},
                 "max_iterations": {"type": "integer", "exclusiveMinimum": 0},
             },
         },

@@ -61,6 +61,10 @@ __all__ = [
 _DEFAULT_BOUNDS = ((0.0, 1.0), (0.0, 50.0), (0.0, 20.0))
 _DEFAULT_STARTS = ((0.01, 2.0, 1.0), (0.001, 1.0, 0.5), (0.1, 10.0, 1.5), (0.3, 20.0, 3.0))
 _FIT_QUADRATURE = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=400)
+# Nelder-Mead stops once the simplex spans less than _XATOL in every parameter
+# and its log-likelihood values differ by less than _FATOL.
+_XATOL = 1e-6
+_FATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,10 @@ class FitConfig:
     mortality-ratio parameters are estimated.  Components of ``fixed_gamma``
     that carry a value are pinned and excluded from the search.  Every age
     group is evaluated at its midpoint, and the adaptive check of the
-    likelihood plan at the optimum has fixed tolerances.
+    likelihood plan at the optimum has fixed tolerances.  The simplex search
+    stops at the fixed tolerances ``_XATOL`` and ``_FATOL``;
+    ``max_iterations`` caps its iterations and likelihood evaluations per
+    search.
     """
 
     incidence: IncidenceSpec = field(default_factory=PositivePartIncidence)
@@ -79,16 +86,12 @@ class FitConfig:
     bounds: tuple = _DEFAULT_BOUNDS
     starts: tuple = _DEFAULT_STARTS
     fixed_gamma: tuple = (None, None, None)
-    xatol: float = 1e-6
-    fatol: float = 1e-8
     max_iterations: int = 4000
     max_duration: float = 100.0
 
     def __post_init__(self):
         if len(self.bounds) != 3 or any(len(b) != 2 or not b[0] < b[1] for b in self.bounds):
             raise ValueError("bounds must be three increasing (lo, hi) pairs")
-        if not (self.xatol > 0.0 and self.fatol > 0.0):
-            raise ValueError("tolerances must be positive")
         if len(self.fixed_gamma) != 3:
             raise ValueError("fixed_gamma must have three entries")
         if not self.starts:
@@ -438,12 +441,12 @@ def _quadrature_gap(plan: _LikelihoodPlan, table: AgeGroupTable, config: FitConf
 def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     """Maximize the likelihood over the free mortality-ratio parameters.
 
-    Runs the simplex search from every configured start, keeps the best, and
-    restarts once from the incumbent to escape premature contraction.  Once
-    the search can start, the result always comes back; ``converged`` and the
-    diagnostics say how much to trust it.  Raises FitInputError when an age
-    is negative, nothing is free, too few rows are informative, or every
-    start is impossible.
+    Runs the simplex search, to the tolerances ``_XATOL`` and ``_FATOL``,
+    from every configured start, keeps the best, and restarts once from the
+    incumbent to escape premature contraction.  Once the search can start,
+    the result always comes back; ``converged`` and the diagnostics say how
+    much to trust it.  Raises FitInputError when an age is negative, nothing
+    is free, too few rows are informative, or every start is impossible.
     """
     free = config.free_indices
     if len(free) == 0:
@@ -471,8 +474,8 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
 
     bounds = [config.bounds[j] for j in free]
     options = {
-        "xatol": config.xatol,
-        "fatol": config.fatol,
+        "xatol": _XATOL,
+        "fatol": _FATOL,
         "maxiter": config.max_iterations,
         "maxfev": config.max_iterations,
     }

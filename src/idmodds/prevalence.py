@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from idmodds.quadrature import adaptive_quad  # noqa: F401
 from idmodds.rates import ExponentialIncidence, RateModel
 
 __all__ = [
-    "CohortBaseline",
     "PrevalenceResult",
     "AgeProfile",
     "PREVALENCE_METHODS",
@@ -45,7 +44,6 @@ __all__ = [
     "case_density",
     "diseased_population",
     "effective_diseased_mortality",
-    "odds_kernel",
     "prevalence_odds_keiding",
     "prevalence_odds_pseudo_convolution",
     "prevalence_odds_exponential",
@@ -55,27 +53,6 @@ __all__ = [
     "reconstruct_incidence",
     "cross_section_profile",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class CohortBaseline:
-    """Number of healthy newborns as a function of birth time.
-
-    Only absolute population sizes depend on it; prevalence and odds are
-    ratios within a birth cohort and cancel it exactly.
-    """
-
-    s0: Callable[[float], float]
-
-    def __call__(self, birth_time: float) -> float:
-        value = float(self.s0(birth_time))
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"cohort baseline must be positive and finite, got {value}")
-        return value
-
-    @staticmethod
-    def constant(size: float = 1.0) -> "CohortBaseline":
-        return CohortBaseline(lambda birth_time: size)
 
 
 PREVALENCE_METHODS = ("pseudo_convolution", "keiding", "cohort_ratio", "convolution_special")
@@ -140,7 +117,8 @@ def _recent_onset_edges(model: RateModel, t: float, a: float, first_piece: float
     the rule sees the layer and nothing is added.
     """
     rate = float(model.mortality_healthy(t, a)) * model.ratio.coefficients[0]
-    if not 1.0 < rate * EDGE_NODE_OFFSET * first_piece < math.inf:
+    # the edge count comes from log2(rate * first_piece), which must stay finite
+    if not (1.0 < rate * EDGE_NODE_OFFSET * first_piece and rate * first_piece < math.inf):
         return []
     return [2.0**k / rate for k in range(math.ceil(math.log2(rate * first_piece)))]
 
@@ -177,13 +155,6 @@ def _shaped(values, shape):
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
-def _cohort_size(baseline: Optional[CohortBaseline], birth):
-    """Cohort size at each birth time; 1 without a baseline."""
-    if baseline is None:
-        return 1.0
-    return np.reshape([baseline(b) for b in np.ravel(birth).tolist()], np.shape(birth))
-
-
 def _over_lookback(model: RateModel, t, a, integrand, quadrature: QuadratureConfig):
     """Integrals of ``integrand(delta, k)`` over the lookback [0, a[k]] ending at (t[k], a[k]), in one batch."""
     edges = [_lookback_breakpoints(model, tk, ak) for tk, ak in zip(t.tolist(), a.tolist())]
@@ -209,13 +180,13 @@ def survivor_fraction(model: RateModel, t, a, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def healthy_population(model: RateModel, t, a, baseline: Optional[CohortBaseline] = None):
-    """Number of healthy people of age ``a`` at time ``t`` (cohort size 1 by default); accepts arrays."""
+def healthy_population(model: RateModel, t, a):
+    """Number of healthy people of age ``a`` at time ``t`` in a birth cohort of size 1; accepts arrays."""
     t, a, shape = _points(t, a)
-    return _shaped(_cohort_size(baseline, t - a) * survivor_fraction(model, t, a, a), shape)
+    return _shaped(survivor_fraction(model, t, a, a), shape)
 
 
-def case_density(model: RateModel, t, a, d, baseline: Optional[CohortBaseline] = None):
+def case_density(model: RateModel, t, a, d):
     """Density over disease duration ``d`` of the diseased population at (t, a).
 
     Onset happened at (t-d, a-d); the density is the flow into the diseased
@@ -224,27 +195,21 @@ def case_density(model: RateModel, t, a, d, baseline: Optional[CohortBaseline] =
     long life lines cannot underflow stepwise.
     """
     d = np.asarray(d, dtype=float)
-    scale = _cohort_size(baseline, t - a)
     exponent = -(_exit_hazard(model, t - d, a - d) + model.cumulative_m1(t, a, d))
-    out = scale * model.incidence_rate(t - d, a - d) * np.exp(exponent)
+    out = model.incidence_rate(t - d, a - d) * np.exp(exponent)
     return float(out) if out.ndim == 0 else out
 
 
-def diseased_population(
-    model: RateModel,
-    t,
-    a,
-    baseline: Optional[CohortBaseline] = None,
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
-):
+def diseased_population(model: RateModel, t, a, quadrature: QuadratureConfig = DEFAULT_QUADRATURE):
     """Total diseased people of age ``a`` at time ``t``: the case density integrated over duration.
 
+    Counts are per birth cohort of size 1, as in :func:`healthy_population`.
     Accepts arrays, whose integrals run as one batch; returns a float for a
     scalar point.
     """
     t, a, shape = _points(t, a)
     value = _over_lookback(model, t, a, lambda d, k: case_density(model, t[k], a[k], d), quadrature)
-    return _shaped(_cohort_size(baseline, t - a) * np.where(value < 0.0, 0.0, value), shape)
+    return _shaped(np.where(value < 0.0, 0.0, value), shape)
 
 
 def effective_diseased_mortality(model: RateModel, t, a, quadrature: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -272,7 +237,7 @@ def effective_diseased_mortality(model: RateModel, t, a, quadrature: QuadratureC
     return _shaped(np.where(cases, base * weighted / np.where(cases, total, 1.0), 0.0), shape)
 
 
-def odds_kernel(model: RateModel, t, a, delta):
+def _odds_kernel(model: RateModel, t, a, delta):
     """Weight the pseudo-convolution odds give to incidence from ``delta`` years back.
 
     Equals exp of (cumulative incidence + healthy mortality - diseased
@@ -318,7 +283,7 @@ def _odds_at(model: RateModel, t, ages, method: str, quadrature: QuadratureConfi
         # past incidence convolved with the damping kernel
         def past_incidence(delta, k):
             tk, ak = t[k], a[k]
-            return model.incidence_rate(tk - delta, ak - delta) * odds_kernel(model, tk, ak, delta)
+            return model.incidence_rate(tk - delta, ak - delta) * _odds_kernel(model, tk, ak, delta)
 
         return _over_lookback(model, t, a, past_incidence, quadrature)
     if method == "convolution_special":
@@ -327,10 +292,10 @@ def _odds_at(model: RateModel, t, ages, method: str, quadrature: QuadratureConfi
         kappa = inc.k1 + inc.k2
         def factor(delta, k):
             tk = t[k]
-            return np.exp(kappa * (tk - delta)) * odds_kernel(model, tk, a[k], delta)
+            return np.exp(kappa * (tk - delta)) * _odds_kernel(model, tk, a[k], delta)
 
         return front * _over_lookback(model, t, a, factor, quadrature)
-    return diseased_population(model, t, a, None, quadrature) / healthy_population(model, t, a)
+    return diseased_population(model, t, a, quadrature) / healthy_population(model, t, a)
 
 
 def prevalence_odds_keiding(

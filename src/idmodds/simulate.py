@@ -33,10 +33,8 @@ __all__ = [
     "EmptyStudyError",
     "StudySizeError",
     "SamplerConvergenceError",
-    "LifeRecord",
     "PopulationLedger",
     "AgeGroupTable",
-    "sample_life",
     "run_simulation",
     "cross_section",
     "replicate_study",
@@ -81,6 +79,8 @@ class SimConfig:
             raise ValueError("at least one age group is required")
         previous_hi = -math.inf
         for glo, ghi in self.age_groups:
+            if not (math.isfinite(glo) and math.isfinite(ghi)):
+                raise ValueError(f"age group [{glo}, {ghi}) must have finite limits")
             if not glo < ghi:
                 raise ValueError(f"age group [{glo}, {ghi}) is empty")
             if glo < previous_hi:
@@ -92,28 +92,6 @@ class SimConfig:
                     f"no birth in [{lo}, {hi}] can reach age group [{glo}, {ghi}) "
                     f"at t={self.cross_section_time}"
                 )
-
-
-@dataclass(frozen=True)
-class LifeRecord:
-    """One simulated life: birth, optional disease onset, optional death.
-
-    A missing onset or death time means the event had not happened when
-    follow-up stopped: at ``max_age`` for ``sample_life``, at the
-    cross-section for ``run_simulation``.
-    """
-
-    birth_time: float
-    onset_time: Optional[float] = None
-    death_time: Optional[float] = None
-
-    def __post_init__(self):
-        if self.onset_time is not None and not self.onset_time > self.birth_time:
-            raise ValueError("onset must come after birth")
-        if self.death_time is not None:
-            floor = self.onset_time if self.onset_time is not None else self.birth_time
-            if not self.death_time > floor:
-                raise ValueError("death must come after birth and onset")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,47 +122,6 @@ class PopulationLedger:
     def __len__(self) -> int:
         return len(self.birth)
 
-    def record(self, index: int) -> LifeRecord:
-        onset = self.onset[index]
-        death = self.death[index]
-        return LifeRecord(
-            float(self.birth[index]),
-            None if math.isnan(onset) else float(onset),
-            None if math.isnan(death) else float(death),
-        )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["birth", "onset", "death"])
-            for b, o, d in zip(self.birth, self.onset, self.death):
-                writer.writerow(
-                    [
-                        repr(float(b)),
-                        "" if math.isnan(o) else repr(float(o)),
-                        "" if math.isnan(d) else repr(float(d)),
-                    ]
-                )
-
-    @staticmethod
-    def from_csv(path) -> "PopulationLedger":
-        birth, onset, death = [], [], []
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["birth", "onset", "death"]:
-                raise ValueError(f"line 1: expected header birth,onset,death, got {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 3:
-                    raise ValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
-                try:
-                    birth.append(float(row[0]))
-                    onset.append(float(row[1]) if row[1] else math.nan)
-                    death.append(float(row[2]) if row[2] else math.nan)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-        return PopulationLedger(np.array(birth), np.array(onset), np.array(death))
-
 
 @dataclass(frozen=True, eq=False)
 class AgeGroupTable:
@@ -203,6 +140,8 @@ class AgeGroupTable:
         c = np.asarray(self.c, dtype=np.int64)
         if not (age_lo.shape == age_hi.shape == n.shape == c.shape) or age_lo.ndim != 1:
             raise ValueError("table columns must be matching 1-D arrays")
+        if not (np.all(np.isfinite(age_lo)) and np.all(np.isfinite(age_hi))):
+            raise ValueError("age limits must be finite")
         if np.any(age_lo >= age_hi):
             raise ValueError("age groups must have positive width")
         if np.any(age_lo[1:] < age_hi[:-1]):
@@ -386,25 +325,6 @@ def _course_durations(model: RateModel, onset_time, onset_age, draws, end_age):
     )
 
 
-def sample_life(model: RateModel, birth_time: float, rng, max_age: float = SimConfig.max_age) -> LifeRecord:
-    """Draw one complete life course starting healthy at ``birth_time``.
-
-    Consumes exactly three draws from ``rng`` (first exit, event type,
-    disease duration) regardless of the path taken, so consuming streams
-    stay aligned across individuals.  Raises SimulationHorizonError when the
-    mortality ratio is not positive on [0, max_age].
-    """
-    draws = (rng.exponential(), rng.random(), rng.exponential())
-    (onset,), (death,) = _life_courses(
-        model, np.array([float(birth_time)]), *(np.array([float(x)]) for x in draws), max_age, max_age
-    )
-    return LifeRecord(
-        birth_time,
-        None if math.isnan(onset) else float(onset),
-        None if math.isnan(death) else float(death),
-    )
-
-
 def calibrate_births_per_year(
     model: RateModel, config: SimConfig, quadrature=DEFAULT_QUADRATURE
 ) -> float:
@@ -422,7 +342,7 @@ def calibrate_births_per_year(
 
     def alive_density(ages):
         # every node's diseased count is one integral of the same batch
-        return healthy_population(model, t_cross, ages) + diseased_population(model, t_cross, ages, None, quadrature)
+        return healthy_population(model, t_cross, ages) + diseased_population(model, t_cross, ages, quadrature)
 
     expected_per_rate = 0.0
     for glo, ghi in config.age_groups:

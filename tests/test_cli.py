@@ -107,10 +107,10 @@ class TestRunConfig:
             load_run_config(str(path))
 
     def test_fit_section_drives_fit_config(self, tmp_path):
-        document = {"fit": {"fatol": 1e-7, "xatol": 1e-5}}
+        document = {"fit": {"max_iterations": 17, "fixed_gamma": [None, 5.0, None]}}
         fit_config = parse_run_config(document).build_fit_config()
-        assert fit_config.fatol == 1e-7
-        assert fit_config.xatol == 1e-5
+        assert fit_config.max_iterations == 17
+        assert fit_config.fixed_gamma == (None, 5.0, None)
 
     def test_bundled_document_states_library_defaults(self):
         # the bundled document repeats the reference study as data; it must not drift from the library
@@ -127,8 +127,10 @@ class TestRunConfig:
             {"quadrature": {"rel_tol": 1e-9}},
             {"include_binomial_coefficient": True},
             {"group_evaluation": "midpoint"},
+            {"xatol": 1e-5},
+            {"fatol": 1e-7},
         ],
-        ids=["hessian_step_scale", "quadrature", "include_binomial_coefficient", "group_evaluation"],
+        ids=["hessian_step_scale", "quadrature", "include_binomial_coefficient", "group_evaluation", "xatol", "fatol"],
     )
     def test_hessian_step_scale_no_longer_accepted(self, section):
         with pytest.raises(ConfigError, match="invalid configuration at fit"):
@@ -364,6 +366,14 @@ class TestFit:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_nan_age_limit_is_input_error(self, tmp_path, capsys):
+        rows = (Path(idmodds.__file__).parent / "data" / "table1.csv").read_text().splitlines()
+        rows[1] = "1,nan,45.0,9858,283"
+        data = tmp_path / "nan.csv"
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["fit", "--data", str(data), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "malformed data CSV" in capsys.readouterr().err
+
     def test_missing_data_file_is_config_error(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "absent.csv"), "--out-dir", str(tmp_path / "o")]) == 2
 
@@ -513,6 +523,8 @@ BAD_CONFIGS = {
 # Inputs the configuration admits but the numerics do not: exit 3 with one "numerical failure:" line.
 NUMERIC_FAILURES = {
     "evaluate-ages-beyond-survival": ["evaluate", "--age-min", "0", "--age-max", "5000", "--step", "100"],
+    # the onset layer's edge count, log2(m1 * age), overflows here
+    "evaluate-onset-layer-overflow": ["evaluate", "--age-min", "7130", "--age-max", "7131", "--step", "1"],
 }
 
 
@@ -542,6 +554,8 @@ class TestInputErrors:
         code, err = run_quietly(argv, tmp_path, capsys)
         assert code == 3
         assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+        # a conversion error leaking from inside the numerics names no cause the user can act on
+        assert "cannot convert" not in err
 
 
 MANIFEST_KEYS = [

@@ -1,0 +1,27 @@
+"""The public names: every export resolves, none is listed twice, and names deleted from the library stay gone."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import idmodds
+
+# import_module, because the package re-exports functions named fit and prevalence
+MODULES = [importlib.import_module(f"idmodds.{info.name}") for info in pkgutil.iter_modules(idmodds.__path__)]
+DELETED = ["sample_life", "LifeRecord", "CohortBaseline", "odds_kernel"]
+
+
+@pytest.mark.parametrize("module", [idmodds, *MODULES], ids=lambda module: module.__name__)
+def test_every_export_is_an_attribute(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_package_exports_are_unique():
+    assert len(idmodds.__all__) == len(set(idmodds.__all__))
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_deleted_name_is_gone(name):
+    # so ``from idmodds import name`` raises ImportError
+    assert not hasattr(idmodds, name)

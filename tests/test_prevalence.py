@@ -15,14 +15,14 @@ from scipy import integrate
 
 from idmodds.prevalence import (
     AgeProfile,
-    CohortBaseline,
     PrevalenceResult,
+    _odds_kernel,
+    _recent_onset_edges,
     case_density,
     cross_section_profile,
     diseased_population,
     effective_diseased_mortality,
     healthy_population,
-    odds_kernel,
     pde_residual_odds,
     pde_residual_prevalence,
     prevalence,
@@ -92,23 +92,17 @@ class TestSurvivorFraction:
 
 class TestHealthyPopulation:
     def test_newborn_equals_baseline(self, model):
-        baseline = CohortBaseline(lambda b: 2.0 + 0.01 * b)
-        assert healthy_population(model, 100.0, 0.0, baseline) == baseline(100.0)
+        # counts are per birth cohort of size 1
+        assert healthy_population(model, 100.0, 0.0) == 1.0
 
     def test_zero_rates(self):
         m = zero_rate_model()
-        baseline = CohortBaseline.constant(123.0)
-        assert healthy_population(m, 100.0, 60.0, baseline) == 123.0
+        assert healthy_population(m, 100.0, 60.0) == 1.0
 
     def test_reference_point(self, model):
         assert healthy_population(model, 100.0, 60.0) == pytest.approx(
             0.7979099539363237, rel=1e-12
         )
-
-    def test_baseline_positivity_enforced(self, model):
-        bad = CohortBaseline(lambda b: 0.0)
-        with pytest.raises(ValueError):
-            healthy_population(model, 100.0, 60.0, bad)
 
 
 class TestCaseDensity:
@@ -150,11 +144,6 @@ class TestDiseasedPopulation:
         odds = prevalence_odds_pseudo_convolution(model, t, a).odds
         want = odds * healthy_population(model, t, a)
         assert diseased_population(model, t, a) == pytest.approx(want, rel=1e-6)
-
-    def test_baseline_scales_linearly(self, model):
-        plain = diseased_population(model, 100.0, 60.0)
-        scaled = diseased_population(model, 100.0, 60.0, CohortBaseline.constant(250.0))
-        assert scaled == pytest.approx(250.0 * plain, rel=1e-14)
 
 
 class TestEffectiveDiseasedMortality:
@@ -230,7 +219,7 @@ class TestOddsFormulas:
         t, a = 100.0, 92.5
 
         def integrand(delta):
-            return float(m.incidence_rate(t - delta, a - delta)) * float(odds_kernel(m, t, a, delta))
+            return float(m.incidence_rate(t - delta, a - delta)) * float(_odds_kernel(m, t, a, delta))
 
         edges = [0.0, *np.geomspace(1e-5, a - 30.0, 60)]
         want = sum(
@@ -240,6 +229,11 @@ class TestOddsFormulas:
         assert want > 1e-5
         for method in ("pseudo_convolution", "keiding", "cohort_ratio"):
             assert prevalence(m, t, a, method).odds == pytest.approx(want, rel=1e-8)
+
+    def test_recent_onset_edges_when_their_count_overflows(self, model):
+        # m1 * first_piece overflows while m1 * EDGE_NODE_OFFSET * first_piece stays finite
+        edges = _recent_onset_edges(model, 100.0, 7130.0, 7100.0)
+        assert all(math.isfinite(x) and 0.0 < x < 7100.0 for x in edges)
 
     def test_curve_shape(self, model):
         # rises from zero, peaks in the early 80s, then falls as the excess
@@ -263,7 +257,7 @@ class TestOddsFormulas:
             MortalityRatioParams(0.0, 0.0, 5.0),
         )
         deltas = np.linspace(0.0, 60.0, 121)
-        values = odds_kernel(m, 100.0, 60.0, deltas)
+        values = _odds_kernel(m, 100.0, 60.0, deltas)
         assert values[0] == 1.0
         assert np.all(np.diff(values) < 0.0)
 
@@ -336,9 +330,9 @@ class TestPrevalenceDispatch:
             assert v == pytest.approx(values[0], rel=1e-6)
 
     def test_baseline_cannot_change_prevalence(self, model):
-        baseline = CohortBaseline.constant(9999.0)
-        scaled = diseased_population(model, 100.0, 62.5, baseline) / healthy_population(model, 100.0, 62.5, baseline)
-        assert scaled == pytest.approx(prevalence(model, 100.0, 62.5, "cohort_ratio").odds, rel=1e-14)
+        # both counts scale with the cohort size, so the odds are their ratio at size 1
+        ratio = diseased_population(model, 100.0, 62.5) / healthy_population(model, 100.0, 62.5)
+        assert ratio == pytest.approx(prevalence(model, 100.0, 62.5, "cohort_ratio").odds, rel=1e-14)
 
     def test_constant_incidence_closed_form(self):
         # with equal mortality in both states the odds depend on incidence alone
@@ -579,10 +573,9 @@ def test_profiles_match_one_point_routes(model, t, ages):
 
 def test_array_populations_match_scalar_calls(model):
     ages = np.array([0.0, 12.5, 45.0, 80.0])
-    baseline = CohortBaseline(lambda birth: 100.0 + birth)
     for function in (healthy_population, diseased_population):
-        array = function(model, 100.0, ages, baseline)
-        np.testing.assert_allclose(array, [function(model, 100.0, a, baseline) for a in ages], rtol=1e-13)
+        array = function(model, 100.0, ages)
+        np.testing.assert_allclose(array, [function(model, 100.0, a) for a in ages], rtol=1e-13)
     assert isinstance(healthy_population(model, 100.0, 45.0), float)
     assert isinstance(diseased_population(model, 100.0, 45.0), float)
     assert isinstance(effective_diseased_mortality(model, 100.0, 45.0), float)

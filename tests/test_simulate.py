@@ -23,7 +23,6 @@ from idmodds.simulate import (
     DEFAULT_AGE_GROUPS,
     AgeGroupTable,
     EmptyStudyError,
-    LifeRecord,
     PopulationLedger,
     SimConfig,
     SimulationHorizonError,
@@ -36,7 +35,6 @@ from idmodds.simulate import (
     cross_section,
     replicate_study,
     run_simulation,
-    sample_life,
 )
 
 
@@ -50,7 +48,7 @@ def gompertz_only_model():
 
 
 def sample_lives(model, births, rng, max_age):
-    """Onset and death times for ``births`` from the draws sample_life would take, in one array call."""
+    """Onset and death times for ``births`` followed to ``max_age``, each life taking three draws in turn from ``rng``."""
     draws = np.array([(rng.exponential(), rng.random(), rng.exponential()) for _ in births]).T
     return _life_courses(model, np.asarray(births, dtype=float), *draws, max_age, max_age)
 
@@ -83,8 +81,8 @@ class TestInvert:
 class TestSampleLife:
     def test_zero_rates_censored(self):
         rng = np.random.default_rng(0)
-        record = sample_life(zero_rate_model(), 10.0, rng)
-        assert record.onset_time is None and record.death_time is None
+        (onset,), (death,) = sample_lives(zero_rate_model(), [10.0], rng, SimConfig.max_age)
+        assert math.isnan(onset) and math.isnan(death)
 
     def test_draws_independent_of_life_path(self):
         # identically seeded rngs stay aligned whether the life ends in
@@ -92,20 +90,23 @@ class TestSampleLife:
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
         for birth in (0.0, 20.0, 40.0, 60.0):
-            sample_life(reference_rate_model(), birth, rng_a)
-            sample_life(zero_rate_model(), birth, rng_b)
+            sample_lives(reference_rate_model(), [birth], rng_a, SimConfig.max_age)
+            sample_lives(zero_rate_model(), [birth], rng_b, SimConfig.max_age)
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_ordering_invariants_hold(self):
         model = reference_rate_model()
         rng = np.random.default_rng(11)
-        for _ in range(500):
-            record = sample_life(model, float(rng.uniform(0.0, 65.0)), rng)
-            # LifeRecord validates birth < onset < death on construction
-            if record.onset_time is not None:
-                assert record.onset_time > record.birth_time
-            if record.death_time is not None:
-                assert record.death_time > record.birth_time
+        # each life draws its birth, then its exit, type and duration draws
+        lives = np.array(
+            [(rng.uniform(0.0, 65.0), rng.exponential(), rng.random(), rng.exponential()) for _ in range(500)]
+        ).T
+        birth = lives[0]
+        onset, death = _life_courses(model, birth, *lives[1:], SimConfig.max_age, SimConfig.max_age)
+        # PopulationLedger validates birth < onset < death on construction
+        PopulationLedger(birth, onset, death)
+        assert np.all(onset[~np.isnan(onset)] > birth[~np.isnan(onset)])
+        assert np.all(death[~np.isnan(death)] > birth[~np.isnan(death)])
 
     def test_gompertz_death_distribution(self):
         # no incidence: age at death must follow the closed-form survival law
@@ -184,15 +185,27 @@ class TestSampleLife:
         cap = max_age - (onset[alive] - birth[alive])
         assert np.all(model.cumulative_m1(onset[alive] + cap, max_age, cap) < duration_draws[alive])
 
-    def test_one_life_matches_batch(self):
-        model = reference_rate_model()
-        births = np.random.default_rng(3).uniform(0.0, 65.0, 300)
-        rng_one, rng_batch = np.random.default_rng(23), np.random.default_rng(23)
-        records = [sample_life(model, float(b), rng_one) for b in births]
-        onset, death = sample_lives(model, births, rng_batch, SimConfig.max_age)
-        for record, o, d in zip(records, onset, death):
-            assert record == LifeRecord(record.birth_time, None if math.isnan(o) else o, None if math.isnan(d) else d)
-        assert rng_one.bit_generator.state == rng_batch.bit_generator.state
+    @pytest.mark.parametrize("family", ["positive_part", "tabulated"])
+    def test_life_independent_of_chunking(self, family, monkeypatch):
+        # a life's events depend on its own draws alone, not on which lives share its chunk
+        import idmodds.simulate
+
+        model = RateModel(
+            FOLLOW_UP_MODELS[family], GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(0.04, 5.0, 1.0)
+        )
+        rng = np.random.default_rng(23)
+        n = 300
+        birth = rng.uniform(0.0, 65.0, n)
+        draws = rng.exponential(size=n), rng.random(n), rng.exponential(size=n)
+        cfg = SimConfig()
+        end_age = cfg.cross_section_time - birth
+        default = _life_courses(model, birth, *draws, cfg.max_age, end_age)
+        assert np.count_nonzero(~np.isnan(default[0])) > 0
+        for chunk in (1, 7):
+            monkeypatch.setattr(idmodds.simulate, "_CHUNK", chunk)
+            chunked = _life_courses(model, birth, *draws, cfg.max_age, end_age)
+            for want, got in zip(default, chunked):
+                np.testing.assert_array_equal(got, want)
 
     def test_course_duration_distribution(self):
         # onset two years before max_age: the duration either follows the
@@ -221,10 +234,10 @@ class TestSampleLife:
             ExponentialIncidence(), GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(-1e-4, 0.0, 1.1)
         )
         with pytest.raises(SimulationHorizonError, match="max_age=110"):
-            sample_life(model, 10.0, np.random.default_rng(0))
+            sample_lives(model, [10.0], np.random.default_rng(0), max_age=110.0)
         with pytest.raises(ValueError, match="max_age=110"):
             run_simulation(model, SimConfig(births_per_year=1.0))
-        sample_life(model, 10.0, np.random.default_rng(0), max_age=100.0)
+        sample_lives(model, [10.0], np.random.default_rng(0), max_age=100.0)
 
     def test_study_size_cap_raises_before_any_draw(self, monkeypatch):
         import idmodds.simulate
@@ -377,6 +390,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(age_groups=((40.0, 50.0), (45.0, 55.0)))
 
+    def test_open_ended_group_rejected(self):
+        # its table could not be fitted: a group's prevalence is taken at its midpoint
+        with pytest.raises(ValueError, match="finite limits"):
+            SimConfig(age_groups=((40.0, 45.0), (90.0, math.inf)))
+
     def test_max_age_covers_window(self):
         with pytest.raises(ValueError):
             SimConfig(birth_window=(0.0, 65.0), cross_section_time=100.0, max_age=80.0)
@@ -463,7 +481,7 @@ FOLLOW_UP_MODELS = {
 class TestFollowUpToCrossSection:
     @pytest.mark.parametrize("family", sorted(FOLLOW_UP_MODELS))
     def test_matches_follow_up_to_max_age(self, family, monkeypatch):
-        # the oracle follows the same draws to max_age, as sample_life does
+        # the oracle follows the same draws to max_age
         import idmodds.simulate
 
         model = RateModel(
@@ -614,34 +632,29 @@ class TestSerialization:
         with pytest.raises(ValueError, match="0 <= c <= n"):
             AgeGroupTable.from_csv(path)
 
-    def test_ledger_round_trip(self, tmp_path):
-        ledger = PopulationLedger(
-            np.array([1.0, 2.0, 3.0]),
-            np.array([np.nan, 30.0, np.nan]),
-            np.array([50.0, 60.0, np.nan]),
-        )
-        path = tmp_path / "ledger.csv"
-        ledger.to_csv(path)
-        loaded = PopulationLedger.from_csv(path)
-        np.testing.assert_array_equal(loaded.birth, ledger.birth)
-        np.testing.assert_array_equal(loaded.onset, ledger.onset)
-        np.testing.assert_array_equal(loaded.death, ledger.death)
-        assert path.read_text().splitlines()[0] == "birth,onset,death"
-
-    def test_record_accessor(self):
-        ledger = PopulationLedger(np.array([1.0]), np.array([np.nan]), np.array([np.nan]))
-        assert ledger.record(0) == LifeRecord(1.0, None, None)
+    @pytest.mark.parametrize("row", ["1,nan,45.0,100,5", "1,40.0,nan,100,5", "1,40.0,inf,100,5"])
+    def test_non_finite_age_limit_rejected(self, tmp_path, row):
+        # every comparison with NaN is false, so no ordering check can catch it
+        path = tmp_path / "bad.csv"
+        path.write_text(f"k,age_lo,age_hi,n,c\n{row}\n")
+        with pytest.raises(ValueError, match="age limits must be finite"):
+            AgeGroupTable.from_csv(path)
 
 
 class TestLifeRecordValidation:
+    """Every life in a ledger must run birth < onset < death, the events present."""
+
     def test_onset_before_birth(self):
-        with pytest.raises(ValueError):
-            LifeRecord(10.0, 9.0, None)
+        with pytest.raises(ValueError, match="onset must come after the birth"):
+            PopulationLedger(np.array([10.0]), np.array([9.0]), np.array([np.nan]))
 
     def test_death_before_onset(self):
-        with pytest.raises(ValueError):
-            LifeRecord(10.0, 20.0, 15.0)
+        with pytest.raises(ValueError, match="death must come after birth and onset"):
+            PopulationLedger(np.array([10.0]), np.array([20.0]), np.array([15.0]))
 
     def test_ledger_validation(self):
-        with pytest.raises(ValueError):
-            PopulationLedger(np.array([10.0]), np.array([9.0]), np.array([np.nan]))
+        # a death before the birth of a life without onset, behind a valid life
+        with pytest.raises(ValueError, match="death must come after birth and onset"):
+            PopulationLedger(np.array([1.0, 10.0]), np.array([5.0, np.nan]), np.array([9.0, 8.0]))
+        with pytest.raises(ValueError, match="matching 1-D arrays"):
+            PopulationLedger(np.array([1.0, 2.0]), np.array([np.nan]), np.array([np.nan, np.nan]))
