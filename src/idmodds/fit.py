@@ -7,12 +7,12 @@ midpoint age, and the diseased counts are binomial around it.
 
 The group odds are the pseudo-convolution integral of past incidence times
 exp(CI + CM0 - CM1) over the lookback.  Only CM1 depends on the parameters,
-and it is linear in the coefficients of the quadratic mortality ratio, so a
-plan built once per table holds a fixed composite Gauss-Legendre rule and
-every parameter-free factor at its nodes; each likelihood evaluation is then
-one array contraction.  At the optimum the plan is checked against adaptive
-quadrature of the same odds at the same midpoints, all groups in one batch,
-and the largest relative gap is reported.
+and it is linear in the coefficients of the quadratic mortality ratio, so
+``fit`` builds one plan per call, holding a fixed composite Gauss-Legendre
+rule and every parameter-free factor at its nodes; each likelihood
+evaluation is then one array contraction.  At the optimum the plan is
+checked against adaptive quadrature of the same odds at the same midpoints,
+all groups in one batch, and the largest relative gap is reported.
 
 The likelihood is maximized by a derivative-free simplex search.  The same
 plan gives the exact derivatives of the odds in those coefficients, hence the
@@ -23,8 +23,6 @@ confidence intervals.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,7 +39,6 @@ from idmodds.rates import (
     MortalityRatioParams,
     PositivePartIncidence,
     RateModel,
-    TabulatedIncidence,
     course_moments,
     reference_rate_model,
 )
@@ -175,10 +172,6 @@ def group_prevalence(model: RateModel, age_lo, age_hi, t: float):
     return float(values[0]) if lo.ndim == 0 else values
 
 
-def _within_bounds(gamma, bounds) -> bool:
-    return all(lo <= value <= hi for value, (lo, hi) in zip(gamma, bounds))
-
-
 class FitInputError(ValueError):
     """No fit exists: an age is negative, nothing is free, too few rows are informative, or no start is finite."""
 
@@ -195,10 +188,6 @@ _PLAN_RULE = leggauss(20)
 _PLAN_PIECE = 10.0
 # Largest relative gap between the plan and adaptive quadrature tolerated at the optimum.
 _PLAN_GAP_LIMIT = 1e-8
-# Plans kept; each holds about 20 kB per age group.
-_PLAN_CACHE_SIZE = 4
-_PLAN_CACHE = OrderedDict()
-_PLAN_LOCK = threading.Lock()
 
 
 def _largest_initial_ratio(bounds) -> float:
@@ -206,11 +195,11 @@ def _largest_initial_ratio(bounds) -> float:
 
     R(0) is linear in gamma1, in gamma2**2 and in gamma3, so its maximum sits at
     an end of each range, the range of gamma2**2 ending at 0 when the gamma2
-    range contains 0.
+    range contains 0.  A zero factor gives 0, even times an infinite one.
     """
     (g1_lo, g1_hi), (g2_lo, g2_hi), (_, g3_hi) = bounds
     squares = [g2_lo * g2_lo, g2_hi * g2_hi] + ([0.0] if g2_lo <= 0.0 <= g2_hi else [])
-    return max(g1 * sq for g1 in (g1_lo, g1_hi) for sq in squares) + g3_hi
+    return max(g1 * sq if g1 and sq else 0.0 for g1 in (g1_lo, g1_hi) for sq in squares) + g3_hi
 
 
 def _lookback_rule(incidence, m0: GompertzParams, t: float, a: float, initial_ratio: float):
@@ -221,7 +210,8 @@ def _lookback_rule(incidence, m0: GompertzParams, t: float, a: float, initial_ra
     exp(-CM1) can have just after onset, so the recent-onset layer is
     resolved anywhere in the bounds box.
     """
-    depth = min(max(float(m0.rate(t, a)) * initial_ratio * a, 2.0), 2.0**60)
+    rate = float(m0.rate(t, a))
+    depth = min(max(rate * initial_ratio * a if rate else 0.0, 2.0), 2.0**60)
     edges = {0.0, a, *_lookback_kinks(incidence, t, a)}
     edges.update(a * 0.5**k for k in range(1, math.ceil(math.log2(depth)) + 1))
     edges = sorted(edges)
@@ -240,19 +230,33 @@ class _LikelihoodPlan:
 
     Row g holds the lookback nodes of group g's midpoint; the odds there are
     sum(weighted_incidence * exp(exponent - moments @ c)) over the row, with
-    c the coefficients of R.  Rows are padded with zero weights.
+    c the coefficients of R.  Rows are padded with zero weights.  The plan
+    keeps the table and configuration it was built for.
     """
 
+    table: AgeGroupTable
+    config: FitConfig
     weighted_incidence: np.ndarray
     exponent: np.ndarray
     moments: np.ndarray
 
     @staticmethod
     def build(table: AgeGroupTable, config: FitConfig) -> "_LikelihoodPlan":
+        """The plan for this table and configuration.
+
+        Raises RatioHorizonError when the oldest group midpoint exceeds
+        ``config.max_duration``, and FitInputError when an age is negative.
+        """
+        ages = 0.5 * (table.age_lo + table.age_hi)
+        oldest = float(np.max(ages))
+        if oldest > config.max_duration:
+            raise RatioHorizonError(
+                f"the likelihood evaluates the mortality ratio up to duration {oldest:g}, beyond "
+                f"max_duration={config.max_duration:g} where its positivity is checked"
+            )
         if np.any(table.age_lo < 0.0):
             raise FitInputError("age groups must start at nonnegative ages")
         t = float(table.cross_section_time)
-        ages = 0.5 * (table.age_lo + table.age_hi)
         initial_ratio = _largest_initial_ratio(config.bounds)
         rules = [_lookback_rule(config.incidence, config.m0, t, float(a), initial_ratio) for a in ages]
         width = max(len(nodes) for nodes, _ in rules)
@@ -265,7 +269,7 @@ class _LikelihoodPlan:
             exponent[row, :size] = config.incidence.cumulative(t, a, delta) + config.m0.cumulative(t, a, delta)
             base, integrals = course_moments(config.m0, t, a, delta)
             moments[row, :size] = base[:, None] * np.column_stack(integrals)
-        return _LikelihoodPlan(weighted, exponent, moments)
+        return _LikelihoodPlan(table, config, weighted, exponent, moments)
 
     def _terms(self, coefficients) -> np.ndarray:
         kernel = np.exp(self.exponent - self.moments @ np.asarray(coefficients, dtype=float))
@@ -286,44 +290,56 @@ class _LikelihoodPlan:
         weighted_moments = terms[:, :, None] * self.moments
         return terms.sum(axis=1), -weighted_moments.sum(axis=1), weighted_moments.transpose(0, 2, 1) @ self.moments
 
+    def log_likelihood(self, gamma) -> float:
+        """``log_likelihood`` of the plan's table and configuration at ``gamma``."""
+        gamma = np.asarray(gamma, dtype=float)
+        if gamma.shape != (3,) or not np.all(np.isfinite(gamma)):
+            return -math.inf
+        if not all(lo <= value <= hi for value, (lo, hi) in zip(gamma, self.config.bounds)):
+            return -math.inf
+        try:
+            ratio = self.config.build_model(gamma).ratio
+        except ValueError:
+            return -math.inf
+        table = self.table
+        total = 0.0
+        for n, c, p in zip(table.n.tolist(), table.c.tolist(), self.group_prevalence(ratio.coefficients).tolist()):
+            if c > 0:
+                if p <= 0.0:
+                    return -math.inf
+                total += c * math.log(p)
+            if n - c > 0:
+                if p >= 1.0:
+                    return -math.inf
+                total += (n - c) * math.log1p(-p)
+        return total
 
-def _incidence_key(incidence):
-    if isinstance(incidence, TabulatedIncidence):
-        return ("tabulated", incidence.times.tobytes(), incidence.ages.tobytes(), incidence.table.tobytes())
-    return incidence
+    def derivatives(self, gamma):
+        """Exact gradient and Hessian in gamma of ``log_likelihood`` at a feasible ``gamma``.
 
-
-def _likelihood_plan(table: AgeGroupTable, config: FitConfig) -> _LikelihoodPlan:
-    """The plan for this table's groups and this configuration, built at most once per distinct value.
-
-    Raises RatioHorizonError when the oldest group midpoint exceeds the
-    duration up to which the mortality ratio is checked for positivity.
-    """
-    oldest = float(np.max(0.5 * (table.age_lo + table.age_hi)))
-    if oldest > config.max_duration:
-        raise RatioHorizonError(
-            f"the likelihood evaluates the mortality ratio up to duration {oldest:g}, beyond "
-            f"max_duration={config.max_duration:g} where its positivity is checked"
-        )
-    key = (
-        float(table.cross_section_time),
-        table.age_lo.tobytes(),
-        table.age_hi.tobytes(),
-        _incidence_key(config.incidence),
-        config.m0,
-        _largest_initial_ratio(config.bounds),
-    )
-    with _PLAN_LOCK:
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None:
-            _PLAN_CACHE.move_to_end(key)
-            return plan
-    plan = _LikelihoodPlan.build(table, config)
-    with _PLAN_LOCK:
-        _PLAN_CACHE[key] = plan
-        if len(_PLAN_CACHE) > _PLAN_CACHE_SIZE:
-            _PLAN_CACHE.popitem(last=False)
-    return plan
+        The odds derivatives in c chain through p = odds / (1 + odds), the
+        binomial terms and c(gamma) = (g1*g2**2 + g3, -2*g1*g2, g1).  As in
+        ``log_likelihood``, a term with zero count contributes nothing.
+        """
+        g1, g2, _ = (float(x) for x in gamma)
+        odds, odds_gradient, odds_hessian = self.odds_derivatives(self.config.build_model(gamma).ratio.coefficients)
+        # p = odds / (1 + odds) of every group
+        scale = 1.0 / (1.0 + odds)
+        outer = np.einsum("gk,gl->gkl", odds_gradient, odds_gradient)
+        p = odds * scale
+        gradient = scale[:, None] ** 2 * odds_gradient
+        hessian = scale[:, None, None] ** 2 * (odds_hessian - 2.0 * scale[:, None, None] * outer)
+        cases, rest = self.table.c.astype(float), (self.table.n - self.table.c).astype(float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(cases > 0, cases / p, 0.0) - np.where(rest > 0, rest / (1.0 - p), 0.0)
+            bend = -np.where(cases > 0, cases / p**2, 0.0) - np.where(rest > 0, rest / (1.0 - p) ** 2, 0.0)
+        # the binomial terms in c, then in gamma through the Jacobian of c and its second derivatives
+        gradient_c = slope @ gradient
+        hessian_c = np.einsum("g,gk,gl->kl", bend, gradient, gradient) + np.einsum("g,gkl->kl", slope, hessian)
+        jacobian = np.array([[g2 * g2, 2.0 * g1 * g2, 1.0], [-2.0 * g2, -2.0 * g1, 0.0], [1.0, 0.0, 0.0]])
+        mixed = 2.0 * g2 * gradient_c[0] - 2.0 * gradient_c[1]
+        second = np.array([[0.0, mixed, 0.0], [mixed, 2.0 * g1 * gradient_c[0], 0.0], [0.0, 0.0, 0.0]])
+        return jacobian.T @ gradient_c, jacobian.T @ hessian_c @ jacobian + second
 
 
 def log_likelihood(gamma, table: AgeGroupTable, config: FitConfig = FitConfig()) -> float:
@@ -334,60 +350,12 @@ def log_likelihood(gamma, table: AgeGroupTable, config: FitConfig = FitConfig())
     prevalence makes the observed count impossible.  Terms with zero count
     against zero prevalence contribute zero (the 0*log(0) convention), so a
     disease-free model fits an all-zero table perfectly.  The binomial
-    coefficient is a constant in the parameters and is omitted.  The group
-    prevalences come from the table's likelihood plan; a table the plan
-    cannot serve raises RatioHorizonError.
+    coefficient is a constant in the parameters and is omitted.  Each call
+    builds the table's likelihood plan (about 3 ms for the bundled table;
+    ``fit`` builds it once); a table the plan cannot serve raises
+    RatioHorizonError.
     """
-    plan = _likelihood_plan(table, config)
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (3,) or not np.all(np.isfinite(gamma)):
-        return -math.inf
-    if not _within_bounds(gamma, config.bounds):
-        return -math.inf
-    try:
-        ratio = config.build_model(gamma).ratio
-    except ValueError:
-        return -math.inf
-    total = 0.0
-    for n, c, p in zip(table.n.tolist(), table.c.tolist(), plan.group_prevalence(ratio.coefficients).tolist()):
-        if c > 0:
-            if p <= 0.0:
-                return -math.inf
-            total += c * math.log(p)
-        if n - c > 0:
-            if p >= 1.0:
-                return -math.inf
-            total += (n - c) * math.log1p(-p)
-    return total
-
-
-def _log_likelihood_derivatives(gamma, table: AgeGroupTable, config: FitConfig):
-    """Exact gradient and Hessian in gamma of ``log_likelihood`` at a feasible ``gamma``.
-
-    The plan's odds derivatives in c chain through p = odds / (1 + odds), the
-    binomial terms and c(gamma) = (g1*g2**2 + g3, -2*g1*g2, g1).  As in
-    ``log_likelihood``, a term with zero count contributes nothing.
-    """
-    plan = _likelihood_plan(table, config)
-    g1, g2, _ = (float(x) for x in gamma)
-    odds, odds_gradient, odds_hessian = plan.odds_derivatives(config.build_model(gamma).ratio.coefficients)
-    # p = odds / (1 + odds) of every group
-    scale = 1.0 / (1.0 + odds)
-    outer = np.einsum("gk,gl->gkl", odds_gradient, odds_gradient)
-    p = odds * scale
-    gradient = scale[:, None] ** 2 * odds_gradient
-    hessian = scale[:, None, None] ** 2 * (odds_hessian - 2.0 * scale[:, None, None] * outer)
-    cases, rest = table.c.astype(float), (table.n - table.c).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(cases > 0, cases / p, 0.0) - np.where(rest > 0, rest / (1.0 - p), 0.0)
-        bend = -np.where(cases > 0, cases / p**2, 0.0) - np.where(rest > 0, rest / (1.0 - p) ** 2, 0.0)
-    # the binomial terms in c, then in gamma through the Jacobian of c and its second derivatives
-    gradient_c = slope @ gradient
-    hessian_c = np.einsum("g,gk,gl->kl", bend, gradient, gradient) + np.einsum("g,gkl->kl", slope, hessian)
-    jacobian = np.array([[g2 * g2, 2.0 * g1 * g2, 1.0], [-2.0 * g2, -2.0 * g1, 0.0], [1.0, 0.0, 0.0]])
-    mixed = 2.0 * g2 * gradient_c[0] - 2.0 * gradient_c[1]
-    second = np.array([[0.0, mixed, 0.0], [mixed, 2.0 * g1 * gradient_c[0], 0.0], [0.0, 0.0, 0.0]])
-    return jacobian.T @ gradient_c, jacobian.T @ hessian_c @ jacobian + second
+    return _LikelihoodPlan.build(table, config).log_likelihood(gamma)
 
 
 def wald_intervals(gamma_hat, hessian):
@@ -416,14 +384,15 @@ def wald_intervals(gamma_hat, hessian):
     return covariance, intervals
 
 
-def _quadrature_gap(plan: _LikelihoodPlan, table: AgeGroupTable, config: FitConfig, gamma) -> float:
+def _quadrature_gap(plan: _LikelihoodPlan, gamma) -> float:
     """Largest relative gap between the plan's group prevalences and adaptive quadrature at ``gamma``.
 
     All groups' adaptive integrals run in one batch at ``_FIT_QUADRATURE``.
     Raises QuadratureError when they miss their tolerance or the gap exceeds
     the plan's limit.
     """
-    model = config.build_model(gamma)
+    model = plan.config.build_model(gamma)
+    table = plan.table
     fast = plan.group_prevalence(model.ratio.coefficients)
     oracle = group_prevalence(model, table.age_lo, table.age_hi, table.cross_section_time)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -456,10 +425,10 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
         raise FitInputError(
             f"{len(free)} free parameters need at least that many informative rows, got {informative}"
         )
-    plan = _likelihood_plan(table, config)
+    plan = _LikelihoodPlan.build(table, config)
     starts = [np.array([start[j] for j in free]) for start in config.starts]
     # screened outside ``evals``, which counts the search's evaluations alone
-    if not any(math.isfinite(log_likelihood(config.full_gamma(x0), table, config)) for x0 in starts):
+    if not any(math.isfinite(plan.log_likelihood(config.full_gamma(x0))) for x0 in starts):
         raise FitInputError("the likelihood is minus infinity at every start point")
 
     evals = 0
@@ -467,7 +436,7 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     def objective(free_values):
         nonlocal evals
         evals += 1
-        return -log_likelihood(config.full_gamma(free_values), table, config)
+        return -plan.log_likelihood(config.full_gamma(free_values))
 
     # imported here, its only user, so commands that never fit skip its half-second import
     from scipy import optimize
@@ -500,7 +469,7 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
         "starts_used": len(config.starts),
         "boundary_hits": [],
         "flat_components": [],
-        "quadrature_gap": _quadrature_gap(plan, table, config, gamma_hat),
+        "quadrature_gap": _quadrature_gap(plan, gamma_hat),
     }
     for j in free:
         lo, hi = config.bounds[j]
@@ -508,7 +477,7 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
         if min(gamma_hat[j] - lo, hi - gamma_hat[j]) < 1e-4 * span:
             diagnostics["boundary_hits"].append(j)
 
-    information = -_log_likelihood_derivatives(gamma_hat, table, config)[1][np.ix_(free, free)]
+    information = -plan.derivatives(gamma_hat)[1][np.ix_(free, free)]
     hessian = np.full((3, 3), np.nan)
     hessian[np.ix_(free, free)] = information
     # a row below the condition limit of wald_intervals carries no information

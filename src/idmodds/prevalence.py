@@ -4,13 +4,14 @@ Everything here follows life lines in the (calendar time, age) plane.  The
 healthy and diseased population densities solve first-order transport
 equations whose solutions are explicit integrals of the transition rates;
 this module evaluates them by adaptive quadrature over the closed-form
-cumulative hazards, and provides the prevalence odds in three independent
-ways so they can be cross-checked against each other:
+cumulative hazards, and provides the prevalence odds in two algebraically
+distinct forms so they can be cross-checked against each other:
 
-* a ratio of survivor functions integrated over the onset age (``keiding``),
 * a convolution-style integral of past incidence against a damping kernel
-  (``pseudo_convolution``),
-* diseased over healthy cohort counts (``cohort_ratio``).
+  (``pseudo_convolution``, and ``convolution_special`` for exponential incidence),
+* a ratio of survivor functions integrated over the onset age (``keiding``),
+  or the same integral over disease duration as diseased over healthy cohort
+  counts (``cohort_ratio``).
 
 Each route's integrand is written once, over arrays of (time, age) points,
 and every integral of a call runs in one batch of

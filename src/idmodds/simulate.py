@@ -136,8 +136,11 @@ class AgeGroupTable:
     def __post_init__(self):
         age_lo = np.asarray(self.age_lo, dtype=float)
         age_hi = np.asarray(self.age_hi, dtype=float)
-        n = np.asarray(self.n, dtype=np.int64)
-        c = np.asarray(self.c, dtype=np.int64)
+        try:
+            n = np.asarray(self.n, dtype=np.int64)
+            c = np.asarray(self.c, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("counts must fit in a 64-bit integer") from None
         if not (age_lo.shape == age_hi.shape == n.shape == c.shape) or age_lo.ndim != 1:
             raise ValueError("table columns must be matching 1-D arrays")
         if not (np.all(np.isfinite(age_lo)) and np.all(np.isfinite(age_hi))):

@@ -1,7 +1,8 @@
 """End-to-end acceptance checks for the whole pipeline.
 
 Each test covers one headline claim about the package: the reference-table
-fit reproduces the published estimates, the independent odds formulas agree,
+fit reproduces the published estimates, the odds routes agree (the lookback
+kernel against the two forms of the from-birth survivor ratio),
 closed forms hold in degenerate cases, the transport identities converge at
 the expected order, and simulated studies are statistically consistent with
 the analytic prevalence they were generated from.  Every test prints a

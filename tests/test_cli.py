@@ -366,6 +366,15 @@ class TestFit:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_oversized_count_is_input_error(self, tmp_path, capsys):
+        rows = (Path(idmodds.__file__).parent / "data" / "table1.csv").read_text().splitlines()
+        rows[1] = "1,40.0,45.0,100000000000000000000000,283"
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["fit", "--data", str(data), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "malformed data CSV" in err and "64-bit" in err
+
     def test_nan_age_limit_is_input_error(self, tmp_path, capsys):
         rows = (Path(idmodds.__file__).parent / "data" / "table1.csv").read_text().splitlines()
         rows[1] = "1,nan,45.0,9858,283"
@@ -425,6 +434,22 @@ class TestFit:
         assert parse_run_config(document).build_fit_config().max_duration == 120
         config = write_config(tmp_path, document)
         assert main(["fit", "--config", config, "--data", str(data), "--out-dir", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"fit": {"bounds": [[-math.inf, 1.0], [0.0, 50.0], [0.0, 20.0]]}},
+            {"fit": {"bounds": [[0.0, 1.0], [-1e200, 1e200], [0.0, 20.0]]}},
+            {"m0": {"xi1": -1000.0}, "fit": {"bounds": [[0.0, 1.0], [-1e200, 1e200], [0.0, 20.0]]}},
+        ],
+        ids=["infinite-gamma1", "overflowing-gamma2-square", "zero-mortality-overflowing-square"],
+    )
+    def test_unbounded_box_fits(self, tmp_path, capsys, document):
+        # a zero factor times an infinite one once made the plan's lookback depth NaN
+        config = write_config(tmp_path, document)
+        code = main(["fit", "--config", config, "--out-dir", str(tmp_path / "o")])
+        assert code == 0
+        assert "cannot convert" not in capsys.readouterr().err
 
     def test_impossible_starts_are_input_error(self, tmp_path, capsys):
         config = write_config(tmp_path, ZERO_INCIDENCE)

@@ -1,6 +1,5 @@
 """Tests for maximum-likelihood estimation of the mortality-ratio parameters."""
 
-import importlib
 import json
 import math
 import time
@@ -13,8 +12,8 @@ from hypothesis import strategies as st
 from idmodds.fit import (
     FitConfig,
     FitInputError,
-    _likelihood_plan,
-    _log_likelihood_derivatives,
+    _largest_initial_ratio,
+    _LikelihoodPlan,
     fit,
     group_prevalence,
     log_likelihood,
@@ -98,7 +97,7 @@ class TestLogLikelihood:
         config = FitConfig(incidence=ExponentialIncidence(-1000.0, 0.0, 0.0))
         assert log_likelihood((0.04, 5.0, 1.0), table, config) == 0.0
         # zero counts against zero prevalence contribute no derivative and no NaN
-        gradient, hessian = _log_likelihood_derivatives((0.04, 5.0, 1.0), table, config)
+        gradient, hessian = _LikelihoodPlan.build(table, config).derivatives((0.04, 5.0, 1.0))
         assert np.all(gradient == 0.0) and np.all(hessian == 0.0)
 
     def test_reference_value_reproducible(self):
@@ -172,7 +171,7 @@ class TestLikelihoodPlan:
         except ValueError:
             assume(False)
         table = reference_table(t)
-        fast = _likelihood_plan(table, config).group_prevalence(model.ratio.coefficients)
+        fast = _LikelihoodPlan.build(table, config).group_prevalence(model.ratio.coefficients)
         oracle = group_prevalence(model, table.age_lo, table.age_hi, t)
         np.testing.assert_allclose(fast, oracle, rtol=1e-9, atol=0.0)
 
@@ -204,17 +203,17 @@ class TestLikelihoodPlan:
             config.build_model(gamma)
         except ValueError:
             assume(False)
-        table = reference_table()
-        gradient, hessian = _log_likelihood_derivatives(gamma, table, config)
+        plan = _LikelihoodPlan.build(reference_table(), config)
+        gradient, hessian = plan.derivatives(gamma)
         differences = np.empty(len(free))
         curvature = np.empty((len(free), len(free)))
         for col, j in enumerate(free):
             shift = np.zeros(3)
             shift[j] = step[j]
-            values = {k: log_likelihood(gamma + k * shift, table, config) for k in (-2, -1, 1, 2)}
+            values = {k: plan.log_likelihood(gamma + k * shift) for k in (-2, -1, 1, 2)}
             assume(all(math.isfinite(v) for v in values.values()))
             differences[col] = _five_point(values, step[j])
-            slopes = {k: _log_likelihood_derivatives(gamma + k * shift, table, config)[0][free] for k in values}
+            slopes = {k: plan.derivatives(gamma + k * shift)[0][free] for k in values}
             curvature[:, col] = _five_point(slopes, step[j])
         scaled_gradient = gradient[free] * span[free]
         np.testing.assert_allclose(
@@ -228,6 +227,11 @@ class TestLikelihoodPlan:
         if fixed[0] == 0.0:
             # R does not depend on gamma2 when gamma1 = 0, so its row carries no information
             assert np.all(hessian[1, free] == 0.0)
+
+    def test_largest_initial_ratio_of_unbounded_boxes(self):
+        # a zero end times an infinite (or overflowing) square contributes 0, not NaN
+        assert _largest_initial_ratio(((-math.inf, 1.0), (0.0, 50.0), (0.0, 20.0))) == 2520.0
+        assert _largest_initial_ratio(((0.0, 1.0), (-1e200, 1e200), (0.0, 20.0))) == math.inf
 
     def test_ratio_horizon_beyond_max_duration_rejected(self):
         # gamma1 < 0 is allowed by these bounds, so R may turn negative past max_duration
@@ -344,6 +348,22 @@ class TestFitProperties:
         assert first.loglik == second.loglik
         np.testing.assert_array_equal(first.ci95, second.ci95)
 
+    def test_each_fit_builds_one_plan(self, monkeypatch):
+        builds = []
+        build = _LikelihoodPlan.build
+
+        def counted(table, config):
+            builds.append(table)
+            return build(table, config)
+
+        monkeypatch.setattr(_LikelihoodPlan, "build", staticmethod(counted))
+        config = FitConfig(starts=((0.01, 2.0, 1.0),))
+        table = reference_table()
+        fit(table, config)
+        assert len(builds) == 1
+        fit(table, config)
+        assert len(builds) == 2
+
     def test_boundary_hit_reported(self):
         config = FitConfig(
             bounds=((0.0, 1.0), (0.0, 50.0), (1e-6, 1.0)),
@@ -354,7 +374,7 @@ class TestFitProperties:
         assert result.gamma_hat[2] == pytest.approx(1.0, abs=1e-6)
         assert 2 in result.diagnostics["boundary_hits"]
         # curvature is the exact information at the optimum on the cap, so intervals still exist
-        information = -_log_likelihood_derivatives(result.gamma_hat, reference_table(), config)[1]
+        information = -_LikelihoodPlan.build(reference_table(), config).derivatives(result.gamma_hat)[1]
         np.testing.assert_array_equal(result.hessian, information)
         assert np.all(np.isfinite(result.hessian))
         assert result.ci95 is not None
@@ -408,13 +428,13 @@ class TestFitProperties:
 
     def test_impossible_starts_rejected_before_search(self, monkeypatch):
         calls = []
+        evaluate = _LikelihoodPlan.log_likelihood
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return log_likelihood(*args, **kwargs)
+        def counted(plan, gamma):
+            calls.append(gamma)
+            return evaluate(plan, gamma)
 
-        # import_module, because the package re-exports a function named fit
-        monkeypatch.setattr(importlib.import_module("idmodds.fit"), "log_likelihood", counted)
+        monkeypatch.setattr(_LikelihoodPlan, "log_likelihood", counted)
         config = FitConfig(incidence=ExponentialIncidence(-1000.0, 0.0, 0.0))
         with pytest.raises(FitInputError, match="every start point"):
             fit(reference_table(), config)

@@ -632,6 +632,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="0 <= c <= n"):
             AgeGroupTable.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "row", ["1,40.0,45.0,100000000000000000000000,5", "1,40.0,45.0,100,-100000000000000000000000"]
+    )
+    def test_oversized_count_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"k,age_lo,age_hi,n,c\n{row}\n")
+        with pytest.raises(ValueError, match="counts must fit in a 64-bit integer"):
+            AgeGroupTable.from_csv(path)
+
     @pytest.mark.parametrize("row", ["1,nan,45.0,100,5", "1,40.0,nan,100,5", "1,40.0,inf,100,5"])
     def test_non_finite_age_limit_rejected(self, tmp_path, row):
         # every comparison with NaN is false, so no ordering check can catch it
