@@ -201,6 +201,25 @@ def case_density(model: RateModel, t, a, d):
     return float(out) if out.ndim == 0 else out
 
 
+def _surviving_onsets(model: RateModel, t, a):
+    """Case density over the healthy survivor fraction, as a batch integrand over duration.
+
+    ``density(d, k)`` is the onset flow ``d`` years before (t[k], a[k]) that
+    survives with disease to there, divided by the fraction still healthy
+    there.  The fraction's hazard is folded into the exponent, as
+    :func:`case_density` folds its three, so the ratio stays finite where
+    both underflow.
+    """
+    exit_here = _exit_hazard(model, t, a)
+
+    def density(d, k):
+        tk, ak = t[k], a[k]
+        exponent = exit_here[k] - _exit_hazard(model, tk - d, ak - d) - model.cumulative_m1(tk, ak, d)
+        return model.incidence_rate(tk - d, ak - d) * np.exp(exponent)
+
+    return density
+
+
 def diseased_population(model: RateModel, t, a, quadrature: QuadratureConfig = DEFAULT_QUADRATURE):
     """Total diseased people of age ``a`` at time ``t``: the case density integrated over duration.
 
@@ -225,13 +244,15 @@ def effective_diseased_mortality(model: RateModel, t, a, quadrature: QuadratureC
     base = model.mortality_healthy(t, a)
     if model.ratio.gamma1 == 0.0:
         return _shaped(base * model.ratio.gamma3, shape)
-    # integrals 0..n-1 count the cases, n..2n-1 weight them by the mortality ratio
+    # integrals 0..n-1 count the cases, n..2n-1 weight them by the mortality ratio; both are
+    # scaled by one over the healthy survivor fraction, which cancels in their ratio
     n = len(a)
     t2, a2 = np.tile(t, 2), np.tile(a, 2)
+    density = _surviving_onsets(model, t2, a2)
 
     def integrand(d, k):
-        density = case_density(model, t2[k], a2[k], d)
-        return np.where(k < n, density, model.ratio.ratio(d) * density)
+        value = density(d, k)
+        return np.where(k < n, value, model.ratio.ratio(d) * value)
 
     total, weighted = np.split(_over_lookback(model, t2, a2, integrand, quadrature), 2)
     cases = total > 0.0
@@ -270,16 +291,9 @@ def _odds_at(model: RateModel, t, ages, method: str, quadrature: QuadratureConfi
     if method == "keiding":
         # onset flow times survival with disease up to age a, over the onset age y,
         # divided by the healthy survivor fraction at a
-        birth = t - a
-
-        def onset_flow(y, k):
-            onset_time, ak = birth[k] + y, a[k]
-            exponent = -(_exit_hazard(model, onset_time, y) + model.cumulative_m1(t[k], ak, ak - y))
-            return model.incidence_rate(onset_time, y) * np.exp(exponent)
-
+        flow = _surviving_onsets(model, t, a)
         edges = [_onset_age_breakpoints(model, tk, ak) for tk, ak in zip(t.tolist(), a.tolist())]
-        numerator = adaptive_quad_many(onset_flow, np.zeros(len(a)), a, quadrature, edges)
-        return numerator / np.exp(-_exit_hazard(model, t, a))
+        return adaptive_quad_many(lambda y, k: flow(a[k] - y, k), np.zeros(len(a)), a, quadrature, edges)
     if method == "pseudo_convolution":
         # past incidence convolved with the damping kernel
         def past_incidence(delta, k):
@@ -296,7 +310,8 @@ def _odds_at(model: RateModel, t, ages, method: str, quadrature: QuadratureConfi
             return np.exp(kappa * (tk - delta)) * _odds_kernel(model, tk, a[k], delta)
 
         return front * _over_lookback(model, t, a, factor, quadrature)
-    return diseased_population(model, t, a, quadrature) / healthy_population(model, t, a)
+    # diseased over healthy cohort counts, the survivor fraction divided out under the integral
+    return _over_lookback(model, t, a, _surviving_onsets(model, t, a), quadrature)
 
 
 def prevalence_odds_keiding(
@@ -305,8 +320,8 @@ def prevalence_odds_keiding(
     """Prevalence odds as survivor-weighted onset flow over the healthy survivor fraction.
 
     Integrates, over the onset age y, the flow into disease times survival
-    with disease up to age ``a``, and divides by the healthy survivor
-    fraction at ``a``.
+    with disease up to age ``a``, divided under the integral by the healthy
+    survivor fraction at ``a``.
     """
     return prevalence(model, t, a, "keiding", quadrature)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -149,7 +150,8 @@ class TabulatedIncidence:
     Evaluations outside the grid are clamped to the nearest edge.  Along a
     life line the clamped interpolant is linear in time and in age between
     grid-line crossings, hence quadratic there, so the cumulative hazard is
-    exact: Simpson's rule on every piece between consecutive crossings.
+    exact: Simpson's rule on each piece between the grid lines the segment
+    actually crosses, with one cell lookup per piece.
     """
 
     times: np.ndarray
@@ -171,52 +173,54 @@ class TabulatedIncidence:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "ages", ages)
         object.__setattr__(self, "table", table)
+        # one column per grid cell, time-major: its lower corner, its sides and its four corner values
+        t0, a0 = np.meshgrid(times[:-1], ages[:-1], indexing="ij")
+        ht, ha = np.meshgrid(np.diff(times), np.diff(ages), indexing="ij")
+        cells = [t0, ht, a0, ha, table[:-1, :-1], table[:-1, 1:], table[1:, :-1], table[1:, 1:]]
+        object.__setattr__(self, "_cells", np.stack([c.ravel() for c in cells]))
 
-    @property
+    @cached_property
     def kink_ages(self) -> tuple:
-        return tuple(self.ages)
+        return tuple(self.ages.tolist())
 
-    @property
+    @cached_property
     def kink_times(self) -> tuple:
-        return tuple(self.times)
+        return tuple(self.times.tolist())
+
+    def _cell_of(self, t, a):
+        """Index of the grid cell holding (t, a) in the cell table; points outside the grid get an edge cell."""
+        it = np.searchsorted(self.times[1:-1], t, side="right")
+        return it * (len(self.ages) - 1) + np.searchsorted(self.ages[1:-1], a, side="right")
+
+    def _interpolate(self, cell, t, a):
+        """The interpolant of grid cell ``cell`` at (t, a), with (t, a) clamped into that cell."""
+        t0, ht, a0, ha, v00, v01, v10, v11 = np.take(self._cells, cell, axis=1)
+        wt = np.clip((t - t0) / ht, 0.0, 1.0)
+        wa = np.clip((a - a0) / ha, 0.0, 1.0)
+        return v00 * (1 - wt) * (1 - wa) + v01 * (1 - wt) * wa + v10 * wt * (1 - wa) + v11 * wt * wa
 
     def rate(self, t, a):
-        t = np.clip(np.asarray(t, dtype=float), self.times[0], self.times[-1])
-        a = np.clip(np.asarray(a, dtype=float), self.ages[0], self.ages[-1])
-        t, a = np.broadcast_arrays(t, a)
-        it = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
-        ia = np.clip(np.searchsorted(self.ages, a, side="right") - 1, 0, len(self.ages) - 2)
-        wt = (t - self.times[it]) / (self.times[it + 1] - self.times[it])
-        wa = (a - self.ages[ia]) / (self.ages[ia + 1] - self.ages[ia])
-        v00 = self.table[it, ia]
-        v01 = self.table[it, ia + 1]
-        v10 = self.table[it + 1, ia]
-        v11 = self.table[it + 1, ia + 1]
-        out = (
-            v00 * (1 - wt) * (1 - wa)
-            + v01 * (1 - wt) * wa
-            + v10 * wt * (1 - wa)
-            + v11 * wt * wa
-        )
+        t, a = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(a, dtype=float))
+        out = self._interpolate(self._cell_of(t, a), t, a)
         return float(out) if out.ndim == 0 else out
 
     def cumulative(self, t, a, delta):
-        t, a, delta = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (t, a, delta)))
-        t, a = t[..., None], a[..., None]
-        # lookbacks from (t, a) to every grid line, clipped to the segment, and its two ends
+        t, a, delta = np.broadcast_arrays(*(np.asarray(x, dtype=float)[..., None] for x in (t, a, delta)))
+        # lookbacks from (t, a) to the grid lines crossed strictly inside the segment, sorted; the
+        # others move to its far end, and columns that hold no crossing of any segment are dropped
         crossings = np.concatenate([a - self.ages, t - self.times], axis=-1)
-        edges = np.sort(
-            np.concatenate(
-                [np.zeros_like(t), delta[..., None], np.clip(crossings, 0.0, delta[..., None])], axis=-1
-            ),
-            axis=-1,
-        )
-        at_edges = self.rate(t - edges, a - edges)
-        mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
-        pieces = (edges[..., 1:] - edges[..., :-1]) / 6.0 * (
-            at_edges[..., :-1] + 4.0 * self.rate(t - mid, a - mid) + at_edges[..., 1:]
-        )
-        out = pieces.sum(axis=-1)
+        inside = (crossings > 0.0) & (crossings < delta)
+        width = inside.sum(axis=-1).max(initial=0)
+        crossings = np.sort(np.where(inside, crossings, delta), axis=-1)[..., :width]
+        edges = np.concatenate([np.zeros_like(delta), crossings, delta], axis=-1)
+        lo, hi = edges[..., :-1], edges[..., 1:]
+        mid = 0.5 * (hi + lo)
+        # Simpson's three points of each piece, all in the cell that holds the piece's midpoint
+        cell = self._cell_of(t - mid, a - mid)
+        at_lo, at_mid, at_hi = (self._interpolate(cell, t - u, a - u) for u in (lo, mid, hi))
+        pieces = (hi - lo) / 6.0 * (at_lo + 4.0 * at_mid + at_hi)
+        # summed left to right, so the padding the batch's widest segment forces cannot change the rounding
+        out = np.cumsum(pieces, axis=-1)[..., -1]
         return float(out) if out.ndim == 0 else out
 
 

@@ -190,6 +190,16 @@ class TestEvaluate:
             scale = max(abs(v) for v in row[1:])
             assert (max(row[1:]) - min(row[1:])) <= 1e-6 * scale
 
+    def test_method_all_beyond_healthy_survival(self, tmp_path, capsys):
+        # at t = 100 the healthy survivor fraction is 4e-269 at age 150 and 0 at 160
+        out = tmp_path / "out"
+        argv = ["evaluate", "--method", "all", "--age-min", "150", "--age-max", "160", "--step", "10"]
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        assert "nan" not in capsys.readouterr().err
+        _, data = read_curve(out / "odds_curve.csv")
+        assert np.all(data[:, 1:] > 0.0)
+        np.testing.assert_allclose(data[:, 2:], data[:, 1:2].repeat(2, axis=1), rtol=1e-9, atol=0.0)
+
     def test_zero_incidence_curve_is_zero(self, tmp_path):
         config = write_config(tmp_path, ZERO_INCIDENCE)
         out = tmp_path / "out"
@@ -484,6 +494,15 @@ class TestCrosscheck:
         assert "skipped" in report["odds_pde"]
         assert report["exponential_special_case"]["relative_deviation"] <= 1e-10
         assert report["incidence_reconstruction"]["max_error"] <= 0.02
+
+    def test_age_beyond_healthy_survival(self, tmp_path, capsys):
+        # at t = 100 the healthy survivor fraction underflows to 0 by age 160
+        out = tmp_path / "out"
+        assert main(["crosscheck", "--age", "160", "--out-dir", str(out)]) == 0
+        assert "nan" not in capsys.readouterr().err
+        report = json.loads((out / "crosscheck.json").read_text())
+        assert report["formula_triangle"]["pass"] is True
+        assert report["prevalence_pde"]["pass"] is True
 
     def test_duration_free_model_checks_odds_pde(self, tmp_path):
         config = write_config(tmp_path, {"ratio": {"gamma1": 0.0, "gamma2": 5.0, "gamma3": 1.8}})

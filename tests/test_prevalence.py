@@ -230,6 +230,19 @@ class TestOddsFormulas:
         for method in ("pseudo_convolution", "keiding", "cohort_ratio"):
             assert prevalence(m, t, a, method).odds == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize("a", [160.0, 200.0])
+    def test_routes_agree_after_healthy_survivors_underflow(self, model, a):
+        # the healthy survivor fraction is exactly 0 there, so a route that
+        # divides by it after integrating would compute 0 / 0
+        assert healthy_population(model, 100.0, a) == 0.0
+        want = prevalence_odds_pseudo_convolution(model, 100.0, a).odds
+        assert want > 0.0
+        assert prevalence_odds_keiding(model, 100.0, a).odds == pytest.approx(want, rel=1e-9)
+        assert prevalence(model, 100.0, a, "cohort_ratio").odds == pytest.approx(want, rel=1e-9)
+        # the case-mix mortality stays a finite mean of the ratio, not the "no cases" 0
+        ratio = effective_diseased_mortality(model, 100.0, a) / float(model.mortality_healthy(100.0, a))
+        assert model.ratio.gamma3 <= ratio <= model.ratio.ratio(a)
+
     def test_recent_onset_edges_when_their_count_overflows(self, model):
         # m1 * first_piece overflows while m1 * EDGE_NODE_OFFSET * first_piece stays finite
         edges = _recent_onset_edges(model, 100.0, 7130.0, 7100.0)

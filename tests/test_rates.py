@@ -221,6 +221,137 @@ class TestTabulatedIncidence:
             TabulatedIncidence(np.array([0.0, 1.0]), np.array([0.0, 1.0]), -np.ones((2, 2)))
 
 
+def grid_edge_rate(tab, t, a):
+    """Bilinear rate that locates every point on its own, as before the one-pass kernel (the oracle)."""
+    t = np.clip(np.asarray(t, dtype=float), tab.times[0], tab.times[-1])
+    a = np.clip(np.asarray(a, dtype=float), tab.ages[0], tab.ages[-1])
+    t, a = np.broadcast_arrays(t, a)
+    it = np.clip(np.searchsorted(tab.times, t, side="right") - 1, 0, len(tab.times) - 2)
+    ia = np.clip(np.searchsorted(tab.ages, a, side="right") - 1, 0, len(tab.ages) - 2)
+    wt = (t - tab.times[it]) / (tab.times[it + 1] - tab.times[it])
+    wa = (a - tab.ages[ia]) / (tab.ages[ia + 1] - tab.ages[ia])
+    v00 = tab.table[it, ia]
+    v01 = tab.table[it, ia + 1]
+    v10 = tab.table[it + 1, ia]
+    v11 = tab.table[it + 1, ia + 1]
+    out = (
+        v00 * (1 - wt) * (1 - wa)
+        + v01 * (1 - wt) * wa
+        + v10 * wt * (1 - wa)
+        + v11 * wt * wa
+    )
+    return float(out) if out.ndim == 0 else out
+
+
+def grid_edge_cumulative(tab, t, a, delta):
+    """Simpson's rule between every grid edge clipped to the segment, as before the one-pass kernel (the oracle)."""
+    t, a, delta = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (t, a, delta)))
+    t, a = t[..., None], a[..., None]
+    # lookbacks from (t, a) to every grid line, clipped to the segment, and its two ends
+    crossings = np.concatenate([a - tab.ages, t - tab.times], axis=-1)
+    edges = np.sort(
+        np.concatenate(
+            [np.zeros_like(t), delta[..., None], np.clip(crossings, 0.0, delta[..., None])], axis=-1
+        ),
+        axis=-1,
+    )
+    at_edges = grid_edge_rate(tab, t - edges, a - edges)
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    pieces = (edges[..., 1:] - edges[..., :-1]) / 6.0 * (
+        at_edges[..., :-1] + 4.0 * grid_edge_rate(tab, t - mid, a - mid) + at_edges[..., 1:]
+    )
+    out = pieces.sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+class TestTabulatedKernel:
+    """The one-pass kernel against the kernel that located every grid edge of every segment."""
+
+    @staticmethod
+    def draw_incidence(data):
+        # grids on multiples of 1/2, so a segment through a node can cross an age line and a
+        # time line at exactly the same lookback; a one-step grid has no interior lines
+        def grid(origin):
+            steps = data.draw(st.lists(st.integers(1, 60), min_size=1, max_size=5))
+            return origin + 0.5 * np.concatenate([[0.0], np.cumsum(steps)])
+
+        times = grid(float(data.draw(st.integers(-40, 80))))
+        ages = grid(float(data.draw(st.integers(0, 40))))
+        # rates up to 0.05 with about a third of the nodes exactly zero
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        table = rng.uniform(0.0, 0.05, (len(times), len(ages))) * (rng.random((len(times), len(ages))) < 0.7)
+        return TabulatedIncidence(times, ages, table)
+
+    @staticmethod
+    def draw_segment(data, tab):
+        times, ages = tab.times.tolist(), tab.ages.tolist()
+        shift = st.one_of(st.integers(0, 160).map(lambda k: k / 4), st.floats(0.0, 40.0))
+        end = data.draw(st.one_of(
+            # anywhere, outside the grid on every side included
+            st.tuples(st.floats(times[0] - 30.0, times[-1] + 30.0), st.floats(0.0, ages[-1] + 30.0)),
+            # on a time line, so a crossing sits at lookback 0
+            st.tuples(st.sampled_from(times), st.floats(0.0, ages[-1] + 30.0)),
+            # on the life line through a grid node
+            st.builds(lambda tn, an, s: (tn + s, an + s), st.sampled_from(times), st.sampled_from(ages), shift),
+        ))
+        t, a = end
+        lines = [x for x in [a - g for g in ages] + [t - g for g in times] if 0.0 <= x <= a]
+        # from zero length to the whole life, or ending exactly on a grid line
+        delta = data.draw(st.one_of(st.just(0.0), st.just(a), st.floats(0.0, a),
+                                    st.sampled_from(lines or [a])))
+        return t, a, delta
+
+    @settings(max_examples=75, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_grid_edge_kernel(self, data):
+        tab = self.draw_incidence(data)
+        segments = [self.draw_segment(data, tab) for _ in range(data.draw(st.integers(1, 6)))]
+        # one segment of length zero crosses no line; in half the batches one from past the grid's
+        # far corner crosses every line but age 0, and its width would hide crossings trimmed wrongly
+        segments.append((float(tab.times[0]), float(tab.ages[0]), 0.0))
+        if data.draw(st.booleans()):
+            reach = max(tab.ages[-1], tab.times[-1] - tab.times[0]) + 10.0
+            segments.append((float(tab.times[-1]) + 10.0, float(reach), float(reach)))
+        segments = data.draw(st.permutations(segments))
+        t, a, delta = (np.array(column) for column in zip(*segments))
+        got = tab.cumulative(t, a, delta)
+        assert got.shape == t.shape
+        np.testing.assert_allclose(got, grid_edge_cumulative(tab, t, a, delta), rtol=1e-14, atol=0.0)
+        # alone, a segment sums to the same bits as in the batch
+        assert [tab.cumulative(*segment) for segment in segments] == got.tolist()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_rate_matches_four_corner_formula(self, data):
+        tab = self.draw_incidence(data)
+        n = data.draw(st.integers(1, 20))
+        t = np.array(data.draw(st.lists(st.floats(tab.times[0] - 30.0, tab.times[-1] + 30.0), min_size=n, max_size=n)))
+        a = np.array(data.draw(st.lists(st.floats(0.0, tab.ages[-1] + 30.0), min_size=n, max_size=n)))
+        np.testing.assert_allclose(tab.rate(t, a), grid_edge_rate(tab, t, a), rtol=1e-15, atol=0.0)
+        nodes_t, nodes_a = np.meshgrid(tab.times, tab.ages, indexing="ij")
+        np.testing.assert_allclose(tab.rate(nodes_t, nodes_a), tab.table, rtol=1e-15, atol=0.0)
+
+    def test_shapes(self):
+        tab = TabulatedIncidence(np.array([90.0, 100.0, 110.0]), np.array([0.0, 40.0, 95.0]),
+                                 np.array([[0.0, 0.004, 0.02], [0.0, 0.005, 0.025], [0.0, 0.006, 0.03]]))
+        t = np.array([[95.0, 100.0, 120.0], [80.0, 105.0, 101.0]])
+        a = np.array([[60.0, 40.0, 100.0], [10.0, 94.0, 0.5]])
+        delta = 0.75 * a
+        scalar = tab.cumulative(95.0, 60.0, 45.0)
+        assert isinstance(scalar, float)
+        assert isinstance(tab.rate(95.0, 60.0), float)
+        got = tab.cumulative(t, a, delta)
+        assert got.shape == (2, 3)
+        assert got[0, 0] == scalar
+        np.testing.assert_allclose(got, grid_edge_cumulative(tab, t, a, delta), rtol=1e-14, atol=0.0)
+        assert tab.rate(t, a).shape == (2, 3)
+
+    def test_kinks_are_python_floats(self):
+        tab = TabulatedIncidence(np.array([0.0, 50.0]), np.array([10.0, 20.5]), np.zeros((2, 2)))
+        assert tab.kink_times == (0.0, 50.0) and tab.kink_ages == (10.0, 20.5)
+        assert all(type(x) is float for x in tab.kink_times + tab.kink_ages)
+
+
 class TestValidation:
     def test_gompertz_degenerate_slope(self):
         with pytest.raises(ValueError):
