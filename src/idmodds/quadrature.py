@@ -7,14 +7,17 @@ breakpoints at the kinks) converges quickly.  The rule constants are
 QUADPACK's qk15 (Piessens et al., 1983).
 
 :func:`adaptive_quad_many` runs the algorithm on a batch of integrals at
-once: every sweep applies the rule to the live intervals of all unfinished
-integrals through one integrand call ``f(x, k)``, where ``k`` holds the
-integral index of each node, so integrals that share an integrand (an age
-profile of odds, say) pay the per-call cost once per sweep rather than once
-per integral.  No call receives more than ``MAX_INTERVALS`` intervals
-(15 nodes each), which bounds the working memory of a sweep.  Every
-decision stays per integral: its tolerance, round-off stop, error share
-and subdivision budget are those of a lone call.
+once.  The live intervals of all unfinished integrals sit in flat arrays,
+each tagged with the index of the integral that owns it.  A sweep applies
+the rule to the new intervals of every integral through shared integrand
+calls ``f(x, k)``, where ``k`` holds the owner of each node, so integrals
+that share an integrand (an age profile of odds, say) pay the per-call cost
+once per sweep rather than once per integral.  No call receives more than
+``MAX_INTERVALS`` intervals (15 nodes each), which bounds the working
+memory of a sweep.  Per-integral sums come from ``np.bincount`` over the
+owners, and every decision stays per integral: its tolerance, round-off
+stop, error share and subdivision budget are those of a lone call, and so
+are its bits.
 :func:`adaptive_quad` is the one-integral call, with an integrand ``f(x)``.
 """
 
@@ -85,7 +88,10 @@ _W_GAUSS[[1, 3, 5, 7, 9, 11, 13]] = [_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG
 
 
 def _gk15_batch(f, lo, hi, owner):
-    """Apply the 15-point rule to intervals given as 1-D arrays, owned by the integrals ``owner``."""
+    """Apply the 15-point rule to intervals given as 1-D arrays, owned by the integrals ``owner``.
+
+    Row-wise sums keep an interval's bits independent of the other intervals in the call.
+    """
     if len(lo) > MAX_INTERVALS:
         parts = [
             _gk15_batch(f, lo[s : s + MAX_INTERVALS], hi[s : s + MAX_INTERVALS], owner[s : s + MAX_INTERVALS])
@@ -96,9 +102,9 @@ def _gk15_batch(f, lo, hi, owner):
     half = 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * _NODES
     vals = np.asarray(f(pts.ravel(), owner.repeat(len(_NODES))), dtype=float).reshape(pts.shape)
-    kronrod = half * (vals @ _W_KRONROD)
-    gauss = half * (vals @ _W_GAUSS)
-    resabs = half * (np.abs(vals) @ _W_KRONROD)
+    kronrod = half * (vals * _W_KRONROD).sum(axis=1)
+    gauss = half * (vals * _W_GAUSS).sum(axis=1)
+    resabs = half * (np.abs(vals) * _W_KRONROD).sum(axis=1)
     if not np.isfinite(kronrod).all():
         raise QuadratureError("integrand returned non-finite values")
     return kronrod, np.abs(kronrod - gauss), resabs
@@ -111,90 +117,77 @@ def adaptive_quad_many(f, lo, hi, config=DEFAULT_QUADRATURE, breakpoints=None):
     1-D arrays ``x`` and ``k``.  ``breakpoints``, if given, holds one
     sequence per integral of interior abscissae where the subdivision is
     forced to place an interval edge (integrand kinks).  Returns the array of
-    integrals; a zero-length interval integrates to 0.  Raises ValueError
-    when an upper limit lies below its lower limit, and QuadratureError as
-    soon as one integral misses its tolerance within the subdivision budget.  Deterministic: identical inputs give bit-identical
-    results, and a batch of one gives the bits of :func:`adaptive_quad`.
+    integrals; a zero-length interval integrates to 0.
+
+    Raises ValueError for limits that are not finite, an upper limit below
+    its lower limit, or a ``breakpoints`` list whose length is not that of
+    the limits; raises QuadratureError as soon as one integral misses its
+    tolerance within the subdivision budget (the lowest such k is named).
+    Deterministic: identical inputs give bit-identical results, and every
+    integral of a batch gets the bits of its lone :func:`adaptive_quad` call
+    when ``f`` at a node does not depend on the other nodes of the call.
     """
-    lo = np.asarray(lo, dtype=float).ravel().tolist()
-    hi = np.asarray(hi, dtype=float).ravel().tolist()
-    if len(lo) != len(hi):
+    lo = np.asarray(lo, dtype=float).ravel()
+    hi = np.asarray(hi, dtype=float).ravel()
+    n = len(lo)
+    if len(hi) != n:
         raise ValueError("lower and upper limits must have the same length")
-    out = np.zeros(len(lo))
-    # live integrals in ascending order and their interval counts; the intervals of
-    # each are contiguous in the flat arrays, in the order a lone call keeps them
-    ids, counts, edges_lo, edges_hi, owners = [], [], [], [], []
-    for k, (first, last) in enumerate(zip(lo, hi)):
-        if last < first:
-            raise ValueError("upper integration limit is below the lower limit")
-        if first == last:
-            continue
-        inner = () if breakpoints is None else breakpoints[k]
-        edges = [first, *sorted({float(x) for x in inner if first < x < last}), last]
-        ids.append(k)
-        counts.append(len(edges) - 1)
-        edges_lo += edges[:-1]
-        edges_hi += edges[1:]
-        owners += [k] * (len(edges) - 1)
-    if not ids:
+    if breakpoints is not None and len(breakpoints) != n:
+        raise ValueError("breakpoints must hold one sequence per integral")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("integration limits must be finite")
+    if (hi < lo).any():
+        raise ValueError("upper integration limit is below the lower limit")
+    out = np.zeros(n)
+    edges_lo, edges_hi, owners = [], [], []
+    for k, (first, last) in enumerate(zip(lo.tolist(), hi.tolist())):
+        if first < last:
+            inner = () if breakpoints is None else breakpoints[k]
+            edges = [first, *sorted({float(x) for x in inner if first < x < last}), last]
+            edges_lo += edges[:-1]
+            edges_hi += edges[1:]
+            owners += [k] * (len(edges) - 1)
+    if not owners:
         return out
+    # A sweep keeps the unsplit intervals in order, then appends lower and upper halves:
+    # each integral's intervals stay in a lone call's order, and so do its bincount sums.
     a, b, owner = np.array(edges_lo), np.array(edges_hi), np.array(owners)
+    pieces = np.bincount(owner, minlength=n)
     kron, err, resabs = _gk15_batch(f, a, b, owner)
-    splits = [0] * len(lo)
     while True:
-        mask = np.zeros(len(a), dtype=bool)
-        keep = np.zeros(len(a), dtype=bool)
-        next_ids, next_counts = [], []
-        end = 0
-        for k, count in zip(ids, counts):
-            start, end = end, end + count
-            seg_err = err[start:end]
-            total = float(kron[start:end].sum())
-            total_err = float(seg_err.sum())
-            tol = max(config.abs_tol, config.rel_tol * abs(total))
-            # Second branch: error estimate saturated at round-off level.
-            if total_err <= tol or total_err <= 1e-14 * float(resabs[start:end].sum()):
-                out[k] = total
-                continue
-            if splits[k] >= config.max_subdivisions:
-                raise QuadratureError(
-                    f"tolerance not met after {splits[k]} subdivisions "
-                    f"(error {total_err:.3e}, tolerance {tol:.3e})"
-                )
-            share = tol / (2.0 * count)
-            split = seg_err > share
-            budget = config.max_subdivisions - splits[k]
-            n_split = np.count_nonzero(split)
-            if n_split > budget:
-                order = np.argsort(seg_err, kind="stable")[::-1][:budget]
-                split = np.zeros(count, dtype=bool)
-                split[order] = True
-                n_split = budget
-            splits[k] += n_split
-            mask[start:end] = split
-            keep[start:end] = ~split
-            next_ids.append(k)
-            next_counts.append(count + n_split)
-        if not next_ids:
-            break
-        split_lo, split_hi, split_owner = a[mask], b[mask], owner[mask]
-        mid = 0.5 * (split_lo + split_hi)
-        new_lo = np.concatenate((split_lo, mid))
-        new_hi = np.concatenate((mid, split_hi))
-        new_owner = np.concatenate((split_owner, split_owner))
-        nk, ne, nr = _gk15_batch(f, new_lo, new_hi, new_owner)
-        a = np.concatenate((a[keep], new_lo))
-        b = np.concatenate((b[keep], new_hi))
-        owner = np.concatenate((owner[keep], new_owner))
-        kron = np.concatenate((kron[keep], nk))
-        err = np.concatenate((err[keep], ne))
-        resabs = np.concatenate((resabs[keep], nr))
-        if len(next_ids) > 1:
-            # regroup by integral: kept intervals, then lower halves, then upper halves
-            order = np.argsort(owner, kind="stable")
-            a, b, owner, kron, err, resabs = (x[order] for x in (a, b, owner, kron, err, resabs))
-        ids, counts = next_ids, next_counts
-    return out
+        count = np.bincount(owner, minlength=n)
+        total = np.bincount(owner, kron, n)
+        total_err = np.bincount(owner, err, n)
+        tol = np.maximum(config.abs_tol, config.rel_tol * np.abs(total))
+        # Second test: error estimate saturated at round-off level.
+        done = (total_err <= tol) | (total_err <= 1e-14 * np.bincount(owner, resabs, n))
+        np.copyto(out, total, where=done & (count > 0))
+        if done.all():
+            return out
+        splits = count - pieces
+        stuck = np.flatnonzero(~done & (splits >= config.max_subdivisions))
+        if len(stuck):
+            k = stuck[0]
+            raise QuadratureError(
+                f"tolerance not met after {splits[k]} subdivisions "
+                f"(error {total_err[k]:.3e}, tolerance {tol[k]:.3e})"
+            )
+        live = ~done[owner]
+        split = live & (err > tol[owner] / (2.0 * count[owner]))
+        budget = config.max_subdivisions - splits
+        # An integral with more candidates than budget splits its largest errors,
+        # ties to the later interval.
+        for k in np.flatnonzero(np.bincount(owner[split], minlength=n) > budget):
+            own = np.flatnonzero(owner == k)
+            split[own] = False
+            split[own[np.argsort(err[own], kind="stable")[::-1][: budget[k]]]] = True
+        keep = live & ~split
+        mid = 0.5 * (a[split] + b[split])
+        new = (np.concatenate((a[split], mid)), np.concatenate((mid, b[split])), np.tile(owner[split], 2))
+        new += _gk15_batch(f, *new)
+        a, b, owner, kron, err, resabs = (
+            np.concatenate((old[keep], fresh)) for old, fresh in zip((a, b, owner, kron, err, resabs), new)
+        )
 
 
 def adaptive_quad(f, lo, hi, config=DEFAULT_QUADRATURE, breakpoints=()):

@@ -163,7 +163,7 @@ def test_batch_matches_one_integral_calls(batch, config):
         adaptive_quad(lambda x, k=k: f(x, np.full(len(x), k)), lo[k], hi[k], config, breakpoints[k])
         for k in range(len(lo))
     ]
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(got, want)
     assert max(sizes, default=0) <= MAX_INTERVALS * 15
     assert np.all(got[lo == hi] == 0.0)
 
@@ -212,3 +212,63 @@ def test_large_batch_respects_interval_cap():
     got = adaptive_quad_many(f, lo, hi, breakpoints=[[1.0, 2.0, 3.0, 4.0]] * 40)
     assert len(sizes) > 3 and max(sizes) <= MAX_INTERVALS * 15
     np.testing.assert_allclose(got, np.cos(np.arange(40)) - np.cos(5.0 + np.arange(40)), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, breakpoints",
+    [
+        ([0.0, 0.0], [1.0, 1.0], [[0.5]]),
+        ([0.0, 0.0], [1.0, 1.0], [[0.5], [], []]),
+        ([np.nan], [1.0], None),
+        ([0.0], [np.inf], None),
+        ([-np.inf, 0.0], [0.0, 1.0], None),
+    ],
+    ids=["short-breakpoints", "long-breakpoints", "nan-limit", "infinite-upper", "infinite-lower"],
+)
+def test_batch_rejects_bad_arguments_before_any_call(lo, hi, breakpoints):
+    calls = []
+
+    def f(x, k):
+        calls.append(len(x))
+        return x
+
+    with pytest.raises(ValueError):
+        adaptive_quad_many(f, lo, hi, breakpoints=breakpoints)
+    assert calls == []
+
+
+def tied_pieces(x):
+    """cos(15 u) on every unit piece [j, j + 1), u = x - j, at amplitude 4 on pieces 40 and 45 and 1 elsewhere.
+
+    On [32, 64) the nodes of a piece sit at the same offsets from j in every
+    piece, so the rule's values, sums and error estimates of pieces with equal
+    amplitude are bit-identical, and those of pieces 40 and 45 are exactly four
+    times theirs.
+    """
+    j = np.floor(x)
+    return np.where((j == 40.0) | (j == 45.0), 4.0, 1.0) * np.cos(15.0 * (x - j))
+
+
+def test_budget_truncation_splits_the_largest_errors_ties_to_the_later_piece():
+    # 32 unit pieces, all split candidates, against a budget of 5: the one split sweep
+    # takes pieces 40 and 45, then the last three of the 30 tied pieces, and the
+    # error of the 25 unsplit pieces (25 x 2.7e-4) then meets the tolerance 8e-3.
+    cfg = QuadratureConfig(rel_tol=1e-3, abs_tol=8e-3, max_subdivisions=5)
+    edges = np.arange(33.0, 64.0)
+    calls = []
+
+    def lone(x):
+        calls.append(x)
+        return tied_pieces(x)
+
+    want = adaptive_quad(lone, 32.0, 64.0, cfg, edges)
+    assert [len(x) for x in calls] == [32 * 15, 2 * 5 * 15]
+    assert set(np.floor(calls[1]).tolist()) == {40.0, 45.0, 61.0, 62.0, 63.0}
+    assert want == pytest.approx(38.0 * np.sin(15.0) / 15.0, abs=8e-3)
+
+    # in a batch beside a smooth integral, the truncated integrals keep their lone bits
+    def f(x, k):
+        return np.where(k == 1, np.sin(x), tied_pieces(x))
+
+    got = adaptive_quad_many(f, [32.0, 0.0, 32.0], [64.0, 3.0, 64.0], cfg, [edges, [], edges])
+    np.testing.assert_array_equal(got, [want, adaptive_quad(np.sin, 0.0, 3.0, cfg), want])
