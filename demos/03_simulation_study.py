@@ -38,7 +38,7 @@ print(f"calibrated births per year: {births:.4f} "
 start = time.perf_counter()
 ledger = run_simulation(model, config)
 table = cross_section(ledger, config)
-print(f"simulated {len(ledger.birth)} lives in {time.perf_counter() - start:.1f}s; "
+print(f"solved the {len(ledger.birth)} lives the age groups can hold in {time.perf_counter() - start:.1f}s; "
       f"cross-section holds {table.n_total} alive, {table.c_total} diseased")
 
 print("\ngroup    n      c     observed   analytic   z")

@@ -192,16 +192,17 @@ class TabulatedIncidence:
         it = np.searchsorted(self.times[1:-1], t, side="right")
         return it * (len(self.ages) - 1) + np.searchsorted(self.ages[1:-1], a, side="right")
 
-    def _interpolate(self, cell, t, a):
-        """The interpolant of grid cell ``cell`` at (t, a), with (t, a) clamped into that cell."""
-        t0, ht, a0, ha, v00, v01, v10, v11 = np.take(self._cells, cell, axis=1)
+    @staticmethod
+    def _interpolate(corners, t, a):
+        """The interpolant at (t, a) of the cells whose cell-table columns are ``corners``, clamped into each cell."""
+        t0, ht, a0, ha, v00, v01, v10, v11 = corners
         wt = np.clip((t - t0) / ht, 0.0, 1.0)
         wa = np.clip((a - a0) / ha, 0.0, 1.0)
         return v00 * (1 - wt) * (1 - wa) + v01 * (1 - wt) * wa + v10 * wt * (1 - wa) + v11 * wt * wa
 
     def rate(self, t, a):
         t, a = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(a, dtype=float))
-        out = self._interpolate(self._cell_of(t, a), t, a)
+        out = self._interpolate(np.take(self._cells, self._cell_of(t, a), axis=1), t, a)
         return float(out) if out.ndim == 0 else out
 
     def cumulative(self, t, a, delta):
@@ -216,8 +217,8 @@ class TabulatedIncidence:
         lo, hi = edges[..., :-1], edges[..., 1:]
         mid = 0.5 * (hi + lo)
         # Simpson's three points of each piece, all in the cell that holds the piece's midpoint
-        cell = self._cell_of(t - mid, a - mid)
-        at_lo, at_mid, at_hi = (self._interpolate(cell, t - u, a - u) for u in (lo, mid, hi))
+        corners = np.take(self._cells, self._cell_of(t - mid, a - mid), axis=1)
+        at_lo, at_mid, at_hi = (self._interpolate(corners, t - u, a - u) for u in (lo, mid, hi))
         pieces = (hi - lo) / 6.0 * (at_lo + 4.0 * at_mid + at_hi)
         # summed left to right, so the padding the batch's widest segment forces cannot change the rounding
         out = np.cumsum(pieces, axis=-1)[..., -1]

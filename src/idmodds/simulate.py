@@ -7,9 +7,10 @@ hazards against standard-exponential draws, so no discretization error
 enters.  A cross-section of the simulated population at one calendar time
 yields the aggregated current-status table that the estimator consumes.
 
-Every individual consumes exactly four pre-drawn random numbers (birth
-jitter, first-exit draw, event-type draw, duration draw), which makes the
-output independent of evaluation order and safe to parallelize.
+Every birth consumes exactly four pre-drawn random numbers (birth jitter,
+first-exit draw, event-type draw, duration draw), which makes the output
+independent of evaluation order and of which lives are solved: only those
+an age group can hold at the cross-section are.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from typing import Optional
 import numpy as np
 
 from idmodds.prevalence import diseased_population, healthy_population
-from idmodds.quadrature import DEFAULT_QUADRATURE, adaptive_quad
+from idmodds.quadrature import DEFAULT_QUADRATURE, adaptive_quad_many
+
+# adaptive_quad is unused here but kept importable: the benchmark tracer (perfbench/spans.py) patches it
+from idmodds.quadrature import adaptive_quad  # noqa: F401
 from idmodds.rates import RateModel
 
 __all__ = [
@@ -77,14 +81,14 @@ class SimConfig:
             raise ValueError("earliest-born individuals would outlive max_age before the cross section")
         if len(self.age_groups) == 0:
             raise ValueError("at least one age group is required")
-        previous_hi = -math.inf
+        previous_hi = 0.0
         for glo, ghi in self.age_groups:
             if not (math.isfinite(glo) and math.isfinite(ghi)):
                 raise ValueError(f"age group [{glo}, {ghi}) must have finite limits")
             if not glo < ghi:
                 raise ValueError(f"age group [{glo}, {ghi}) is empty")
             if glo < previous_hi:
-                raise ValueError("age groups must be disjoint and ascending")
+                raise ValueError("age groups must be nonnegative, disjoint and ascending")
             previous_hi = ghi
             # someone must be able to occupy the group at the cross section
             if not (self.cross_section_time - ghi < hi and self.cross_section_time - glo > lo):
@@ -103,9 +107,7 @@ class PopulationLedger:
     death: np.ndarray
 
     def __post_init__(self):
-        birth = np.asarray(self.birth, dtype=float)
-        onset = np.asarray(self.onset, dtype=float)
-        death = np.asarray(self.death, dtype=float)
+        birth, onset, death = (np.asarray(column, dtype=float) for column in (self.birth, self.onset, self.death))
         if not birth.shape == onset.shape == death.shape or birth.ndim != 1:
             raise ValueError("birth, onset and death must be matching 1-D arrays")
         has_onset = ~np.isnan(onset)
@@ -220,9 +222,9 @@ class SamplerConvergenceError(RuntimeError):
     """The hazard inversion left lives unsolved after the step limit."""
 
 
-# Lives are solved this many at a time, which bounds the per-step temporaries
-# (a tabulated incidence adds a column per grid line) while keeping the array
-# arithmetic.
+# A study selects and solves its lives this many births at a time, which bounds
+# the per-step temporaries (a tabulated incidence adds a column per grid line)
+# and the selected copies of the draws, while keeping the array arithmetic.
 _CHUNK = 16_384
 # Newton-with-bisection steps allowed per life, and its convergence tolerance in years.
 _MAX_STEPS = 200
@@ -282,7 +284,8 @@ def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draw
     proportion to the two rates at that age, and after an onset inverts the
     course's cumulative diseased mortality at its duration draw.  A life
     whose hazard stays below the draw until its ``end_age`` (a scalar or one
-    age per life, none above ``max_age``) is censored there.  Raises
+    age per life, none above ``max_age``) is censored there.  All lives are
+    solved as one batch, so the caller bounds its size.  Raises
     SimulationHorizonError when the mortality ratio is not positive on
     [0, max_age].
     """
@@ -293,28 +296,24 @@ def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draw
             f"{error}; a simulated disease course can last up to max_age={max_age:g} years"
         ) from None
     end_age = np.broadcast_to(np.asarray(end_age, dtype=float), birth.shape)
-    onset = np.full(birth.shape, np.nan)
-    death = np.full(birth.shape, np.nan)
-    for start in range(0, birth.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        born, end = birth[part], end_age[part]
-        first_exit = _invert(
-            lambda i, s: model.cumulative_m0(born[i] + s, s, s) + model.cumulative_incidence(born[i] + s, s, s),
-            lambda i, s: model.mortality_healthy(born[i] + s, s) + model.incidence_rate(born[i] + s, s),
-            exit_draws[part],
-            end,
-        )
-        exited = np.flatnonzero(~np.isnan(first_exit))
-        age = first_exit[exited]
-        when = born[exited] + age
-        onset_rate = model.incidence_rate(when, age)
-        total = onset_rate + model.mortality_healthy(when, age)
-        sick = type_draws[part][exited] * total < onset_rate
-        death[part][exited[~sick]] = when[~sick]
-        onset_time = when[sick]
-        duration = _course_durations(model, onset_time, age[sick], duration_draws[part][exited[sick]], end[exited[sick]])
-        onset[part][exited[sick]] = onset_time
-        death[part][exited[sick]] = onset_time + duration
+    onset, death = np.full((2, birth.size), np.nan)
+    first_exit = _invert(
+        lambda i, s: model.cumulative_m0(birth[i] + s, s, s) + model.cumulative_incidence(birth[i] + s, s, s),
+        lambda i, s: model.mortality_healthy(birth[i] + s, s) + model.incidence_rate(birth[i] + s, s),
+        exit_draws,
+        end_age,
+    )
+    exited = np.flatnonzero(~np.isnan(first_exit))
+    age = first_exit[exited]
+    when = birth[exited] + age
+    onset_rate = model.incidence_rate(when, age)
+    total = onset_rate + model.mortality_healthy(when, age)
+    sick = type_draws[exited] * total < onset_rate
+    death[exited[~sick]] = when[~sick]
+    onset_time = when[sick]
+    duration = _course_durations(model, onset_time, age[sick], duration_draws[exited[sick]], end_age[exited[sick]])
+    onset[exited[sick]] = onset_time
+    death[exited[sick]] = onset_time + duration
     return onset, death
 
 
@@ -328,32 +327,27 @@ def _course_durations(model: RateModel, onset_time, onset_age, draws, end_age):
     )
 
 
-def calibrate_births_per_year(
-    model: RateModel, config: SimConfig, quadrature=DEFAULT_QUADRATURE
-) -> float:
+def calibrate_births_per_year(model: RateModel, config: SimConfig, quadrature=DEFAULT_QUADRATURE) -> float:
     """Birth rate whose expected alive count in the age groups hits the target.
 
     With births uniform at rate one per year, the expected number alive at
     age a at the cross-section is the total survival (healthy plus diseased),
     so the expectation per unit rate is its integral over the group spans,
-    clipped to ages reachable from the birth window.  Raises EmptyStudyError
-    when that expectation is zero.
+    clipped to ages reachable from the birth window, in one batch.  Raises
+    EmptyStudyError when that expectation is zero.
     """
     t_cross = config.cross_section_time
-    reach_lo = t_cross - config.birth_window[1]
-    reach_hi = t_cross - config.birth_window[0]
+    groups = np.asarray(config.age_groups, dtype=float)
+    # SimConfig lets no group lie out of reach, so every span is nonempty
+    lo = np.maximum(groups[:, 0], t_cross - config.birth_window[1])
+    hi = np.minimum(groups[:, 1], t_cross - config.birth_window[0])
 
-    def alive_density(ages):
+    def alive_density(ages, group):
         # every node's diseased count is one integral of the same batch
         return healthy_population(model, t_cross, ages) + diseased_population(model, t_cross, ages, quadrature)
 
-    expected_per_rate = 0.0
-    for glo, ghi in config.age_groups:
-        lo = max(glo, reach_lo)
-        hi = min(ghi, reach_hi)
-        if lo >= hi:
-            continue
-        expected_per_rate += adaptive_quad(alive_density, lo, hi, quadrature)
+    # summed left to right, in group order, as one integral after another would be
+    expected_per_rate = float(np.cumsum(adaptive_quad_many(alive_density, lo, hi, quadrature))[-1])
     if expected_per_rate <= 0.0:
         raise EmptyStudyError("the configured rates leave no one expected alive in the age groups")
     return config.target_alive / expected_per_rate
@@ -383,22 +377,19 @@ def _birth_schedule(lo: float, span: float, births_per_year: float, rng) -> np.n
 
 
 def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
-    """Simulate every birth in the window and return its events up to the cross-section.
+    """Simulate the births in the window and return the events of the lives an age group can hold.
 
-    Each life is followed until the cross-section; an onset or death after it
-    is NaN, like one that never happens.  Deterministic for a given seed: all
-    random numbers are drawn up front in a fixed layout (four per
-    individual), then each life is computed independently.  Raises
-    StudySizeError, before any draw, when the births over the window up to
-    the cross-section exceed the cap on lives or span too many years, and
-    SimulationHorizonError when the mortality ratio is not positive on
-    [0, max_age].
+    Every birth up to the cross-section takes its four draws, in a fixed
+    layout drawn up front, so a seed gives the same lives however many are
+    solved; only those whose age at the cross-section lies in a group are
+    solved and kept, since no table counts the others.  Each is followed
+    until the cross-section; an onset or death after it is NaN, like one
+    that never happens.  Raises StudySizeError, before any draw, when the
+    births over the window up to the cross-section exceed the cap on lives
+    or span too many years, and SimulationHorizonError when the mortality
+    ratio is not positive on [0, max_age].
     """
-    births_per_year = (
-        config.births_per_year
-        if config.births_per_year is not None
-        else calibrate_births_per_year(model, config)
-    )
+    births_per_year = config.births_per_year or calibrate_births_per_year(model, config)
     # births after the cross-section never enter the study
     lo, hi = config.birth_window
     span = min(hi, config.cross_section_time) - lo
@@ -409,29 +400,39 @@ def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
         raise StudySizeError(f"the birth window spans {span:.4g} years, more than the {_MAX_SPAN:.4g} one run may hold")
     rng = np.random.default_rng(config.rng_seed)
     birth = _birth_schedule(lo, span, births_per_year, rng)
-    exit_draws = rng.exponential(size=birth.size)
-    type_draws = rng.random(birth.size)
-    duration_draws = rng.exponential(size=birth.size)
+    draws = (birth, rng.exponential(size=birth.size), rng.random(birth.size), rng.exponential(size=birth.size))
+    onset, death = np.full((2, birth.size), np.nan)
+    kept = 0
+    # one pass at least, so that a study without births still checks the horizon
+    for start in range(0, max(birth.size, 1), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        age = config.cross_section_time - birth[part]
+        held = np.flatnonzero(np.logical_or.reduce([_in_group(age, glo, ghi) for glo, ghi in config.age_groups]))
+        born, exits, types, durations = (column[part][held] for column in draws)
+        rows = slice(kept, kept + held.size)
+        # no study sees an event after the cross-section, so no life is followed past it
+        onset[rows], death[rows] = _life_courses(model, born, exits, types, durations, config.max_age, age[held])
+        # held births move to the front, over births that this chunk or an earlier one has read
+        birth[rows] = born
+        kept = rows.stop
+    return PopulationLedger(birth[:kept], onset[:kept], death[:kept])
 
-    # no study sees an event after the cross-section, so no life is followed past it
-    end_age = config.cross_section_time - birth
-    onset, death = _life_courses(model, birth, exit_draws, type_draws, duration_draws, config.max_age, end_age)
-    return PopulationLedger(birth, onset, death)
+
+def _in_group(age, lo, hi):
+    """Whether ages at the cross-section lie in the age group [lo, hi): the one membership rule of sampler and table."""
+    return (age >= lo) & (age < hi)
 
 
 def cross_section(ledger: PopulationLedger, config: SimConfig) -> AgeGroupTable:
     """Count alive and diseased per age group at the configured cross-section time."""
     t_cross = config.cross_section_time
-    alive = (ledger.birth <= t_cross) & (np.isnan(ledger.death) | (ledger.death > t_cross))
-    diseased = alive & ~np.isnan(ledger.onset) & (ledger.onset <= t_cross)
+    # no group starts below age 0, so it holds no one born after the cross-section
+    alive = np.isnan(ledger.death) | (ledger.death > t_cross)
+    diseased = alive & (ledger.onset <= t_cross)
     age = t_cross - ledger.birth
     groups = np.asarray(config.age_groups, dtype=float)
-    n = np.empty(len(groups), dtype=np.int64)
-    c = np.empty(len(groups), dtype=np.int64)
-    for index, (lo, hi) in enumerate(groups):
-        in_group = (age >= lo) & (age < hi)
-        n[index] = np.count_nonzero(alive & in_group)
-        c[index] = np.count_nonzero(diseased & in_group)
+    members = [_in_group(age, lo, hi) for lo, hi in groups]
+    n, c = ([np.count_nonzero(status & member) for member in members] for status in (alive, diseased))
     return AgeGroupTable(t_cross, groups[:, 0], groups[:, 1], n, c)
 
 
@@ -441,9 +442,7 @@ def _one_replicate(args):
     return cross_section(run_simulation(model, seeded), seeded)
 
 
-def replicate_study(
-    model: RateModel, config: SimConfig, n_replicates: int, workers: int = 1
-) -> list:
+def replicate_study(model: RateModel, config: SimConfig, n_replicates: int, workers: int = 1) -> list:
     """Independent seeded repetitions of simulate-then-tabulate.
 
     Replicate i uses seed ``rng_seed + i``; results do not depend on

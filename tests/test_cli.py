@@ -310,6 +310,18 @@ class TestSimulate:
         assert manifest["calibrated_births_per_year"] > 0.0
 
 
+    @pytest.mark.parametrize("births", [{}, {"births_per_year": 10}], ids=["calibrated", "configured"])
+    def test_negative_age_group_is_config_error(self, tmp_path, capsys, births):
+        # calibration integrated the alive density at negative ages (exit 3); a configured rate
+        # wrote a table whose first group counts ages 0 to 5 under the limits -5 to 5 (exit 0)
+        document = {"simulation": {"age_groups": [[-5.0, 5.0], [40.0, 45.0]], "birth_window": [0.0, 150.0], **births}}
+        config = write_config(tmp_path, document)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", config, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nonnegative" in err
+        assert not (out / "study_0001.csv").exists()
+
     def test_ratio_negative_before_max_age_is_config_error(self, tmp_path, capsys):
         # R(d) = -1e-4 d^2 + 1.1 passes the check on [0, max_duration=100], but a
         # course can last up to max_age=110, where R(110) < 0

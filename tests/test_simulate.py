@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from idmodds.prevalence import survivor_fraction
+from idmodds.prevalence import diseased_population, healthy_population, survivor_fraction
+from idmodds.quadrature import adaptive_quad
 from idmodds.rates import (
     ExponentialIncidence,
     GompertzParams,
@@ -186,10 +187,8 @@ class TestSampleLife:
         assert np.all(model.cumulative_m1(onset[alive] + cap, max_age, cap) < duration_draws[alive])
 
     @pytest.mark.parametrize("family", ["positive_part", "tabulated"])
-    def test_life_independent_of_chunking(self, family, monkeypatch):
-        # a life's events depend on its own draws alone, not on which lives share its chunk
-        import idmodds.simulate
-
+    def test_life_independent_of_chunking(self, family):
+        # a life's events depend on its own draws alone, not on which lives share its batch
         model = RateModel(
             FOLLOW_UP_MODELS[family], GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(0.04, 5.0, 1.0)
         )
@@ -202,9 +201,9 @@ class TestSampleLife:
         default = _life_courses(model, birth, *draws, cfg.max_age, end_age)
         assert np.count_nonzero(~np.isnan(default[0])) > 0
         for chunk in (1, 7):
-            monkeypatch.setattr(idmodds.simulate, "_CHUNK", chunk)
-            chunked = _life_courses(model, birth, *draws, cfg.max_age, end_age)
-            for want, got in zip(default, chunked):
+            parts = [slice(start, start + chunk) for start in range(0, n, chunk)]
+            chunked = [_life_courses(model, birth[p], *(d[p] for d in draws), cfg.max_age, end_age[p]) for p in parts]
+            for want, got in zip(default, (np.concatenate(column) for column in zip(*chunked))):
                 np.testing.assert_array_equal(got, want)
 
     def test_course_duration_distribution(self):
@@ -295,8 +294,8 @@ class TestBirthSchedule:
         np.testing.assert_array_equal(birth, expected)
 
     def test_births_after_cross_section_are_not_simulated(self):
-        # 0.01 births a year: one life before t = 100, 9 999 after it
-        config = SimConfig(births_per_year=0.01, birth_window=(0.0, 1e6), age_groups=((40.0, 45.0),))
+        # 0.01 births a year: one life before t = 100, born in [50, 51) and so held by the group, 9 999 after it
+        config = SimConfig(births_per_year=0.01, birth_window=(0.0, 1e6), age_groups=((45.0, 50.0),))
         ledger = run_simulation(reference_rate_model(), config)
         assert len(ledger) == 1
         assert ledger.birth[0] < config.cross_section_time
@@ -389,6 +388,10 @@ class TestConfig:
     def test_overlapping_groups(self):
         with pytest.raises(ValueError):
             SimConfig(age_groups=((40.0, 50.0), (45.0, 55.0)))
+
+    def test_negative_age_group_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SimConfig(age_groups=((-5.0, 5.0), (40.0, 45.0)), birth_window=(0.0, 150.0))
 
     def test_open_ended_group_rejected(self):
         # its table could not be fitted: a group's prevalence is taken at its midpoint
@@ -511,6 +514,100 @@ class TestFollowUpToCrossSection:
             np.testing.assert_array_equal(fast_table.c, oracle_table.c)
 
 
+def in_any_group(age, groups):
+    """Whether each age lies in one of the groups [lo, hi), written out apart from the module's rule."""
+    return np.array([any(lo <= x < hi for lo, hi in groups) for x in np.asarray(age).tolist()], dtype=bool)
+
+
+# Group layouts reachable from the default window at t = 100, with gaps between groups and, in
+# the last, groups touching at 62 and one clipped to the ages the window reaches (up to 100).
+HELD_LAYOUTS = [
+    ((40.0, 45.0), (55.0, 56.5), (80.0, 95.0)),
+    ((37.25, 41.0), (60.0, 62.0), (62.0, 70.0), (99.0, 130.0)),
+]
+
+
+class TestHeldLives:
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(
+        first=st.floats(35.5, 60.0),
+        steps=st.lists(st.tuples(st.floats(0.0, 8.0), st.floats(0.25, 12.0)), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ledger_holds_the_births_a_group_can_hold(self, first, steps, seed):
+        groups, lo = [], first
+        for gap, width in steps:
+            lo += gap
+            if lo >= 100.0:
+                break
+            groups.append((lo, lo + width))
+            lo += width
+        cfg = SimConfig(births_per_year=20.0, age_groups=tuple(groups), rng_seed=seed)
+        ledger = run_simulation(reference_rate_model(), cfg)
+        # every birth is drawn, in the schedule's order; the ledger keeps the held ones
+        schedule = _birth_schedule(0.0, 65.0, cfg.births_per_year, np.random.default_rng(seed))
+        np.testing.assert_array_equal(ledger.birth, schedule[in_any_group(cfg.cross_section_time - schedule, groups)])
+        assert np.all(in_any_group(cfg.cross_section_time - ledger.birth, groups))
+
+    @pytest.mark.parametrize("layout", HELD_LAYOUTS)
+    @pytest.mark.parametrize("family", ["exponential", "tabulated"])
+    def test_tables_match_solving_every_life(self, family, layout, monkeypatch):
+        # the oracle holds every life, so it solves all births in the window
+        import idmodds.simulate
+
+        model = RateModel(
+            FOLLOW_UP_MODELS[family], GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(0.04, 5.0, 1.0)
+        )
+        for seed in (0, 1, 2):
+            cfg = SimConfig(births_per_year=60.0, age_groups=layout, rng_seed=seed)
+            held = run_simulation(model, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(idmodds.simulate, "_in_group", lambda age, lo, hi: np.ones(age.shape, dtype=bool))
+                oracle = run_simulation(model, cfg)
+            assert len(oracle) == round(60.0 * 65.0) > len(held)
+            kept = in_any_group(cfg.cross_section_time - oracle.birth, layout)
+            for column in ("birth", "onset", "death"):
+                np.testing.assert_array_equal(getattr(held, column), getattr(oracle, column)[kept])
+            held_table, oracle_table = cross_section(held, cfg), cross_section(oracle, cfg)
+            assert held_table.n_total > held_table.c_total > 0
+            np.testing.assert_array_equal(held_table.n, oracle_table.n)
+            np.testing.assert_array_equal(held_table.c, oracle_table.c)
+
+    @pytest.mark.parametrize("family", ["positive_part", "tabulated"])
+    def test_chunk_size_changes_no_table(self, family, monkeypatch):
+        import idmodds.simulate
+
+        model = RateModel(
+            FOLLOW_UP_MODELS[family], GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(0.04, 5.0, 1.0)
+        )
+        cfg = SimConfig(births_per_year=8.0, age_groups=HELD_LAYOUTS[0], rng_seed=4)
+        default = run_simulation(model, cfg)
+        table = cross_section(default, cfg)
+        assert table.n_total > 0
+        for chunk in (1, 7, 100):
+            monkeypatch.setattr(idmodds.simulate, "_CHUNK", chunk)
+            ledger = run_simulation(model, cfg)
+            for column in ("birth", "onset", "death"):
+                np.testing.assert_array_equal(getattr(ledger, column), getattr(default, column))
+            chunked = cross_section(ledger, cfg)
+            np.testing.assert_array_equal(chunked.n, table.n)
+            np.testing.assert_array_equal(chunked.c, table.c)
+
+    def test_group_edges_follow_one_rule(self, monkeypatch):
+        # births placed at exact ages: a group holds its lower limit and not its upper one,
+        # in the selection and in the table alike
+        import idmodds.simulate
+
+        ages = np.array([39.5, 40.0, 44.5, 45.0, 50.0, 54.0, 55.0])
+        monkeypatch.setattr(idmodds.simulate, "_birth_schedule", lambda lo, span, rate, rng: 100.0 - ages)
+        cfg = SimConfig(births_per_year=1.0, age_groups=((40.0, 45.0), (50.0, 55.0)))
+        ledger = run_simulation(zero_rate_model(), cfg)
+        np.testing.assert_array_equal(100.0 - ledger.birth, [40.0, 44.5, 50.0, 54.0])
+        assert cross_section(ledger, cfg).n.tolist() == [2, 2]
+        # with zero rates every life of the ledger is alive and counted
+        assert np.all(np.isnan(ledger.death))
+
+
 class TestCrossSection:
     def test_empty_ledger(self):
         empty = PopulationLedger(np.array([]), np.array([]), np.array([]))
@@ -558,6 +655,37 @@ class TestCalibration:
         base = calibrate_births_per_year(model, SimConfig(target_alive=1000.0))
         double = calibrate_births_per_year(model, SimConfig(target_alive=2000.0))
         assert double == pytest.approx(2.0 * base, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "family, window, groups",
+        [
+            ("reference", (0.0, 65.0), DEFAULT_AGE_GROUPS),
+            ("tabulated", (0.0, 65.0), DEFAULT_AGE_GROUPS),
+            ("reference", (7.5, 57.5), DEFAULT_AGE_GROUPS),
+            ("reference", (0.0, 65.0), tuple((40.0 + j, 41.0 + j) for j in range(55))),
+        ],
+        ids=["reference", "tabulated", "clipped-window", "one-year-groups"],
+    )
+    def test_batch_equals_per_group_integrals_in_order(self, family, window, groups):
+        # the clipped window reaches ages 42.5 to 92.5 only, inside the first and last groups;
+        # over the 55 one-year groups, numpy's pairwise sum of the same integrals differs in the last bit
+        model = reference_rate_model()
+        if family == "tabulated":
+            model = RateModel(FOLLOW_UP_MODELS["tabulated"], model.m0, model.ratio)
+        cfg = SimConfig(birth_window=window, age_groups=groups)
+        t_cross = cfg.cross_section_time
+
+        def alive_density(ages):
+            return healthy_population(model, t_cross, ages) + diseased_population(model, t_cross, ages)
+
+        expected = 0.0
+        for glo, ghi in cfg.age_groups:
+            lo, hi = max(glo, t_cross - window[1]), min(ghi, t_cross - window[0])
+            expected += adaptive_quad(alive_density, lo, hi)
+        assert calibrate_births_per_year(model, cfg) == cfg.target_alive / expected
+
+    def test_reference_rate_keeps_its_bits(self):
+        assert calibrate_births_per_year(reference_rate_model(), SimConfig()) == 1985.0888100629938
 
     def test_nobody_alive_raises_typed_error(self):
         # reachable groups, but a healthy mortality that underflows the alive density to 0
