@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from idmodds import __version__
 from idmodds.config import ConfigError, RunConfig, load_run_config
 from idmodds.fit import FitInputError, fit
 from idmodds.prevalence import (
+    _profiles,
     cross_section_profile,
     effective_diseased_mortality,
     pde_residual_odds,
@@ -164,9 +166,7 @@ def cmd_evaluate(config: RunConfig, args, out_dir: str, manifest: dict) -> int:
         routes = ["pseudo_convolution", "keiding", "cohort_ratio"]
     columns = [ages] + [cross_section_profile(model, args.t, ages, "odds", route).values for route in routes]
 
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_format(value) for value in row))
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
     path = os.path.join(out_dir, "odds_curve.csv")
     _atomic_write_text(path, "\n".join(lines) + "\n")
     manifest["outputs"].append(path)
@@ -277,8 +277,8 @@ def cmd_crosscheck(config: RunConfig, args, out_dir: str, manifest: dict) -> int
         "pass": bool(spread <= 1e-6),
     }
 
-    residual_h = pde_residual_prevalence(model, t, a, h)
-    residual_h2 = pde_residual_prevalence(model, t, a, h / 2.0)
+    steps = [h, h / 2.0]
+    residual_h, residual_h2 = pde_residual_prevalence(model, t, a, steps).tolist()
     ratio = _richardson(residual_h, residual_h2)
     report["prevalence_pde"] = {
         "residual_h": residual_h,
@@ -288,8 +288,7 @@ def cmd_crosscheck(config: RunConfig, args, out_dir: str, manifest: dict) -> int
     }
 
     if model.ratio.gamma1 == 0.0:
-        odds_h = pde_residual_odds(model, t, a, h)
-        odds_h2 = pde_residual_odds(model, t, a, h / 2.0)
+        odds_h, odds_h2 = pde_residual_odds(model, t, a, steps).tolist()
         odds_ratio = _richardson(odds_h, odds_h2)
         report["odds_pde"] = {
             "residual_h": odds_h,
@@ -323,8 +322,7 @@ def cmd_crosscheck(config: RunConfig, args, out_dir: str, manifest: dict) -> int
 
     gap = 0.5
     ages = np.arange(40.0, 91.0 + 1e-9, 0.5)
-    start = cross_section_profile(model, t, ages)
-    end = cross_section_profile(model, t + gap, ages)
+    start, end = _profiles(model, [t, t + gap], ages)
     recovered = reconstruct_incidence(
         start,
         end,
@@ -360,6 +358,7 @@ def cmd_crosscheck(config: RunConfig, args, out_dir: str, manifest: dict) -> int
     return _EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="idm-odds",

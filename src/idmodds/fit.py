@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from idmodds.prevalence import _lookback_kinks, cross_section_profile
+from idmodds.prevalence import _lookback_edges, cross_section_profile
 # prevalence is unused here but kept importable: the benchmark tracer (perfbench/spans.py) patches it
 from idmodds.prevalence import prevalence  # noqa: F401
 from idmodds.quadrature import QuadratureConfig, QuadratureError
@@ -202,17 +202,18 @@ def _largest_initial_ratio(bounds) -> float:
     return max(g1 * sq if g1 and sq else 0.0 for g1 in (g1_lo, g1_hi) for sq in squares) + g3_hi
 
 
-def _lookback_rule(incidence, m0: GompertzParams, t: float, a: float, initial_ratio: float):
+def _lookback_rule(kinks, m0: GompertzParams, t: float, a: float, initial_ratio: float):
     """Composite Gauss-Legendre nodes and weights over the lookback [0, a].
 
-    Pieces end at the incidence kinks and at a/2, a/4, ..., down to the
+    Pieces end at the incidence ``kinks`` (a NaN-padded row of
+    :func:`~idmodds.prevalence._lookback_edges`) and at a/2, a/4, ..., down to the
     shortest decay length 1/(m0(t, a) * initial_ratio) that the kernel
     exp(-CM1) can have just after onset, so the recent-onset layer is
     resolved anywhere in the bounds box.
     """
     rate = float(m0.rate(t, a))
     depth = min(max(rate * initial_ratio * a if rate else 0.0, 2.0), 2.0**60)
-    edges = {0.0, a, *_lookback_kinks(incidence, t, a)}
+    edges = {0.0, a, *kinks[~np.isnan(kinks)].tolist()}
     edges.update(a * 0.5**k for k in range(1, math.ceil(math.log2(depth)) + 1))
     edges = sorted(edges)
     cuts = [
@@ -258,7 +259,8 @@ class _LikelihoodPlan:
             raise FitInputError("age groups must start at nonnegative ages")
         t = float(table.cross_section_time)
         initial_ratio = _largest_initial_ratio(config.bounds)
-        rules = [_lookback_rule(config.incidence, config.m0, t, float(a), initial_ratio) for a in ages]
+        kinks = _lookback_edges(config.incidence, np.full(len(ages), t), ages, np.zeros(len(ages)))
+        rules = [_lookback_rule(row, config.m0, t, a, initial_ratio) for row, a in zip(kinks, ages.tolist())]
         width = max(len(nodes) for nodes, _ in rules)
         weighted = np.zeros((len(ages), width))
         exponent = np.zeros((len(ages), width))

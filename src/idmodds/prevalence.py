@@ -99,46 +99,60 @@ class AgeProfile:
         object.__setattr__(self, "values", values)
 
 
-def _lookback_kinks(incidence, t: float, a: float):
-    """Lookbacks delta in (0, a) where the life line ending at (t, a) crosses an incidence kink."""
-    edges = [a - g for g in incidence.kink_ages]
-    edges += [t - g for g in incidence.kink_times]
-    return [x for x in edges if 0.0 < x < a]
-
-
-def _recent_onset_edges(model: RateModel, t: float, a: float, first_piece: float):
+def _onset_layer(rate, first_piece):
     """Durations, graded by factors of 2, that resolve the layer of just-begun disease courses.
 
-    A course that ends at (t, a) after duration d survives as exp(-m1 d) for
-    small d, with m1 = m0(t, a) R(0): integrands over the duration fall by e
-    within 1/m1 of zero duration.  When the outermost node of the 15-point
-    rule on the first piece (of length ``first_piece``) lies beyond that,
-    every node reads about zero and the error estimate passes, so edges are
-    placed at 1/m1, 2/m1, 4/m1, ... up to the first piece's end.  Otherwise
-    the rule sees the layer and nothing is added.
+    A course that ends at a point after duration d survives as exp(-m1 d)
+    for small d, with m1 = ``rate`` = m0 R(0) there: integrands over the
+    duration fall by e within 1/m1 of zero duration.  When the outermost
+    node of the 15-point rule on the first piece (of length
+    ``first_piece``) lies beyond that, every node reads about zero and the
+    error estimate passes, so edges are placed at 1/m1, 2/m1, 4/m1, ... up
+    to the first piece's end.  Otherwise the rule sees the layer and nothing
+    is added.  One row per point, padded with NaN.
     """
-    rate = float(model.mortality_healthy(t, a)) * model.ratio.coefficients[0]
-    # the edge count comes from log2(rate * first_piece), which must stay finite
-    if not (1.0 < rate * EDGE_NODE_OFFSET * first_piece and rate * first_piece < math.inf):
-        return []
-    return [2.0**k / rate for k in range(math.ceil(math.log2(rate * first_piece)))]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        span = rate * first_piece
+        # the edge count comes from log2(span), which must stay finite
+        graded = (1.0 < rate * EDGE_NODE_OFFSET * first_piece) & (span < math.inf)
+        count = np.ceil(np.log2(np.where(graded, span, 1.0))).astype(int)
+        k = np.arange(count.max(initial=0))
+        return np.where(k < count[:, None], 2.0**k / rate[:, None], np.nan)
 
 
-def _lookback_breakpoints(model: RateModel, t: float, a: float):
-    """Edges for integrals over the lookback delta ending at (t, a)."""
-    kinks = _lookback_kinks(model.incidence, t, a)
-    return kinks + _recent_onset_edges(model, t, a, min(kinks, default=a))
+def _lookback_edges(incidence, t, a, onset_rate):
+    """Edges for the integrals over the lookback delta ending at the points (t, a), one NaN-padded row each.
+
+    The kinks are the lookbacks in (0, a) where the life line crosses an
+    incidence kink; the first piece, up to the nearest kink, gets the
+    recent-onset layer of :func:`_onset_layer` for the diseased mortality
+    ``onset_rate`` just after onset.  A zero rate gives the kinks alone.
+    """
+    kinks = np.column_stack(
+        (a[:, None] - np.asarray(incidence.kink_ages), t[:, None] - np.asarray(incidence.kink_times))
+    )
+    kinks = np.where((0.0 < kinks) & (kinks < a[:, None]), kinks, np.nan)
+    first_piece = np.fmin.reduce(np.column_stack((kinks, a)), axis=1)
+    return np.column_stack((kinks, _onset_layer(onset_rate, first_piece)))
 
 
-def _onset_age_breakpoints(model: RateModel, t: float, a: float):
-    """Edges for integrals over the onset age y along the life line through (t, a)."""
-    birth = t - a
-    edges = list(model.incidence.kink_ages)
-    edges += [g - birth for g in model.incidence.kink_times]
-    edges = [x for x in edges if 0.0 < x < a]
-    # zero duration sits at y = a
-    layer = _recent_onset_edges(model, t, a, a - max(edges, default=0.0))
-    return edges + [a - d for d in layer]
+def _onset_age_edges(incidence, t, a, onset_rate):
+    """Edges for the integrals over the onset age y along the life lines through (t, a), one NaN-padded row each.
+
+    The kinks are the ages in (0, a) where the life line crosses an
+    incidence kink; zero duration sits at y = a, so the recent-onset layer
+    of :func:`_onset_layer` is laid back from a over the last piece.
+    """
+    kink_ages = np.broadcast_to(np.asarray(incidence.kink_ages), (len(a), len(incidence.kink_ages)))
+    kinks = np.column_stack((kink_ages, np.asarray(incidence.kink_times) - (t - a)[:, None]))
+    kinks = np.where((0.0 < kinks) & (kinks < a[:, None]), kinks, np.nan)
+    last_piece = a - np.fmax.reduce(np.column_stack((kinks, np.zeros_like(a))), axis=1)
+    return np.column_stack((kinks, a[:, None] - _onset_layer(onset_rate, last_piece)))
+
+
+def _onset_rate(model: RateModel, t, a):
+    """Diseased mortality just after onset, m0(t, a) R(0), at the points (t, a)."""
+    return model.mortality_healthy(t, a) * model.ratio.coefficients[0]
 
 
 def _points(t, a):
@@ -158,7 +172,7 @@ def _shaped(values, shape):
 
 def _over_lookback(model: RateModel, t, a, integrand, quadrature: QuadratureConfig):
     """Integrals of ``integrand(delta, k)`` over the lookback [0, a[k]] ending at (t[k], a[k]), in one batch."""
-    edges = [_lookback_breakpoints(model, tk, ak) for tk, ak in zip(t.tolist(), a.tolist())]
+    edges = _lookback_edges(model.incidence, t, a, _onset_rate(model, t, a))
     return adaptive_quad_many(integrand, np.zeros(len(a)), a, quadrature, edges)
 
 
@@ -292,7 +306,7 @@ def _odds_at(model: RateModel, t, ages, method: str, quadrature: QuadratureConfi
         # onset flow times survival with disease up to age a, over the onset age y,
         # divided by the healthy survivor fraction at a
         flow = _surviving_onsets(model, t, a)
-        edges = [_onset_age_breakpoints(model, tk, ak) for tk, ak in zip(t.tolist(), a.tolist())]
+        edges = _onset_age_edges(inc, t, a, _onset_rate(model, t, a))
         return adaptive_quad_many(lambda y, k: flow(a[k] - y, k), np.zeros(len(a)), a, quadrature, edges)
     if method == "pseudo_convolution":
         # past incidence convolved with the damping kernel
@@ -374,56 +388,69 @@ def prevalence(
 _RESIDUAL_QUADRATURE = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=400)
 
 
+def _transport_odds(model: RateModel, t: float, a: float, h, quadrature: QuadratureConfig):
+    """Pseudo-convolution odds at (t, a) and at (t +- h, a +- h) for every step h, all in one batch.
+
+    Returns the odds here, the odds ahead and behind (one per step) and the
+    steps, flattened.
+    """
+    steps = np.asarray(h, dtype=float).ravel()
+    if not np.all((0.0 < steps) & (steps <= a)):
+        raise ValueError("step must satisfy 0 < h <= a")
+    times = np.concatenate(([t], t + steps, t - steps))
+    ages = np.concatenate(([a], a + steps, a - steps))
+    here, ahead, behind = np.split(
+        _nonnegative_odds(_odds_at(model, times, ages, "pseudo_convolution", quadrature), ages), [1, 1 + len(steps)]
+    )
+    return here[0], ahead, behind, steps
+
+
 def pde_residual_prevalence(
     model: RateModel,
     t: float,
     a: float,
-    h: float,
+    h,
     quadrature: QuadratureConfig = _RESIDUAL_QUADRATURE,
-) -> float:
+):
     """Residual of the prevalence transport equation at (t, a), discretized with step ``h``.
 
     The directional derivative of p along the life line is approximated by a
     central difference; the exact balance says it equals
     (1 - p) * (i - p * (effective diseased mortality - healthy mortality)).
-    Shrinks as h**2 for smooth rates.
+    Shrinks as h**2 for smooth rates.  ``h`` may be one step, giving a
+    float, or an array of steps, giving one residual per step: all their
+    odds run as one batch and the effective mortality is computed once.
     """
-    if not 0.0 < h <= a:
-        raise ValueError("step must satisfy 0 < h <= a")
-    p_plus = prevalence(model, t + h, a + h, "pseudo_convolution", quadrature).prevalence
-    p_minus = prevalence(model, t - h, a - h, "pseudo_convolution", quadrature).prevalence
-    p_here = prevalence(model, t, a, "pseudo_convolution", quadrature).prevalence
-    drift = (p_plus - p_minus) / (2.0 * h)
+    here, ahead, behind, steps = _transport_odds(model, t, a, h, quadrature)
+    p_here, p_ahead, p_behind = (odds / (1.0 + odds) for odds in (here, ahead, behind))
+    drift = (p_ahead - p_behind) / (2.0 * steps)
     i_here = float(model.incidence_rate(t, a))
     m0_here = float(model.mortality_healthy(t, a))
     m1_star = effective_diseased_mortality(model, t, a, quadrature)
-    return drift - (1.0 - p_here) * (i_here - p_here * (m1_star - m0_here))
+    return _shaped(drift - (1.0 - p_here) * (i_here - p_here * (m1_star - m0_here)), np.shape(h))
 
 
 def pde_residual_odds(
     model: RateModel,
     t: float,
     a: float,
-    h: float,
+    h,
     quadrature: QuadratureConfig = _RESIDUAL_QUADRATURE,
-) -> float:
+):
     """Residual of the odds transport equation, valid only for duration-independent diseased mortality.
 
     With m1 independent of duration the odds satisfy
-    (d/d life line) pi = (i - (m1 - m0)) * pi + i.
+    (d/d life line) pi = (i - (m1 - m0)) * pi + i.  ``h`` may be one step or
+    an array of steps, as in :func:`pde_residual_prevalence`.
     """
     if model.ratio.gamma1 != 0.0:
         raise ValueError("odds balance requires a duration-independent mortality ratio (gamma1 = 0)")
-    if not 0.0 < h <= a:
-        raise ValueError("step must satisfy 0 < h <= a")
-    odds_plus = prevalence_odds_pseudo_convolution(model, t + h, a + h, quadrature).odds
-    odds_minus = prevalence_odds_pseudo_convolution(model, t - h, a - h, quadrature).odds
-    odds_here = prevalence_odds_pseudo_convolution(model, t, a, quadrature).odds
-    drift = (odds_plus - odds_minus) / (2.0 * h)
+    here, ahead, behind, steps = _transport_odds(model, t, a, h, quadrature)
+    drift = (ahead - behind) / (2.0 * steps)
     i_here = float(model.incidence_rate(t, a))
     m0_here = float(model.mortality_healthy(t, a))
     m1_here = m0_here * model.ratio.gamma3
-    return drift - ((i_here - (m1_here - m0_here)) * odds_here + i_here)
+    return _shaped(drift - ((i_here - (m1_here - m0_here)) * here + i_here), np.shape(h))
 
 
 def reconstruct_incidence(
@@ -466,6 +493,25 @@ def reconstruct_incidence(
     return AgeProfile(t_mid, ages_mid, estimates)
 
 
+def _profiles(
+    model: RateModel,
+    times,
+    ages,
+    kind: str = "prevalence",
+    method: str = "pseudo_convolution",
+    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> list:
+    """Cross-sections over one age grid at each of several calendar times, all their integrals in one batch."""
+    if kind not in ("prevalence", "odds"):
+        raise ValueError("kind must be 'prevalence' or 'odds'")
+    times = np.asarray(times, dtype=float).ravel()
+    ages = np.asarray(ages, dtype=float)
+    grid = np.tile(ages.ravel(), len(times))
+    odds = _nonnegative_odds(_odds_at(model, np.repeat(times, ages.size), grid, method, quadrature), grid)
+    rows = np.split(odds if kind == "odds" else odds / (1.0 + odds), len(times))
+    return [AgeProfile(time, ages, row.reshape(ages.shape)) for time, row in zip(times.tolist(), rows)]
+
+
 def cross_section_profile(
     model: RateModel,
     time: float,
@@ -475,8 +521,4 @@ def cross_section_profile(
     quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> AgeProfile:
     """Prevalence (or odds) over an age grid at one calendar time, all ages' integrals in one batch."""
-    if kind not in ("prevalence", "odds"):
-        raise ValueError("kind must be 'prevalence' or 'odds'")
-    ages = np.asarray(ages, dtype=float)
-    odds = _nonnegative_odds(_odds_at(model, time, ages, method, quadrature), ages)
-    return AgeProfile(time, ages, odds if kind == "odds" else odds / (1.0 + odds))
+    return _profiles(model, [time], ages, kind, method, quadrature)[0]

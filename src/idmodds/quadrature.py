@@ -17,7 +17,9 @@ once per sweep rather than once per integral.  No call receives more than
 memory of a sweep.  Per-integral sums come from ``np.bincount`` over the
 owners, and every decision stays per integral: its tolerance, round-off
 stop, error share and subdivision budget are those of a lone call, and so
-are its bits.
+are its bits.  The breakpoints arrive as an (n, K) array, one NaN-padded
+row per integral, and the first intervals of the whole batch come from one
+row-wise sort of it.
 :func:`adaptive_quad` is the one-integral call, with an integrand ``f(x)``.
 """
 
@@ -110,19 +112,34 @@ def _gk15_batch(f, lo, hi, owner):
     return kronrod, np.abs(kronrod - gauss), resabs
 
 
+def _breakpoint_rows(breakpoints, n):
+    """Breakpoints as an (n, K) float array: a 2-D array as it is, one sequence per integral padded with NaN."""
+    if breakpoints is None:
+        return np.empty((n, 0))
+    if isinstance(breakpoints, np.ndarray) and breakpoints.ndim == 2:
+        return breakpoints.astype(float, copy=False)
+    rows = [np.asarray(row, dtype=float).ravel() for row in breakpoints]
+    padded = np.full((len(rows), max(map(len, rows), default=0)), np.nan)
+    for k, row in enumerate(rows):
+        padded[k, : len(row)] = row
+    return padded
+
+
 def adaptive_quad_many(f, lo, hi, config=DEFAULT_QUADRATURE, breakpoints=None):
     """Integrate over ``[lo[k], hi[k]]`` for every k, each to the configured tolerance.
 
     ``f(x, k)`` returns the integrand of integral ``k[j]`` at ``x[j]`` for
-    1-D arrays ``x`` and ``k``.  ``breakpoints``, if given, holds one
-    sequence per integral of interior abscissae where the subdivision is
-    forced to place an interval edge (integrand kinks).  Returns the array of
-    integrals; a zero-length interval integrates to 0.
+    1-D arrays ``x`` and ``k``.  ``breakpoints``, if given, is an (n, K)
+    array whose row k holds abscissae where the subdivision of integral k is
+    forced to place an interval edge (integrand kinks); entries that are NaN
+    or not strictly inside ``(lo[k], hi[k])`` are ignored, and repeats count
+    once.  A list of n sequences is padded with NaN into that array.
+    Returns the array of integrals; a zero-length interval integrates to 0.
 
     Raises ValueError for limits that are not finite, an upper limit below
-    its lower limit, or a ``breakpoints`` list whose length is not that of
-    the limits; raises QuadratureError as soon as one integral misses its
-    tolerance within the subdivision budget (the lowest such k is named).
+    its lower limit, or ``breakpoints`` without one row per integral;
+    raises QuadratureError as soon as one integral misses its tolerance
+    within the subdivision budget (the lowest such k is named).
     Deterministic: identical inputs give bit-identical results, and every
     integral of a batch gets the bits of its lone :func:`adaptive_quad` call
     when ``f`` at a node does not depend on the other nodes of the call.
@@ -132,26 +149,24 @@ def adaptive_quad_many(f, lo, hi, config=DEFAULT_QUADRATURE, breakpoints=None):
     n = len(lo)
     if len(hi) != n:
         raise ValueError("lower and upper limits must have the same length")
-    if breakpoints is not None and len(breakpoints) != n:
-        raise ValueError("breakpoints must hold one sequence per integral")
+    inner = _breakpoint_rows(breakpoints, n)
+    if len(inner) != n:
+        raise ValueError("breakpoints must hold one row per integral")
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("integration limits must be finite")
     if (hi < lo).any():
         raise ValueError("upper integration limit is below the lower limit")
     out = np.zeros(n)
-    edges_lo, edges_hi, owners = [], [], []
-    for k, (first, last) in enumerate(zip(lo.tolist(), hi.tolist())):
-        if first < last:
-            inner = () if breakpoints is None else breakpoints[k]
-            edges = [first, *sorted({float(x) for x in inner if first < x < last}), last]
-            edges_lo += edges[:-1]
-            edges_hi += edges[1:]
-            owners += [k] * (len(edges) - 1)
-    if not owners:
+    # Each row sorted between its limits, NaN last: the first intervals are the gaps longer than
+    # zero, which drops repeats, the ignored entries and zero-length integrals, in owner order.
+    inner = np.where((lo[:, None] < inner) & (inner < hi[:, None]), inner, np.nan)
+    edges = np.sort(np.column_stack((lo, inner, hi)), axis=1)
+    first = edges[:, 1:] > edges[:, :-1]
+    if not first.any():
         return out
     # A sweep keeps the unsplit intervals in order, then appends lower and upper halves:
     # each integral's intervals stay in a lone call's order, and so do its bincount sums.
-    a, b, owner = np.array(edges_lo), np.array(edges_hi), np.array(owners)
+    a, b, owner = edges[:, :-1][first], edges[:, 1:][first], np.nonzero(first)[0]
     pieces = np.bincount(owner, minlength=n)
     kron, err, resabs = _gk15_batch(f, a, b, owner)
     while True:

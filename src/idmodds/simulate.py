@@ -446,10 +446,13 @@ def replicate_study(model: RateModel, config: SimConfig, n_replicates: int, work
     """Independent seeded repetitions of simulate-then-tabulate.
 
     Replicate i uses seed ``rng_seed + i``; results do not depend on
-    ``workers``.
+    ``workers``.  Without a configured birth rate, the rate is calibrated
+    once, before the replicates start.
     """
     if n_replicates < 1:
         raise ValueError("n_replicates must be at least 1")
+    if config.births_per_year is None:
+        config = replace(config, births_per_year=calibrate_births_per_year(model, config))
     jobs = [(model, config, config.rng_seed + i) for i in range(n_replicates)]
     if workers <= 1 or n_replicates == 1:
         return [_one_replicate(job) for job in jobs]

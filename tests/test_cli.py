@@ -17,15 +17,25 @@ import numpy as np
 import pytest
 
 import idmodds
-from idmodds.cli import main, thread_limit
+from idmodds.cli import _build_parser, _relative_spread, _richardson, main, thread_limit
 from idmodds.config import _SCHEMA, ConfigError, config_hash, load_run_config, parse_run_config
 from idmodds.fit import FitConfig
-from idmodds.prevalence import cross_section_profile, prevalence_odds_pseudo_convolution
+from idmodds.prevalence import (
+    cross_section_profile,
+    effective_diseased_mortality,
+    pde_residual_odds,
+    pde_residual_prevalence,
+    prevalence,
+    prevalence_odds_pseudo_convolution,
+    reconstruct_incidence,
+)
 from idmodds.quadrature import QuadratureConfig
 from idmodds.rates import (
+    ExponentialIncidence,
     GompertzParams,
     MortalityRatioParams,
     PositivePartIncidence,
+    RateModel,
     TabulatedIncidence,
     reference_rate_model,
 )
@@ -548,6 +558,95 @@ class TestCrosscheck:
     def test_negative_step_is_config_error(self, tmp_path):
         assert main(["crosscheck", "--h", "-0.1", "--out-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {
+                "incidence": {
+                    "family": "tabulated",
+                    "times": [0.0, 30.0, 60.0, 90.0, 120.0],
+                    "ages": [0.0, 25.0, 50.0, 75.0, 110.0],
+                    "table": [[0.0, 0.0, 0.006, 0.015, 0.027], [0.0, 0.0, 0.007, 0.016, 0.028],
+                              [0.0, 0.0, 0.007, 0.015, 0.026], [0.0, 0.0, 0.008, 0.017, 0.029],
+                              [0.0, 0.0, 0.007, 0.016, 0.027]],
+                }
+            },
+            {
+                "incidence": {"onset_age": 29.0, "denominator": 3100.0},
+                "ratio": {"gamma1": 0.0, "gamma2": 5.0, "gamma3": 1.8},
+            },
+        ],
+        ids=["tabulated", "positive-part-duration-free"],
+    )
+    def test_report_equals_one_built_from_lone_calls(self, tmp_path, document):
+        config = write_config(tmp_path, document)
+        out = tmp_path / "out"
+        assert main(["crosscheck", "--config", config, "--t", "100.25", "--h", "0.2", "--out-dir", str(out)]) == 0
+        model = load_run_config(config).build_model()
+        want = json.loads(json.dumps(lone_call_crosscheck(model, 100.25, 60.0, 0.2)))
+        assert json.loads((out / "crosscheck.json").read_text()) == want
+
+
+def lone_call_crosscheck(model, t, a, h):
+    """The crosscheck report with one call per residual step and per profile (the oracle for the shared batches)."""
+    report = {"t": t, "age": a, "h": h}
+    odds = [prevalence(model, t, a, route).odds for route in ("keiding", "pseudo_convolution", "cohort_ratio")]
+    spread = _relative_spread(odds)
+    report["formula_triangle"] = {
+        "odds_keiding": odds[0],
+        "odds_pseudo_convolution": odds[1],
+        "odds_cohort_ratio": odds[2],
+        "max_relative_deviation": spread,
+        "threshold": 1e-6,
+        "pass": spread <= 1e-6,
+    }
+    checks = [("prevalence_pde", pde_residual_prevalence)]
+    if model.ratio.gamma1 == 0.0:
+        checks.append(("odds_pde", pde_residual_odds))
+    else:
+        report["odds_pde"] = {
+            "skipped": "odds transport equation requires duration-free excess mortality (gamma1 = 0); check skipped"
+        }
+    for name, residual in checks:
+        coarse, fine = residual(model, t, a, h), residual(model, t, a, h / 2.0)
+        ratio = _richardson(coarse, fine)
+        report[name] = {
+            "residual_h": coarse,
+            "residual_h_half": fine,
+            "richardson_ratio": ratio,
+            "pass": ratio is None or 3.5 <= ratio <= 4.5,
+        }
+    companion = RateModel(ExponentialIncidence(k2=0.01), model.m0, model.ratio)
+    special = prevalence(companion, t, a, "convolution_special").odds
+    general = prevalence(companion, t, a).odds
+    deviation = abs(special - general) / max(abs(special), abs(general))
+    report["exponential_special_case"] = {
+        "builtin_companion_model": True,
+        "odds_special": special,
+        "odds_general": general,
+        "relative_deviation": deviation,
+        "threshold": 1e-10,
+        "pass": deviation <= 1e-10,
+    }
+    ages = np.arange(40.0, 91.0 + 1e-9, 0.5)
+    start, end = (cross_section_profile(model, time, ages) for time in (t, t + 0.5))
+    recovered = reconstruct_incidence(
+        start, end, lambda tt, aa: effective_diseased_mortality(model, tt, aa), model.mortality_healthy
+    )
+    keep = recovered.ages <= 90.0 + 1e-9
+    truth = model.incidence_rate(np.full(np.count_nonzero(keep), recovered.time), recovered.ages[keep])
+    error = float(np.max(np.abs(recovered.values[keep] - truth) / np.abs(truth)))
+    report["incidence_reconstruction"] = {
+        "cross_section_times": [t, t + 0.5],
+        "age_range": [40.0, 90.0],
+        "max_error": error,
+        "relative": True,
+        "threshold": 0.02,
+        "pass": error <= 0.02,
+    }
+    report["all_pass"] = all(section.get("pass", True) for section in report.values() if isinstance(section, dict))
+    return report
+
 
 # Bad input: each is refused with one "error:" line and exit 2.  "{tmp}" is a
 # directory holding a plain file `file`, an empty directory `dir` and the
@@ -650,6 +749,44 @@ class TestManifest:
         assert json.dumps(manifest["flags"]) == json.dumps(flags)
         assert manifest["started_utc"] <= manifest["finished_utc"]
         assert all(os.path.dirname(path) == str(out) for path in manifest["outputs"])
+
+
+class TestParser:
+    CALLS = [
+        ["evaluate", "--age-min", "40", "--age-max", "50", "--step", "5", "--method", "all"],
+        ["evaluate", "--age-min", "-5"],
+        ["evaluate", "--method", "bogus"],
+        ["crosscheck", "--h", "0.2"],
+        ["fit"],
+    ]
+
+    @staticmethod
+    def run(root, fresh):
+        codes = []
+        for index, argv in enumerate(TestParser.CALLS):
+            if fresh:
+                _build_parser.cache_clear()
+            try:
+                codes.append(main(argv + ["--out-dir", str(root / str(index))]))
+            except SystemExit as exit_:
+                codes.append(exit_.code)
+        return codes
+
+    def test_one_parser_serves_back_to_back_calls(self, tmp_path, capsys):
+        assert _build_parser() is _build_parser()
+        cached = self.run(tmp_path / "cached", fresh=False)
+        fresh = self.run(tmp_path / "fresh", fresh=True)
+        assert cached == fresh == [0, 2, 2, 0, 0]
+        for index in range(len(self.CALLS)):
+            one, other = tmp_path / "cached" / str(index), tmp_path / "fresh" / str(index)
+            names = sorted(path.name for path in one.glob("*")) if one.exists() else []
+            assert names == (sorted(path.name for path in other.glob("*")) if other.exists() else [])
+            for name in names:
+                if name == "run_manifest.json":
+                    flags = [json.loads((root / name).read_text())["flags"] for root in (one, other)]
+                    assert json.dumps(flags[0]) == json.dumps(flags[1])
+                else:
+                    assert (one / name).read_bytes() == (other / name).read_bytes()
 
 
 class TestEnvironment:

@@ -5,6 +5,7 @@ of the raw transition rates (no shared code with the module under test); the
 generating snippets live next to each constant.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -16,8 +17,12 @@ from scipy import integrate
 from idmodds.prevalence import (
     AgeProfile,
     PrevalenceResult,
+    _lookback_edges,
     _odds_kernel,
-    _recent_onset_edges,
+    _onset_age_edges,
+    _onset_layer,
+    _onset_rate,
+    _profiles,
     case_density,
     cross_section_profile,
     diseased_population,
@@ -32,7 +37,7 @@ from idmodds.prevalence import (
     reconstruct_incidence,
     survivor_fraction,
 )
-from idmodds.quadrature import QuadratureConfig
+from idmodds.quadrature import EDGE_NODE_OFFSET, QuadratureConfig
 from idmodds.rates import (
     ExponentialIncidence,
     GompertzParams,
@@ -65,6 +70,13 @@ def constant_incidence_model(c):
         GompertzParams(-10.7, 0.1, math.log(0.998)),
         MortalityRatioParams(0.0, 0.0, 1.0),
     )
+
+
+def tabulated_incidence():
+    """Positive-part-like incidence on the grid GRID_TIMES x GRID_AGES, varying in time."""
+    base = np.maximum(np.array(GRID_AGES) - 30.0, 0.0) / 3000.0
+    table = base[None, :] * (1.0 + 0.1 * np.arange(5.0))[:, None]
+    return TabulatedIncidence(np.array(GRID_TIMES), np.array(GRID_AGES), table)
 
 
 class TestSurvivorFraction:
@@ -245,8 +257,11 @@ class TestOddsFormulas:
 
     def test_recent_onset_edges_when_their_count_overflows(self, model):
         # m1 * first_piece overflows while m1 * EDGE_NODE_OFFSET * first_piece stays finite
-        edges = _recent_onset_edges(model, 100.0, 7130.0, 7100.0)
-        assert all(math.isfinite(x) and 0.0 < x < 7100.0 for x in edges)
+        t, a = np.array([100.0]), np.array([7130.0])
+        edges = _onset_layer(_onset_rate(model, t, a), np.array([7100.0]))
+        assert all(math.isfinite(x) and 0.0 < x < 7100.0 for x in edges[~np.isnan(edges)])
+        # the first lookback piece ends at the kink a - 30 = 7100, and no layer is added before it
+        np.testing.assert_array_equal(_lookback_edges(model.incidence, t, a, _onset_rate(model, t, a)), [[7100.0]])
 
     def test_curve_shape(self, model):
         # rises from zero, peaks in the early 80s, then falls as the excess
@@ -406,6 +421,28 @@ class TestTransportResiduals:
             pde_residual_prevalence(model, 100.0, 60.0, 0.0)
         with pytest.raises(ValueError):
             pde_residual_prevalence(model, 100.0, 0.05, 0.1)
+        with pytest.raises(ValueError):
+            pde_residual_prevalence(model, 100.0, 60.0, [0.1, np.nan])
+
+    @pytest.mark.parametrize("family", ["positive_part", "tabulated"])
+    def test_several_steps_match_lone_calls(self, model, family, monkeypatch):
+        incidence = model.incidence if family == "positive_part" else tabulated_incidence()
+        curved = RateModel(incidence, model.m0, model.ratio)
+        flat = RateModel(incidence, model.m0, MortalityRatioParams(0.0, 0.0, 2.0))
+        steps = [0.1, 0.05]
+        cases = ((pde_residual_prevalence, curved), (pde_residual_prevalence, flat), (pde_residual_odds, flat))
+        lone = {(residual, m): [residual(m, 100.0, 60.0, h) for h in steps] for residual, m in cases}
+        batches = []
+        # the package re-exports a function named prevalence, so the module comes from import_module
+        module = importlib.import_module("idmodds.prevalence")
+        batch = module.adaptive_quad_many
+        monkeypatch.setattr(module, "adaptive_quad_many", lambda *args: batches.append(1) or batch(*args))
+        for (residual, m), want in lone.items():
+            batches.clear()
+            got = residual(m, 100.0, 60.0, np.array(steps))
+            assert got.shape == (2,) and got.tolist() == want
+            # one batch of odds at the five points, and one of the case-mix mortality where it needs one
+            assert len(batches) == (2 if residual is pde_residual_prevalence and m is curved else 1)
 
 
 class TestReconstruction:
@@ -462,6 +499,24 @@ class TestReconstruction:
 
 
 class TestProfiles:
+    @pytest.mark.parametrize("family", ["positive_part", "exponential", "tabulated"])
+    @pytest.mark.parametrize("kind", ["prevalence", "odds"])
+    def test_several_times_match_lone_profiles(self, model, family, kind):
+        incidence = {
+            "positive_part": model.incidence,
+            "exponential": ExponentialIncidence(-9.0, 0.04, 0.005),
+            "tabulated": tabulated_incidence(),
+        }[family]
+        m = RateModel(incidence, model.m0, model.ratio)
+        ages = np.arange(40.0, 91.0, 2.5)
+        times = [100.0, 100.5, 97.25]
+        got = _profiles(m, times, ages, kind)
+        for profile, time in zip(got, times):
+            want = cross_section_profile(m, time, ages, kind)
+            assert profile.time == want.time
+            np.testing.assert_array_equal(profile.ages, want.ages)
+            np.testing.assert_array_equal(profile.values, want.values)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             AgeProfile(100.0, np.array([1.0, 1.0]), np.array([0.0, 0.0]))
@@ -595,3 +650,77 @@ def test_array_populations_match_scalar_calls(model):
     assert isinstance(healthy_population(model, 100.0, 45.0), float)
     assert isinstance(diseased_population(model, 100.0, 45.0), float)
     assert isinstance(effective_diseased_mortality(model, 100.0, 45.0), float)
+
+
+# -- array edge rules against the per-point rules they replaced ------------------------
+
+
+def scalar_lookback_kinks(incidence, t, a):
+    """Lookbacks delta in (0, a) where the life line ending at (t, a) crosses an incidence kink."""
+    edges = [a - g for g in incidence.kink_ages]
+    edges += [t - g for g in incidence.kink_times]
+    return [x for x in edges if 0.0 < x < a]
+
+
+def scalar_recent_onset_edges(model, t, a, first_piece):
+    """Durations 1/m1, 2/m1, 4/m1, ... up to the first piece's end, when its outermost node misses 1/m1."""
+    rate = float(model.mortality_healthy(t, a)) * model.ratio.coefficients[0]
+    if not (1.0 < rate * EDGE_NODE_OFFSET * first_piece and rate * first_piece < math.inf):
+        return []
+    return [2.0**k / rate for k in range(math.ceil(math.log2(rate * first_piece)))]
+
+
+def scalar_lookback_breakpoints(model, t, a):
+    """Edges for integrals over the lookback delta ending at (t, a), one point at a time (the oracle)."""
+    kinks = scalar_lookback_kinks(model.incidence, t, a)
+    return kinks + scalar_recent_onset_edges(model, t, a, min(kinks, default=a))
+
+
+def scalar_onset_age_breakpoints(model, t, a):
+    """Edges for integrals over the onset age y along the life line through (t, a), one point at a time (the oracle)."""
+    birth = t - a
+    edges = list(model.incidence.kink_ages)
+    edges += [g - birth for g in model.incidence.kink_times]
+    edges = [x for x in edges if 0.0 < x < a]
+    layer = scalar_recent_onset_edges(model, t, a, a - max(edges, default=0.0))
+    return edges + [a - d for d in layer]
+
+
+def row_values(row):
+    """The entries of a NaN-padded edge row, sorted."""
+    return sorted(row[~np.isnan(row)].tolist())
+
+
+@st.composite
+def edge_models(draw):
+    """Random rate models whose R(0) reaches the thousands, so the recent-onset layer is often laid."""
+    model = draw(random_models())
+    ratio = MortalityRatioParams(draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 60.0)), draw(st.floats(0.5, 30.0)))
+    return RateModel(model.incidence, model.m0, ratio)
+
+
+edge_points = st.lists(st.tuples(st.floats(0.0, 200.0), st.floats(0.0, 160.0)), min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(edge_models(), edge_points)
+def test_array_edges_match_per_point_rules(model, points):
+    t, a = (np.array(column) for column in zip(*points))
+    rate = _onset_rate(model, t, a)
+    lookback = _lookback_edges(model.incidence, t, a, rate)
+    onset_age = _onset_age_edges(model.incidence, t, a, rate)
+    kinks = _lookback_edges(model.incidence, t, a, np.zeros_like(a))
+    for k, (tk, ak) in enumerate(points):
+        assert row_values(lookback[k]) == sorted(scalar_lookback_breakpoints(model, tk, ak))
+        assert row_values(onset_age[k]) == sorted(scalar_onset_age_breakpoints(model, tk, ak))
+        assert row_values(kinks[k]) == sorted(scalar_lookback_kinks(model.incidence, tk, ak))
+
+
+def test_edge_sweep_lays_the_recent_onset_layer():
+    # the sweep above compares layers, not only kinks: its first models lay one
+    model = RateModel(PositivePartIncidence(), reference_rate_model().m0, MortalityRatioParams(1.0, 50.0, 20.0))
+    t, a = np.array([100.0, 100.0]), np.array([92.5, 20.0])
+    rate = _onset_rate(model, t, a)
+    lookback = _lookback_edges(model.incidence, t, a, rate)
+    assert len(row_values(lookback[0])) > 1 and row_values(lookback[1]) == []
+    assert row_values(lookback[0]) == sorted(scalar_lookback_breakpoints(model, 100.0, 92.5))

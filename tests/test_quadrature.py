@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from idmodds.quadrature import (
+    _NODES,
     DEFAULT_QUADRATURE,
     MAX_INTERVALS,
     QuadratureConfig,
@@ -166,6 +167,69 @@ def test_batch_matches_one_integral_calls(batch, config):
     np.testing.assert_array_equal(got, want)
     assert max(sizes, default=0) <= MAX_INTERVALS * 15
     assert np.all(got[lo == hi] == 0.0)
+
+
+def loop_first_intervals(lo, hi, breakpoints):
+    """The first intervals of a batch as the per-integral loop built them before the array form (the oracle)."""
+    edges_lo, edges_hi, owners = [], [], []
+    for k, (first, last) in enumerate(zip(lo.tolist(), hi.tolist())):
+        if first < last:
+            edges = [first, *sorted({float(x) for x in breakpoints[k] if first < x < last}), last]
+            edges_lo += edges[:-1]
+            edges_hi += edges[1:]
+            owners += [k] * (len(edges) - 1)
+    return np.array(edges_lo), np.array(edges_hi), np.array(owners, dtype=int)
+
+
+@st.composite
+def ragged_breakpoints(draw):
+    """Limits (some of zero length) and per-integral breakpoints with repeats, limits, NaN, infinities and strays."""
+    n = draw(st.integers(1, 8))
+    lo = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    length = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 4.0)), min_size=n, max_size=n)))
+    hi = lo + length
+    rows = []
+    for k in range(n):
+        inside = draw(st.lists(st.floats(0.0, 1.0), max_size=5))
+        row = [lo[k] + u * length[k] for u in inside]
+        row += draw(st.lists(st.sampled_from(row or [lo[k]]), max_size=3))
+        strays = [lo[k], hi[k], lo[k] - 1.0, hi[k] + 2.0, np.nan, np.inf, -np.inf]
+        row += draw(st.lists(st.sampled_from(strays), max_size=4))
+        rows.append(draw(st.permutations(row)))
+    return lo, hi, rows
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(ragged_breakpoints(), st.integers(0, 3))
+def test_array_breakpoints_match_the_per_integral_loop(batch, extra_padding):
+    lo, hi, rows = batch
+    width = max(map(len, rows), default=0) + extra_padding
+    padded = np.full((len(rows), width), np.nan)
+    for k, row in enumerate(rows):
+        padded[k, : len(row)] = row
+    # a quadratic per integral: the rule is exact, so the first sweep is the only one
+    coefficients = np.linspace(-1.0, 1.0, 3 * len(lo)).reshape(-1, 3)
+    calls = {"list": [], "array": []}
+
+    def recording(form):
+        def f(x, k):
+            calls[form].append((x.copy(), k.copy()))
+            c = coefficients[k].T
+            return c[0] + c[1] * x + c[2] * x * x
+
+        return f
+
+    from_list = adaptive_quad_many(recording("list"), lo, hi, breakpoints=rows)
+    from_array = adaptive_quad_many(recording("array"), lo, hi, breakpoints=padded)
+    np.testing.assert_array_equal(from_list, from_array)
+    assert np.all(from_array[lo == hi] == 0.0)
+    a, b, owner = loop_first_intervals(lo, hi, rows)
+    want_x = ((0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _NODES).ravel()
+    for form in calls:
+        x = np.concatenate([call[0] for call in calls[form]] or [np.empty(0)])
+        k = np.concatenate([call[1] for call in calls[form]] or [np.empty(0, dtype=int)])
+        np.testing.assert_array_equal(x, want_x)
+        np.testing.assert_array_equal(k, owner.repeat(len(_NODES)))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

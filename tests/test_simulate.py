@@ -1,7 +1,9 @@
 """Simulator checks: exact-inversion sampling against closed-form and
 thinning oracles, cross-section bookkeeping, determinism, serialization."""
 
+import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -717,6 +719,22 @@ class TestReplicates:
         serial = replicate_study(model, cfg, 3, workers=1)
         parallel = replicate_study(model, cfg, 3, workers=3)
         for x, y in zip(serial, parallel):
+            np.testing.assert_array_equal(x.n, y.n)
+            np.testing.assert_array_equal(x.c, y.c)
+
+    def test_uncalibrated_config_calibrates_once(self, monkeypatch):
+        model = reference_rate_model()
+        cfg = SimConfig(target_alive=2000.0, rng_seed=5)
+        # each replicate run alone calibrates for itself, as every replicate once did
+        seeded = [replace(cfg, rng_seed=5 + i) for i in range(3)]
+        want = [cross_section(run_simulation(model, config), config) for config in seeded]
+        module = importlib.import_module("idmodds.simulate")
+        calibrate = module.calibrate_births_per_year
+        calls = []
+        monkeypatch.setattr(module, "calibrate_births_per_year", lambda *args: calls.append(1) or calibrate(*args))
+        got = replicate_study(model, cfg, 3)
+        assert len(calls) == 1
+        for x, y in zip(got, want):
             np.testing.assert_array_equal(x.n, y.n)
             np.testing.assert_array_equal(x.c, y.c)
 
