@@ -128,7 +128,7 @@ def _format(value: float) -> str:
 
 
 def thread_limit() -> int:
-    """Worker cap from IDM_ODDS_THREADS: unset = 1, 0 = all cores."""
+    """Worker cap from IDM_ODDS_THREADS: unset = 1, 0 = all cores; never more than the cores."""
     raw = os.environ.get("IDM_ODDS_THREADS", "").strip()
     if raw == "":
         return 1
@@ -138,9 +138,8 @@ def thread_limit() -> int:
         raise ConfigError(f"IDM_ODDS_THREADS must be an integer, got {raw!r}") from error
     if count < 0:
         raise ConfigError("IDM_ODDS_THREADS must be >= 0")
-    if count == 0:
-        return os.cpu_count() or 1
-    return count
+    cores = os.cpu_count() or 1
+    return cores if count == 0 else min(count, cores)
 
 
 def cmd_evaluate(config: RunConfig, args, out_dir: str, manifest: dict) -> int:

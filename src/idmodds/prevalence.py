@@ -99,23 +99,22 @@ class AgeProfile:
         object.__setattr__(self, "values", values)
 
 
-def _onset_layer(rate, first_piece):
+def _onset_layer(rate, span):
     """Durations, graded by factors of 2, that resolve the layer of just-begun disease courses.
 
     A course that ends at a point after duration d survives as exp(-m1 d)
     for small d, with m1 = ``rate`` = m0 R(0) there: integrands over the
     duration fall by e within 1/m1 of zero duration.  When the outermost
-    node of the 15-point rule on the first piece (of length
-    ``first_piece``) lies beyond that, every node reads about zero and the
-    error estimate passes, so edges are placed at 1/m1, 2/m1, 4/m1, ... up
-    to the first piece's end.  Otherwise the rule sees the layer and nothing
-    is added.  One row per point, padded with NaN.
+    node of the 15-point rule on [0, ``span``] lies beyond that, every node
+    reads about zero and the error estimate passes, so edges are placed at
+    1/m1, 2/m1, 4/m1, ... up to ``span``.  Otherwise the rule sees the layer
+    and nothing is added.  One row per point, padded with NaN.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        span = rate * first_piece
-        # the edge count comes from log2(span), which must stay finite
-        graded = (1.0 < rate * EDGE_NODE_OFFSET * first_piece) & (span < math.inf)
-        count = np.ceil(np.log2(np.where(graded, span, 1.0))).astype(int)
+        reach = rate * span
+        # the edge count comes from log2(reach), which must stay finite
+        graded = (1.0 < rate * EDGE_NODE_OFFSET * span) & (reach < math.inf)
+        count = np.ceil(np.log2(np.where(graded, reach, 1.0))).astype(int)
         k = np.arange(count.max(initial=0))
         return np.where(k < count[:, None], 2.0**k / rate[:, None], np.nan)
 
@@ -124,30 +123,16 @@ def _lookback_edges(incidence, t, a, onset_rate):
     """Edges for the integrals over the lookback delta ending at the points (t, a), one NaN-padded row each.
 
     The kinks are the lookbacks in (0, a) where the life line crosses an
-    incidence kink; the first piece, up to the nearest kink, gets the
-    recent-onset layer of :func:`_onset_layer` for the diseased mortality
-    ``onset_rate`` just after onset.  A zero rate gives the kinks alone.
+    incidence kink.  The recent-onset layer of :func:`_onset_layer`, for the
+    diseased mortality ``onset_rate`` just after onset, is graded over the
+    whole lookback: a kink inside the layer leaves the piece after it
+    starting there too.  A zero rate gives the kinks alone.
     """
     kinks = np.column_stack(
         (a[:, None] - np.asarray(incidence.kink_ages), t[:, None] - np.asarray(incidence.kink_times))
     )
     kinks = np.where((0.0 < kinks) & (kinks < a[:, None]), kinks, np.nan)
-    first_piece = np.fmin.reduce(np.column_stack((kinks, a)), axis=1)
-    return np.column_stack((kinks, _onset_layer(onset_rate, first_piece)))
-
-
-def _onset_age_edges(incidence, t, a, onset_rate):
-    """Edges for the integrals over the onset age y along the life lines through (t, a), one NaN-padded row each.
-
-    The kinks are the ages in (0, a) where the life line crosses an
-    incidence kink; zero duration sits at y = a, so the recent-onset layer
-    of :func:`_onset_layer` is laid back from a over the last piece.
-    """
-    kink_ages = np.broadcast_to(np.asarray(incidence.kink_ages), (len(a), len(incidence.kink_ages)))
-    kinks = np.column_stack((kink_ages, np.asarray(incidence.kink_times) - (t - a)[:, None]))
-    kinks = np.where((0.0 < kinks) & (kinks < a[:, None]), kinks, np.nan)
-    last_piece = a - np.fmax.reduce(np.column_stack((kinks, np.zeros_like(a))), axis=1)
-    return np.column_stack((kinks, a[:, None] - _onset_layer(onset_rate, last_piece)))
+    return np.column_stack((kinks, _onset_layer(onset_rate, a)))
 
 
 def _onset_rate(model: RateModel, t, a):
@@ -176,11 +161,6 @@ def _over_lookback(model: RateModel, t, a, integrand, quadrature: QuadratureConf
     return adaptive_quad_many(integrand, np.zeros(len(a)), a, quadrature, edges)
 
 
-def _exit_hazard(model: RateModel, t, a):
-    """Cumulative hazard of leaving the healthy state (death or onset) since birth."""
-    return model.cumulative_m0(t, a, a) + model.cumulative_incidence(t, a, a)
-
-
 def survivor_fraction(model: RateModel, t, a, y):
     """Probability of still being healthy and alive at age ``y`` on the life line through (t, a).
 
@@ -191,7 +171,7 @@ def survivor_fraction(model: RateModel, t, a, y):
     y_arr = np.asarray(y, dtype=float)
     if not np.all((y_arr >= 0.0) & (y_arr <= np.asarray(a))):
         raise ValueError("age on the life line must satisfy 0 <= y <= a")
-    out = np.exp(-_exit_hazard(model, (t - a) + y, y))
+    out = np.exp(-model.cumulative_exit((t - a) + y, y, y))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -210,7 +190,7 @@ def case_density(model: RateModel, t, a, d):
     long life lines cannot underflow stepwise.
     """
     d = np.asarray(d, dtype=float)
-    exponent = -(_exit_hazard(model, t - d, a - d) + model.cumulative_m1(t, a, d))
+    exponent = -(model.cumulative_exit(t - d, a - d, a - d) + model.cumulative_m1(t, a, d))
     out = model.incidence_rate(t - d, a - d) * np.exp(exponent)
     return float(out) if out.ndim == 0 else out
 
@@ -224,17 +204,17 @@ def _surviving_onsets(model: RateModel, t, a):
     :func:`case_density` folds its three, so the ratio stays finite where
     both underflow.
     """
-    exit_here = _exit_hazard(model, t, a)
+    exit_here = model.cumulative_exit(t, a, a)
 
     def density(d, k):
         tk, ak = t[k], a[k]
-        exponent = exit_here[k] - _exit_hazard(model, tk - d, ak - d) - model.cumulative_m1(tk, ak, d)
+        exponent = exit_here[k] - model.cumulative_exit(tk - d, ak - d, ak - d) - model.cumulative_m1(tk, ak, d)
         return model.incidence_rate(tk - d, ak - d) * np.exp(exponent)
 
     return density
 
 
-def diseased_population(model: RateModel, t, a, quadrature: QuadratureConfig = DEFAULT_QUADRATURE):
+def diseased_population(model: RateModel, t, a):
     """Total diseased people of age ``a`` at time ``t``: the case density integrated over duration.
 
     Counts are per birth cohort of size 1, as in :func:`healthy_population`.
@@ -242,7 +222,7 @@ def diseased_population(model: RateModel, t, a, quadrature: QuadratureConfig = D
     scalar point.
     """
     t, a, shape = _points(t, a)
-    value = _over_lookback(model, t, a, lambda d, k: case_density(model, t[k], a[k], d), quadrature)
+    value = _over_lookback(model, t, a, lambda d, k: case_density(model, t[k], a[k], d), DEFAULT_QUADRATURE)
     return _shaped(np.where(value < 0.0, 0.0, value), shape)
 
 
@@ -281,13 +261,7 @@ def _odds_kernel(model: RateModel, t, a, delta):
     (t, a); strictly decreasing in ``delta`` whenever the diseased mortality
     exceeds the combined healthy exit rate pointwise.
     """
-    exponent = (
-        model.cumulative_incidence(t, a, delta)
-        + model.cumulative_m0(t, a, delta)
-        - model.cumulative_m1(t, a, delta)
-    )
-    out = np.exp(exponent)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.exp(model.cumulative_exit(t, a, delta) - model.cumulative_m1(t, a, delta))
 
 
 def _odds_at(model: RateModel, t, ages, method: str, quadrature: QuadratureConfig) -> np.ndarray:
@@ -306,7 +280,8 @@ def _odds_at(model: RateModel, t, ages, method: str, quadrature: QuadratureConfi
         # onset flow times survival with disease up to age a, over the onset age y,
         # divided by the healthy survivor fraction at a
         flow = _surviving_onsets(model, t, a)
-        edges = _onset_age_edges(inc, t, a, _onset_rate(model, t, a))
+        # the lookback edges mapped through y = a - delta: the same kinks and recent-onset layer
+        edges = a[:, None] - _lookback_edges(inc, t, a, _onset_rate(model, t, a))
         return adaptive_quad_many(lambda y, k: flow(a[k] - y, k), np.zeros(len(a)), a, quadrature, edges)
     if method == "pseudo_convolution":
         # past incidence convolved with the damping kernel
@@ -328,35 +303,29 @@ def _odds_at(model: RateModel, t, ages, method: str, quadrature: QuadratureConfi
     return _over_lookback(model, t, a, _surviving_onsets(model, t, a), quadrature)
 
 
-def prevalence_odds_keiding(
-    model: RateModel, t: float, a: float, quadrature: QuadratureConfig = DEFAULT_QUADRATURE
-) -> PrevalenceResult:
+def prevalence_odds_keiding(model: RateModel, t: float, a: float) -> PrevalenceResult:
     """Prevalence odds as survivor-weighted onset flow over the healthy survivor fraction.
 
     Integrates, over the onset age y, the flow into disease times survival
     with disease up to age ``a``, divided under the integral by the healthy
     survivor fraction at ``a``.
     """
-    return prevalence(model, t, a, "keiding", quadrature)
+    return prevalence(model, t, a, "keiding")
 
 
-def prevalence_odds_pseudo_convolution(
-    model: RateModel, t: float, a: float, quadrature: QuadratureConfig = DEFAULT_QUADRATURE
-) -> PrevalenceResult:
+def prevalence_odds_pseudo_convolution(model: RateModel, t: float, a: float) -> PrevalenceResult:
     """Prevalence odds as past incidence convolved with the damping kernel."""
-    return prevalence(model, t, a, "pseudo_convolution", quadrature)
+    return prevalence(model, t, a, "pseudo_convolution")
 
 
-def prevalence_odds_exponential(
-    model: RateModel, t: float, a: float, quadrature: QuadratureConfig = DEFAULT_QUADRATURE
-) -> PrevalenceResult:
+def prevalence_odds_exponential(model: RateModel, t: float, a: float) -> PrevalenceResult:
     """Prevalence odds for exponential incidence, via the factorized convolution.
 
     exp(k0 + k1*a + k2*t - (k1+k2)*delta) splits into a (t, a) factor times a
     function of t - delta alone, so the odds become that factor times a true
     convolution of the two single-argument functions.
     """
-    return prevalence(model, t, a, "convolution_special", quadrature)
+    return prevalence(model, t, a, "convolution_special")
 
 
 def _nonnegative_odds(odds: np.ndarray, ages) -> np.ndarray:
@@ -368,50 +337,41 @@ def _nonnegative_odds(odds: np.ndarray, ages) -> np.ndarray:
     return odds
 
 
-def prevalence(
-    model: RateModel,
-    t: float,
-    a: float,
-    method: str = "pseudo_convolution",
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> PrevalenceResult:
+def prevalence(model: RateModel, t: float, a: float, method: str = "pseudo_convolution") -> PrevalenceResult:
     """Fraction diseased among those alive at (t, a), by any of the odds routes.
 
     No cohort baseline enters: the diseased and the healthy count both scale
     linearly in the cohort size, which cancels in their ratio.  The one-point
     case of :func:`cross_section_profile`.
     """
-    odds = _nonnegative_odds(_odds_at(model, t, a, method, quadrature), a).item()
+    odds = _nonnegative_odds(_odds_at(model, t, a, method, DEFAULT_QUADRATURE), a).item()
     return PrevalenceResult(t, a, odds, odds / (1.0 + odds), method)
 
 
 _RESIDUAL_QUADRATURE = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=400)
 
 
-def _transport_odds(model: RateModel, t: float, a: float, h, quadrature: QuadratureConfig):
-    """Pseudo-convolution odds at (t, a) and at (t +- h, a +- h) for every step h, all in one batch.
+def _transport(model: RateModel, t: float, a: float, h):
+    """Pseudo-convolution odds at (t, a) and (t +- h, a +- h) for every step h in one batch, and the rates at (t, a).
 
-    Returns the odds here, the odds ahead and behind (one per step) and the
-    steps, flattened.
+    Returns the odds here, the odds ahead and behind (one per step), the
+    steps, flattened, and the incidence, the healthy mortality and the
+    effective diseased mortality at (t, a).
     """
     steps = np.asarray(h, dtype=float).ravel()
     if not np.all((0.0 < steps) & (steps <= a)):
         raise ValueError("step must satisfy 0 < h <= a")
     times = np.concatenate(([t], t + steps, t - steps))
     ages = np.concatenate(([a], a + steps, a - steps))
-    here, ahead, behind = np.split(
-        _nonnegative_odds(_odds_at(model, times, ages, "pseudo_convolution", quadrature), ages), [1, 1 + len(steps)]
-    )
-    return here[0], ahead, behind, steps
+    odds = _nonnegative_odds(_odds_at(model, times, ages, "pseudo_convolution", _RESIDUAL_QUADRATURE), ages)
+    here, ahead, behind = np.split(odds, [1, 1 + len(steps)])
+    i_here = float(model.incidence_rate(t, a))
+    m0_here = float(model.mortality_healthy(t, a))
+    m1_star = effective_diseased_mortality(model, t, a, _RESIDUAL_QUADRATURE)
+    return here[0], ahead, behind, steps, i_here, m0_here, m1_star
 
 
-def pde_residual_prevalence(
-    model: RateModel,
-    t: float,
-    a: float,
-    h,
-    quadrature: QuadratureConfig = _RESIDUAL_QUADRATURE,
-):
+def pde_residual_prevalence(model: RateModel, t: float, a: float, h):
     """Residual of the prevalence transport equation at (t, a), discretized with step ``h``.
 
     The directional derivative of p along the life line is approximated by a
@@ -421,22 +381,13 @@ def pde_residual_prevalence(
     float, or an array of steps, giving one residual per step: all their
     odds run as one batch and the effective mortality is computed once.
     """
-    here, ahead, behind, steps = _transport_odds(model, t, a, h, quadrature)
+    here, ahead, behind, steps, i_here, m0_here, m1_star = _transport(model, t, a, h)
     p_here, p_ahead, p_behind = (odds / (1.0 + odds) for odds in (here, ahead, behind))
     drift = (p_ahead - p_behind) / (2.0 * steps)
-    i_here = float(model.incidence_rate(t, a))
-    m0_here = float(model.mortality_healthy(t, a))
-    m1_star = effective_diseased_mortality(model, t, a, quadrature)
     return _shaped(drift - (1.0 - p_here) * (i_here - p_here * (m1_star - m0_here)), np.shape(h))
 
 
-def pde_residual_odds(
-    model: RateModel,
-    t: float,
-    a: float,
-    h,
-    quadrature: QuadratureConfig = _RESIDUAL_QUADRATURE,
-):
+def pde_residual_odds(model: RateModel, t: float, a: float, h):
     """Residual of the odds transport equation, valid only for duration-independent diseased mortality.
 
     With m1 independent of duration the odds satisfy
@@ -445,11 +396,8 @@ def pde_residual_odds(
     """
     if model.ratio.gamma1 != 0.0:
         raise ValueError("odds balance requires a duration-independent mortality ratio (gamma1 = 0)")
-    here, ahead, behind, steps = _transport_odds(model, t, a, h, quadrature)
+    here, ahead, behind, steps, i_here, m0_here, m1_here = _transport(model, t, a, h)
     drift = (ahead - behind) / (2.0 * steps)
-    i_here = float(model.incidence_rate(t, a))
-    m0_here = float(model.mortality_healthy(t, a))
-    m1_here = m0_here * model.ratio.gamma3
     return _shaped(drift - ((i_here - (m1_here - m0_here)) * here + i_here), np.shape(h))
 
 

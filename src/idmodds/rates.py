@@ -349,6 +349,10 @@ class RateModel:
         self._check_span(a, delta)
         return self.incidence.cumulative(t, a, delta)
 
+    def cumulative_exit(self, t, a, delta):
+        """Cumulative hazard of leaving the healthy state, by death or onset, over the last ``delta`` years."""
+        return self.cumulative_m0(t, a, delta) + self.cumulative_incidence(t, a, delta)
+
     def cumulative_m1(self, t, a, d):
         """Integral of the diseased mortality over a disease course of length ``d`` ending at (t, a).
 

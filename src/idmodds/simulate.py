@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from idmodds.prevalence import diseased_population, healthy_population
-from idmodds.quadrature import DEFAULT_QUADRATURE, adaptive_quad_many
+from idmodds.quadrature import adaptive_quad_many
 
 # adaptive_quad is unused here but kept importable: the benchmark tracer (perfbench/spans.py) patches it
 from idmodds.quadrature import adaptive_quad  # noqa: F401
@@ -298,7 +298,7 @@ def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draw
     end_age = np.broadcast_to(np.asarray(end_age, dtype=float), birth.shape)
     onset, death = np.full((2, birth.size), np.nan)
     first_exit = _invert(
-        lambda i, s: model.cumulative_m0(birth[i] + s, s, s) + model.cumulative_incidence(birth[i] + s, s, s),
+        lambda i, s: model.cumulative_exit(birth[i] + s, s, s),
         lambda i, s: model.mortality_healthy(birth[i] + s, s) + model.incidence_rate(birth[i] + s, s),
         exit_draws,
         end_age,
@@ -327,7 +327,7 @@ def _course_durations(model: RateModel, onset_time, onset_age, draws, end_age):
     )
 
 
-def calibrate_births_per_year(model: RateModel, config: SimConfig, quadrature=DEFAULT_QUADRATURE) -> float:
+def calibrate_births_per_year(model: RateModel, config: SimConfig) -> float:
     """Birth rate whose expected alive count in the age groups hits the target.
 
     With births uniform at rate one per year, the expected number alive at
@@ -344,10 +344,10 @@ def calibrate_births_per_year(model: RateModel, config: SimConfig, quadrature=DE
 
     def alive_density(ages, group):
         # every node's diseased count is one integral of the same batch
-        return healthy_population(model, t_cross, ages) + diseased_population(model, t_cross, ages, quadrature)
+        return healthy_population(model, t_cross, ages) + diseased_population(model, t_cross, ages)
 
     # summed left to right, in group order, as one integral after another would be
-    expected_per_rate = float(np.cumsum(adaptive_quad_many(alive_density, lo, hi, quadrature))[-1])
+    expected_per_rate = float(np.cumsum(adaptive_quad_many(alive_density, lo, hi))[-1])
     if expected_per_rate <= 0.0:
         raise EmptyStudyError("the configured rates leave no one expected alive in the age groups")
     return config.target_alive / expected_per_rate

@@ -799,8 +799,24 @@ class TestEnvironment:
         assert thread_limit() == (os.cpu_count() or 1)
 
     def test_thread_limit_explicit(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setenv("IDM_ODDS_THREADS", "3")
         assert thread_limit() == 3
+
+    @pytest.mark.parametrize("cores, raw, want", [(2, "5000", 2), (2, "2", 2), (2, "0", 2), (None, "3", 1)])
+    def test_thread_limit_is_capped_at_the_core_count(self, monkeypatch, cores, raw, want):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setenv("IDM_ODDS_THREADS", raw)
+        assert thread_limit() == want
+
+    def test_manifest_records_the_capped_worker_count(self, monkeypatch, tmp_path):
+        # one core: the replicates run in this process, and no pool is started
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setenv("IDM_ODDS_THREADS", "5000")
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", write_config(tmp_path, TINY_SIM), "--replicates", "2", "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["workers"] == 1
 
     def test_thread_limit_invalid_is_config_error(self, monkeypatch, tmp_path):
         monkeypatch.setenv("IDM_ODDS_THREADS", "many")
@@ -925,3 +941,27 @@ class TestBenchmarkTracer:
         finally:
             tracer.uninstall()
         assert cli_module.fit is fit_before
+
+    def test_tracer_patches_and_restores_the_names_kept_for_it(self):
+        # names the package keeps only so the tracer can wrap them; removing or
+        # renaming one must fail here, before a traced benchmark run
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        fit, prevalence, rates, simulate = (
+            importlib.import_module(f"idmodds.{name}") for name in ("fit", "prevalence", "rates", "simulate")
+        )
+        kept = [(prevalence, f"prevalence_odds_{route}") for route in ("keiding", "pseudo_convolution", "exponential")]
+        kept += [(fit, "prevalence"), (simulate, "diseased_population"), (simulate, "healthy_population")]
+        kept += [(module, "adaptive_quad") for module in (prevalence, rates, simulate)]
+        kept += [(rates.RateModel, name) for name in ("cumulative_m0", "cumulative_incidence", "cumulative_m1")]
+        originals = [getattr(owner, name) for owner, name in kept]
+        tracer = spans.Tracer()
+        try:
+            tracer.install()
+            wrapped = [getattr(owner, name) for owner, name in kept]
+        finally:
+            tracer.uninstall()
+        assert not any(now is before for now, before in zip(wrapped, originals))
+        assert all(getattr(owner, name) is before for (owner, name), before in zip(kept, originals))

@@ -19,10 +19,10 @@ from idmodds.prevalence import (
     PrevalenceResult,
     _lookback_edges,
     _odds_kernel,
-    _onset_age_edges,
     _onset_layer,
     _onset_rate,
     _profiles,
+    _surviving_onsets,
     case_density,
     cross_section_profile,
     diseased_population,
@@ -37,7 +37,7 @@ from idmodds.prevalence import (
     reconstruct_incidence,
     survivor_fraction,
 )
-from idmodds.quadrature import EDGE_NODE_OFFSET, QuadratureConfig
+from idmodds.quadrature import EDGE_NODE_OFFSET, QuadratureConfig, adaptive_quad
 from idmodds.rates import (
     ExponentialIncidence,
     GompertzParams,
@@ -234,6 +234,29 @@ class TestOddsFormulas:
             return float(m.incidence_rate(t - delta, a - delta)) * float(_odds_kernel(m, t, a, delta))
 
         edges = [0.0, *np.geomspace(1e-5, a - 30.0, 60)]
+        want = sum(
+            integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        )
+        assert want > 1e-5
+        for method in ("pseudo_convolution", "keiding", "cohort_ratio"):
+            assert prevalence(m, t, a, method).odds == pytest.approx(want, rel=1e-8)
+
+    def test_routes_resolve_recent_onset_layer_cut_by_a_kink(self):
+        # a grid time 0.001 years back cuts the 0.002-year layer (m1 about 490/yr):
+        # the piece behind the kink starts inside the layer too, and an unrefined
+        # rule on it reads about zero
+        ages = np.array(GRID_AGES)
+        table = np.maximum(ages - 30.0, 0.0)[None, :] / 3000.0 * np.linspace(1.0, 1.4, 5)[:, None]
+        incidence = TabulatedIncidence(np.array(GRID_TIMES), ages, table)
+        m = RateModel(incidence, GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(1.0, 50.0, 20.0))
+        t, a = 90.001, 92.5
+
+        def integrand(delta):
+            return float(m.incidence_rate(t - delta, a - delta)) * float(_odds_kernel(m, t, a, delta))
+
+        kinks = [x for x in (*(a - ages), *(t - np.array(GRID_TIMES))) if 0.0 < x < a]
+        edges = np.unique([0.0, a, *kinks, *np.geomspace(1e-6, a, 80)])
         want = sum(
             integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
             for lo, hi in zip(edges[:-1], edges[1:])
@@ -548,7 +571,7 @@ class TestProfiles:
 
 def test_tight_quadrature_config_accepted(model):
     cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=400)
-    a = prevalence_odds_pseudo_convolution(model, 100.0, 62.5, cfg).odds
+    a = cross_section_profile(model, 100.0, [62.5], "odds", "pseudo_convolution", cfg).values[0]
     b = prevalence_odds_pseudo_convolution(model, 100.0, 62.5).odds
     assert a == pytest.approx(b, rel=1e-8)
 
@@ -662,18 +685,18 @@ def scalar_lookback_kinks(incidence, t, a):
     return [x for x in edges if 0.0 < x < a]
 
 
-def scalar_recent_onset_edges(model, t, a, first_piece):
-    """Durations 1/m1, 2/m1, 4/m1, ... up to the first piece's end, when its outermost node misses 1/m1."""
+def scalar_recent_onset_edges(model, t, a):
+    """Durations 1/m1, 2/m1, 4/m1, ... up to a, when the outermost node of a rule on [0, a] misses 1/m1."""
     rate = float(model.mortality_healthy(t, a)) * model.ratio.coefficients[0]
-    if not (1.0 < rate * EDGE_NODE_OFFSET * first_piece and rate * first_piece < math.inf):
+    if not (1.0 < rate * EDGE_NODE_OFFSET * a and rate * a < math.inf):
         return []
-    return [2.0**k / rate for k in range(math.ceil(math.log2(rate * first_piece)))]
+    return [2.0**k / rate for k in range(math.ceil(math.log2(rate * a)))]
 
 
 def scalar_lookback_breakpoints(model, t, a):
     """Edges for integrals over the lookback delta ending at (t, a), one point at a time (the oracle)."""
     kinks = scalar_lookback_kinks(model.incidence, t, a)
-    return kinks + scalar_recent_onset_edges(model, t, a, min(kinks, default=a))
+    return kinks + scalar_recent_onset_edges(model, t, a)
 
 
 def scalar_onset_age_breakpoints(model, t, a):
@@ -682,8 +705,7 @@ def scalar_onset_age_breakpoints(model, t, a):
     edges = list(model.incidence.kink_ages)
     edges += [g - birth for g in model.incidence.kink_times]
     edges = [x for x in edges if 0.0 < x < a]
-    layer = scalar_recent_onset_edges(model, t, a, a - max(edges, default=0.0))
-    return edges + [a - d for d in layer]
+    return edges + [a - d for d in scalar_recent_onset_edges(model, t, a)]
 
 
 def row_values(row):
@@ -708,12 +730,24 @@ def test_array_edges_match_per_point_rules(model, points):
     t, a = (np.array(column) for column in zip(*points))
     rate = _onset_rate(model, t, a)
     lookback = _lookback_edges(model.incidence, t, a, rate)
-    onset_age = _onset_age_edges(model.incidence, t, a, rate)
     kinks = _lookback_edges(model.incidence, t, a, np.zeros_like(a))
     for k, (tk, ak) in enumerate(points):
         assert row_values(lookback[k]) == sorted(scalar_lookback_breakpoints(model, tk, ak))
-        assert row_values(onset_age[k]) == sorted(scalar_onset_age_breakpoints(model, tk, ak))
         assert row_values(kinks[k]) == sorted(scalar_lookback_kinks(model.incidence, tk, ak))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(edge_models(), edge_points)
+def test_keiding_reflected_edges_match_onset_age_oracle(model, points):
+    # keiding lays its onset-age edges as a minus the lookback edges; the per-point
+    # onset-age rule, a lone integral each, must give the same odds
+    for tk, ak in points:
+        flow = _surviving_onsets(model, np.array([tk]), np.array([ak]))
+        want = adaptive_quad(
+            lambda y: flow(ak - y, np.zeros(len(y), dtype=int)), 0.0, ak,
+            breakpoints=scalar_onset_age_breakpoints(model, tk, ak),
+        )
+        assert prevalence(model, tk, ak, "keiding").odds == pytest.approx(want, rel=1e-8)
 
 
 def test_edge_sweep_lays_the_recent_onset_layer():

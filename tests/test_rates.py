@@ -121,6 +121,26 @@ class TestCumulativeClosedForms:
         want = np.array([model.cumulative_incidence(100.0, 60.0, float(d)) for d in deltas])
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
+    @pytest.mark.parametrize("family", ["positive_part", "exponential", "tabulated"])
+    def test_exit_hazard_is_m0_plus_incidence(self, model, family):
+        incidence = {
+            "positive_part": model.incidence,
+            "exponential": ExponentialIncidence(-9.0, 0.04, 0.005),
+            "tabulated": TabulatedIncidence([90.0, 110.0], [0.0, 40.0, 95.0], [[0.0, 0.004, 0.02], [0.0, 0.006, 0.03]]),
+        }[family]
+        m = RateModel(incidence, model.m0, model.ratio)
+        t = np.array([100.0, 103.7, 96.0, 120.0])
+        a = np.array([60.0, 81.2, 42.0, 30.0])
+        delta = np.array([0.0, 17.5, 42.0, 30.0])
+        want = m.cumulative_m0(t, a, delta) + m.cumulative_incidence(t, a, delta)
+        np.testing.assert_array_equal(m.cumulative_exit(t, a, delta), want)
+        assert m.cumulative_exit(100.0, 60.0, 25.0) == m.cumulative_m0(100.0, 60.0, 25.0) + m.cumulative_incidence(
+            100.0, 60.0, 25.0
+        )
+        for bad in (-1.0, 60.1):
+            with pytest.raises(RateDomainError):
+                m.cumulative_exit(100.0, 60.0, bad)
+
 
 class TestExponentialIncidence:
     def test_cumulative_closed_form(self):
