@@ -351,12 +351,11 @@ def prevalence(model: RateModel, t: float, a: float, method: str = "pseudo_convo
 _RESIDUAL_QUADRATURE = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=400)
 
 
-def _transport(model: RateModel, t: float, a: float, h):
-    """Pseudo-convolution odds at (t, a) and (t +- h, a +- h) for every step h in one batch, and the rates at (t, a).
+def _transport_residuals(model: RateModel, t: float, a: float, h):
+    """Prevalence and odds transport residuals at (t, a) for each step in ``h``, from one odds batch.
 
-    Returns the odds here, the odds ahead and behind (one per step), the
-    steps, flattened, and the incidence, the healthy mortality and the
-    effective diseased mortality at (t, a).
+    As :func:`pde_residual_prevalence` and :func:`pde_residual_odds` define
+    them; the odds residual is None unless gamma1 = 0.
     """
     steps = np.asarray(h, dtype=float).ravel()
     if not np.all((0.0 < steps) & (steps <= a)):
@@ -364,11 +363,18 @@ def _transport(model: RateModel, t: float, a: float, h):
     times = np.concatenate(([t], t + steps, t - steps))
     ages = np.concatenate(([a], a + steps, a - steps))
     odds = _nonnegative_odds(_odds_at(model, times, ages, "pseudo_convolution", _RESIDUAL_QUADRATURE), ages)
-    here, ahead, behind = np.split(odds, [1, 1 + len(steps)])
+    here, ahead, behind = odds[0], odds[1 : 1 + len(steps)], odds[1 + len(steps) :]
     i_here = float(model.incidence_rate(t, a))
     m0_here = float(model.mortality_healthy(t, a))
     m1_star = effective_diseased_mortality(model, t, a, _RESIDUAL_QUADRATURE)
-    return here[0], ahead, behind, steps, i_here, m0_here, m1_star
+    p_here, p_ahead, p_behind = (x / (1.0 + x) for x in (here, ahead, behind))
+    drift = (p_ahead - p_behind) / (2.0 * steps)
+    prevalence_residual = _shaped(drift - (1.0 - p_here) * (i_here - p_here * (m1_star - m0_here)), np.shape(h))
+    if model.ratio.gamma1 != 0.0:
+        return prevalence_residual, None
+    # with gamma1 = 0 the effective diseased mortality is m1 itself
+    drift = (ahead - behind) / (2.0 * steps)
+    return prevalence_residual, _shaped(drift - ((i_here - (m1_star - m0_here)) * here + i_here), np.shape(h))
 
 
 def pde_residual_prevalence(model: RateModel, t: float, a: float, h):
@@ -381,10 +387,7 @@ def pde_residual_prevalence(model: RateModel, t: float, a: float, h):
     float, or an array of steps, giving one residual per step: all their
     odds run as one batch and the effective mortality is computed once.
     """
-    here, ahead, behind, steps, i_here, m0_here, m1_star = _transport(model, t, a, h)
-    p_here, p_ahead, p_behind = (odds / (1.0 + odds) for odds in (here, ahead, behind))
-    drift = (p_ahead - p_behind) / (2.0 * steps)
-    return _shaped(drift - (1.0 - p_here) * (i_here - p_here * (m1_star - m0_here)), np.shape(h))
+    return _transport_residuals(model, t, a, h)[0]
 
 
 def pde_residual_odds(model: RateModel, t: float, a: float, h):
@@ -396,9 +399,7 @@ def pde_residual_odds(model: RateModel, t: float, a: float, h):
     """
     if model.ratio.gamma1 != 0.0:
         raise ValueError("odds balance requires a duration-independent mortality ratio (gamma1 = 0)")
-    here, ahead, behind, steps, i_here, m0_here, m1_here = _transport(model, t, a, h)
-    drift = (ahead - behind) / (2.0 * steps)
-    return _shaped(drift - ((i_here - (m1_here - m0_here)) * here + i_here), np.shape(h))
+    return _transport_residuals(model, t, a, h)[1]
 
 
 def reconstruct_incidence(

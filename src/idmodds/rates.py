@@ -31,7 +31,9 @@ __all__ = [
     "MortalityRatioParams",
     "RateModel",
     "course_moments",
+    "ratio_coefficients",
     "reference_rate_model",
+    "smallest_ratio",
 ]
 
 
@@ -245,10 +247,7 @@ class MortalityRatioParams:
             raise ValueError("mortality-ratio parameters must be finite")
         if self.max_duration <= 0.0:
             raise ValueError("max_duration must be positive")
-        candidates = [0.0, self.max_duration]
-        if self.gamma1 > 0.0 and 0.0 <= self.gamma2 <= self.max_duration:
-            candidates.append(self.gamma2)
-        low = min(self.ratio(d) for d in candidates)
+        low = smallest_ratio(self.gamma1, self.gamma2, self.gamma3, self.max_duration)
         if low <= 0.0:
             raise ValueError(
                 f"mortality ratio must stay positive on [0, {self.max_duration}]; minimum {low:.4g}"
@@ -262,8 +261,18 @@ class MortalityRatioParams:
     @property
     def coefficients(self) -> tuple:
         """(c0, c1, c2) with R(d) = c0 + c1*d + c2*d**2."""
-        g1, g2, g3 = self.gamma1, self.gamma2, self.gamma3
-        return (g1 * g2 * g2 + g3, -(2.0 * g1 * g2), g1)
+        return ratio_coefficients(self.gamma1, self.gamma2, self.gamma3)
+
+
+def ratio_coefficients(gamma1: float, gamma2: float, gamma3: float) -> tuple:
+    """(c0, c1, c2) with gamma1*(d - gamma2)**2 + gamma3 = c0 + c1*d + c2*d**2."""
+    return (gamma1 * gamma2 * gamma2 + gamma3, -(2.0 * gamma1 * gamma2), gamma1)
+
+
+def smallest_ratio(gamma1: float, gamma2: float, gamma3: float, max_duration: float) -> float:
+    """Smallest R(d) = gamma1*(d - gamma2)**2 + gamma3 over [0, max_duration]: at an end, or at a vertex inside."""
+    ends = [0.0, max_duration] + ([gamma2] if gamma1 > 0.0 and 0.0 <= gamma2 <= max_duration else [])
+    return min(gamma1 * ((d - gamma2) * (d - gamma2)) + gamma3 for d in ends)
 
 
 def _poly_exp_integrals(lam, d):

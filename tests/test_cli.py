@@ -41,6 +41,8 @@ from idmodds.rates import (
 )
 from idmodds.simulate import SimConfig
 
+# import_module, because the package re-exports the function prevalence under the module's name
+prevalence_module = importlib.import_module("idmodds.prevalence")
 BUNDLED_CONFIG = Path(idmodds.__file__).resolve().parent / "data" / "reference_config.json"
 
 
@@ -534,6 +536,27 @@ class TestCrosscheck:
         report = json.loads((out / "crosscheck.json").read_text())
         assert 3.5 <= report["odds_pde"]["richardson_ratio"] <= 4.5
         assert report["all_pass"] is True
+
+    def test_duration_free_residuals_share_one_odds_batch(self, tmp_path, monkeypatch):
+        # both transport residuals at h and h/2 need the pseudo-convolution odds at the same five points
+        batches = []
+        run = prevalence_module.adaptive_quad_many
+
+        def counted(f, lo, hi, *rest):
+            batches.append((len(lo), rest[0].rel_tol))
+            return run(f, lo, hi, *rest)
+
+        monkeypatch.setattr(prevalence_module, "adaptive_quad_many", counted)
+        config = write_config(tmp_path, {"ratio": {"gamma1": 0, "gamma2": 5, "gamma3": 1.8}})
+        out = tmp_path / "out"
+        assert main(["crosscheck", "--config", config, "--out-dir", str(out)]) == 0
+        assert batches.count((5, 1e-12)) == 1
+        report = json.loads((out / "crosscheck.json").read_text())
+        model = load_run_config(config).build_model()
+        steps = [report["h"], report["h"] / 2.0]
+        for key, residuals in (("prevalence_pde", pde_residual_prevalence), ("odds_pde", pde_residual_odds)):
+            written = [report[key]["residual_h"], report[key]["residual_h_half"]]
+            assert written == residuals(model, report["t"], report["age"], steps).tolist()
 
     def test_zero_rates_give_exact_zero_residuals(self, tmp_path):
         # xi1 = -1000 underflows the hazard level to exactly zero while the

@@ -1,5 +1,6 @@
 """Tests for maximum-likelihood estimation of the mortality-ratio parameters."""
 
+import itertools
 import json
 import math
 import time
@@ -8,18 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from idmodds.fit import (
+    _DEFAULT_BOUNDS,
     FitConfig,
     FitInputError,
     _largest_initial_ratio,
     _LikelihoodPlan,
+    _lookback_rule,
     fit,
     group_prevalence,
     log_likelihood,
     wald_intervals,
 )
-from idmodds.prevalence import prevalence
+from idmodds.prevalence import _lookback_edges, prevalence
 from idmodds.rates import (
     ExponentialIncidence,
     GompertzParams,
@@ -152,6 +156,63 @@ def _five_point(values, step):
     return (8.0 * (values[1] - values[-1]) - (values[2] - values[-2])) / (12.0 * step)
 
 
+# a box in which R may turn nonpositive on [0, max_duration] away from its bounds
+WIDE_BOUNDS = ((-0.01, 1.0), (-10.0, 60.0), (-1.0, 20.0))
+
+
+def _component(lo, hi):
+    """Values of one component inside, on and beyond [lo, hi], and the non-finite ones."""
+    span = hi - lo
+    return st.one_of(
+        st.floats(lo, hi),
+        st.sampled_from([lo, hi, math.nan, math.inf, -math.inf]),
+        st.floats(lo - span, hi + span),
+    )
+
+
+def _adaptive_log_likelihood(gamma, table, config) -> float:
+    """The binomial log-likelihood from adaptive group prevalences; zero counts contribute nothing."""
+    p = group_prevalence(config.build_model(gamma), table.age_lo, table.age_hi, table.cross_section_time)
+    total = 0.0
+    for n, c, q in zip(table.n.tolist(), table.c.tolist(), p.tolist()):
+        total += (c * math.log(q) if c else 0.0) + ((n - c) * math.log1p(-q) if n - c else 0.0)
+    return total
+
+
+def _table_with_empty_group(layout, cases):
+    """A configuration, a table with one group of zero prevalence and ``cases`` cases, and that group's row."""
+    if layout == "first":
+        age_lo = np.append(10.0, np.arange(40.0, 95.0, 5.0))
+        age_hi = np.append(20.0, age_lo[1:] + 5.0)
+        table = AgeGroupTable(100.0, age_lo, age_hi, np.append(500, REFERENCE_N), np.append(cases, REFERENCE_C))
+        return FitConfig(), table, 0
+    # incidence only from time 91 on and below age 25: the group at 55 was 45 by then
+    rates = np.zeros((4, 4))
+    rates[2:, :2] = 0.01
+    incidence = TabulatedIncidence(np.array([0.0, 90.0, 91.0, 200.0]), np.array([0.0, 20.0, 25.0, 120.0]), rates)
+    n, c = np.array([500, 500]), np.array([5, cases])
+    table = AgeGroupTable(100.0, np.array([10.0, 50.0]), np.array([20.0, 60.0]), n, c)
+    return FitConfig(incidence=incidence), table, 1
+
+
+def _looped_lookback_rule(kinks, m0, t, ages, initial_ratio):
+    """The plan's quadrature rule built one age and one interval at a time with np.linspace."""
+    x, w = leggauss(20)
+    owner, nodes, weights = [], [], []
+    for g, (row, a) in enumerate(zip(kinks, ages.tolist())):
+        rate = float(m0.rate(t, a))
+        depth = min(max(rate * initial_ratio * a if rate else 0.0, 2.0), 2.0**60)
+        halves = [a * 0.5**k for k in range(1, math.ceil(math.log2(depth)) + 1)]
+        edges = sorted({0.0, a, *row[~np.isnan(row)].tolist(), *halves})
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            cuts = np.linspace(lo, hi, math.ceil((hi - lo) / 10.0) + 1)
+            for start, end in zip(cuts[:-1], cuts[1:]):
+                owner.append(np.full(len(x), g))
+                nodes.append(start + 0.5 * (end - start) * (x + 1.0))
+                weights.append(0.5 * (end - start) * w)
+    return np.concatenate(owner), np.concatenate(nodes), np.concatenate(weights)
+
+
 class TestLikelihoodPlan:
     # the whole default bounds box, corners included
     @pytest.mark.parametrize(
@@ -227,6 +288,54 @@ class TestLikelihoodPlan:
         if fixed[0] == 0.0:
             # R does not depend on gamma2 when gamma1 = 0, so its row carries no information
             assert np.all(hessian[1, free] == 0.0)
+
+    @pytest.mark.parametrize("bounds", [_DEFAULT_BOUNDS, WIDE_BOUNDS], ids=["default-box", "wide-box"])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_minus_infinity_exactly_where_gamma_is_rejected(self, bounds, data):
+        # inside, on and beyond the box, NaN and infinities included; the wide box lets R turn
+        # negative inside it, so the positivity rule is probed away from the bounds too
+        config = FitConfig(bounds=bounds, starts=((0.01, 2.0, 1.0),))
+        gamma = tuple(data.draw(_component(lo, hi)) for lo, hi in bounds)
+        in_bounds = all(lo <= g <= hi for g, (lo, hi) in zip(gamma, bounds))
+        try:
+            config.build_model(gamma)
+            accepted = in_bounds
+        except ValueError:
+            accepted = False
+        value = _LikelihoodPlan.build(reference_table(), config).log_likelihood(gamma)
+        assert math.isfinite(value) if accepted else value == -math.inf
+
+    @pytest.mark.parametrize("layout", ["first", "last"])
+    @pytest.mark.parametrize("cases", [0, 3])
+    def test_group_without_incidence_has_zero_odds(self, layout, cases):
+        # the empty group's midpoint precedes onset: before age 30 ("first"), or a cohort
+        # born before incidence began ("last"), so the plan keeps none of its nodes
+        config, table, empty = _table_with_empty_group(layout, cases)
+        gamma = (0.04, 5.0, 1.0)
+        plan = _LikelihoodPlan.build(table, config)
+        prevalence = plan.group_prevalence(config.build_model(gamma).ratio.coefficients)
+        assert prevalence[empty] == 0.0 and np.all(np.delete(prevalence, empty) > 0.0)
+        value = log_likelihood(gamma, table, config)
+        if cases:
+            assert value == -math.inf
+        else:
+            assert abs(value - _adaptive_log_likelihood(gamma, table, config)) <= 1e-9
+            assert np.all(np.isfinite(plan.derivatives(gamma)[1]))
+
+    @pytest.mark.parametrize("family", sorted(PLAN_INCIDENCES))
+    @pytest.mark.parametrize("bounds", [_DEFAULT_BOUNDS, WIDE_BOUNDS], ids=["default-box", "wide-box"])
+    def test_batched_rule_equals_looped_rule(self, family, bounds):
+        incidence = PLAN_INCIDENCES[family]
+        m0, initial_ratio = reference_rate_model().m0, _largest_initial_ratio(bounds)
+        # the bundled table's midpoints, and ages whose lookback pieces do not split exactly
+        midpoints = (np.arange(42.5, 95.0, 5.0), np.linspace(41.3, 93.7, 11))
+        for t, ages in itertools.product((50.0, 100.0, 150.0), midpoints):
+            kinks = _lookback_edges(incidence, np.full(len(ages), t), ages, np.zeros(len(ages)))
+            owner, nodes, weights = _lookback_rule(kinks, m0, t, ages, initial_ratio)
+            looped = _looped_lookback_rule(kinks, m0, t, ages, initial_ratio)
+            for batched, reference in zip((owner, nodes, weights), looped):
+                np.testing.assert_array_equal(batched, reference)
 
     def test_largest_initial_ratio_of_unbounded_boxes(self):
         # a zero end times an infinite (or overflowing) square contributes 0, not NaN
