@@ -50,6 +50,7 @@ from idmodds.simulate import (
     SamplerConvergenceError,
     SimulationHorizonError,
     StudySizeError,
+    atomic_write_text,
     calibrate_births_per_year,
     replicate_study,
 )
@@ -101,13 +102,6 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as stream:
-        stream.write(text)
-    os.replace(tmp, path)
-
-
 def _sanitize_json(value):
     """Replace non-finite floats with null so the JSON stays strict."""
     if isinstance(value, dict):
@@ -120,7 +114,7 @@ def _sanitize_json(value):
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(_sanitize_json(payload), indent=2, allow_nan=False) + "\n")
+    atomic_write_text(path, json.dumps(_sanitize_json(payload), indent=2, allow_nan=False) + "\n")
 
 
 def _format(value: float) -> str:
@@ -167,7 +161,7 @@ def cmd_evaluate(config: RunConfig, args, out_dir: str, manifest: dict) -> int:
 
     lines = [",".join(header)] + [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
     path = os.path.join(out_dir, "odds_curve.csv")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
     manifest["outputs"].append(path)
     print(f"wrote {path} ({len(ages)} ages at t={args.t})")
     return _EXIT_OK
@@ -225,7 +219,7 @@ def cmd_fit(config: RunConfig, args, out_dir: str, manifest: dict) -> int:
             ",".join([name, declared_field, _format(result.gamma_hat[j]), lo_field, hi_field])
         )
     csv_path = os.path.join(out_dir, "fit_table.csv")
-    _atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    atomic_write_text(csv_path, "\n".join(lines) + "\n")
     manifest["outputs"].append(csv_path)
 
     manifest["converged"] = result.converged

@@ -36,7 +36,6 @@ class ConfigError(ValueError):
 
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
-_TRIPLE = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
 
 _SCHEMA = {
     "type": "object",
@@ -94,7 +93,6 @@ _SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "bounds": {"type": "array", "items": _PAIR, "minItems": 3, "maxItems": 3},
-                "starts": {"type": "array", "items": _TRIPLE, "minItems": 1},
                 "fixed_gamma": {
                     "type": "array",
                     "items": {"type": ["number", "null"]},
@@ -197,9 +195,8 @@ class RunConfig:
 
     def build_fit_config(self) -> FitConfig:
         section = dict(self.document.get("fit", {}))
-        for key in ("bounds", "starts"):
-            if key in section:
-                section[key] = tuple(tuple(row) for row in section[key])
+        if "bounds" in section:
+            section["bounds"] = tuple(tuple(row) for row in section["bounds"])
         if "fixed_gamma" in section:
             section["fixed_gamma"] = tuple(section["fixed_gamma"])
         return replace(

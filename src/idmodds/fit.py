@@ -16,10 +16,10 @@ group and two dot products with the counts.  At the optimum the plan is
 checked against adaptive quadrature of the same odds at the same midpoints,
 all groups in one batch, and the largest relative gap is reported.
 
-The likelihood is maximized by a derivative-free simplex search.  The same
-plan gives the exact derivatives of the odds in those coefficients, hence the
-exact observed information at the optimum, whose inverse yields the
-confidence intervals.
+The likelihood is maximized by a derivative-free simplex search from four
+start points clipped into the bounds.  The same plan gives the exact
+derivatives of the odds in those coefficients, hence the exact observed
+information at the optimum, whose inverse yields the confidence intervals.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from idmodds.rates import (
     reference_rate_model,
     smallest_ratio,
 )
-from idmodds.simulate import AgeGroupTable
+from idmodds.simulate import AgeGroupTable, check_age_groups
 
 __all__ = [
     "FitConfig",
@@ -70,22 +70,22 @@ _FATOL = 1e-8
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Everything the likelihood needs besides the data.
+    """The model the likelihood is taken under, besides the data.
 
     Incidence and healthy mortality are treated as known; only the three
-    mortality-ratio parameters are estimated.  Components of ``fixed_gamma``
-    that carry a value are pinned and excluded from the search.  Every age
-    group is evaluated at its midpoint, and the adaptive check of the
-    likelihood plan at the optimum has fixed tolerances.  The simplex search
-    stops at the fixed tolerances ``_XATOL`` and ``_FATOL``;
-    ``max_iterations`` caps its iterations and likelihood evaluations per
-    search.
+    mortality-ratio parameters are estimated, within ``bounds``.  Components
+    of ``fixed_gamma`` that carry a value are pinned, finite and within their
+    bounds, and excluded from the search.  Every age group is evaluated at
+    its midpoint, and the adaptive check of the likelihood plan at the
+    optimum has fixed tolerances.  The simplex searches start from
+    ``_DEFAULT_STARTS`` clipped into the bounds and stop at the fixed
+    tolerances ``_XATOL`` and ``_FATOL``; ``max_iterations`` caps their
+    iterations and likelihood evaluations per search.
     """
 
     incidence: IncidenceSpec = field(default_factory=PositivePartIncidence)
     m0: GompertzParams = field(default_factory=lambda: reference_rate_model().m0)
     bounds: tuple = _DEFAULT_BOUNDS
-    starts: tuple = _DEFAULT_STARTS
     fixed_gamma: tuple = (None, None, None)
     max_iterations: int = 4000
     max_duration: float = 100.0
@@ -95,16 +95,11 @@ class FitConfig:
             raise ValueError("bounds must be three increasing (lo, hi) pairs")
         if len(self.fixed_gamma) != 3:
             raise ValueError("fixed_gamma must have three entries")
+        for j, (pinned, (lo, hi)) in enumerate(zip(self.fixed_gamma, self.bounds)):
+            if pinned is not None and not (math.isfinite(pinned) and lo <= pinned <= hi):
+                raise ValueError(f"pinned gamma{j + 1} = {pinned} must be finite and within its bounds [{lo}, {hi}]")
         if not (math.isfinite(self.max_duration) and self.max_duration > 0.0):
             raise ValueError("max_duration must be finite and positive")
-        if not self.starts:
-            raise ValueError("at least one start point is required")
-        for start in self.starts:
-            if len(start) != 3:
-                raise ValueError("start points must have three components")
-            for value, (lo, hi), pinned in zip(start, self.bounds, self.fixed_gamma):
-                if pinned is None and not lo <= value <= hi:
-                    raise ValueError(f"start point {start} lies outside the bounds")
 
     @property
     def free_indices(self) -> tuple:
@@ -165,21 +160,20 @@ class FitResult:
 def group_prevalence(model: RateModel, age_lo, age_hi, t: float):
     """Model prevalence of age groups at the study time, each at its midpoint age.
 
-    ``age_lo`` and ``age_hi`` are one group's limits, or arrays of groups of
-    positive width, ascending and disjoint; every midpoint is integrated in
-    one adaptive batch at the fit's fixed tolerances.  Returns a float for
-    one scalar group, else one value per group.
+    ``age_lo`` and ``age_hi`` are one group's limits, or arrays of groups,
+    that keep :func:`~idmodds.simulate.check_age_groups`; every midpoint is
+    integrated in one adaptive batch at the fit's fixed tolerances.  Returns
+    a float for one scalar group, else one value per group.
     """
     lo, hi = np.asarray(age_lo, dtype=float), np.asarray(age_hi, dtype=float)
-    if np.any(lo >= hi) or np.any(lo.ravel()[1:] < hi.ravel()[:-1]):
-        raise ValueError("age groups must have positive width and be ascending and disjoint")
+    check_age_groups(lo, hi)
     ages = 0.5 * (lo.ravel() + hi.ravel())
     values = cross_section_profile(model, t, ages, "prevalence", "pseudo_convolution", _FIT_QUADRATURE).values
     return float(values[0]) if lo.ndim == 0 else values
 
 
 class FitInputError(ValueError):
-    """No fit exists: an age is negative, nothing is free, too few rows are informative, or no start is finite."""
+    """No fit exists: no finite study time, nothing free, too few informative rows, or no finite start."""
 
 
 class RatioHorizonError(FitInputError):
@@ -265,9 +259,13 @@ class _LikelihoodPlan:
     def build(table: AgeGroupTable, config: FitConfig) -> "_LikelihoodPlan":
         """The plan for this table and configuration.
 
-        Raises RatioHorizonError when the oldest group midpoint exceeds
-        ``config.max_duration``, and FitInputError when an age is negative.
+        Raises FitInputError when the table's ``cross_section_time`` is not
+        finite, and RatioHorizonError when the oldest group midpoint exceeds
+        ``config.max_duration``.
         """
+        t = float(table.cross_section_time)
+        if not math.isfinite(t):
+            raise FitInputError(f"the table's cross_section_time must be finite, got {t}")
         ages = 0.5 * (table.age_lo + table.age_hi)
         oldest = float(np.max(ages))
         if oldest > config.max_duration:
@@ -275,9 +273,6 @@ class _LikelihoodPlan:
                 f"the likelihood evaluates the mortality ratio up to duration {oldest:g}, beyond "
                 f"max_duration={config.max_duration:g} where its positivity is checked"
             )
-        if np.any(table.age_lo < 0.0):
-            raise FitInputError("age groups must start at nonnegative ages")
-        t = float(table.cross_section_time)
         kinks = _lookback_edges(config.incidence, np.full(len(ages), t), ages, np.zeros(len(ages)))
         owner, delta, weights = _lookback_rule(kinks, config.m0, t, ages, _largest_initial_ratio(config.bounds))
         weighted = weights * config.incidence.rate(t - delta, ages[owner] - delta)
@@ -366,7 +361,7 @@ def log_likelihood(gamma, table: AgeGroupTable, config: FitConfig = FitConfig())
     coefficient is a constant in the parameters and is omitted.  Each call
     builds the table's likelihood plan (about 0.5 ms for the bundled table;
     ``fit`` builds it once); a table the plan cannot serve raises
-    RatioHorizonError.
+    FitInputError (a study time that is not finite) or RatioHorizonError.
     """
     return _LikelihoodPlan.build(table, config).log_likelihood(gamma)
 
@@ -424,11 +419,13 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     """Maximize the likelihood over the free mortality-ratio parameters.
 
     Runs the simplex search, to the tolerances ``_XATOL`` and ``_FATOL``,
-    from every configured start, keeps the best, and restarts once from the
-    incumbent to escape premature contraction.  Once the search can start,
-    the result always comes back; ``converged`` and the diagnostics say how
-    much to trust it.  Raises FitInputError when an age is negative, nothing
-    is free, too few rows are informative, or every start is impossible.
+    from each of ``_DEFAULT_STARTS`` with its free components clipped into
+    the bounds, keeps the best, and restarts once from the incumbent to
+    escape premature contraction.  Once the search can start, the result
+    always comes back; ``converged`` and the diagnostics say how much to
+    trust it.  Raises FitInputError when the table's study time is not
+    finite, nothing is free, too few rows are informative, or every start
+    is impossible.
     """
     free = config.free_indices
     if len(free) == 0:
@@ -439,7 +436,8 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
             f"{len(free)} free parameters need at least that many informative rows, got {informative}"
         )
     plan = _LikelihoodPlan.build(table, config)
-    starts = [np.array([start[j] for j in free]) for start in config.starts]
+    bounds = [config.bounds[j] for j in free]
+    starts = [np.clip([start[j] for j in free], *np.transpose(bounds)) for start in _DEFAULT_STARTS]
     # screened outside ``evals``, which counts the search's evaluations alone
     if not any(math.isfinite(plan.log_likelihood(config.full_gamma(x0))) for x0 in starts):
         raise FitInputError("the likelihood is minus infinity at every start point")
@@ -458,7 +456,6 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     # imported here, its only user, so commands that never fit skip its half-second import
     from scipy import optimize
 
-    bounds = [config.bounds[j] for j in free]
     options = {"xatol": _XATOL, "fatol": _FATOL, "maxiter": config.max_iterations, "maxfev": config.max_iterations}
     best = None
     iterations = 0
@@ -475,7 +472,7 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
 
     diagnostics = {
         "free_components": list(free),
-        "starts_used": len(config.starts),
+        "starts_used": len(starts),
         "boundary_hits": [],
         "flat_components": [],
         "quadrature_gap": _quadrature_gap(plan, gamma_hat),

@@ -112,19 +112,6 @@ def _gk15_batch(f, lo, hi, owner):
     return kronrod, np.abs(kronrod - gauss), resabs
 
 
-def _breakpoint_rows(breakpoints, n):
-    """Breakpoints as an (n, K) float array: a 2-D array as it is, one sequence per integral padded with NaN."""
-    if breakpoints is None:
-        return np.empty((n, 0))
-    if isinstance(breakpoints, np.ndarray) and breakpoints.ndim == 2:
-        return breakpoints.astype(float, copy=False)
-    rows = [np.asarray(row, dtype=float).ravel() for row in breakpoints]
-    padded = np.full((len(rows), max(map(len, rows), default=0)), np.nan)
-    for k, row in enumerate(rows):
-        padded[k, : len(row)] = row
-    return padded
-
-
 def adaptive_quad_many(f, lo, hi, config=DEFAULT_QUADRATURE, breakpoints=None):
     """Integrate over ``[lo[k], hi[k]]`` for every k, each to the configured tolerance.
 
@@ -133,8 +120,7 @@ def adaptive_quad_many(f, lo, hi, config=DEFAULT_QUADRATURE, breakpoints=None):
     array whose row k holds abscissae where the subdivision of integral k is
     forced to place an interval edge (integrand kinks); entries that are NaN
     or not strictly inside ``(lo[k], hi[k])`` are ignored, and repeats count
-    once.  A list of n sequences is padded with NaN into that array.
-    Returns the array of integrals; a zero-length interval integrates to 0.
+    once.  Returns the array of integrals; a zero-length interval integrates to 0.
 
     Raises ValueError for limits that are not finite, an upper limit below
     its lower limit, or ``breakpoints`` without one row per integral;
@@ -149,9 +135,9 @@ def adaptive_quad_many(f, lo, hi, config=DEFAULT_QUADRATURE, breakpoints=None):
     n = len(lo)
     if len(hi) != n:
         raise ValueError("lower and upper limits must have the same length")
-    inner = _breakpoint_rows(breakpoints, n)
-    if len(inner) != n:
-        raise ValueError("breakpoints must hold one row per integral")
+    inner = np.empty((n, 0)) if breakpoints is None else np.asarray(breakpoints, dtype=float)
+    if inner.ndim != 2 or len(inner) != n:
+        raise ValueError("breakpoints must be an array with one row per integral")
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("integration limits must be finite")
     if (hi < lo).any():
@@ -213,4 +199,4 @@ def adaptive_quad(f, lo, hi, config=DEFAULT_QUADRATURE, breakpoints=()):
     (integrand kinks).  Deterministic: identical inputs and tolerances give
     bit-identical results.
     """
-    return float(adaptive_quad_many(lambda x, k: f(x), [lo], [hi], config, [breakpoints])[0])
+    return float(adaptive_quad_many(lambda x, k: f(x), [lo], [hi], config, np.reshape(breakpoints, (1, -1)))[0])

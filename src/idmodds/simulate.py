@@ -16,7 +16,9 @@ an age group can hold at the cross-section are.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -39,6 +41,8 @@ __all__ = [
     "SamplerConvergenceError",
     "PopulationLedger",
     "AgeGroupTable",
+    "check_age_groups",
+    "atomic_write_text",
     "run_simulation",
     "cross_section",
     "replicate_study",
@@ -46,6 +50,35 @@ __all__ = [
 ]
 
 DEFAULT_AGE_GROUPS = tuple((40.0 + 5.0 * j, 45.0 + 5.0 * j) for j in range(11))
+
+
+def check_age_groups(age_lo, age_hi) -> None:
+    """The one rule for age groups, of a study design, a table and a fit alike; ValueError names the first breach.
+
+    Every limit is finite, every group has positive width and starts no
+    earlier than the one before it ends, and the first starts at age 0 or later.
+    """
+    lo, hi = np.asarray(age_lo, dtype=float).ravel(), np.asarray(age_hi, dtype=float).ravel()
+    bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo < hi) & (lo >= np.append(0.0, hi[:-1])))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            "age groups must have finite limits and nonnegative ages, positive width, and be ascending and "
+            f"disjoint; group {k + 1} [{lo[k]:g}, {hi[k]:g}) is not"
+        )
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` by renaming a temporary file over it; a failed write leaves ``path`` as it was."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as stream:
+            stream.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -81,15 +114,8 @@ class SimConfig:
             raise ValueError("earliest-born individuals would outlive max_age before the cross section")
         if len(self.age_groups) == 0:
             raise ValueError("at least one age group is required")
-        previous_hi = 0.0
+        check_age_groups(*np.reshape(self.age_groups, (-1, 2)).T)
         for glo, ghi in self.age_groups:
-            if not (math.isfinite(glo) and math.isfinite(ghi)):
-                raise ValueError(f"age group [{glo}, {ghi}) must have finite limits")
-            if not glo < ghi:
-                raise ValueError(f"age group [{glo}, {ghi}) is empty")
-            if glo < previous_hi:
-                raise ValueError("age groups must be nonnegative, disjoint and ascending")
-            previous_hi = ghi
             # someone must be able to occupy the group at the cross section
             if not (self.cross_section_time - ghi < hi and self.cross_section_time - glo > lo):
                 raise ValueError(
@@ -145,12 +171,7 @@ class AgeGroupTable:
             raise ValueError("counts must fit in a 64-bit integer") from None
         if not (age_lo.shape == age_hi.shape == n.shape == c.shape) or age_lo.ndim != 1:
             raise ValueError("table columns must be matching 1-D arrays")
-        if not (np.all(np.isfinite(age_lo)) and np.all(np.isfinite(age_hi))):
-            raise ValueError("age limits must be finite")
-        if np.any(age_lo >= age_hi):
-            raise ValueError("age groups must have positive width")
-        if np.any(age_lo[1:] < age_hi[:-1]):
-            raise ValueError("age groups must be disjoint and ascending")
+        check_age_groups(age_lo, age_hi)
         if np.any(c < 0) or np.any(n < c):
             raise ValueError("counts must satisfy 0 <= c <= n")
         object.__setattr__(self, "age_lo", age_lo)
@@ -171,11 +192,13 @@ class AgeGroupTable:
         return int(self.c.sum())
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["k", "age_lo", "age_hi", "n", "c"])
-            for k, lo, hi, n, c in zip(self.k, self.age_lo, self.age_hi, self.n, self.c):
-                writer.writerow([int(k), repr(float(lo)), repr(float(hi)), int(n), int(c)])
+        """Write the table as CSV with header k,age_lo,age_hi,n,c, atomically (see :func:`atomic_write_text`)."""
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["k", "age_lo", "age_hi", "n", "c"])
+        for k, lo, hi, n, c in zip(self.k, self.age_lo, self.age_hi, self.n, self.c):
+            writer.writerow([int(k), repr(float(lo)), repr(float(hi)), int(n), int(c)])
+        atomic_write_text(path, text.getvalue())
 
     @staticmethod
     def from_csv(path, cross_section_time: float = math.nan) -> "AgeGroupTable":

@@ -141,8 +141,12 @@ class TestRunConfig:
             {"group_evaluation": "midpoint"},
             {"xatol": 1e-5},
             {"fatol": 1e-7},
+            {"starts": [[0.01, 2.0, 1.0]]},
         ],
-        ids=["hessian_step_scale", "quadrature", "include_binomial_coefficient", "group_evaluation", "xatol", "fatol"],
+        ids=[
+            "hessian_step_scale", "quadrature", "include_binomial_coefficient", "group_evaluation", "xatol", "fatol",
+            "starts",
+        ],
     )
     def test_hessian_step_scale_no_longer_accepted(self, section):
         with pytest.raises(ConfigError, match="invalid configuration at fit"):
@@ -421,7 +425,7 @@ class TestFit:
         assert main(["fit", "--data", str(tmp_path / "absent.csv"), "--out-dir", str(tmp_path / "o")]) == 2
 
     def test_non_convergence_exits_4_with_outputs(self, tmp_path):
-        document = {"fit": {"starts": [[0.01, 2.0, 1.0]], "max_iterations": 3}}
+        document = {"fit": {"max_iterations": 3}}
         config = write_config(tmp_path, document)
         out = tmp_path / "out"
         code = main(["fit", "--config", config, "--out-dir", str(out)])
@@ -484,6 +488,27 @@ class TestFit:
         code = main(["fit", "--config", config, "--out-dir", str(tmp_path / "o")])
         assert code == 0
         assert "cannot convert" not in capsys.readouterr().err
+
+    def test_narrowed_box_fits(self, tmp_path):
+        # the default starts with gamma3 above the cap are clipped onto it rather than refused
+        config = write_config(tmp_path, {"fit": {"bounds": [[0, 1], [0, 50], [0, 0.5]]}})
+        out = tmp_path / "o"
+        assert main(["fit", "--config", config, "--out-dir", str(out)]) == 0
+        result = json.loads((out / "fit_result.json").read_text())
+        assert result["gamma_hat"][2] == pytest.approx(0.5, abs=1e-6)
+        assert result["diagnostics"]["boundary_hits"] == [2]
+        assert result["diagnostics"]["starts_used"] == 4
+
+    @pytest.mark.parametrize(
+        "fixed, name",
+        [([None, 80.0, None], "gamma2"), ([None, None, -1.0], "gamma3"), ([math.nan, None, None], "gamma1")],
+        ids=["above-bounds", "below-bounds", "nan"],
+    )
+    def test_pinned_component_outside_bounds_is_input_error(self, tmp_path, capsys, fixed, name):
+        config = write_config(tmp_path, {"fit": {"fixed_gamma": fixed}})
+        assert main(["fit", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"pinned {name} " in err and "every start point" not in err
 
     def test_impossible_starts_are_input_error(self, tmp_path, capsys):
         config = write_config(tmp_path, ZERO_INCIDENCE)

@@ -13,6 +13,7 @@ from numpy.polynomial.legendre import leggauss
 
 from idmodds.fit import (
     _DEFAULT_BOUNDS,
+    _DEFAULT_STARTS,
     FitConfig,
     FitInputError,
     _largest_initial_ratio,
@@ -295,7 +296,7 @@ class TestLikelihoodPlan:
     def test_minus_infinity_exactly_where_gamma_is_rejected(self, bounds, data):
         # inside, on and beyond the box, NaN and infinities included; the wide box lets R turn
         # negative inside it, so the positivity rule is probed away from the bounds too
-        config = FitConfig(bounds=bounds, starts=((0.01, 2.0, 1.0),))
+        config = FitConfig(bounds=bounds)
         gamma = tuple(data.draw(_component(lo, hi)) for lo, hi in bounds)
         in_bounds = all(lo <= g <= hi for g, (lo, hi) in zip(gamma, bounds))
         try:
@@ -449,7 +450,7 @@ class TestFitProperties:
         assert deviation[2] < 0.05
 
     def test_fit_deterministic(self):
-        config = FitConfig(starts=((0.01, 2.0, 1.0),))
+        config = FitConfig()
         table = reference_table()
         first = fit(table, config)
         second = fit(table, config)
@@ -466,7 +467,7 @@ class TestFitProperties:
             return build(table, config)
 
         monkeypatch.setattr(_LikelihoodPlan, "build", staticmethod(counted))
-        config = FitConfig(starts=((0.01, 2.0, 1.0),))
+        config = FitConfig()
         table = reference_table()
         fit(table, config)
         assert len(builds) == 1
@@ -474,10 +475,7 @@ class TestFitProperties:
         assert len(builds) == 2
 
     def test_boundary_hit_reported(self):
-        config = FitConfig(
-            bounds=((0.0, 1.0), (0.0, 50.0), (1e-6, 1.0)),
-            starts=((0.01, 2.0, 0.9),),
-        )
+        config = FitConfig(bounds=((0.0, 1.0), (0.0, 50.0), (1e-6, 1.0)))
         result = fit(reference_table(), config)
         # unconstrained optimum has gamma3 slightly above 1, so the cap binds
         assert result.gamma_hat[2] == pytest.approx(1.0, abs=1e-6)
@@ -493,7 +491,7 @@ class TestFitProperties:
     def test_pinned_gamma1_flags_gamma2_unidentifiable(self):
         # with gamma1 = 0 the ratio is flat in gamma2, so the likelihood
         # carries no information about it
-        config = FitConfig(fixed_gamma=(0.0, None, None), starts=((0.0, 2.0, 1.0), (0.0, 10.0, 3.0)))
+        config = FitConfig(fixed_gamma=(0.0, None, None))
         result = fit(reference_table(), config)
         assert result.gamma_hat[0] == 0.0
         assert 1 in result.diagnostics["flat_components"]
@@ -503,7 +501,7 @@ class TestFitProperties:
     def test_monotone_sanity_more_cases_never_raise_gamma3(self):
         # duration-free sub-fit: only gamma3 free; inflating every case count
         # lengthens apparent survival with disease, so gamma3 cannot go up
-        config = FitConfig(fixed_gamma=(0.0, 0.0, None), starts=((0.0, 0.0, 1.0), (0.0, 0.0, 4.0)))
+        config = FitConfig(fixed_gamma=(0.0, 0.0, None))
         base = fit(reference_table(), config)
         age_lo = np.arange(40.0, 95.0, 5.0)
         n = np.array(REFERENCE_N)
@@ -547,21 +545,54 @@ class TestFitProperties:
         config = FitConfig(incidence=ExponentialIncidence(-1000.0, 0.0, 0.0))
         with pytest.raises(FitInputError, match="every start point"):
             fit(reference_table(), config)
-        assert 0 < len(calls) <= len(config.starts)
+        assert 0 < len(calls) <= len(_DEFAULT_STARTS)
+
+    def test_narrowed_box_clips_the_starts(self):
+        # three of the four starts have gamma3 above 0.5; clipped onto the cap, the search still runs
+        config = FitConfig(bounds=((0.0, 1.0), (0.0, 50.0), (0.0, 0.5)))
+        result = fit(reference_table(), config)
+        assert result.converged
+        assert result.gamma_hat[2] == pytest.approx(0.5, abs=1e-6)
+        assert result.diagnostics["boundary_hits"] == [2]
+        assert result.diagnostics["starts_used"] == len(_DEFAULT_STARTS)
+
+    def test_default_box_holds_every_start(self):
+        # so clipping leaves a default-configuration fit exactly as it was
+        for start in _DEFAULT_STARTS:
+            assert all(lo <= value <= hi for value, (lo, hi) in zip(start, _DEFAULT_BOUNDS))
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_study_time_must_be_finite(self, time):
+        # the NaN default of from_csv once met every start with minus infinity, and an infinite time
+        # returned the first start as converged
+        table = reference_table(cross_section_time=time)
+        with pytest.raises(FitInputError, match="cross_section_time"):
+            fit(table)
+        with pytest.raises(FitInputError, match="cross_section_time"):
+            log_likelihood((0.04, 5.0, 1.0), table)
 
 
 class TestFitConfigValidation:
-    def test_start_outside_bounds_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            FitConfig(starts=((2.0, 5.0, 1.0),))
-
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             FitConfig(bounds=((1.0, 0.0), (0.0, 50.0), (0.0, 20.0)))
 
-    def test_pinned_start_component_ignored_by_bounds_check(self):
-        config = FitConfig(fixed_gamma=(0.0, 0.0, None), starts=((5.0, -3.0, 1.0),))
-        assert config.free_indices == (2,)
+    def test_has_no_starts_field(self):
+        with pytest.raises(TypeError):
+            FitConfig(starts=((0.01, 2.0, 1.0),))
+
+    @pytest.mark.parametrize(
+        "fixed, name",
+        [((math.nan, None, None), "gamma1"), ((None, 80.0, None), "gamma2"), ((None, None, -1.0), "gamma3"),
+         ((None, math.inf, None), "gamma2")],
+        ids=["nan", "above-bounds", "below-bounds", "infinite"],
+    )
+    def test_pinned_component_outside_bounds_rejected(self, fixed, name):
+        with pytest.raises(ValueError, match=f"pinned {name} "):
+            FitConfig(fixed_gamma=fixed)
+
+    def test_pinned_component_on_its_bound_accepted(self):
+        assert FitConfig(fixed_gamma=(0.0, 50.0, None)).free_indices == (2,)
 
 
 class TestWaldIntervals:

@@ -139,7 +139,7 @@ def batches(draw):
     params = [(c0, c1, c2, c3, lo + frac * length) for c0, c1, c2, c3, lo, length, frac in rows]
     lo = np.array([row[4] for row in rows])
     hi = lo + np.array([row[5] for row in rows])
-    breakpoints = [[p[4], p[4] - 10.0] for p in params]
+    breakpoints = np.array([[p[4], p[4] - 10.0] for p in params])
     return params, lo, hi, breakpoints
 
 
@@ -209,27 +209,21 @@ def test_array_breakpoints_match_the_per_integral_loop(batch, extra_padding):
         padded[k, : len(row)] = row
     # a quadratic per integral: the rule is exact, so the first sweep is the only one
     coefficients = np.linspace(-1.0, 1.0, 3 * len(lo)).reshape(-1, 3)
-    calls = {"list": [], "array": []}
+    calls = []
 
-    def recording(form):
-        def f(x, k):
-            calls[form].append((x.copy(), k.copy()))
-            c = coefficients[k].T
-            return c[0] + c[1] * x + c[2] * x * x
+    def f(x, k):
+        calls.append((x.copy(), k.copy()))
+        c = coefficients[k].T
+        return c[0] + c[1] * x + c[2] * x * x
 
-        return f
-
-    from_list = adaptive_quad_many(recording("list"), lo, hi, breakpoints=rows)
-    from_array = adaptive_quad_many(recording("array"), lo, hi, breakpoints=padded)
-    np.testing.assert_array_equal(from_list, from_array)
-    assert np.all(from_array[lo == hi] == 0.0)
+    got = adaptive_quad_many(f, lo, hi, breakpoints=padded)
+    assert np.all(got[lo == hi] == 0.0)
     a, b, owner = loop_first_intervals(lo, hi, rows)
     want_x = ((0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _NODES).ravel()
-    for form in calls:
-        x = np.concatenate([call[0] for call in calls[form]] or [np.empty(0)])
-        k = np.concatenate([call[1] for call in calls[form]] or [np.empty(0, dtype=int)])
-        np.testing.assert_array_equal(x, want_x)
-        np.testing.assert_array_equal(k, owner.repeat(len(_NODES)))
+    x = np.concatenate([call[0] for call in calls] or [np.empty(0)])
+    k = np.concatenate([call[1] for call in calls] or [np.empty(0, dtype=int)])
+    np.testing.assert_array_equal(x, want_x)
+    np.testing.assert_array_equal(k, owner.repeat(len(_NODES)))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -248,7 +242,7 @@ def test_one_unconvergeable_integral_fails_the_batch(batch, position):
 
     lo = np.insert(lo, bad, 1e-12)
     hi = np.insert(hi, bad, 1.0)
-    breakpoints.insert(bad, [])
+    breakpoints = np.insert(breakpoints, bad, np.nan, axis=0)
     with pytest.raises(QuadratureError):
         adaptive_quad_many(integrand, lo, hi, cfg, breakpoints)
 
@@ -273,7 +267,7 @@ def test_large_batch_respects_interval_cap():
 
     lo = np.zeros(40)
     hi = np.full(40, 5.0)
-    got = adaptive_quad_many(f, lo, hi, breakpoints=[[1.0, 2.0, 3.0, 4.0]] * 40)
+    got = adaptive_quad_many(f, lo, hi, breakpoints=np.tile([1.0, 2.0, 3.0, 4.0], (40, 1)))
     assert len(sizes) > 3 and max(sizes) <= MAX_INTERVALS * 15
     np.testing.assert_allclose(got, np.cos(np.arange(40)) - np.cos(5.0 + np.arange(40)), rtol=1e-12)
 
@@ -281,13 +275,14 @@ def test_large_batch_respects_interval_cap():
 @pytest.mark.parametrize(
     "lo, hi, breakpoints",
     [
-        ([0.0, 0.0], [1.0, 1.0], [[0.5]]),
-        ([0.0, 0.0], [1.0, 1.0], [[0.5], [], []]),
+        ([0.0, 0.0], [1.0, 1.0], np.array([[0.5]])),
+        ([0.0, 0.0], [1.0, 1.0], np.array([[0.5], [np.nan], [np.nan]])),
+        ([0.0, 0.0], [1.0, 1.0], np.array([0.5, 0.5])),
         ([np.nan], [1.0], None),
         ([0.0], [np.inf], None),
         ([-np.inf, 0.0], [0.0, 1.0], None),
     ],
-    ids=["short-breakpoints", "long-breakpoints", "nan-limit", "infinite-upper", "infinite-lower"],
+    ids=["short-breakpoints", "long-breakpoints", "flat-breakpoints", "nan-limit", "infinite-upper", "infinite-lower"],
 )
 def test_batch_rejects_bad_arguments_before_any_call(lo, hi, breakpoints):
     calls = []
@@ -334,5 +329,6 @@ def test_budget_truncation_splits_the_largest_errors_ties_to_the_later_piece():
     def f(x, k):
         return np.where(k == 1, np.sin(x), tied_pieces(x))
 
-    got = adaptive_quad_many(f, [32.0, 0.0, 32.0], [64.0, 3.0, 64.0], cfg, [edges, [], edges])
+    rows = np.vstack((edges, np.full_like(edges, np.nan), edges))
+    got = adaptive_quad_many(f, [32.0, 0.0, 32.0], [64.0, 3.0, 64.0], cfg, rows)
     np.testing.assert_array_equal(got, [want, adaptive_quad(np.sin, 0.0, 3.0, cfg), want])

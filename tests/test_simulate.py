@@ -3,6 +3,7 @@ thinning oracles, cross-section bookkeeping, determinism, serialization."""
 
 import importlib
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from idmodds.fit import group_prevalence
 from idmodds.prevalence import diseased_population, healthy_population, survivor_fraction
 from idmodds.quadrature import adaptive_quad
 from idmodds.rates import (
@@ -34,7 +36,9 @@ from idmodds.simulate import (
     _course_durations,
     _invert,
     _life_courses,
+    atomic_write_text,
     calibrate_births_per_year,
+    check_age_groups,
     cross_section,
     replicate_study,
     run_simulation,
@@ -758,7 +762,8 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.n, table.n)
         np.testing.assert_array_equal(loaded.c, table.c)
         np.testing.assert_array_equal(loaded.age_lo, table.age_lo)
-        assert path.read_text().splitlines()[0] == "k,age_lo,age_hi,n,c"
+        assert path.read_bytes() == b"k,age_lo,age_hi,n,c\r\n1,40.0,45.0,100,5\r\n2,45.0,50.0,90,9\r\n"
+        assert os.listdir(tmp_path) == ["table.csv"]
 
     def test_malformed_table_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -792,8 +797,64 @@ class TestSerialization:
         # every comparison with NaN is false, so no ordering check can catch it
         path = tmp_path / "bad.csv"
         path.write_text(f"k,age_lo,age_hi,n,c\n{row}\n")
-        with pytest.raises(ValueError, match="age limits must be finite"):
+        with pytest.raises(ValueError, match="finite limits"):
             AgeGroupTable.from_csv(path)
+
+    def test_failed_table_write_leaves_no_partial_or_temporary_file(self, tmp_path, monkeypatch):
+        table = AgeGroupTable(100.0, np.array([40.0]), np.array([45.0]), np.array([100]), np.array([5]))
+        path = tmp_path / "study_0001.csv"
+
+        def interrupted(source, target):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="disk full"):
+            table.to_csv(path)
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        # a lone surrogate cannot be encoded, so the write fails after the temporary file is open
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "new\n\ud800")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+
+BAD_AGE_GROUPS = {
+    "negative": ((-5.0, 5.0), (40.0, 45.0)),
+    "empty": ((40.0, 40.0),),
+    "reversed": ((40.0, 45.0), (30.0, 35.0)),
+    "overlapping": ((40.0, 50.0), (45.0, 55.0)),
+    "nan-limit": ((math.nan, 45.0),),
+    "open-ended": ((40.0, 45.0), (90.0, math.inf)),
+}
+
+
+class TestAgeGroupRule:
+    """Study design, table and fit hold their age groups to one rule, with one message."""
+
+    @pytest.mark.parametrize("groups", BAD_AGE_GROUPS.values(), ids=BAD_AGE_GROUPS.keys())
+    def test_every_holder_refuses_with_the_same_message(self, groups):
+        lo, hi = np.array(groups).T
+        with pytest.raises(ValueError, match="nonnegative ages") as rule:
+            check_age_groups(lo, hi)
+        with pytest.raises(ValueError) as table:
+            AgeGroupTable(100.0, lo, hi, np.full(len(lo), 10), np.ones(len(lo), dtype=int))
+        with pytest.raises(ValueError) as design:
+            SimConfig(age_groups=groups, birth_window=(0.0, 150.0))
+        with pytest.raises(ValueError) as fitted:
+            group_prevalence(reference_rate_model(), lo, hi, 100.0)
+        assert str(table.value) == str(design.value) == str(fitted.value) == str(rule.value)
+
+    def test_first_breach_is_named(self):
+        with pytest.raises(ValueError, match=r"group 2 \[30, 35\)"):
+            check_age_groups([40.0, 30.0], [45.0, 35.0])
+
+    def test_touching_groups_from_age_zero_pass(self):
+        check_age_groups([0.0, 5.0, 10.0], [5.0, 10.0, 15.0])
+        check_age_groups([], [])
 
 
 class TestLifeRecordValidation:
