@@ -17,6 +17,7 @@ from idmodds.rates import (
     PositivePartIncidence,
     RateDomainError,
     RateModel,
+    RatioHorizonError,
     TabulatedIncidence,
     reference_rate_model,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "PositivePartIncidence",
     "RateDomainError",
     "RateModel",
+    "RatioHorizonError",
     "TabulatedIncidence",
     "reference_rate_model",
     "AgeProfile",

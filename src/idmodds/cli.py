@@ -43,12 +43,11 @@ from idmodds.prevalence import (
     reconstruct_incidence,
 )
 from idmodds.quadrature import QuadratureError
-from idmodds.rates import ExponentialIncidence, RateModel
+from idmodds.rates import ExponentialIncidence, RateModel, RatioHorizonError
 from idmodds.simulate import (
     AgeGroupTable,
     EmptyStudyError,
     SamplerConvergenceError,
-    SimulationHorizonError,
     StudySizeError,
     atomic_write_text,
     calibrate_births_per_year,
@@ -65,7 +64,7 @@ _EXIT_NO_CONVERGENCE = 4
 _INPUT_ERRORS = (
     ConfigError,
     FitInputError,
-    SimulationHorizonError,
+    RatioHorizonError,
     EmptyStudyError,
     StudySizeError,
     OSError,

@@ -72,7 +72,6 @@ _SCHEMA = {
                 "gamma1": {"type": "number"},
                 "gamma2": {"type": "number"},
                 "gamma3": {"type": "number"},
-                "max_duration": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "simulation": {
@@ -84,7 +83,6 @@ _SCHEMA = {
                 "cross_section_time": {"type": "number"},
                 "age_groups": {"type": "array", "items": _PAIR, "minItems": 1},
                 "rng_seed": {"type": "integer", "minimum": 0},
-                "max_age": {"type": "number", "exclusiveMinimum": 0},
                 "target_alive": {"type": "integer", "exclusiveMinimum": 0},
             },
         },
@@ -199,13 +197,7 @@ class RunConfig:
             section["bounds"] = tuple(tuple(row) for row in section["bounds"])
         if "fixed_gamma" in section:
             section["fixed_gamma"] = tuple(section["fixed_gamma"])
-        return replace(
-            FitConfig(),
-            incidence=self.build_incidence(),
-            m0=self.build_m0(),
-            max_duration=self.build_ratio().max_duration,
-            **section,
-        )
+        return replace(FitConfig(), incidence=self.build_incidence(), m0=self.build_m0(), **section)
 
 
 def parse_run_config(document: dict, source_path: Optional[str] = None) -> RunConfig:

@@ -52,7 +52,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "FitInputError",
-    "RatioHorizonError",
     "group_prevalence",
     "log_likelihood",
     "fit",
@@ -80,7 +79,9 @@ class FitConfig:
     optimum has fixed tolerances.  The simplex searches start from
     ``_DEFAULT_STARTS`` clipped into the bounds and stop at the fixed
     tolerances ``_XATOL`` and ``_FATOL``; ``max_iterations`` caps their
-    iterations and likelihood evaluations per search.
+    iterations and likelihood evaluations per search.  No setting bounds
+    where R must be positive: the likelihood needs it up to the table's
+    oldest group midpoint.
     """
 
     incidence: IncidenceSpec = field(default_factory=PositivePartIncidence)
@@ -88,7 +89,6 @@ class FitConfig:
     bounds: tuple = _DEFAULT_BOUNDS
     fixed_gamma: tuple = (None, None, None)
     max_iterations: int = 4000
-    max_duration: float = 100.0
 
     def __post_init__(self):
         if len(self.bounds) != 3 or any(len(b) != 2 or not b[0] < b[1] for b in self.bounds):
@@ -98,8 +98,6 @@ class FitConfig:
         for j, (pinned, (lo, hi)) in enumerate(zip(self.fixed_gamma, self.bounds)):
             if pinned is not None and not (math.isfinite(pinned) and lo <= pinned <= hi):
                 raise ValueError(f"pinned gamma{j + 1} = {pinned} must be finite and within its bounds [{lo}, {hi}]")
-        if not (math.isfinite(self.max_duration) and self.max_duration > 0.0):
-            raise ValueError("max_duration must be finite and positive")
 
     @property
     def free_indices(self) -> tuple:
@@ -112,8 +110,7 @@ class FitConfig:
 
     def build_model(self, gamma) -> RateModel:
         g1, g2, g3 = (float(x) for x in gamma)
-        ratio = MortalityRatioParams(g1, g2, g3, max_duration=self.max_duration)
-        return RateModel(self.incidence, self.m0, ratio)
+        return RateModel(self.incidence, self.m0, MortalityRatioParams(g1, g2, g3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,11 +170,10 @@ def group_prevalence(model: RateModel, age_lo, age_hi, t: float):
 
 
 class FitInputError(ValueError):
-    """No fit exists: no finite study time, nothing free, too few informative rows, or no finite start."""
+    """No fit exists: no finite study time, nothing free, too few informative rows, or no finite start.
 
-
-class RatioHorizonError(FitInputError):
-    """The table needs the mortality ratio at durations beyond those checked for positivity."""
+    A start is not finite, for one, where R is not positive up to the oldest group midpoint.
+    """
 
 
 # Gauss-Legendre points per lookback piece of the likelihood plan.
@@ -240,12 +236,15 @@ class _LikelihoodPlan:
     sum(weighted * exp(exponent - c @ moments)) over them, c the coefficients
     of R.  Nodes of zero weight (before incidence onset) are dropped; a group
     left with none keeps one node of zero weight, exponent and moments, so its
-    odds are exactly 0.  The plan keeps its table and configuration and the
-    nonzero counts: ``cases`` c at ``case_rows``, ``rest`` n - c at ``rest_rows``.
+    odds are exactly 0.  The plan keeps its table and configuration, the
+    oldest group midpoint as ``horizon``, the longest disease duration its
+    odds reach, and the nonzero counts: ``cases`` c at ``case_rows``,
+    ``rest`` n - c at ``rest_rows``.
     """
 
     table: AgeGroupTable
     config: FitConfig
+    horizon: float
     weighted: np.ndarray
     exponent: np.ndarray
     moments: np.ndarray
@@ -260,19 +259,12 @@ class _LikelihoodPlan:
         """The plan for this table and configuration.
 
         Raises FitInputError when the table's ``cross_section_time`` is not
-        finite, and RatioHorizonError when the oldest group midpoint exceeds
-        ``config.max_duration``.
+        finite.
         """
         t = float(table.cross_section_time)
         if not math.isfinite(t):
             raise FitInputError(f"the table's cross_section_time must be finite, got {t}")
         ages = 0.5 * (table.age_lo + table.age_hi)
-        oldest = float(np.max(ages))
-        if oldest > config.max_duration:
-            raise RatioHorizonError(
-                f"the likelihood evaluates the mortality ratio up to duration {oldest:g}, beyond "
-                f"max_duration={config.max_duration:g} where its positivity is checked"
-            )
         kinks = _lookback_edges(config.incidence, np.full(len(ages), t), ages, np.zeros(len(ages)))
         owner, delta, weights = _lookback_rule(kinks, config.m0, t, ages, _largest_initial_ratio(config.bounds))
         weighted = weights * config.incidence.rate(t - delta, ages[owner] - delta)
@@ -290,7 +282,7 @@ class _LikelihoodPlan:
         cases, rest = table.c.astype(float), (table.n - table.c).astype(float)
         case_rows, rest_rows = np.flatnonzero(cases > 0), np.flatnonzero(rest > 0)
         binomial = (case_rows, cases[case_rows], rest_rows, rest[rest_rows])
-        return _LikelihoodPlan(table, config, weighted, exponent, moments, starts, *binomial)
+        return _LikelihoodPlan(table, config, float(np.max(ages)), weighted, exponent, moments, starts, *binomial)
 
     def _terms(self, coefficients) -> np.ndarray:
         # in place: this is the likelihood's inner loop
@@ -313,8 +305,8 @@ class _LikelihoodPlan:
         g1, g2, g3 = values = gamma.tolist()
         if not all(math.isfinite(value) and lo <= value <= hi for value, (lo, hi) in zip(values, self.config.bounds)):
             return -math.inf
-        # the rule MortalityRatioParams enforces, so exactly the gammas config.build_model rejects
-        if smallest_ratio(g1, g2, g3, self.config.max_duration) <= 0.0:
+        # the rule RateModel.check_ratio enforces, on the durations up to the oldest midpoint
+        if smallest_ratio(g1, g2, g3, self.horizon) <= 0.0:
             return -math.inf
         p = self.group_prevalence(ratio_coefficients(g1, g2, g3))
         p_cases, p_rest = p[self.case_rows], p[self.rest_rows]
@@ -354,14 +346,15 @@ def log_likelihood(gamma, table: AgeGroupTable, config: FitConfig = FitConfig())
     """Binomial log-likelihood of the table under the given mortality-ratio parameters.
 
     Minus infinity encodes every way the parameters can fail: outside the
-    bounds, a nonpositive mortality ratio, or a group whose predicted
+    bounds, a mortality ratio not positive up to the oldest group midpoint,
+    the longest disease duration the odds reach, or a group whose predicted
     prevalence makes the observed count impossible.  Terms with zero count
     against zero prevalence contribute zero (the 0*log(0) convention), so a
     disease-free model fits an all-zero table perfectly.  The binomial
     coefficient is a constant in the parameters and is omitted.  Each call
     builds the table's likelihood plan (about 0.5 ms for the bundled table;
-    ``fit`` builds it once); a table the plan cannot serve raises
-    FitInputError (a study time that is not finite) or RatioHorizonError.
+    ``fit`` builds it once); a table whose study time is not finite raises
+    FitInputError.
     """
     return _LikelihoodPlan.build(table, config).log_likelihood(gamma)
 

@@ -136,7 +136,13 @@ def _lookback_edges(incidence, t, a, onset_rate):
 
 
 def _onset_rate(model: RateModel, t, a):
-    """Diseased mortality just after onset, m0(t, a) R(0), at the points (t, a)."""
+    """Diseased mortality just after onset, m0(t, a) R(0), at the points (t, a).
+
+    Every lookback integral starts here, so R is checked here on the whole
+    span [0, a] of the points' courses, not only up to the last quadrature
+    node, which stops short of a.
+    """
+    model.check_ratio(a)
     return model.mortality_healthy(t, a) * model.ratio.coefficients[0]
 
 
@@ -230,13 +236,15 @@ def effective_diseased_mortality(model: RateModel, t, a, quadrature: QuadratureC
     """Mortality of the diseased at (t, a) averaged over the disease-duration distribution.
 
     Defined as 0 where there are no cases.  When the mortality ratio does not
-    depend on duration the average is exact without any integration.
-    Accepts arrays, whose integrals run as one batch; returns a float for a
-    scalar point.
+    depend on duration the average is exact without any integration, and R
+    is checked on the durations [0, a] of the points' courses.  Accepts
+    arrays, whose integrals run as one batch; returns a float for a scalar
+    point.
     """
     t, a, shape = _points(t, a)
     base = model.mortality_healthy(t, a)
     if model.ratio.gamma1 == 0.0:
+        model.check_ratio(a)
         return _shaped(base * model.ratio.gamma3, shape)
     # integrals 0..n-1 count the cases, n..2n-1 weight them by the mortality ratio; both are
     # scaled by one over the healthy survivor fraction, which cancels in their ratio

@@ -23,6 +23,7 @@ from idmodds.quadrature import adaptive_quad  # noqa: F401
 
 __all__ = [
     "RateDomainError",
+    "RatioHorizonError",
     "GompertzParams",
     "PositivePartIncidence",
     "ExponentialIncidence",
@@ -39,6 +40,10 @@ __all__ = [
 
 class RateDomainError(ValueError):
     """A rate was evaluated outside its valid domain."""
+
+
+class RatioHorizonError(RateDomainError):
+    """The mortality ratio is not positive on every disease duration a computation reaches."""
 
 
 def _all_finite(*values):
@@ -234,24 +239,17 @@ IncidenceSpec = Union[PositivePartIncidence, ExponentialIncidence, TabulatedInci
 class MortalityRatioParams:
     """Mortality rate ratio R(d) = gamma1*(d - gamma2)**2 + gamma3.
 
-    Positivity of R is checked at construction over [0, max_duration].
+    R must be positive on the durations a computation reaches, which only
+    the computation knows, so :class:`RateModel` checks it where R is read.
     """
 
     gamma1: float
     gamma2: float
     gamma3: float
-    max_duration: float = 100.0
 
     def __post_init__(self):
-        if not _all_finite(self.gamma1, self.gamma2, self.gamma3, self.max_duration):
+        if not _all_finite(self.gamma1, self.gamma2, self.gamma3):
             raise ValueError("mortality-ratio parameters must be finite")
-        if self.max_duration <= 0.0:
-            raise ValueError("max_duration must be positive")
-        low = smallest_ratio(self.gamma1, self.gamma2, self.gamma3, self.max_duration)
-        if low <= 0.0:
-            raise ValueError(
-                f"mortality ratio must stay positive on [0, {self.max_duration}]; minimum {low:.4g}"
-            )
 
     def ratio(self, d):
         d = np.asarray(d, dtype=float)
@@ -269,9 +267,9 @@ def ratio_coefficients(gamma1: float, gamma2: float, gamma3: float) -> tuple:
     return (gamma1 * gamma2 * gamma2 + gamma3, -(2.0 * gamma1 * gamma2), gamma1)
 
 
-def smallest_ratio(gamma1: float, gamma2: float, gamma3: float, max_duration: float) -> float:
-    """Smallest R(d) = gamma1*(d - gamma2)**2 + gamma3 over [0, max_duration]: at an end, or at a vertex inside."""
-    ends = [0.0, max_duration] + ([gamma2] if gamma1 > 0.0 and 0.0 <= gamma2 <= max_duration else [])
+def smallest_ratio(gamma1: float, gamma2: float, gamma3: float, horizon: float) -> float:
+    """Smallest R(d) = gamma1*(d - gamma2)**2 + gamma3 over [0, horizon]: at an end, or at a vertex inside."""
+    ends = [0.0, horizon] + ([gamma2] if gamma1 > 0.0 and 0.0 <= gamma2 <= horizon else [])
     return min(gamma1 * ((d - gamma2) * (d - gamma2)) + gamma3 for d in ends)
 
 
@@ -332,10 +330,8 @@ class RateModel:
     def mortality_ratio(self, d):
         if np.any(np.asarray(d) < 0.0):
             raise RateDomainError("duration must be nonnegative")
-        out = self.ratio.ratio(d)
-        if np.any(np.asarray(out) <= 0.0):
-            raise RateDomainError("mortality ratio must be positive")
-        return out
+        self.check_ratio(d)
+        return self.ratio.ratio(d)
 
     def mortality_diseased(self, t, a, d):
         d_arr = np.asarray(d)
@@ -349,6 +345,19 @@ class RateModel:
         delta_arr = np.asarray(delta)
         if np.any(delta_arr < 0.0) or np.any(delta_arr > np.asarray(a)):
             raise RateDomainError("lookback must satisfy 0 <= delta <= a")
+
+    def check_ratio(self, d) -> None:
+        """Raise RatioHorizonError unless R > 0 on [0, longest of the durations ``d``]; no durations, no check."""
+        d = np.asarray(d, dtype=float)
+        if d.size == 0:
+            return
+        horizon = float(d.max())
+        low = smallest_ratio(self.ratio.gamma1, self.ratio.gamma2, self.ratio.gamma3, horizon)
+        if low <= 0.0:
+            raise RatioHorizonError(
+                f"the mortality ratio must stay positive on the disease durations reached, [0, {horizon:g}]; "
+                f"its minimum there is {low:.4g}"
+            )
 
     def cumulative_m0(self, t, a, delta):
         self._check_span(a, delta)
@@ -367,9 +376,11 @@ class RateModel:
 
         The course starts at (t - d, a - d) with duration zero.  Factorizing
         m1 = m0 * R and expanding the quadratic R gives the course moments
-        combined with the coefficients of R.
+        combined with the coefficients of R, which must be positive up to
+        the longest ``d`` (:meth:`check_ratio`).
         """
         self._check_span(a, d)
+        self.check_ratio(d)
         c0, c1, c2 = self.ratio.coefficients
         base, (j0, j1, j2) = course_moments(self.m0, t, a, d)
         return base * (c2 * j2 + c1 * j1 + c0 * j0)

@@ -35,7 +35,6 @@ from idmodds.rates import RateModel
 __all__ = [
     "DEFAULT_AGE_GROUPS",
     "SimConfig",
-    "SimulationHorizonError",
     "EmptyStudyError",
     "StudySizeError",
     "SamplerConvergenceError",
@@ -95,7 +94,6 @@ class SimConfig:
     cross_section_time: float = 100.0
     age_groups: tuple = DEFAULT_AGE_GROUPS
     rng_seed: int = 0
-    max_age: float = 110.0
     target_alive: float = 74388.0
 
     def __post_init__(self):
@@ -106,12 +104,10 @@ class SimConfig:
             raise ValueError("births_per_year must be positive")
         if not self.target_alive > 0.0:
             raise ValueError("target_alive must be positive")
-        if not self.max_age > 0.0:
-            raise ValueError("max_age must be positive")
+        if not math.isfinite(self.cross_section_time):
+            raise ValueError(f"cross_section_time must be finite, got {self.cross_section_time}")
         if not self.cross_section_time >= lo:
             raise ValueError("cross section must lie after the first birth")
-        if self.cross_section_time - lo > self.max_age:
-            raise ValueError("earliest-born individuals would outlive max_age before the cross section")
         if len(self.age_groups) == 0:
             raise ValueError("at least one age group is required")
         check_age_groups(*np.reshape(self.age_groups, (-1, 2)).T)
@@ -229,10 +225,6 @@ class AgeGroupTable:
             raise ValueError(f"invalid table in {path}: {exc}") from None
 
 
-class SimulationHorizonError(ValueError):
-    """The mortality ratio is not positive over every duration a simulated disease course can reach."""
-
-
 class EmptyStudyError(ValueError):
     """The configured rates leave no one expected alive in the age groups."""
 
@@ -299,7 +291,7 @@ def _invert(value_at, rate_at, target, cap):
     return out
 
 
-def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draws, max_age: float, end_age):
+def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draws, end_age):
     """Onset and death times of lives born healthy and followed to age ``end_age``, NaN marking absent events.
 
     Each life inverts the healthy cumulative hazard (mortality plus
@@ -307,17 +299,11 @@ def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draw
     proportion to the two rates at that age, and after an onset inverts the
     course's cumulative diseased mortality at its duration draw.  A life
     whose hazard stays below the draw until its ``end_age`` (a scalar or one
-    age per life, none above ``max_age``) is censored there.  All lives are
-    solved as one batch, so the caller bounds its size.  Raises
-    SimulationHorizonError when the mortality ratio is not positive on
-    [0, max_age].
+    age per life) is censored there.  All lives are solved as one batch, so
+    the caller bounds its size.  Raises RatioHorizonError when the mortality
+    ratio is not positive on the durations the courses reach, which end at
+    ``end_age``.
     """
-    try:
-        replace(model.ratio, max_duration=max_age)
-    except ValueError as error:
-        raise SimulationHorizonError(
-            f"{error}; a simulated disease course can last up to max_age={max_age:g} years"
-        ) from None
     end_age = np.broadcast_to(np.asarray(end_age, dtype=float), birth.shape)
     onset, death = np.full((2, birth.size), np.nan)
     first_exit = _invert(
@@ -409,8 +395,10 @@ def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
     until the cross-section; an onset or death after it is NaN, like one
     that never happens.  Raises StudySizeError, before any draw, when the
     births over the window up to the cross-section exceed the cap on lives
-    or span too many years, and SimulationHorizonError when the mortality
-    ratio is not positive on [0, max_age].
+    or span too many years.  Raises RatioHorizonError when the mortality
+    ratio is not positive on the durations the solved courses reach: at
+    most the oldest group's upper limit, and at most the cross-section time
+    minus the first birth.  A study that solves no life never reads it.
     """
     births_per_year = config.births_per_year or calibrate_births_per_year(model, config)
     # births after the cross-section never enter the study
@@ -426,15 +414,14 @@ def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
     draws = (birth, rng.exponential(size=birth.size), rng.random(birth.size), rng.exponential(size=birth.size))
     onset, death = np.full((2, birth.size), np.nan)
     kept = 0
-    # one pass at least, so that a study without births still checks the horizon
-    for start in range(0, max(birth.size, 1), _CHUNK):
+    for start in range(0, birth.size, _CHUNK):
         part = slice(start, start + _CHUNK)
         age = config.cross_section_time - birth[part]
         held = np.flatnonzero(np.logical_or.reduce([_in_group(age, glo, ghi) for glo, ghi in config.age_groups]))
         born, exits, types, durations = (column[part][held] for column in draws)
         rows = slice(kept, kept + held.size)
         # no study sees an event after the cross-section, so no life is followed past it
-        onset[rows], death[rows] = _life_courses(model, born, exits, types, durations, config.max_age, age[held])
+        onset[rows], death[rows] = _life_courses(model, born, exits, types, durations, age[held])
         # held births move to the front, over births that this chunk or an earlier one has read
         birth[rows] = born
         kept = rows.stop

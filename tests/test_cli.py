@@ -95,8 +95,13 @@ class TestRunConfig:
             parse_run_config({"incidence": {"family": "tabulated", "times": [0.0, 1.0]}})
 
     def test_invalid_ratio_rejected_at_build(self):
-        with pytest.raises(ConfigError):
-            parse_run_config({"ratio": {"gamma1": 0.04, "gamma2": 5.0, "gamma3": -1.0}})
+        # json parses NaN and Infinity, which no ratio parameter may take
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                parse_run_config({"ratio": {"gamma3": value}})
+        # where R must be positive depends on the command, which checks it on the durations it reaches
+        nonpositive = {"ratio": {"gamma1": 0.04, "gamma2": 5.0, "gamma3": -1.0}}
+        assert parse_run_config(nonpositive).build_model().ratio.gamma3 == -1.0
 
     def test_declared_gamma_requires_explicit_section(self):
         assert parse_run_config({"ratio": {"gamma1": 0.1}}).declared_gamma() == (0.1, 5.0, 1.0)
@@ -133,24 +138,39 @@ class TestRunConfig:
         assert bundled.build_fit_config() == empty.build_fit_config() == FitConfig()
 
     @pytest.mark.parametrize(
-        "section",
+        "where, section",
         [
-            {"hessian_step_scale": 1e-3},
-            {"quadrature": {"rel_tol": 1e-9}},
-            {"include_binomial_coefficient": True},
-            {"group_evaluation": "midpoint"},
-            {"xatol": 1e-5},
-            {"fatol": 1e-7},
-            {"starts": [[0.01, 2.0, 1.0]]},
+            ("fit", {"hessian_step_scale": 1e-3}),
+            ("fit", {"quadrature": {"rel_tol": 1e-9}}),
+            ("fit", {"include_binomial_coefficient": True}),
+            ("fit", {"group_evaluation": "midpoint"}),
+            ("fit", {"xatol": 1e-5}),
+            ("fit", {"fatol": 1e-7}),
+            ("fit", {"starts": [[0.01, 2.0, 1.0]]}),
+            ("ratio", {"max_duration": 120.0}),
+            ("simulation", {"max_age": 110.0}),
         ],
         ids=[
             "hessian_step_scale", "quadrature", "include_binomial_coefficient", "group_evaluation", "xatol", "fatol",
-            "starts",
+            "starts", "max_duration", "max_age",
         ],
     )
-    def test_hessian_step_scale_no_longer_accepted(self, section):
-        with pytest.raises(ConfigError, match="invalid configuration at fit"):
-            parse_run_config({"fit": section})
+    def test_hessian_step_scale_no_longer_accepted(self, where, section, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=f"invalid configuration at {where}"):
+            parse_run_config({where: section})
+        config = write_config(tmp_path, {where: section})
+        assert main(["evaluate", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid configuration at {where}")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_cross_section_time_must_be_finite(self, value, tmp_path, capsys):
+        document = {"simulation": {"cross_section_time": value}}
+        with pytest.raises(ConfigError, match="cross_section_time must be finite"):
+            parse_run_config(document)
+        # written as NaN, Infinity or -Infinity, which json reads back
+        config = write_config(tmp_path, document)
+        assert main(["simulate", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "cross_section_time must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, kind, built_elsewhere",
@@ -158,7 +178,7 @@ class TestRunConfig:
             ("simulation", SimConfig, ()),
             ("ratio", MortalityRatioParams, ()),
             ("m0", GompertzParams, ()),
-            ("fit", FitConfig, ("incidence", "m0", "max_duration")),
+            ("fit", FitConfig, ("incidence", "m0")),
         ],
         ids=["simulation", "ratio", "m0", "fit"],
     )
@@ -338,14 +358,15 @@ class TestSimulate:
         assert err.startswith("error:") and "nonnegative" in err
         assert not (out / "study_0001.csv").exists()
 
-    def test_ratio_negative_before_max_age_is_config_error(self, tmp_path, capsys):
-        # R(d) = -1e-4 d^2 + 1.1 passes the check on [0, max_duration=100], but a
-        # course can last up to max_age=110, where R(110) < 0
-        document = {"incidence": {"family": "exponential"}, "ratio": {"gamma1": -1e-4, "gamma2": 0.0, "gamma3": 1.1}}
+    def test_ratio_negative_on_reached_durations_is_config_error(self, tmp_path, capsys):
+        # R(d) = -1e-4 d^2 + 0.8 turns negative at d = 89.4, within the oldest group [90, 95)
+        document = {"incidence": {"family": "exponential"}, "ratio": {"gamma1": -1e-4, "gamma2": 0.0, "gamma3": 0.8}}
         config = write_config(tmp_path, document)
-        assert main(["simulate", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", config, "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "max_age=110" in err
+        assert err.startswith("error:") and "disease durations reached" in err
+        assert not (out / "study_0001.csv").exists()
 
     def test_nobody_alive_is_config_error(self, tmp_path, capsys):
         # healthy mortality exp(-10.7 + 0.1a + 0.5t) leaves no one alive at ages 40-95 at t=100
@@ -448,30 +469,35 @@ class TestFit:
         assert 0.0 <= manifest["quadrature_gap"] <= 1e-12
         assert result["diagnostics"]["quadrature_gap"] == manifest["quadrature_gap"]
 
-    def test_ratio_horizon_beyond_max_duration_is_input_error(self, tmp_path, capsys):
+    @staticmethod
+    def _groups_csv(tmp_path, oldest=True):
+        """A data CSV of groups 40-100 in steps of 5 and, if ``oldest``, a group [100, 110) of midpoint 105."""
         rows = ["k,age_lo,age_hi,n,c"]
         for k, lo in enumerate(range(40, 100, 5), start=1):
             rows.append(f"{k},{lo},{lo + 5},1000,{k * 10}")
-        rows.append("13,100,110,500,150")
-        data = tmp_path / "old.csv"
+        if oldest:
+            rows.append("13,100,110,500,150")
+        data = tmp_path / ("old.csv" if oldest else "young.csv")
         data.write_text("\n".join(rows) + "\n")
-        config = write_config(tmp_path, {"fit": {"bounds": [[-0.01, 1.0], [0.0, 50.0], [0.0, 20.0]]}})
-        code = main(["fit", "--config", config, "--data", str(data), "--out-dir", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "105" in err and "max_duration=100" in err
+        return str(data)
 
-    def test_ratio_max_duration_extends_fit_horizon(self, tmp_path):
-        rows = ["k,age_lo,age_hi,n,c"]
-        for k, lo in enumerate(range(40, 100, 5), start=1):
-            rows.append(f"{k},{lo},{lo + 5},1000,{k * 10}")
-        rows.append("13,100,110,500,150")
-        data = tmp_path / "old.csv"
-        data.write_text("\n".join(rows) + "\n")
-        document = {"ratio": {"max_duration": 120}, "fit": {"bounds": [[-0.01, 1.0], [0.0, 50.0], [0.0, 20.0]]}}
-        assert parse_run_config(document).build_fit_config().max_duration == 120
+    def test_no_start_positive_up_to_oldest_midpoint_is_input_error(self, tmp_path, capsys):
+        # gamma = (-1e-4, 0, gamma3) with gamma3 at most 1.1: R(d) = -1e-4 d^2 + gamma3 is
+        # not positive up to the oldest midpoint 105 at any start, but is up to 97.5
+        document = {"fit": {"bounds": [[-0.01, 1.0], [0.0, 50.0], [0.0, 1.1]], "fixed_gamma": [-1e-4, 0.0, None]}}
         config = write_config(tmp_path, document)
-        assert main(["fit", "--config", config, "--data", str(data), "--out-dir", str(tmp_path / "o")]) == 0
+        argv = ["fit", "--config", config, "--out-dir", str(tmp_path / "o"), "--data"]
+        assert main(argv + [self._groups_csv(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: the likelihood is minus infinity at every start point\n"
+        assert main(argv + [self._groups_csv(tmp_path, oldest=False)]) == 0
+
+    def test_fit_horizon_is_the_oldest_midpoint(self, tmp_path):
+        # gamma1 < 0 is allowed by these bounds, and no setting caps the ages a table may hold
+        config = write_config(tmp_path, {"fit": {"bounds": [[-0.01, 1.0], [0.0, 50.0], [0.0, 20.0]]}})
+        out = tmp_path / "o"
+        assert main(["fit", "--config", config, "--data", self._groups_csv(tmp_path), "--out-dir", str(out)]) == 0
+        g1, g2, g3 = json.loads((out / "fit_result.json").read_text())["gamma_hat"]
+        assert min(g1 * (d - g2) ** 2 + g3 for d in np.linspace(0.0, 105.0, 2101)) > 0.0
 
     @pytest.mark.parametrize(
         "document",
@@ -529,6 +555,47 @@ class TestFit:
         data.write_text("k,age_lo,age_hi,n,c\n1,40.0,45.0,1000,30\n2,45.0,50.0,1000,0\n")
         assert main(["fit", "--data", str(data), "--out-dir", str(tmp_path / "o")]) == 2
         assert "informative" in capsys.readouterr().err
+
+
+# R(d) = -1e-4 d^2 + 1.1 is positive only below d = 104.88
+SHORT_RATIO = {"incidence": {"family": "exponential"}, "ratio": {"gamma1": -1e-4, "gamma2": 0.0, "gamma3": 1.1}}
+
+
+class TestShortRatioHorizon:
+    """Each command refuses the short-lived ratio exactly when its durations reach past where R is positive."""
+
+    def test_evaluate_refuses_ages_past_the_horizon(self, tmp_path, capsys):
+        config = write_config(tmp_path, SHORT_RATIO)
+        out = tmp_path / "o"
+        argv = ["evaluate", "--config", config, "--out-dir", str(out), "--step", "10", "--method", "all"]
+        assert main(argv + ["--age-min", "100", "--age-max", "140"]) == 2
+        assert "[0, 140]" in capsys.readouterr().err
+        assert not (out / "odds_curve.csv").exists()
+        assert main(argv + ["--age-min", "60", "--age-max", "100"]) == 0
+        _, data = read_curve(out / "odds_curve.csv")
+        # the curve written before R was checked on the durations reached
+        want = [
+            [60.0, 0.020943944553102275, 0.020943944553102275, 0.020943944553102275],
+            [70.0, 0.029816075012626297, 0.029816075012626293, 0.029816075012626297],
+            [80.0, 0.04204602754632367, 0.04204602754632367, 0.04204602754632367],
+            [90.0, 0.06063430956488468, 0.06063430956488467, 0.060634309564884664],
+            [100.0, 0.12131784309985741, 0.12131784309985741, 0.12131784309985742],
+        ]
+        np.testing.assert_allclose(data, want, rtol=1e-12, atol=0.0)
+
+    def test_crosscheck_refuses_ages_past_the_horizon(self, tmp_path, capsys):
+        config = write_config(tmp_path, SHORT_RATIO)
+        out = tmp_path / "o"
+        assert main(["crosscheck", "--config", config, "--age", "130", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: the mortality ratio must stay positive")
+        assert not (out / "crosscheck.json").exists()
+
+    def test_simulate_runs_within_the_horizon(self, tmp_path):
+        # the oldest group ends at 95, so no simulated course passes d = 95
+        config = write_config(tmp_path, SHORT_RATIO)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", config, "--seed", "3", "--out-dir", str(out)]) == 0
+        assert (out / "study_0001.csv").read_text().startswith("k,age_lo,age_hi,n,c")
 
 
 class TestCrosscheck:

@@ -25,3 +25,10 @@ def test_package_exports_are_unique():
 def test_deleted_name_is_gone(name):
     # so ``from idmodds import name`` raises ImportError
     assert not hasattr(idmodds, name)
+
+
+def test_ratio_horizon_error_is_defined_once():
+    # the fit and the simulator raise the one error of the rates module; their own are gone
+    assert idmodds.RatioHorizonError.__module__ == "idmodds.rates"
+    assert not hasattr(importlib.import_module("idmodds.fit"), "RatioHorizonError")
+    assert not hasattr(importlib.import_module("idmodds.simulate"), "SimulationHorizonError")

@@ -30,6 +30,7 @@ from idmodds.rates import (
     GompertzParams,
     PositivePartIncidence,
     RateModel,
+    RatioHorizonError,
     TabulatedIncidence,
     reference_rate_model,
 )
@@ -157,7 +158,7 @@ def _five_point(values, step):
     return (8.0 * (values[1] - values[-1]) - (values[2] - values[-2])) / (12.0 * step)
 
 
-# a box in which R may turn nonpositive on [0, max_duration] away from its bounds
+# a box in which R may turn nonpositive on the durations the table reaches, away from its bounds
 WIDE_BOUNDS = ((-0.01, 1.0), (-10.0, 60.0), (-1.0, 20.0))
 
 
@@ -228,13 +229,13 @@ class TestLikelihoodPlan:
     )
     def test_plan_matches_adaptive_oracle(self, family, g1, g2, g3, t):
         config = FitConfig(incidence=PLAN_INCIDENCES[family])
-        try:
-            model = config.build_model((g1, g2, g3))
-        except ValueError:
-            assume(False)
+        model = config.build_model((g1, g2, g3))
         table = reference_table(t)
+        try:
+            oracle = group_prevalence(model, table.age_lo, table.age_hi, t)
+        except RatioHorizonError:
+            assume(False)
         fast = _LikelihoodPlan.build(table, config).group_prevalence(model.ratio.coefficients)
-        oracle = group_prevalence(model, table.age_lo, table.age_hi, t)
         np.testing.assert_allclose(fast, oracle, rtol=1e-9, atol=0.0)
 
     # every family with all components free, and one fit with gamma1 pinned at 0
@@ -261,11 +262,12 @@ class TestLikelihoodPlan:
         span = hi - lo
         step = 1e-6 * span
         gamma = config.full_gamma(np.clip([g1, g2, g3], lo + 3.0 * step, hi - 3.0 * step)[free])
+        table = reference_table()
         try:
-            config.build_model(gamma)
-        except ValueError:
+            group_prevalence(config.build_model(gamma), table.age_lo, table.age_hi, table.cross_section_time)
+        except RatioHorizonError:
             assume(False)
-        plan = _LikelihoodPlan.build(reference_table(), config)
+        plan = _LikelihoodPlan.build(table, config)
         gradient, hessian = plan.derivatives(gamma)
         differences = np.empty(len(free))
         curvature = np.empty((len(free), len(free)))
@@ -295,16 +297,18 @@ class TestLikelihoodPlan:
     @given(data=st.data())
     def test_minus_infinity_exactly_where_gamma_is_rejected(self, bounds, data):
         # inside, on and beyond the box, NaN and infinities included; the wide box lets R turn
-        # negative inside it, so the positivity rule is probed away from the bounds too
+        # negative inside it, so the positivity rule is probed away from the bounds too.  The
+        # oracle is the odds layer's own rule: adaptive group prevalences refuse the gamma.
         config = FitConfig(bounds=bounds)
+        table = reference_table()
         gamma = tuple(data.draw(_component(lo, hi)) for lo, hi in bounds)
-        in_bounds = all(lo <= g <= hi for g, (lo, hi) in zip(gamma, bounds))
-        try:
-            config.build_model(gamma)
-            accepted = in_bounds
-        except ValueError:
-            accepted = False
-        value = _LikelihoodPlan.build(reference_table(), config).log_likelihood(gamma)
+        accepted = all(lo <= g <= hi for g, (lo, hi) in zip(gamma, bounds))
+        if accepted:
+            try:
+                group_prevalence(config.build_model(gamma), table.age_lo, table.age_hi, table.cross_section_time)
+            except RatioHorizonError:
+                accepted = False
+        value = _LikelihoodPlan.build(table, config).log_likelihood(gamma)
         assert math.isfinite(value) if accepted else value == -math.inf
 
     @pytest.mark.parametrize("layout", ["first", "last"])
@@ -344,13 +348,23 @@ class TestLikelihoodPlan:
         assert _largest_initial_ratio(((0.0, 1.0), (-1e200, 1e200), (0.0, 20.0))) == math.inf
 
     def test_ratio_horizon_beyond_max_duration_rejected(self):
-        # gamma1 < 0 is allowed by these bounds, so R may turn negative past max_duration
+        # the table's horizon is its oldest midpoint, 105; R(d) = -1e-4 d^2 + 1.1 is positive only
+        # up to d = 104.88, R(d) = -1e-4 d^2 + 1.2 up to d = 109.5
         age_lo = np.append(np.arange(40.0, 95.0, 5.0), 100.0)
         age_hi = np.append(age_lo[:-1] + 5.0, 110.0)
         table = AgeGroupTable(100.0, age_lo, age_hi, np.append(REFERENCE_N, 500), np.append(REFERENCE_C, 100))
         config = FitConfig(bounds=((-0.01, 1.0), (0.0, 50.0), (0.0, 20.0)))
-        with pytest.raises(ValueError, match=r"105.*max_duration=100"):
-            fit(table, config)
+        plan = _LikelihoodPlan.build(table, config)
+        assert plan.horizon == 105.0
+        short, long = (-1e-4, 0.0, 1.1), (-1e-4, 0.0, 1.2)
+        assert plan.log_likelihood(short) == -math.inf
+        with pytest.raises(RatioHorizonError):
+            group_prevalence(config.build_model(short), age_lo, age_hi, 100.0)
+        assert math.isfinite(plan.log_likelihood(long))
+        # without the oldest group the same short-lived ratio is feasible
+        assert math.isfinite(_LikelihoodPlan.build(reference_table(), config).log_likelihood(short))
+        result = fit(table, config)
+        assert math.isfinite(result.loglik) and result.diagnostics["quadrature_gap"] <= 1e-8
 
 
 @pytest.fixture(scope="module")

@@ -44,6 +44,7 @@ from idmodds.rates import (
     MortalityRatioParams,
     PositivePartIncidence,
     RateModel,
+    RatioHorizonError,
     TabulatedIncidence,
     reference_rate_model,
 )
@@ -183,6 +184,54 @@ class TestEffectiveDiseasedMortality:
         lo = min(model.mortality_ratio(d) for d in np.linspace(0.0, a, 601))
         hi = max(model.mortality_ratio(d) for d in np.linspace(0.0, a, 601))
         assert base * lo <= got <= base * hi
+
+
+def short_horizon_model(gamma1=-1e-4, gamma3=1.1):
+    # R(d) = gamma1 d^2 + gamma3 is positive only below d = sqrt(1.1e4) = 104.88 with the defaults
+    return RateModel(ExponentialIncidence(), reference_rate_model().m0, MortalityRatioParams(gamma1, 0.0, gamma3))
+
+
+class TestRatioHorizon:
+    """Every reader of R refuses the points whose disease durations reach past where R is positive.
+
+    Below that age the values are those computed before R was checked on the
+    durations reached, when it was checked on [0, 100] alone.
+    """
+
+    READERS = {
+        "pseudo_convolution": lambda m, a: prevalence(m, 100.0, a, "pseudo_convolution").odds,
+        "keiding": lambda m, a: prevalence(m, 100.0, a, "keiding").odds,
+        "cohort_ratio": lambda m, a: prevalence(m, 100.0, a, "cohort_ratio").odds,
+        "diseased_population": lambda m, a: diseased_population(m, 100.0, a),
+        "case_density": lambda m, a: case_density(m, 100.0, a, a),
+        "pde_residual_prevalence": lambda m, a: pde_residual_prevalence(m, 100.0, a - 1.0, 0.5),
+        "effective_diseased_mortality": lambda m, a: effective_diseased_mortality(m, 100.0, a),
+    }
+    BELOW = {
+        "pseudo_convolution": 0.12131784309985741,
+        "keiding": 0.12131784309985741,
+        "cohort_ratio": 0.12131784309985742,
+        "diseased_population": 0.001772176662015193,
+        "case_density": 3.812295705010461e-05,
+        "pde_residual_prevalence": 4.8126615144163803e-05,
+        "effective_diseased_mortality": 0.2918794056486104,
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_refused_past_the_horizon(self, reader):
+        read, m = self.READERS[reader], short_horizon_model()
+        assert read(m, 100.0) == pytest.approx(self.BELOW[reader], rel=1e-12, abs=0.0)
+        with pytest.raises(RatioHorizonError, match="disease durations reached"):
+            read(m, 110.0)
+
+    @pytest.mark.parametrize("gamma3", [0.0, -1.0])
+    def test_duration_free_shortcut_refused(self, gamma3):
+        # gamma1 = 0 skips the integrals, so the shortcut checks R on [0, a] itself
+        m = short_horizon_model(0.0, gamma3)
+        for a in (0.0, np.array([20.0, 60.0])):
+            with pytest.raises(RatioHorizonError, match=f"\\[0, {np.max(a):g}\\]"):
+                effective_diseased_mortality(m, 100.0, a)
+        assert effective_diseased_mortality(short_horizon_model(0.0, 1.7), 100.0, np.array([])).size == 0
 
 
 class TestOddsFormulas:

@@ -13,6 +13,7 @@ from idmodds.rates import (
     PositivePartIncidence,
     RateDomainError,
     RateModel,
+    RatioHorizonError,
     TabulatedIncidence,
     reference_rate_model,
 )
@@ -377,13 +378,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             GompertzParams(-10.0, 0.1, -0.1)
 
-    def test_ratio_must_stay_positive(self):
-        with pytest.raises(ValueError):
-            MortalityRatioParams(0.04, 5.0, -2.0)
-        with pytest.raises(ValueError):
-            MortalityRatioParams(-0.01, 0.0, 1.0, max_duration=50.0)
-        # fine when the minimum over the window stays positive
-        MortalityRatioParams(-0.0001, 0.0, 2.0, max_duration=50.0)
+    def test_ratio_must_stay_positive(self, model):
+        # R(d) = -0.01 d^2 + 1 is positive on [0, 10) only: the ratio is built, and every
+        # reader of R refuses exactly when the durations it reads pass d = 10
+        short = RateModel(model.incidence, model.m0, MortalityRatioParams(-0.01, 0.0, 1.0))
+        for longest in (9.9, 10.0, 50.0):
+            durations = np.array([0.5, longest])
+            readers = (
+                lambda: short.mortality_ratio(durations),
+                lambda: short.mortality_diseased(100.0, 60.0, durations),
+                lambda: short.cumulative_m1(100.0, 60.0, durations),
+            )
+            for read in readers:
+                if longest < 10.0:
+                    assert np.all(np.isfinite(read()))
+                else:
+                    with pytest.raises(RatioHorizonError, match=f"\\[0, {longest:g}\\]"):
+                        read()
+        # a minimum at the vertex inside the durations counts, and the ends do not hide it
+        dipped = RateModel(model.incidence, model.m0, MortalityRatioParams(0.04, 5.0, -0.5))
+        with pytest.raises(RatioHorizonError):
+            dipped.cumulative_m1(100.0, 60.0, np.array([0.0, 10.0]))
+        dipped.cumulative_m1(100.0, 60.0, np.array([0.0, 1.0]))
+        # no durations read, nothing to refuse
+        assert dipped.cumulative_m1(100.0, 60.0, np.array([])).size == 0
+        assert issubclass(RatioHorizonError, RateDomainError)
+        with pytest.raises(ValueError, match="finite"):
+            MortalityRatioParams(0.04, math.inf, 1.0)
 
     def test_domain_errors(self, model):
         with pytest.raises(RateDomainError):

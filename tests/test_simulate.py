@@ -21,6 +21,7 @@ from idmodds.rates import (
     MortalityRatioParams,
     PositivePartIncidence,
     RateModel,
+    RatioHorizonError,
     TabulatedIncidence,
     reference_rate_model,
 )
@@ -30,7 +31,6 @@ from idmodds.simulate import (
     EmptyStudyError,
     PopulationLedger,
     SimConfig,
-    SimulationHorizonError,
     StudySizeError,
     _birth_schedule,
     _course_durations,
@@ -54,10 +54,14 @@ def gompertz_only_model():
     )
 
 
-def sample_lives(model, births, rng, max_age):
-    """Onset and death times for ``births`` followed to ``max_age``, each life taking three draws in turn from ``rng``."""
+# The age to which lives are followed where no cross-section cuts them off.
+FOLLOW_UP_AGE = 110.0
+
+
+def sample_lives(model, births, rng, end_age=FOLLOW_UP_AGE):
+    """Onset and death times for ``births`` followed to ``end_age``, each life taking three draws in turn from ``rng``."""
     draws = np.array([(rng.exponential(), rng.random(), rng.exponential()) for _ in births]).T
-    return _life_courses(model, np.asarray(births, dtype=float), *draws, max_age, max_age)
+    return _life_courses(model, np.asarray(births, dtype=float), *draws, end_age)
 
 
 def zero_rate_model():
@@ -88,7 +92,7 @@ class TestInvert:
 class TestSampleLife:
     def test_zero_rates_censored(self):
         rng = np.random.default_rng(0)
-        (onset,), (death,) = sample_lives(zero_rate_model(), [10.0], rng, SimConfig.max_age)
+        (onset,), (death,) = sample_lives(zero_rate_model(), [10.0], rng)
         assert math.isnan(onset) and math.isnan(death)
 
     def test_draws_independent_of_life_path(self):
@@ -97,8 +101,8 @@ class TestSampleLife:
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
         for birth in (0.0, 20.0, 40.0, 60.0):
-            sample_lives(reference_rate_model(), [birth], rng_a, SimConfig.max_age)
-            sample_lives(zero_rate_model(), [birth], rng_b, SimConfig.max_age)
+            sample_lives(reference_rate_model(), [birth], rng_a)
+            sample_lives(zero_rate_model(), [birth], rng_b)
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_ordering_invariants_hold(self):
@@ -109,7 +113,7 @@ class TestSampleLife:
             [(rng.uniform(0.0, 65.0), rng.exponential(), rng.random(), rng.exponential()) for _ in range(500)]
         ).T
         birth = lives[0]
-        onset, death = _life_courses(model, birth, *lives[1:], SimConfig.max_age, SimConfig.max_age)
+        onset, death = _life_courses(model, birth, *lives[1:], FOLLOW_UP_AGE)
         # PopulationLedger validates birth < onset < death on construction
         PopulationLedger(birth, onset, death)
         assert np.all(onset[~np.isnan(onset)] > birth[~np.isnan(onset)])
@@ -120,7 +124,7 @@ class TestSampleLife:
         model = gompertz_only_model()
         rng = np.random.default_rng(42)
         births = 20.0
-        onset, death = sample_lives(model, np.full(10**5, births), rng, max_age=500.0)
+        onset, death = sample_lives(model, np.full(10**5, births), rng, end_age=500.0)
         assert np.all(np.isnan(onset)) and not np.any(np.isnan(death))
         ages = death - births
 
@@ -139,7 +143,7 @@ class TestSampleLife:
         rng = np.random.default_rng(7)
         birth, horizon = 30.0, 60.0
         n = 20000
-        onset, _ = sample_lives(model, np.full(n, birth), rng, max_age=horizon)
+        onset, _ = sample_lives(model, np.full(n, birth), rng, end_age=horizon)
         onsets = np.count_nonzero(~np.isnan(onset))
         # analytic probability of onset before the horizon age: integral of
         # incidence times the stay-healthy fraction
@@ -165,10 +169,10 @@ class TestSampleLife:
         # disease duration spends the duration draw on the course hazard
         model = RateModel(incidence, GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(0.04, 5.0, 1.0))
         rng = np.random.default_rng(17)
-        n, max_age = 4000, 110.0
+        n, end_age = 4000, FOLLOW_UP_AGE
         birth = rng.uniform(0.0, 65.0, n)
         exit_draws, type_draws, duration_draws = rng.exponential(size=n), rng.random(n), rng.exponential(size=n)
-        onset, death = _life_courses(model, birth, exit_draws, type_draws, duration_draws, max_age, max_age)
+        onset, death = _life_courses(model, birth, exit_draws, type_draws, duration_draws, end_age)
 
         exit_age = np.fmin(onset, death) - birth
         exited = ~np.isnan(exit_age)
@@ -177,8 +181,8 @@ class TestSampleLife:
             birth[exited] + age, age, age
         )
         np.testing.assert_allclose(healthy, exit_draws[exited], rtol=1e-9)
-        at_cap = model.cumulative_m0(birth + max_age, max_age, max_age) + model.cumulative_incidence(
-            birth + max_age, max_age, max_age
+        at_cap = model.cumulative_m0(birth + end_age, end_age, end_age) + model.cumulative_incidence(
+            birth + end_age, end_age, end_age
         )
         assert np.all(at_cap[~exited] < exit_draws[~exited])
 
@@ -189,8 +193,8 @@ class TestSampleLife:
         course = model.cumulative_m1(death[died], death[died] - birth[died], duration)
         np.testing.assert_allclose(course, duration_draws[died], rtol=1e-9)
         alive = sick & np.isnan(death)
-        cap = max_age - (onset[alive] - birth[alive])
-        assert np.all(model.cumulative_m1(onset[alive] + cap, max_age, cap) < duration_draws[alive])
+        cap = end_age - (onset[alive] - birth[alive])
+        assert np.all(model.cumulative_m1(onset[alive] + cap, end_age, cap) < duration_draws[alive])
 
     @pytest.mark.parametrize("family", ["positive_part", "tabulated"])
     def test_life_independent_of_chunking(self, family):
@@ -204,23 +208,23 @@ class TestSampleLife:
         draws = rng.exponential(size=n), rng.random(n), rng.exponential(size=n)
         cfg = SimConfig()
         end_age = cfg.cross_section_time - birth
-        default = _life_courses(model, birth, *draws, cfg.max_age, end_age)
+        default = _life_courses(model, birth, *draws, end_age)
         assert np.count_nonzero(~np.isnan(default[0])) > 0
         for chunk in (1, 7):
             parts = [slice(start, start + chunk) for start in range(0, n, chunk)]
-            chunked = [_life_courses(model, birth[p], *(d[p] for d in draws), cfg.max_age, end_age[p]) for p in parts]
+            chunked = [_life_courses(model, birth[p], *(d[p] for d in draws), end_age[p]) for p in parts]
             for want, got in zip(default, (np.concatenate(column) for column in zip(*chunked))):
                 np.testing.assert_array_equal(got, want)
 
     def test_course_duration_distribution(self):
-        # onset two years before max_age: the duration either follows the
+        # onset two years before the end of follow-up: the duration either follows the
         # survival law 1 - exp(-cumulative_m1) or is censored at the cap
         model = reference_rate_model()
-        onset_time, onset_age, max_age = 100.0, 108.0, 110.0
-        cap = max_age - onset_age
+        onset_time, onset_age, end_age = 100.0, 108.0, FOLLOW_UP_AGE
+        cap = end_age - onset_age
         n = 20000
         draws = np.random.default_rng(41).exponential(size=n)
-        duration = _course_durations(model, np.full(n, onset_time), np.full(n, onset_age), draws, max_age)
+        duration = _course_durations(model, np.full(n, onset_time), np.full(n, onset_age), draws, end_age)
 
         def law(d):
             return -np.expm1(-model.cumulative_m1(onset_time + d, onset_age + d, d))
@@ -234,15 +238,26 @@ class TestSampleLife:
         assert result.pvalue > 0.01
 
     def test_ratio_positive_only_up_to_max_duration_rejected(self):
-        # R(d) = -1e-4 d^2 + 1.1 is positive on [0, 100] but not at d = 110
+        # R(d) = -1e-4 d^2 + 1.1 is positive only below d = 104.88: a course followed to age 110
+        # reaches past that, one followed to 100 does not, nor does any course of the default
+        # study, whose oldest group ends at age 95
         model = RateModel(
             ExponentialIncidence(), GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(-1e-4, 0.0, 1.1)
         )
-        with pytest.raises(SimulationHorizonError, match="max_age=110"):
-            sample_lives(model, [10.0], np.random.default_rng(0), max_age=110.0)
-        with pytest.raises(ValueError, match="max_age=110"):
-            run_simulation(model, SimConfig(births_per_year=1.0))
-        sample_lives(model, [10.0], np.random.default_rng(0), max_age=100.0)
+        # a birth at 0 with onset draws that make it fall ill within its first year
+        course = np.array([0.0]), np.array([1e-9]), np.array([0.0]), np.array([50.0])
+        with pytest.raises(RatioHorizonError, match="disease durations reached"):
+            _life_courses(model, *course, 110.0)
+        onset, death = _life_courses(model, *course, 100.0)
+        assert onset[0] < 1.0 and math.isnan(death[0])
+        ledger = run_simulation(model, SimConfig(births_per_year=20.0))
+        assert np.count_nonzero(~np.isnan(ledger.onset)) > 0
+        # a ratio positive nowhere passes a study that solves no life, and fails one that solves courses
+        nowhere = RateModel(model.incidence, model.m0, MortalityRatioParams(0.0, 0.0, -1.0))
+        empty = SimConfig(births_per_year=1e-3, birth_window=(0.0, 1.0), age_groups=((99.0, 100.0),))
+        assert len(run_simulation(nowhere, empty)) == 0
+        with pytest.raises(RatioHorizonError):
+            run_simulation(nowhere, SimConfig(births_per_year=20.0))
 
     def test_study_size_cap_raises_before_any_draw(self, monkeypatch):
         import idmodds.simulate
@@ -326,7 +341,6 @@ class TestBirthSchedule:
             birth_window=(-(2.0**53), 0.0),
             cross_section_time=0.0,
             age_groups=((10.0, 20.0),),
-            max_age=1e17,
         )
         with pytest.raises(StudySizeError, match="birth window"):
             run_simulation(reference_rate_model(), config)
@@ -351,7 +365,7 @@ class TestTabulatedIncidenceSampling:
         birth, cap = 10.0, 90.0
 
         rng = np.random.default_rng(31)
-        onset, death = sample_lives(model, np.full(1200, birth), rng, max_age=cap)
+        onset, death = sample_lives(model, np.full(1200, birth), rng, end_age=cap)
         first = np.fmin(onset, death)
         exact_ages = first[~np.isnan(first)] - birth
 
@@ -404,9 +418,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite limits"):
             SimConfig(age_groups=((40.0, 45.0), (90.0, math.inf)))
 
-    def test_max_age_covers_window(self):
-        with pytest.raises(ValueError):
-            SimConfig(birth_window=(0.0, 65.0), cross_section_time=100.0, max_age=80.0)
+    def test_window_longer_than_any_course_is_accepted(self):
+        # the earliest-born are 150 at the cross-section; no course of theirs is solved, since
+        # only lives an age group holds are, so nothing caps the window
+        cfg = SimConfig(births_per_year=20.0, birth_window=(0.0, 150.0), cross_section_time=150.0)
+        ledger = run_simulation(reference_rate_model(), cfg)
+        assert np.all(cfg.cross_section_time - ledger.birth < DEFAULT_AGE_GROUPS[-1][1])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_cross_section_time_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="cross_section_time must be finite"):
+            SimConfig(cross_section_time=value)
 
     def test_nonpositive_birth_rate(self):
         with pytest.raises(ValueError):
@@ -421,7 +443,6 @@ class TestRunSimulation:
             cross_section_time=1.0,
             age_groups=((0.0, 1.0),),
             rng_seed=3,
-            max_age=110.0,
         )
         ledger = run_simulation(zero_rate_model(), cfg)
         assert len(ledger) == 1
@@ -459,9 +480,8 @@ class TestRunSimulation:
         cfg = SimConfig(births_per_year=600.0, rng_seed=99)
         ledger = run_simulation(model, cfg)
         has_onset = ~np.isnan(ledger.onset)
-        # exposure ends at death, or where follow-up stops: max_age or the cross-section, whichever comes first
-        follow_up_end = np.minimum(ledger.birth + cfg.max_age, cfg.cross_section_time)
-        stop = np.where(np.isnan(ledger.death), follow_up_end, ledger.death)
+        # exposure ends at death, or where follow-up stops, at the cross-section
+        stop = np.where(np.isnan(ledger.death), cfg.cross_section_time, ledger.death)
         observed = np.count_nonzero(has_onset & ~np.isnan(ledger.death))
         onset_t = ledger.onset[has_onset]
         stop_t = stop[has_onset]
@@ -490,7 +510,7 @@ FOLLOW_UP_MODELS = {
 class TestFollowUpToCrossSection:
     @pytest.mark.parametrize("family", sorted(FOLLOW_UP_MODELS))
     def test_matches_follow_up_to_max_age(self, family, monkeypatch):
-        # the oracle follows the same draws to max_age
+        # the oracle follows the same draws to a fixed age past the cross-section
         import idmodds.simulate
 
         model = RateModel(
@@ -498,8 +518,8 @@ class TestFollowUpToCrossSection:
         )
         follow_up = idmodds.simulate._life_courses
 
-        def follow_to_max_age(model, birth, exit_draws, type_draws, duration_draws, max_age, end_age):
-            return follow_up(model, birth, exit_draws, type_draws, duration_draws, max_age, max_age)
+        def follow_to_max_age(model, birth, exit_draws, type_draws, duration_draws, end_age):
+            return follow_up(model, birth, exit_draws, type_draws, duration_draws, FOLLOW_UP_AGE)
 
         for seed in (0, 1, 2):
             cfg = SimConfig(births_per_year=100.0, rng_seed=seed)
