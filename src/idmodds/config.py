@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
-
-from jsonschema import Draft202012Validator
 
 from idmodds.fit import FitConfig
 from idmodds.rates import (
@@ -110,7 +109,63 @@ _SCHEMA = {
     },
 }
 
-_VALIDATOR = Draft202012Validator(_SCHEMA)
+
+def _is_type(value, name) -> bool:
+    """JSON-Schema membership in type ``name``, or in any of a list of them.
+
+    A bool is no number, and an integral float is an integer.
+    """
+    if not isinstance(name, str):
+        return any(_is_type(value, one) for one in name)
+    if name not in ("number", "integer"):
+        return isinstance(value, {"null": type(None), "string": str, "array": list, "object": dict}[name])
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        return False
+    return name == "number" or isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
+# the checks a schema node makes of its own value: each gives the violation's message, or a false value
+_CHECKS = {
+    "type": lambda value, name: not _is_type(value, name) and f"{value!r} is not of type {name!r}",
+    "enum": lambda value, options: value not in options and f"{value!r} is not one of {options!r}",
+    "minimum": lambda value, bound: _is_type(value, "number") and value < bound
+    and f"{value!r} is less than the minimum of {bound!r}",
+    "exclusiveMinimum": lambda value, bound: _is_type(value, "number") and value <= bound
+    and f"{value!r} is less than or equal to the minimum of {bound!r}",
+    "minItems": lambda value, size: isinstance(value, list) and len(value) < size and f"{value!r} is too short",
+    "maxItems": lambda value, size: isinstance(value, list) and len(value) > size and f"{value!r} is too long",
+    "minLength": lambda value, size: isinstance(value, str) and len(value) < size and f"{value!r} is too short",
+}
+# the keywords that lead to a node's children; ``additionalProperties`` is only ever false
+_STRUCTURE = ("properties", "additionalProperties", "items")
+
+
+def _first_violation(value, schema: dict, path: tuple = ()):
+    """The first violation of ``schema`` by ``value`` in path order, as (path, message); None if there is none.
+
+    A node's own checks come first, in schema order, and an unknown key is
+    reported at the object holding it; then its children, keys in sorted
+    order and items in index order.
+    """
+    for keyword, spec in schema.items():
+        message = keyword not in _STRUCTURE and _CHECKS[keyword](value, spec)
+        if message:
+            return path, message
+    properties = schema.get("properties", {})
+    if isinstance(value, dict):
+        unknown = sorted((key for key in value if key not in properties), key=str)
+        if unknown and schema.get("additionalProperties") is False:
+            return path, f"unknown keys {unknown}"
+        children = [(key, value[key], properties[key]) for key in sorted(properties) if key in value]
+    elif isinstance(value, list) and "items" in schema:
+        children = [(index, item, schema["items"]) for index, item in enumerate(value)]
+    else:
+        return None
+    for key, child, child_schema in children:
+        found = _first_violation(child, child_schema, path + (key,))
+        if found:
+            return found
+    return None
 
 
 def config_hash(document: dict) -> str:
@@ -204,11 +259,11 @@ def parse_run_config(document: dict, source_path: Optional[str] = None) -> RunCo
     """Validate a configuration dictionary and wrap it."""
     if not isinstance(document, dict):
         raise ConfigError("configuration must be a JSON object")
-    errors = sorted(_VALIDATOR.iter_errors(document), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        location = "/".join(str(part) for part in first.absolute_path) or "<root>"
-        raise ConfigError(f"invalid configuration at {location}: {first.message}")
+    violation = _first_violation(document, _SCHEMA)
+    if violation:
+        path, message = violation
+        location = "/".join(str(part) for part in path) or "<root>"
+        raise ConfigError(f"invalid configuration at {location}: {message}")
     config = RunConfig(document=document, source_path=source_path)
     # exercise the builders so structural problems surface before any command runs
     try:

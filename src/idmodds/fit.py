@@ -418,7 +418,8 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     always comes back; ``converged`` and the diagnostics say how much to
     trust it.  Raises FitInputError when the table's study time is not
     finite, nothing is free, too few rows are informative, or every start
-    is impossible.
+    is impossible, naming the mortality ratio when it is not positive up to
+    the oldest group midpoint at any start.
     """
     free = config.free_indices
     if len(free) == 0:
@@ -433,6 +434,8 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     starts = [np.clip([start[j] for j in free], *np.transpose(bounds)) for start in _DEFAULT_STARTS]
     # screened outside ``evals``, which counts the search's evaluations alone
     if not any(math.isfinite(plan.log_likelihood(config.full_gamma(x0))) for x0 in starts):
+        if all(smallest_ratio(*config.full_gamma(x0).tolist(), plan.horizon) <= 0.0 for x0 in starts):
+            raise FitInputError(f"the mortality ratio is not positive up to age {plan.horizon:g} at any start point")
         raise FitInputError("the likelihood is minus infinity at every start point")
 
     evals = 0

@@ -168,13 +168,17 @@ class TabulatedIncidence:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         ages = np.asarray(self.ages, dtype=float)
-        table = np.asarray(self.table, dtype=float)
+        try:
+            table = np.asarray(self.table, dtype=float)
+        except ValueError:  # ragged rows: an object array keeps their outer shape for the shape rule below
+            table = np.asarray(self.table, dtype=object)
         if times.ndim != 1 or ages.ndim != 1 or len(times) < 2 or len(ages) < 2:
             raise ValueError("grids must be 1-D with at least two points")
         if np.any(np.diff(times) <= 0.0) or np.any(np.diff(ages) <= 0.0):
             raise ValueError("grids must be strictly increasing")
         if table.shape != (len(times), len(ages)):
             raise ValueError("table shape must be (len(times), len(ages))")
+        table = np.asarray(table, dtype=float)
         if not np.all(np.isfinite(table)) or np.any(table < 0.0):
             raise ValueError("tabulated rates must be finite and nonnegative")
         object.__setattr__(self, "times", times)

@@ -19,7 +19,6 @@ import csv
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -466,5 +465,8 @@ def replicate_study(model: RateModel, config: SimConfig, n_replicates: int, work
     jobs = [(model, config, config.rng_seed + i) for i in range(n_replicates)]
     if workers <= 1 or n_replicates == 1:
         return [_one_replicate(job) for job in jobs]
+    # imported here, its only user, so serial runs skip multiprocessing and its start-up cost
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, n_replicates)) as pool:
         return list(pool.map(_one_replicate, jobs))

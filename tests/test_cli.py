@@ -15,10 +15,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idmodds
 from idmodds.cli import _build_parser, _relative_spread, _richardson, main, thread_limit
-from idmodds.config import _SCHEMA, ConfigError, config_hash, load_run_config, parse_run_config
+from idmodds.config import (
+    _CHECKS,
+    _SCHEMA,
+    _STRUCTURE,
+    ConfigError,
+    _is_type,
+    config_hash,
+    load_run_config,
+    parse_run_config,
+)
 from idmodds.fit import FitConfig
 from idmodds.prevalence import (
     cross_section_profile,
@@ -186,6 +197,79 @@ class TestRunConfig:
         # a field deleted from a dataclass must not linger as an accepted key, nor the reverse
         keys = set(_SCHEMA["properties"][section]["properties"])
         assert keys == {f.name for f in dataclasses.fields(kind)} - set(built_elsewhere)
+
+
+# numbers, with the edge cases of JSON-Schema's number and integer types, and values of the other JSON kinds
+NUMBERS = st.integers(-2, 2) | st.sampled_from([5.0, 2.5, 0.0, -0.0, math.nan, math.inf, -math.inf]) | st.floats()
+NOT_NUMBERS = st.none() | st.booleans() | st.text(max_size=2)
+ANY_JSON = st.recursive(
+    NUMBERS | NOT_NUMBERS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def mostly(common, rare):
+    """``common`` about seven times in eight, else ``rare``."""
+    return st.integers(0, 7).flatmap(lambda k: common if k else rare)
+
+
+def documents(schema):
+    """Values of the kind ``schema`` describes, now and then broken at some depth or of another kind below."""
+    if "properties" in schema:
+        parts = {key: mostly(documents(sub), ANY_JSON) for key, sub in schema["properties"].items()}
+        unknown = st.dictionaries(st.sampled_from(["", "a", "bogus", "zz"]) | st.text(max_size=2), ANY_JSON, max_size=1)
+        return st.builds(lambda known, extra: {**known, **extra}, st.fixed_dictionaries({}, optional=parts),
+                         mostly(st.just({}), unknown))
+    if "items" in schema:
+        shortest = schema.get("minItems", 0)
+        longest = schema.get("maxItems", shortest + 2)
+        sizes = mostly(st.just((shortest, longest)), st.sampled_from([(0, max(shortest - 1, 0)), (longest + 1,) * 2]))
+        item = mostly(documents(schema["items"]), ANY_JSON)
+        return sizes.flatmap(lambda size: st.lists(item, min_size=size[0], max_size=size[1]))
+    if "enum" in schema:
+        return mostly(st.sampled_from(schema["enum"]), st.sampled_from(["bogus", ""]) | ANY_JSON)
+    if schema["type"] == "string":
+        return st.text(max_size=2)
+    return mostly(NUMBERS, NOT_NUMBERS)
+
+
+class TestSchemaCheck:
+    def test_agrees_with_jsonschema(self):
+        # the same accept/reject decision and first error path as the reference implementation
+        jsonschema = pytest.importorskip("jsonschema")
+        validator = jsonschema.Draft202012Validator(_SCHEMA)
+
+        @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @given(documents(_SCHEMA))
+        def agree(document):
+            errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
+            try:
+                parse_run_config(document)
+                refusal = ""
+            except ConfigError as error:
+                refusal = str(error)
+            if errors:
+                location = "/".join(str(part) for part in errors[0].absolute_path) or "<root>"
+                assert refusal.startswith(f"invalid configuration at {location}: ")
+            else:
+                assert not refusal.startswith("invalid configuration at")
+
+        agree()
+
+    def test_schema_uses_only_implemented_keywords(self):
+        # a keyword the check does not interpret, say "pattern", must not be silently ignored
+        def nodes(schema):
+            yield schema
+            for child in schema.get("properties", {}).values():
+                yield from nodes(child)
+            if "items" in schema:
+                yield from nodes(schema["items"])
+
+        for node in nodes(_SCHEMA):
+            assert set(node) <= set(_CHECKS) | set(_STRUCTURE)
+            assert node.get("additionalProperties", False) is False
+            _is_type(None, node.get("type", []))  # raises KeyError on a type name it does not know
 
 
 ZERO_INCIDENCE = {"incidence": {"family": "exponential", "k0": -1000.0, "k1": 0.0, "k2": 0.0}}
@@ -488,7 +572,7 @@ class TestFit:
         config = write_config(tmp_path, document)
         argv = ["fit", "--config", config, "--out-dir", str(tmp_path / "o"), "--data"]
         assert main(argv + [self._groups_csv(tmp_path)]) == 2
-        assert capsys.readouterr().err == "error: the likelihood is minus infinity at every start point\n"
+        assert capsys.readouterr().err == "error: the mortality ratio is not positive up to age 105 at any start point\n"
         assert main(argv + [self._groups_csv(tmp_path, oldest=False)]) == 0
 
     def test_fit_horizon_is_the_oldest_midpoint(self, tmp_path):
@@ -781,6 +865,7 @@ BAD_INPUTS = {
     "study-size-births": ["simulate", "--config", "{tmp}/huge_births.json"],
     "study-size-calibrated": ["simulate", "--config", "{tmp}/huge_target.json"],
     "fit-overflowing-incidence": ["fit", "--config", "{tmp}/overflow.json"],
+    "tabulated-ragged-table": ["evaluate", "--config", "{tmp}/ragged.json"],
 }
 
 BAD_CONFIGS = {
@@ -788,6 +873,7 @@ BAD_CONFIGS = {
     "huge_births.json": b'{"simulation": {"births_per_year": 1e9}}',
     "huge_target.json": b'{"simulation": {"births_per_year": null, "target_alive": 1000000000000}}',
     "overflow.json": b'{"incidence": {"family": "exponential", "k0": 50}}',
+    "ragged.json": b'{"incidence": {"family": "tabulated", "times": [0, 1], "ages": [0, 1], "table": [[0, 1], [0]]}}',
 }
 
 # Inputs the configuration admits but the numerics do not: exit 3 with one "numerical failure:" line.
@@ -986,12 +1072,13 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "idm-odds" in proc.stdout
 
-    def test_cli_import_skips_the_optimizer(self):
-        # only fit uses scipy.optimize, so every other command is spared its import
+    @pytest.mark.parametrize("module", ["scipy.optimize", "jsonschema", "concurrent.futures"])
+    def test_cli_import_skips_unused_module(self, module):
+        # only fit uses scipy.optimize and only a parallel simulate the process pool; no command needs jsonschema
         code = (
             "import sys; import idmodds.cli; from idmodds.config import load_run_config; "
             f"load_run_config({str(BUNDLED_CONFIG)!r}); "
-            "print('scipy.optimize' in sys.modules)"
+            f"print({module!r} in sys.modules)"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0, proc.stderr

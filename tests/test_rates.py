@@ -236,6 +236,8 @@ class TestTabulatedIncidence:
     def test_validation(self):
         with pytest.raises(ValueError):
             TabulatedIncidence(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([[0.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"table shape must be \(len\(times\), len\(ages\)\)"):
+            TabulatedIncidence([0.0, 1.0], [0.0, 1.0], [[0.0, 1.0], [0.0]])  # ragged rows
         with pytest.raises(ValueError):
             TabulatedIncidence(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros((2, 2)))
         with pytest.raises(ValueError):
