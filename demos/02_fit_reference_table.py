@@ -4,7 +4,7 @@ Reproduces the published point estimates and 95% intervals for the
 quadratic mortality-ratio parameters, then pins gamma2 at the generating
 value to show how flat the likelihood ridge is: sliding along it costs a
 fraction of a log-likelihood unit, which is why the interval for gamma2
-spans nearly twenty duration-years.  Runs in a few seconds.
+spans nearly twenty duration-years.  Prints how long the fit took.
 """
 
 import time

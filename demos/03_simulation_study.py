@@ -5,8 +5,8 @@ matches the reference study, simulates every life line with the event-time
 sampler, tabulates current status by five-year age group, and checks the
 observed disease fractions against the analytic prevalence.  Ends with a
 maximum-likelihood refit of the mortality-ratio parameters from the
-simulated counts.  Takes roughly ten seconds.  Writes
-demo_out/simulated_study.csv.
+simulated counts, and prints how long the simulation and the refit took.
+Writes demo_out/simulated_study.csv.
 """
 
 import math

@@ -291,8 +291,7 @@ def cmd_crosscheck(config: RunConfig, args, out_dir: str, manifest: dict) -> int
     companion = RateModel(ExponentialIncidence(k2=0.01), model.m0, model.ratio) if builtin else model
     special = prevalence_odds_exponential(companion, t, a).odds
     general = prevalence_odds_pseudo_convolution(companion, t, a).odds
-    scale = max(abs(special), abs(general))
-    deviation = 0.0 if scale == 0.0 else abs(special - general) / scale
+    deviation = _relative_spread([special, general])
     report["exponential_special_case"] = {
         "builtin_companion_model": builtin,
         "odds_special": special,

@@ -34,80 +34,41 @@ class ConfigError(ValueError):
     """Configuration file is missing, unparsable, or violates the schema."""
 
 
-_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
-
-_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "incidence": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "family": {"enum": ["positive_part", "exponential", "tabulated"]},
-                "onset_age": {"type": "number"},
-                "denominator": {"type": "number", "exclusiveMinimum": 0},
-                "k0": {"type": "number"},
-                "k1": {"type": "number"},
-                "k2": {"type": "number"},
-                "times": {"type": "array", "items": {"type": "number"}, "minItems": 2},
-                "ages": {"type": "array", "items": {"type": "number"}, "minItems": 2},
-                "table": {"type": "array", "items": {"type": "array", "items": {"type": "number", "minimum": 0}}},
-            },
-        },
-        "m0": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "xi1": {"type": "number"},
-                "xi2": {"type": "number"},
-                "xi3": {"type": "number"},
-            },
-        },
-        "ratio": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "gamma1": {"type": "number"},
-                "gamma2": {"type": "number"},
-                "gamma3": {"type": "number"},
-            },
-        },
-        "simulation": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "births_per_year": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "birth_window": _PAIR,
-                "cross_section_time": {"type": "number"},
-                "age_groups": {"type": "array", "items": _PAIR, "minItems": 1},
-                "rng_seed": {"type": "integer", "minimum": 0},
-                "target_alive": {"type": "integer", "exclusiveMinimum": 0},
-            },
-        },
-        "fit": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "bounds": {"type": "array", "items": _PAIR, "minItems": 3, "maxItems": 3},
-                "fixed_gamma": {
-                    "type": "array",
-                    "items": {"type": ["number", "null"]},
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-                "max_iterations": {"type": "integer", "exclusiveMinimum": 0},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "directory": {"type": "string", "minLength": 1},
-            },
-        },
-    },
+_INCIDENCE_FAMILIES = {
+    "positive_part": PositivePartIncidence,
+    "exponential": ExponentialIncidence,
+    "tabulated": TabulatedIncidence,
 }
+
+# The schema states the document's shape: its keys and their JSON kinds.  Every
+# rule on the values is stated once, by the class that is built from them.
+_NUMBER = {"type": "number"}
+_NUMBERS = {"type": "array", "items": _NUMBER}
+_ROWS = {"type": "array", "items": _NUMBERS}
+_INTEGER = {"type": "integer"}
+
+
+def _closed(**properties) -> dict:
+    """Schema of an object holding only keys that ``properties`` names."""
+    return {"type": "object", "additionalProperties": False, "properties": properties}
+
+
+_SCHEMA = _closed(
+    incidence=_closed(
+        family={"enum": list(_INCIDENCE_FAMILIES)},
+        onset_age=_NUMBER, denominator=_NUMBER, k0=_NUMBER, k1=_NUMBER, k2=_NUMBER,
+        times=_NUMBERS, ages=_NUMBERS, table=_ROWS,
+    ),
+    m0=_closed(xi1=_NUMBER, xi2=_NUMBER, xi3=_NUMBER),
+    ratio=_closed(gamma1=_NUMBER, gamma2=_NUMBER, gamma3=_NUMBER),
+    simulation=_closed(
+        births_per_year={"type": ["number", "null"]}, birth_window=_NUMBERS, cross_section_time=_NUMBER,
+        age_groups=_ROWS, rng_seed=_INTEGER, target_alive=_INTEGER,
+    ),
+    fit=_closed(bounds=_ROWS, fixed_gamma={"type": "array", "items": {"type": ["number", "null"]}},
+                max_iterations=_INTEGER),
+    output=_closed(directory={"type": "string"}),
+)
 
 
 def _is_type(value, name) -> bool:
@@ -128,13 +89,6 @@ def _is_type(value, name) -> bool:
 _CHECKS = {
     "type": lambda value, name: not _is_type(value, name) and f"{value!r} is not of type {name!r}",
     "enum": lambda value, options: value not in options and f"{value!r} is not one of {options!r}",
-    "minimum": lambda value, bound: _is_type(value, "number") and value < bound
-    and f"{value!r} is less than the minimum of {bound!r}",
-    "exclusiveMinimum": lambda value, bound: _is_type(value, "number") and value <= bound
-    and f"{value!r} is less than or equal to the minimum of {bound!r}",
-    "minItems": lambda value, size: isinstance(value, list) and len(value) < size and f"{value!r} is too short",
-    "maxItems": lambda value, size: isinstance(value, list) and len(value) > size and f"{value!r} is too long",
-    "minLength": lambda value, size: isinstance(value, str) and len(value) < size and f"{value!r} is too short",
 }
 # the keywords that lead to a node's children; ``additionalProperties`` is only ever false
 _STRUCTURE = ("properties", "additionalProperties", "items")
@@ -172,13 +126,6 @@ def config_hash(document: dict) -> str:
     """Hash of the canonical JSON serialization, for provenance records."""
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-_INCIDENCE_FAMILIES = {
-    "positive_part": PositivePartIncidence,
-    "exponential": ExponentialIncidence,
-    "tabulated": TabulatedIncidence,
-}
 
 
 def _build_incidence(section: dict):
@@ -239,19 +186,10 @@ class RunConfig:
         return RateModel(self.build_incidence(), self.build_m0(), self.build_ratio())
 
     def build_sim_config(self) -> SimConfig:
-        section = dict(self.document.get("simulation", {}))
-        if "birth_window" in section:
-            section["birth_window"] = tuple(section["birth_window"])
-        if "age_groups" in section:
-            section["age_groups"] = tuple(tuple(g) for g in section["age_groups"])
-        return replace(SimConfig(), **section)
+        return replace(SimConfig(), **self.document.get("simulation", {}))
 
     def build_fit_config(self) -> FitConfig:
-        section = dict(self.document.get("fit", {}))
-        if "bounds" in section:
-            section["bounds"] = tuple(tuple(row) for row in section["bounds"])
-        if "fixed_gamma" in section:
-            section["fixed_gamma"] = tuple(section["fixed_gamma"])
+        section = self.document.get("fit", {})
         return replace(FitConfig(), incidence=self.build_incidence(), m0=self.build_m0(), **section)
 
 
@@ -265,6 +203,8 @@ def parse_run_config(document: dict, source_path: Optional[str] = None) -> RunCo
         location = "/".join(str(part) for part in path) or "<root>"
         raise ConfigError(f"invalid configuration at {location}: {message}")
     config = RunConfig(document=document, source_path=source_path)
+    if not config.output_directory:
+        raise ConfigError("output.directory must not be empty")
     # exercise the builders so structural problems surface before any command runs
     try:
         config.build_model()

@@ -46,7 +46,7 @@ from idmodds.rates import (
     reference_rate_model,
     smallest_ratio,
 )
-from idmodds.simulate import AgeGroupTable, check_age_groups
+from idmodds.simulate import AgeGroupTable, _whole_number, check_age_groups
 
 __all__ = [
     "FitConfig",
@@ -81,7 +81,8 @@ class FitConfig:
     tolerances ``_XATOL`` and ``_FATOL``; ``max_iterations`` caps their
     iterations and likelihood evaluations per search.  No setting bounds
     where R must be positive: the likelihood needs it up to the table's
-    oldest group midpoint.
+    oldest group midpoint.  ``bounds`` and ``fixed_gamma`` are stored as
+    tuples, ``max_iterations`` as an int.
     """
 
     incidence: IncidenceSpec = field(default_factory=PositivePartIncidence)
@@ -91,6 +92,9 @@ class FitConfig:
     max_iterations: int = 4000
 
     def __post_init__(self):
+        object.__setattr__(self, "bounds", tuple(tuple(pair) for pair in self.bounds))
+        object.__setattr__(self, "fixed_gamma", tuple(self.fixed_gamma))
+        object.__setattr__(self, "max_iterations", _whole_number(self.max_iterations, "max_iterations", 1))
         if len(self.bounds) != 3 or any(len(b) != 2 or not b[0] < b[1] for b in self.bounds):
             raise ValueError("bounds must be three increasing (lo, hi) pairs")
         if len(self.fixed_gamma) != 3:

@@ -66,6 +66,14 @@ def check_age_groups(age_lo, age_hi) -> None:
         )
 
 
+def _whole_number(value, name: str, least: int) -> int:
+    """``value`` as an int, if it is an integer of at least ``least``; an integral float counts, a bool does not."""
+    whole = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` by renaming a temporary file over it; a failed write leaves ``path`` as it was."""
     tmp = f"{path}.tmp{os.getpid()}"
@@ -85,7 +93,8 @@ class SimConfig:
 
     ``births_per_year=None`` calibrates the birth rate so that the expected
     number alive within the age groups at the cross-section equals
-    ``target_alive``.
+    ``target_alive``.  ``birth_window`` and each of ``age_groups`` are
+    (lo, hi) pairs, stored as tuples; ``rng_seed`` is stored as an int.
     """
 
     births_per_year: Optional[float] = None
@@ -96,6 +105,11 @@ class SimConfig:
     target_alive: float = 74388.0
 
     def __post_init__(self):
+        object.__setattr__(self, "birth_window", tuple(self.birth_window))
+        object.__setattr__(self, "age_groups", tuple(tuple(group) for group in self.age_groups))
+        object.__setattr__(self, "rng_seed", _whole_number(self.rng_seed, "rng_seed", 0))
+        if len(self.birth_window) != 2:
+            raise ValueError(f"birth_window must be a (lo, hi) pair, got {self.birth_window}")
         lo, hi = self.birth_window
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("birth window must be a finite increasing interval")
@@ -107,9 +121,9 @@ class SimConfig:
             raise ValueError(f"cross_section_time must be finite, got {self.cross_section_time}")
         if not self.cross_section_time >= lo:
             raise ValueError("cross section must lie after the first birth")
-        if len(self.age_groups) == 0:
-            raise ValueError("at least one age group is required")
-        check_age_groups(*np.reshape(self.age_groups, (-1, 2)).T)
+        if not self.age_groups or any(len(group) != 2 for group in self.age_groups):
+            raise ValueError(f"age_groups must be one or more (lo, hi) pairs, got {self.age_groups}")
+        check_age_groups(*zip(*self.age_groups))
         for glo, ghi in self.age_groups:
             # someone must be able to occupy the group at the cross section
             if not (self.cross_section_time - ghi < hi and self.cross_section_time - glo > lo):

@@ -184,6 +184,25 @@ class TestRunConfig:
         assert "cross_section_time must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "field, document",
+        [
+            ("rng_seed", {"simulation": {"rng_seed": -1}}),
+            ("birth_window", {"simulation": {"birth_window": [0.0, 30.0, 60.0]}}),
+            ("age_groups", {"simulation": {"age_groups": [[40.0, 45.0, 50.0]]}}),
+            ("max_iterations", {"fit": {"max_iterations": 0}}),
+            ("directory", {"output": {"directory": ""}}),
+        ],
+        ids=["negative-seed", "birth-window-triple", "age-group-triple", "zero-iterations", "empty-directory"],
+    )
+    def test_value_rules_of_the_dataclasses_exit_2(self, field, document, tmp_path, capsys):
+        # the schema checks only keys and kinds; these rules are stated by the classes built from the values
+        config = write_config(tmp_path, document)
+        assert main(["evaluate", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert field in err
+
+    @pytest.mark.parametrize(
         "section, kind, built_elsewhere",
         [
             ("simulation", SimConfig, ()),
@@ -385,6 +404,15 @@ class TestSimulate:
             code = main(["simulate", "--config", config, "--seed", "42", "--out-dir", str(tmp_path / name)])
             assert code == 0
         assert filecmp.cmp(tmp_path / "a" / "study_0001.csv", tmp_path / "b" / "study_0001.csv", shallow=False)
+
+    def test_integral_float_seed_is_the_int_seed(self, tmp_path):
+        # JSON Schema's integer kind admits 5.0; it seeds the same study as 5
+        for name, seed in (("int", 5), ("float", 5.0)):
+            config = write_config(tmp_path, {"simulation": {**TINY_SIM["simulation"], "rng_seed": seed}}, f"{name}.json")
+            assert main(["simulate", "--config", config, "--out-dir", str(tmp_path / name)]) == 0
+        assert filecmp.cmp(tmp_path / "int" / "study_0001.csv", tmp_path / "float" / "study_0001.csv", shallow=False)
+        manifest = json.loads((tmp_path / "float" / "run_manifest.json").read_text())
+        assert manifest["rng_seed"] == 5 and isinstance(manifest["rng_seed"], int)
 
     def test_replicates_get_consecutive_seeds(self, tmp_path):
         config = write_config(tmp_path, TINY_SIM)
@@ -1114,8 +1142,9 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 class TestDemos:
     @pytest.mark.parametrize("script", DEMOS, ids=[path.name for path in DEMOS])
     def test_demo_runs(self, script, tmp_path):
+        # with warnings as errors, as tier-1 runs
         proc = subprocess.run(
-            [sys.executable, str(script)],
+            [sys.executable, "-W", "error", str(script)],
             cwd=tmp_path,
             env=package_env(),
             capture_output=True,

@@ -608,6 +608,20 @@ class TestFitConfigValidation:
     def test_pinned_component_on_its_bound_accepted(self):
         assert FitConfig(fixed_gamma=(0.0, 50.0, None)).free_indices == (2,)
 
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True], ids=["zero", "negative", "fractional", "bool"])
+    def test_max_iterations_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match="max_iterations"):
+            FitConfig(max_iterations=value)
+
+    def test_integral_float_max_iterations_is_stored_as_int(self):
+        assert type(FitConfig(max_iterations=17.0).max_iterations) is int
+
+    def test_lists_are_stored_as_tuples(self):
+        listed = FitConfig(bounds=[[0.0, 1.0], [0.0, 50.0], [0.0, 20.0]], fixed_gamma=[None, None, None])
+        assert listed == FitConfig()
+        assert listed.bounds == ((0.0, 1.0), (0.0, 50.0), (0.0, 20.0)) and listed.fixed_gamma == (None, None, None)
+        assert hash(listed) == hash(FitConfig())
+
 
 class TestWaldIntervals:
     def test_diagonal_hessian_exact(self):

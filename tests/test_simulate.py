@@ -434,6 +434,32 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(births_per_year=0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, math.nan, True, "5"], ids=["negative", "fractional", "nan", "bool", "str"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            SimConfig(rng_seed=seed)
+
+    def test_integral_float_seed_is_stored_as_int(self):
+        seed = SimConfig(rng_seed=5.0).rng_seed
+        assert seed == 5 and type(seed) is int
+        assert type(SimConfig(rng_seed=np.int64(5)).rng_seed) is int
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("birth_window", (0.0, 30.0, 60.0)), ("birth_window", (0.0,)), ("age_groups", ((40.0, 45.0, 50.0),)),
+         ("age_groups", ((40.0, 45.0), (50.0,)))],
+        ids=["window-triple", "window-single", "group-triple", "group-single"],
+    )
+    def test_pairs_must_have_two_limits(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+    def test_pairs_are_stored_as_tuples(self):
+        listed = SimConfig(birth_window=[0.0, 65.0], age_groups=[[40, 45]])
+        assert listed == SimConfig(age_groups=((40, 45),))
+        assert listed.birth_window == (0.0, 65.0) and listed.age_groups == ((40, 45),)
+        assert hash(listed) == hash(SimConfig(age_groups=((40, 45),)))
+
 
 class TestRunSimulation:
     def test_single_birth(self):
