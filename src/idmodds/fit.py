@@ -269,7 +269,8 @@ class _LikelihoodPlan:
         if not math.isfinite(t):
             raise FitInputError(f"the table's cross_section_time must be finite, got {t}")
         ages = 0.5 * (table.age_lo + table.age_hi)
-        kinks = _lookback_edges(config.incidence, np.full(len(ages), t), ages, np.zeros(len(ages)))
+        times = np.full(len(ages), t)
+        kinks = _lookback_edges(config.incidence, times, ages, np.zeros(len(ages)))
         owner, delta, weights = _lookback_rule(kinks, config.m0, t, ages, _largest_initial_ratio(config.bounds))
         weighted = weights * config.incidence.rate(t - delta, ages[owner] - delta)
         keep = weighted != 0.0
@@ -277,7 +278,7 @@ class _LikelihoodPlan:
         keep[np.searchsorted(owner, empty)] = True
         owner, delta, weighted = owner[keep], delta[keep], weighted[keep]
         a = ages[owner]
-        exponent = config.incidence.cumulative(t, a, delta) + config.m0.cumulative(t, a, delta)
+        exponent = config.incidence.lines(times, ages).lookback(delta, owner) + config.m0.cumulative(t, a, delta)
         base, integrals = course_moments(config.m0, t, a, delta)
         moments = base * np.stack(integrals)
         blank = weighted == 0.0

@@ -140,7 +140,8 @@ def _onset_rate(model: RateModel, t, a):
 
     Every lookback integral starts here, so R is checked here on the whole
     span [0, a] of the points' courses, not only up to the last quadrature
-    node, which stops short of a.
+    node, which stops short of a; the nodes then take the course hazard
+    unchecked.
     """
     model.check_ratio(a)
     return model.mortality_healthy(t, a) * model.ratio.coefficients[0]
@@ -201,23 +202,30 @@ def case_density(model: RateModel, t, a, d):
     return float(out) if out.ndim == 0 else out
 
 
-def _surviving_onsets(model: RateModel, t, a):
-    """Case density over the healthy survivor fraction, as a batch integrand over duration.
+def _onset_flow(model: RateModel, t, a, exit_here):
+    """Case density times exp(``exit_here``), as a batch integrand over duration.
 
     ``density(d, k)`` is the onset flow ``d`` years before (t[k], a[k]) that
-    survives with disease to there, divided by the fraction still healthy
-    there.  The fraction's hazard is folded into the exponent, as
-    :func:`case_density` folds its three, so the ratio stays finite where
-    both underflow.
+    survives with disease to there, as :func:`case_density` gives it,
+    scaled by exp(exit_here[k]).  The scale is folded into the exponent
+    with the three hazards, so the product stays finite where both factors
+    do not.  The exit hazards come from one
+    :meth:`~idmodds.rates.RateModel.exit_lines` batch; R must have been
+    checked on [0, a].
     """
-    exit_here = model.cumulative_exit(t, a, a)
+    exits = model.exit_lines(t, a)
 
     def density(d, k):
         tk, ak = t[k], a[k]
-        exponent = exit_here[k] - model.cumulative_exit(tk - d, ak - d, ak - d) - model.cumulative_m1(tk, ak, d)
+        exponent = exit_here[k] - exits.from_birth(d, k) - model.course_hazard(tk, ak, d)
         return model.incidence_rate(tk - d, ak - d) * np.exp(exponent)
 
     return density
+
+
+def _surviving_onsets(model: RateModel, t, a):
+    """Case density over the healthy survivor fraction, as a batch integrand over duration (see :func:`_onset_flow`)."""
+    return _onset_flow(model, t, a, model.cumulative_exit(t, a, a))
 
 
 def diseased_population(model: RateModel, t, a):
@@ -228,7 +236,7 @@ def diseased_population(model: RateModel, t, a):
     scalar point.
     """
     t, a, shape = _points(t, a)
-    value = _over_lookback(model, t, a, lambda d, k: case_density(model, t[k], a[k], d), DEFAULT_QUADRATURE)
+    value = _over_lookback(model, t, a, _onset_flow(model, t, a, np.zeros(len(a))), DEFAULT_QUADRATURE)
     return _shaped(np.where(value < 0.0, 0.0, value), shape)
 
 
@@ -261,15 +269,17 @@ def effective_diseased_mortality(model: RateModel, t, a, quadrature: QuadratureC
     return _shaped(np.where(cases, base * weighted / np.where(cases, total, 1.0), 0.0), shape)
 
 
-def _odds_kernel(model: RateModel, t, a, delta):
-    """Weight the pseudo-convolution odds give to incidence from ``delta`` years back.
+def _odds_kernel(model: RateModel, t, a):
+    """Weight the pseudo-convolution odds give to incidence from ``delta`` years back, as a batch function.
 
-    Equals exp of (cumulative incidence + healthy mortality - diseased
-    mortality) over the last ``delta`` years of the life line ending at
-    (t, a); strictly decreasing in ``delta`` whenever the diseased mortality
-    exceeds the combined healthy exit rate pointwise.
+    ``kernel(delta, k)`` is exp of (cumulative incidence + healthy mortality
+    - diseased mortality) over the last ``delta`` years of the life line
+    ending at (t[k], a[k]); strictly decreasing in ``delta`` whenever the
+    diseased mortality exceeds the combined healthy exit rate pointwise.
+    The exit hazards come from one batch; R must have been checked on [0, a].
     """
-    return np.exp(model.cumulative_exit(t, a, delta) - model.cumulative_m1(t, a, delta))
+    exits = model.exit_lines(t, a)
+    return lambda delta, k: np.exp(exits.lookback(delta, k) - model.course_hazard(t[k], a[k], delta))
 
 
 def _odds_at(model: RateModel, t, ages, method: str, quadrature: QuadratureConfig) -> np.ndarray:
@@ -293,18 +303,20 @@ def _odds_at(model: RateModel, t, ages, method: str, quadrature: QuadratureConfi
         return adaptive_quad_many(lambda y, k: flow(a[k] - y, k), np.zeros(len(a)), a, quadrature, edges)
     if method == "pseudo_convolution":
         # past incidence convolved with the damping kernel
+        kernel = _odds_kernel(model, t, a)
+
         def past_incidence(delta, k):
-            tk, ak = t[k], a[k]
-            return model.incidence_rate(tk - delta, ak - delta) * _odds_kernel(model, tk, ak, delta)
+            return model.incidence_rate(t[k] - delta, a[k] - delta) * kernel(delta, k)
 
         return _over_lookback(model, t, a, past_incidence, quadrature)
     if method == "convolution_special":
         # exp(k0 + k1*a + k2*t - (k1+k2)*delta) splits into a (t, a) front times a function of t - delta
         front = np.array([math.exp(inc.k0 + inc.k1 * ak - inc.k1 * tk) for tk, ak in zip(t.tolist(), a.tolist())])
         kappa = inc.k1 + inc.k2
+        kernel = _odds_kernel(model, t, a)
+
         def factor(delta, k):
-            tk = t[k]
-            return np.exp(kappa * (tk - delta)) * _odds_kernel(model, tk, a[k], delta)
+            return np.exp(kappa * (t[k] - delta)) * kernel(delta, k)
 
         return front * _over_lookback(model, t, a, factor, quadrature)
     # diseased over healthy cohort counts, the survivor fraction divided out under the integral

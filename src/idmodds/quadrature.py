@@ -61,9 +61,12 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-# Most intervals one integrand call receives.  A whole profile's first sweep
-# in one call would hold hundreds of intervals' worth of temporaries in the
-# tabulated incidence; 64 keeps them small while amortizing the call cost.
+# Most intervals one integrand call receives.  Uncapped, a whole profile's
+# first sweep goes to one call, and the integrands' per-node temporaries grow
+# with it: on the perfbench odds-curves workload (2-core x86-64) that ran
+# rounds about 30% faster but raised the peak RSS from 42 to 47 MB, more than
+# the benchmark's 10% bound.  64 keeps a sweep's working memory small while
+# amortizing the call cost.
 MAX_INTERVALS = 64
 
 # 15-point Kronrod extension of the 7-point Gauss rule (QUADPACK qk15 constants).

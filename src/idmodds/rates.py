@@ -50,6 +50,25 @@ def _all_finite(*values):
     return all(math.isfinite(v) for v in values)
 
 
+class _GatheredLines:
+    """A closed-form cumulative hazard along the life lines ending at the points (t[k], a[k]), node by node.
+
+    Node j lies ``delta[j]`` years back on line ``k[j]``: ``lookback`` covers the
+    line's last ``delta`` years and ``from_birth`` the life before them, each by
+    one ``cumulative`` call.  Nothing checks 0 <= delta <= a[k].
+    """
+
+    def __init__(self, cumulative, t, a):
+        self._cumulative, self._t, self._a = cumulative, t, a
+
+    def lookback(self, delta, k):
+        return self._cumulative(self._t[k], self._a[k], delta)
+
+    def from_birth(self, delta, k):
+        start = self._a[k] - delta
+        return self._cumulative(self._t[k] - delta, start, start)
+
+
 @dataclass(frozen=True)
 class GompertzParams:
     """Disease-free mortality exp(xi1 + xi2*a + xi3*t).
@@ -104,6 +123,10 @@ class PositivePartIncidence:
     def rate(self, t, a):
         return np.maximum(np.asarray(a, dtype=float) - self.onset_age, 0.0) / self.denominator
 
+    def lines(self, t, a) -> _GatheredLines:
+        """The cumulative incidence along the life lines ending at the points (t[k], a[k])."""
+        return _GatheredLines(self.cumulative, t, a)
+
     def cumulative(self, t, a, delta):
         # Three cases by where the life line segment sits relative to the onset age:
         # entirely below it, straddling it, entirely above it.
@@ -142,6 +165,10 @@ class ExponentialIncidence:
     def rate(self, t, a):
         return np.exp(self.k0 + self.k1 * np.asarray(a, dtype=float) + self.k2 * t)
 
+    def lines(self, t, a) -> _GatheredLines:
+        """The cumulative incidence along the life lines ending at the points (t[k], a[k])."""
+        return _GatheredLines(self.cumulative, t, a)
+
     def cumulative(self, t, a, delta):
         kappa = self.k1 + self.k2
         base = self.rate(t - delta, a - delta)
@@ -158,7 +185,11 @@ class TabulatedIncidence:
     life line the clamped interpolant is linear in time and in age between
     grid-line crossings, hence quadratic there, so the cumulative hazard is
     exact: Simpson's rule on each piece between the grid lines the segment
-    actually crosses, with one cell lookup per piece.
+    actually crosses, with one cell lookup per piece.  :meth:`lines`
+    integrates each line of a batch once, up to its grid-line crossings, and
+    then answers every node on it with one partial piece;
+    :meth:`cumulative` is its one-line-per-segment use, and both give the
+    same bits.
     """
 
     times: np.ndarray
@@ -216,24 +247,67 @@ class TabulatedIncidence:
         out = self._interpolate(np.take(self._cells, self._cell_of(t, a), axis=1), t, a)
         return float(out) if out.ndim == 0 else out
 
-    def cumulative(self, t, a, delta):
-        t, a, delta = np.broadcast_arrays(*(np.asarray(x, dtype=float)[..., None] for x in (t, a, delta)))
-        # lookbacks from (t, a) to the grid lines crossed strictly inside the segment, sorted; the
-        # others move to its far end, and columns that hold no crossing of any segment are dropped
-        crossings = np.concatenate([a - self.ages, t - self.times], axis=-1)
-        inside = (crossings > 0.0) & (crossings < delta)
-        width = inside.sum(axis=-1).max(initial=0)
-        crossings = np.sort(np.where(inside, crossings, delta), axis=-1)[..., :width]
-        edges = np.concatenate([np.zeros_like(delta), crossings, delta], axis=-1)
-        lo, hi = edges[..., :-1], edges[..., 1:]
+    def _simpson(self, t, a, lo, hi):
+        """Simpson's rule over the lookbacks [lo, hi] of the life lines ending at (t, a), each inside one grid cell.
+
+        The three points are interpolated in the cell that holds the piece's midpoint.
+        """
         mid = 0.5 * (hi + lo)
-        # Simpson's three points of each piece, all in the cell that holds the piece's midpoint
         corners = np.take(self._cells, self._cell_of(t - mid, a - mid), axis=1)
         at_lo, at_mid, at_hi = (self._interpolate(corners, t - u, a - u) for u in (lo, mid, hi))
-        pieces = (hi - lo) / 6.0 * (at_lo + 4.0 * at_mid + at_hi)
-        # summed left to right, so the padding the batch's widest segment forces cannot change the rounding
-        out = np.cumsum(pieces, axis=-1)[..., -1]
-        return float(out) if out.ndim == 0 else out
+        return (hi - lo) / 6.0 * (at_lo + 4.0 * at_mid + at_hi)
+
+    def lines(self, t, a) -> "_TabulatedLines":
+        """The cumulative incidence along the life lines ending at the points (t[k], a[k]), each integrated once."""
+        return _TabulatedLines(self, t, a, a)
+
+    def cumulative(self, t, a, delta):
+        t, a, delta = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (t, a, delta)))
+        reach = delta.ravel()
+        out = _TabulatedLines(self, t.ravel(), a.ravel(), reach).lookback(reach, np.arange(reach.size))
+        return float(out[0]) if delta.ndim == 0 else out.reshape(delta.shape)
+
+
+class _TabulatedLines:
+    """A tabulated incidence's cumulative hazard along the life lines ending at (t[k], a[k]), up to lookback reach[k].
+
+    The table is built once: each line's lookbacks to the grid lines it
+    crosses inside (0, reach), sorted, Simpson's rule on the piece between
+    each two consecutive ones, and the running sums of the pieces.  A node
+    ``delta`` in [0, reach[k]] then costs one partial piece: the m crossings
+    below it give ``prefix[k, m]``, and Simpson's rule on [crossing m,
+    delta] is added.  The pieces are summed left to right along the line, so
+    the node gets the bits of ``cumulative(t[k], a[k], delta)``.  Nothing
+    checks that a node lies within its line's reach.
+    """
+
+    def __init__(self, incidence: TabulatedIncidence, t, a, reach):
+        t, a, reach = (np.asarray(x, dtype=float) for x in (t, a, reach))
+        self._incidence, self._t, self._a, self._reach = incidence, t, a, reach
+        # crossings outside (0, reach) move to the reach, where no node counts them, and columns
+        # that hold no crossing of any line are dropped
+        crossings = np.concatenate([a[:, None] - incidence.ages, t[:, None] - incidence.times], axis=1)
+        inside = (crossings > 0.0) & (crossings < reach[:, None])
+        width = inside.sum(axis=1).max(initial=0)
+        crossings = np.sort(np.where(inside, crossings, reach[:, None]), axis=1)[:, :width]
+        self._edges = np.column_stack((np.zeros_like(reach), crossings))
+        pieces = incidence._simpson(t[:, None], a[:, None], self._edges[:, :-1], crossings)
+        self._prefix = np.column_stack((np.zeros_like(reach), np.cumsum(pieces, axis=1)))
+
+    def lookback(self, delta, k):
+        """Integrals over the last ``delta`` years of the lines ``k``."""
+        edges = self._edges[k]
+        below = np.count_nonzero(edges[:, 1:] < delta[:, None], axis=1)
+        lo = np.take_along_axis(edges, below[:, None], axis=1)[:, 0]
+        return self._prefix[k, below] + self._incidence._simpson(self._t[k], self._a[k], lo, delta)
+
+    def from_birth(self, delta, k):
+        """Integrals over the lines ``k`` from their reach, the birth when it is the age, up to ``delta`` years back."""
+        return self._whole[k] - self.lookback(delta, k)
+
+    @cached_property
+    def _whole(self):
+        return self.lookback(self._reach, np.arange(self._reach.size))
 
 
 IncidenceSpec = Union[PositivePartIncidence, ExponentialIncidence, TabulatedIncidence]
@@ -373,7 +447,17 @@ class RateModel:
 
     def cumulative_exit(self, t, a, delta):
         """Cumulative hazard of leaving the healthy state, by death or onset, over the last ``delta`` years."""
-        return self.cumulative_m0(t, a, delta) + self.cumulative_incidence(t, a, delta)
+        self._check_span(a, delta)
+        return self.m0.cumulative(t, a, delta) + self.incidence.cumulative(t, a, delta)
+
+    def exit_lines(self, t, a) -> "_ExitLines":
+        """The healthy-exit hazard CM0 + CI along the life lines ending at the points (t[k], a[k]).
+
+        ``lookback(delta, k)`` and ``from_birth(delta, k)`` as for each
+        family's ``lines``; a tabulated incidence integrates each line once
+        for all its nodes.  Nothing checks 0 <= delta <= a[k].
+        """
+        return _ExitLines(_GatheredLines(self.m0.cumulative, t, a), self.incidence.lines(t, a))
 
     def cumulative_m1(self, t, a, d):
         """Integral of the diseased mortality over a disease course of length ``d`` ending at (t, a).
@@ -385,9 +469,26 @@ class RateModel:
         """
         self._check_span(a, d)
         self.check_ratio(d)
+        return self.course_hazard(t, a, d)
+
+    def course_hazard(self, t, a, d):
+        """:meth:`cumulative_m1` without its checks, for callers that checked R on the durations up front."""
         c0, c1, c2 = self.ratio.coefficients
         base, (j0, j1, j2) = course_moments(self.m0, t, a, d)
         return base * (c2 * j2 + c1 * j1 + c0 * j0)
+
+
+class _ExitLines:
+    """Sums of the healthy-mortality and incidence line hazards; see :meth:`RateModel.exit_lines`."""
+
+    def __init__(self, m0, incidence):
+        self._m0, self._incidence = m0, incidence
+
+    def lookback(self, delta, k):
+        return self._m0.lookback(delta, k) + self._incidence.lookback(delta, k)
+
+    def from_birth(self, delta, k):
+        return self._m0.from_birth(delta, k) + self._incidence.from_birth(delta, k)
 
 
 def reference_rate_model() -> RateModel:

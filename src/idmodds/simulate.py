@@ -340,12 +340,18 @@ def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draw
 
 
 def _course_durations(model: RateModel, onset_time, onset_age, draws, end_age):
-    """Disease durations that spend the draws of cumulative diseased mortality; NaN when alive at ``end_age``."""
+    """Disease durations that spend the draws of cumulative diseased mortality; NaN when alive at ``end_age``.
+
+    The inversion reaches no duration past a course's cap, so R is checked
+    once, up to the caps, and the steps evaluate m1 unchecked.
+    """
+    caps = end_age - onset_age
+    model.check_ratio(caps)
     return _invert(
-        lambda i, d: model.cumulative_m1(onset_time[i] + d, onset_age[i] + d, d),
-        lambda i, d: model.mortality_diseased(onset_time[i] + d, onset_age[i] + d, d),
+        lambda i, d: model.course_hazard(onset_time[i] + d, onset_age[i] + d, d),
+        lambda i, d: model.mortality_healthy(onset_time[i] + d, onset_age[i] + d) * model.ratio.ratio(d),
         draws,
-        end_age - onset_age,
+        caps,
     )
 
 

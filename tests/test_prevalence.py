@@ -73,6 +73,12 @@ def constant_incidence_model(c):
     )
 
 
+def odds_kernel(model, t, a, delta):
+    """The batch odds kernel at the lookbacks ``delta`` of the one life line ending at (t, a)."""
+    delta = np.atleast_1d(np.asarray(delta, dtype=float))
+    return _odds_kernel(model, np.array([t]), np.array([a]))(delta, np.zeros(delta.size, dtype=int))
+
+
 def tabulated_incidence():
     """Positive-part-like incidence on the grid GRID_TIMES x GRID_AGES, varying in time."""
     base = np.maximum(np.array(GRID_AGES) - 30.0, 0.0) / 3000.0
@@ -280,7 +286,7 @@ class TestOddsFormulas:
         t, a = 100.0, 92.5
 
         def integrand(delta):
-            return float(m.incidence_rate(t - delta, a - delta)) * float(_odds_kernel(m, t, a, delta))
+            return float(m.incidence_rate(t - delta, a - delta)) * float(odds_kernel(m, t, a, delta)[0])
 
         edges = [0.0, *np.geomspace(1e-5, a - 30.0, 60)]
         want = sum(
@@ -302,7 +308,7 @@ class TestOddsFormulas:
         t, a = 90.001, 92.5
 
         def integrand(delta):
-            return float(m.incidence_rate(t - delta, a - delta)) * float(_odds_kernel(m, t, a, delta))
+            return float(m.incidence_rate(t - delta, a - delta)) * float(odds_kernel(m, t, a, delta)[0])
 
         kinks = [x for x in (*(a - ages), *(t - np.array(GRID_TIMES))) if 0.0 < x < a]
         edges = np.unique([0.0, a, *kinks, *np.geomspace(1e-6, a, 80)])
@@ -357,7 +363,7 @@ class TestOddsFormulas:
             MortalityRatioParams(0.0, 0.0, 5.0),
         )
         deltas = np.linspace(0.0, 60.0, 121)
-        values = _odds_kernel(m, 100.0, 60.0, deltas)
+        values = odds_kernel(m, 100.0, 60.0, deltas)
         assert values[0] == 1.0
         assert np.all(np.diff(values) < 0.0)
 

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from idmodds.fit import FitConfig, _LikelihoodPlan
+from idmodds.prevalence import cross_section_profile
 from idmodds.rates import (
     ExponentialIncidence,
     GompertzParams,
@@ -15,8 +17,10 @@ from idmodds.rates import (
     RateModel,
     RatioHorizonError,
     TabulatedIncidence,
+    _GatheredLines,
     reference_rate_model,
 )
+from idmodds.simulate import AgeGroupTable
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +291,13 @@ def grid_edge_cumulative(tab, t, a, delta):
     return float(out) if out.ndim == 0 else out
 
 
+class PerNodeTabulated(TabulatedIncidence):
+    """A tabulated incidence whose line hazards integrate every node from scratch, as the closed forms do."""
+
+    def lines(self, t, a):
+        return _GatheredLines(self.cumulative, t, a)
+
+
 class TestTabulatedKernel:
     """The one-pass kernel against the kernel that located every grid edge of every segment."""
 
@@ -368,6 +379,49 @@ class TestTabulatedKernel:
         assert got[0, 0] == scalar
         np.testing.assert_allclose(got, grid_edge_cumulative(tab, t, a, delta), rtol=1e-14, atol=0.0)
         assert tab.rate(t, a).shape == (2, 3)
+
+    @settings(max_examples=75, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_line_table_matches_cumulative_at_every_node(self, data):
+        tab = self.draw_incidence(data)
+        ends = [self.draw_segment(data, tab) for _ in range(data.draw(st.integers(1, 4)))]
+        lines, deltas = [], []
+        for k, (t, a, delta) in enumerate(ends):
+            # zero, the whole line, the drawn lookback, every grid line crossed, and a few anywhere
+            crossed = [x for x in [a - g for g in tab.ages] + [t - g for g in tab.times] if 0.0 <= x <= a]
+            nodes = [0.0, a, delta, *crossed, *data.draw(st.lists(st.floats(0.0, a), max_size=4))]
+            lines += [k] * len(nodes)
+            deltas += nodes
+        order = data.draw(st.permutations(range(len(deltas))))
+        k, delta = np.array(lines)[order], np.array(deltas)[order]
+        t, a = (np.array(column) for column in list(zip(*ends))[:2])
+        table = tab.lines(t, a)
+        got = table.lookback(delta, k)
+        assert got.tolist() == [tab.cumulative(t[j], a[j], d) for j, d in zip(k.tolist(), delta.tolist())]
+        # from birth: the line's whole integral less the lookback, to rounding of the whole; the
+        # per-node call also rounds the start of its segment, which moves the rate by up to the
+        # table's steepest slope times that rounding, over the segment
+        whole = tab.cumulative(t, a, a)[k]
+        start = a[k] - delta
+        gap = np.abs(table.from_birth(delta, k) - tab.cumulative(t[k] - delta, start, start))
+        slope = (np.abs(np.diff(tab.table, axis=0)) / np.diff(tab.times)[:, None]).max() + (
+            np.abs(np.diff(tab.table, axis=1)) / np.diff(tab.ages)).max()
+        moved = 4.0 * np.finfo(float).eps * (np.abs(t[k]) + a[k]) * slope * start
+        assert np.all(gap <= 1e-13 * whole + moved)
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_odds_and_fit_plan_match_the_per_node_path(self, data):
+        tab = self.draw_incidence(data)
+        per_node = PerNodeTabulated(tab.times, tab.ages, tab.table)
+        m0, ratio = GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(0.04, 5.0, 1.0)
+        t = float(data.draw(st.sampled_from([float(tab.times[-1]), 100.0, 100.25])))
+        ages = np.arange(5.0, 100.0, 7.5)
+        odds = [cross_section_profile(RateModel(inc, m0, ratio), t, ages, "odds").values for inc in (tab, per_node)]
+        assert odds[0].tolist() == odds[1].tolist()
+        table = AgeGroupTable(t, np.arange(30.0, 90.0, 10.0), np.arange(40.0, 100.0, 10.0), [100] * 6, [10] * 6)
+        plans = [_LikelihoodPlan.build(table, FitConfig(incidence=inc, m0=m0)) for inc in (tab, per_node)]
+        assert plans[0].exponent.tolist() == plans[1].exponent.tolist()
 
     def test_kinks_are_python_floats(self):
         tab = TabulatedIncidence(np.array([0.0, 50.0]), np.array([10.0, 20.5]), np.zeros((2, 2)))
