@@ -24,7 +24,6 @@ from idmodds.rates import (
 from idmodds.prevalence import (
     AgeProfile,
     PrevalenceResult,
-    case_density,
     cross_section_profile,
     diseased_population,
     effective_diseased_mortality,
@@ -71,7 +70,6 @@ __all__ = [
     "reference_rate_model",
     "AgeProfile",
     "PrevalenceResult",
-    "case_density",
     "cross_section_profile",
     "diseased_population",
     "effective_diseased_mortality",

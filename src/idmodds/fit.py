@@ -174,7 +174,7 @@ def group_prevalence(model: RateModel, age_lo, age_hi, t: float):
 
 
 class FitInputError(ValueError):
-    """No fit exists: no finite study time, nothing free, too few informative rows, or no finite start.
+    """No fit exists: no finite study time, nothing free, too few informative rows, too old groups, or no finite start.
 
     A start is not finite, for one, where R is not positive up to the oldest group midpoint.
     """
@@ -186,6 +186,9 @@ _PLAN_RULE = leggauss(20)
 # in it, the kernel has an interior bump a few years wide; 20 points on 40
 # years miss it at 1e-8, 20 points on 10 years resolve it to 1e-14.
 _PLAN_PIECE = 10.0
+# Most plan nodes one table may use (the bundled table uses 3080), so that an
+# absurd age is refused before its nodes exhaust memory.
+_MAX_PLAN_NODES = 100_000
 # Largest relative gap between the plan and adaptive quadrature tolerated at the optimum.
 _PLAN_GAP_LIMIT = 1e-8
 
@@ -263,12 +266,20 @@ class _LikelihoodPlan:
         """The plan for this table and configuration.
 
         Raises FitInputError when the table's ``cross_section_time`` is not
-        finite.
+        finite, or when its group midpoints need more than _MAX_PLAN_NODES
+        nodes, naming the group that passes the limit.
         """
         t = float(table.cross_section_time)
         if not math.isfinite(t):
             raise FitInputError(f"the table's cross_section_time must be finite, got {t}")
-        ages = 0.5 * (table.age_lo + table.age_hi)
+        with np.errstate(over="ignore"):  # an infinite midpoint is refused below
+            ages = 0.5 * (table.age_lo + table.age_hi)
+        # a lookback of a years takes at least ceil(a / _PLAN_PIECE) pieces, counted before any is made
+        over = np.flatnonzero(np.cumsum(np.ceil(ages / _PLAN_PIECE)) * len(_PLAN_RULE[0]) > _MAX_PLAN_NODES)
+        if len(over):
+            g = over[0]
+            group = f"group {g + 1} [{table.age_lo[g]:g}, {table.age_hi[g]:g})"
+            raise FitInputError(f"{group} takes the likelihood plan past {_MAX_PLAN_NODES} nodes")
         times = np.full(len(ages), t)
         kinks = _lookback_edges(config.incidence, times, ages, np.zeros(len(ages)))
         owner, delta, weights = _lookback_rule(kinks, config.m0, t, ages, _largest_initial_ratio(config.bounds))
@@ -358,8 +369,8 @@ def log_likelihood(gamma, table: AgeGroupTable, config: FitConfig = FitConfig())
     disease-free model fits an all-zero table perfectly.  The binomial
     coefficient is a constant in the parameters and is omitted.  Each call
     builds the table's likelihood plan (about 0.5 ms for the bundled table;
-    ``fit`` builds it once); a table whose study time is not finite raises
-    FitInputError.
+    ``fit`` builds it once); a table whose study time is not finite, or whose
+    midpoints are too old for the plan, raises FitInputError.
     """
     return _LikelihoodPlan.build(table, config).log_likelihood(gamma)
 
@@ -422,7 +433,8 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     escape premature contraction.  Once the search can start, the result
     always comes back; ``converged`` and the diagnostics say how much to
     trust it.  Raises FitInputError when the table's study time is not
-    finite, nothing is free, too few rows are informative, or every start
+    finite, nothing is free, too few rows are informative, the groups are
+    too old for the likelihood plan, or every start
     is impossible, naming the mortality ratio when it is not positive up to
     the oldest group midpoint at any start.
     """

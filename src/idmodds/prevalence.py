@@ -42,7 +42,6 @@ __all__ = [
     "PREVALENCE_METHODS",
     "survivor_fraction",
     "healthy_population",
-    "case_density",
     "diseased_population",
     "effective_diseased_mortality",
     "prevalence_odds_keiding",
@@ -188,28 +187,14 @@ def healthy_population(model: RateModel, t, a):
     return _shaped(survivor_fraction(model, t, a, a), shape)
 
 
-def case_density(model: RateModel, t, a, d):
-    """Density over disease duration ``d`` of the diseased population at (t, a).
-
-    Onset happened at (t-d, a-d); the density is the flow into the diseased
-    state there times survival against the duration-dependent mortality
-    since.  The three cumulative hazards are combined into one exponent so
-    long life lines cannot underflow stepwise.
-    """
-    d = np.asarray(d, dtype=float)
-    exponent = -(model.cumulative_exit(t - d, a - d, a - d) + model.cumulative_m1(t, a, d))
-    out = model.incidence_rate(t - d, a - d) * np.exp(exponent)
-    return float(out) if out.ndim == 0 else out
-
-
 def _onset_flow(model: RateModel, t, a, exit_here):
     """Case density times exp(``exit_here``), as a batch integrand over duration.
 
-    ``density(d, k)`` is the onset flow ``d`` years before (t[k], a[k]) that
-    survives with disease to there, as :func:`case_density` gives it,
-    scaled by exp(exit_here[k]).  The scale is folded into the exponent
-    with the three hazards, so the product stays finite where both factors
-    do not.  The exit hazards come from one
+    ``density(d, k)`` is the flow into disease at (t[k] - d, a[k] - d) times
+    survival with disease to (t[k], a[k]), scaled by exp(exit_here[k]).  The
+    scale and the three cumulative hazards form one exponent, so long life
+    lines cannot underflow stepwise and the product stays finite where both
+    factors do not.  The exit hazards come from one
     :meth:`~idmodds.rates.RateModel.exit_lines` batch; R must have been
     checked on [0, a].
     """
@@ -236,8 +221,7 @@ def diseased_population(model: RateModel, t, a):
     scalar point.
     """
     t, a, shape = _points(t, a)
-    value = _over_lookback(model, t, a, _onset_flow(model, t, a, np.zeros(len(a))), DEFAULT_QUADRATURE)
-    return _shaped(np.where(value < 0.0, 0.0, value), shape)
+    return _shaped(_over_lookback(model, t, a, _onset_flow(model, t, a, np.zeros(len(a))), DEFAULT_QUADRATURE), shape)
 
 
 def effective_diseased_mortality(model: RateModel, t, a, quadrature: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -349,8 +333,7 @@ def prevalence_odds_exponential(model: RateModel, t: float, a: float) -> Prevale
 
 
 def _nonnegative_odds(odds: np.ndarray, ages) -> np.ndarray:
-    """Odds with quadrature's tiny negative roundings of zero set to 0; raises unless finite and nonnegative."""
-    odds = np.where((-1e-12 < odds) & (odds < 0.0), 0.0, odds)
+    """The odds; raises unless finite and nonnegative, as convolution_special's front times integral can overflow."""
     bad = ~(np.isfinite(odds) & (odds >= 0.0))
     if np.any(bad):
         raise ValueError(f"odds must be finite and nonnegative, got {odds[bad][0]} at age {np.ravel(ages)[bad][0]:g}")

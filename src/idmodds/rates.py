@@ -355,21 +355,21 @@ def _poly_exp_integrals(lam, d):
     """Integrals of d**k * exp(lam*d) over [0, d] for k = 0, 1, 2.
 
     Direct formulas cancel badly for |lam*d| << 1, so a short series takes
-    over below 1e-3.
+    over below 1e-3; it is evaluated at those nodes alone, usually none.
     """
     d = np.asarray(d, dtype=float)
-    x = lam * d
+    x = np.asarray(lam * d)
     with np.errstate(invalid="ignore"):
         ex = np.exp(x)
         j0 = np.expm1(x) / lam
-        j1_direct = (ex * (x - 1.0) + 1.0) / lam**2
-        j2_direct = (ex * (x * x - 2.0 * x + 2.0) - 2.0) / lam**3
+        j1 = np.asarray((ex * (x - 1.0) + 1.0) / lam**2)
+        j2 = np.asarray((ex * (x * x - 2.0 * x + 2.0) - 2.0) / lam**3)
     small = np.abs(x) < 1e-3
-    d2 = d * d
-    j1_series = d2 * (0.5 + x * (1.0 / 3.0 + x * (0.125 + x * (1.0 / 30.0 + x / 144.0))))
-    j2_series = d2 * d * (1.0 / 3.0 + x * (0.25 + x * (0.1 + x * (1.0 / 36.0 + x / 168.0))))
-    j1 = np.where(small, j1_series, j1_direct)
-    j2 = np.where(small, j2_series, j2_direct)
+    if small.any():
+        x, d = x[small], d[small]
+        d2 = d * d
+        j1[small] = d2 * (0.5 + x * (1.0 / 3.0 + x * (0.125 + x * (1.0 / 30.0 + x / 144.0))))
+        j2[small] = d2 * d * (1.0 / 3.0 + x * (0.25 + x * (0.1 + x * (1.0 / 36.0 + x / 168.0))))
     return j0, j1, j2
 
 

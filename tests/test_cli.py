@@ -893,6 +893,7 @@ BAD_INPUTS = {
     "study-size-births": ["simulate", "--config", "{tmp}/huge_births.json"],
     "study-size-calibrated": ["simulate", "--config", "{tmp}/huge_target.json"],
     "fit-overflowing-incidence": ["fit", "--config", "{tmp}/overflow.json"],
+    "fit-group-too-old": ["fit", "--data", "{tmp}/ancient.csv"],
     "tabulated-ragged-table": ["evaluate", "--config", "{tmp}/ragged.json"],
 }
 
@@ -901,6 +902,7 @@ BAD_CONFIGS = {
     "huge_births.json": b'{"simulation": {"births_per_year": 1e9}}',
     "huge_target.json": b'{"simulation": {"births_per_year": null, "target_alive": 1000000000000}}',
     "overflow.json": b'{"incidence": {"family": "exponential", "k0": 50}}',
+    "ancient.csv": b"k,age_lo,age_hi,n,c\n1,40,45,9858,283\n2,45,50,9786,501\n3,50,1e300,9597,781\n",
     "ragged.json": b'{"incidence": {"family": "tabulated", "times": [0, 1], "ages": [0, 1], "table": [[0, 1], [0]]}}',
 }
 

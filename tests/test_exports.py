@@ -9,7 +9,7 @@ import idmodds
 
 # import_module, because the package re-exports functions named fit and prevalence
 MODULES = [importlib.import_module(f"idmodds.{info.name}") for info in pkgutil.iter_modules(idmodds.__path__)]
-DELETED = ["sample_life", "LifeRecord", "CohortBaseline", "odds_kernel"]
+DELETED = ["sample_life", "LifeRecord", "CohortBaseline", "odds_kernel", "case_density"]
 
 
 @pytest.mark.parametrize("module", [idmodds, *MODULES], ids=lambda module: module.__name__)

@@ -1,9 +1,12 @@
 """Tests for maximum-likelihood estimation of the mortality-ratio parameters."""
 
+import importlib
 import itertools
 import json
 import math
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -584,6 +587,25 @@ class TestFitProperties:
             fit(table)
         with pytest.raises(FitInputError, match="cross_section_time"):
             log_likelihood((0.04, 5.0, 1.0), table)
+
+    @pytest.mark.parametrize(
+        "last", [(50.0, 1e9), (50.0, 1e300), (1e308, 1.7e308)], ids=["1e9", "1e300", "overflowing-midpoint"]
+    )
+    def test_too_old_group_refused_before_the_plan(self, last, monkeypatch):
+        # a last group ending at 1e300 once overflowed the plan's piece count, and one ending at 1e9
+        # would have allocated about 10^9 nodes; the limit is met before any lookback is cut, also
+        # where the midpoint itself overflows
+        def no_rule(*args):
+            raise AssertionError("the plan was built")
+
+        monkeypatch.setattr(importlib.import_module("idmodds.fit"), "_lookback_rule", no_rule)
+        lo, hi = last
+        table = AgeGroupTable(100.0, np.array([40.0, 45.0, lo]), np.array([45.0, 50.0, hi]),
+                              np.array(REFERENCE_N[:3]), np.array(REFERENCE_C[:3]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitInputError, match=re.escape(f"group 3 [{lo:g}, {hi:g}) takes the likelihood plan")):
+                fit(table)
 
 
 class TestFitConfigValidation:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -18,12 +18,13 @@ from idmodds.prevalence import (
     AgeProfile,
     PrevalenceResult,
     _lookback_edges,
+    _odds_at,
     _odds_kernel,
+    _onset_flow,
     _onset_layer,
     _onset_rate,
     _profiles,
     _surviving_onsets,
-    case_density,
     cross_section_profile,
     diseased_population,
     effective_diseased_mortality,
@@ -37,7 +38,8 @@ from idmodds.prevalence import (
     reconstruct_incidence,
     survivor_fraction,
 )
-from idmodds.quadrature import EDGE_NODE_OFFSET, QuadratureConfig, adaptive_quad
+from idmodds.fit import _DEFAULT_BOUNDS
+from idmodds.quadrature import _W_KRONROD, DEFAULT_QUADRATURE, EDGE_NODE_OFFSET, QuadratureConfig, adaptive_quad
 from idmodds.rates import (
     ExponentialIncidence,
     GompertzParams,
@@ -47,6 +49,7 @@ from idmodds.rates import (
     RatioHorizonError,
     TabulatedIncidence,
     reference_rate_model,
+    smallest_ratio,
 )
 
 
@@ -122,6 +125,11 @@ class TestHealthyPopulation:
         assert healthy_population(model, 100.0, 60.0) == pytest.approx(
             0.7979099539363237, rel=1e-12
         )
+
+
+def case_density(model, t, a, d):
+    """The density over disease duration ``d`` of the diseased at (t, a): the onset-flow integrand, unscaled."""
+    return float(_onset_flow(model, np.array([t]), np.array([a]), np.zeros(1))(np.array([d]), np.array([0]))[0])
 
 
 class TestCaseDensity:
@@ -209,7 +217,6 @@ class TestRatioHorizon:
         "keiding": lambda m, a: prevalence(m, 100.0, a, "keiding").odds,
         "cohort_ratio": lambda m, a: prevalence(m, 100.0, a, "cohort_ratio").odds,
         "diseased_population": lambda m, a: diseased_population(m, 100.0, a),
-        "case_density": lambda m, a: case_density(m, 100.0, a, a),
         "pde_residual_prevalence": lambda m, a: pde_residual_prevalence(m, 100.0, a - 1.0, 0.5),
         "effective_diseased_mortality": lambda m, a: effective_diseased_mortality(m, 100.0, a),
     }
@@ -218,7 +225,6 @@ class TestRatioHorizon:
         "keiding": 0.12131784309985741,
         "cohort_ratio": 0.12131784309985742,
         "diseased_population": 0.001772176662015193,
-        "case_density": 3.812295705010461e-05,
         "pde_residual_prevalence": 4.8126615144163803e-05,
         "effective_diseased_mortality": 0.2918794056486104,
     }
@@ -718,6 +724,28 @@ def test_profiles_match_one_point_routes(model, t, ages):
     assert spread.max() <= 1e-6
     scalar = [effective_diseased_mortality(model, t, a) for a in ages]
     np.testing.assert_array_equal(effective_diseased_mortality(model, t, np.array(ages)), scalar)
+
+
+@st.composite
+def box_models(draw):
+    """Rate models of all three incidence families, gamma anywhere in the fit's default box where R > 0."""
+    model = draw(random_models())
+    gamma = [draw(st.floats(lo, hi)) for lo, hi in _DEFAULT_BOUNDS]
+    assume(smallest_ratio(*gamma, 110.0) > 0.0)
+    return RateModel(model.incidence, model.m0, MortalityRatioParams(*gamma))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(box_models(), st.lists(st.tuples(st.floats(50.0, 150.0), st.floats(0.0, 110.0)), min_size=1, max_size=6))
+def test_no_odds_or_diseased_count_comes_out_negative(model, points):
+    # nothing clamps these to 0: every integrand is a nonnegative rate, or R > 0, times an
+    # exponential, and every Kronrod weight is positive, so no sum of them can be negative
+    assert (_W_KRONROD > 0.0).all()
+    t, a = (np.array(column) for column in zip(*points))
+    routes = ODDS_ROUTES + (("convolution_special",) if isinstance(model.incidence, ExponentialIncidence) else ())
+    for route in routes:
+        assert (_odds_at(model, t, a, route, DEFAULT_QUADRATURE) >= 0.0).all()
+    assert (diseased_population(model, t, a) >= 0.0).all()
 
 
 def test_array_populations_match_scalar_calls(model):

@@ -18,6 +18,7 @@ from idmodds.rates import (
     RatioHorizonError,
     TabulatedIncidence,
     _GatheredLines,
+    _poly_exp_integrals,
     reference_rate_model,
 )
 from idmodds.simulate import AgeGroupTable
@@ -56,6 +57,24 @@ class TestPointValues:
         lhs = model.mortality_diseased(t, a, d)
         rhs = model.mortality_healthy(t, a) * model.mortality_ratio(d)
         assert lhs == rhs
+
+
+def both_forms_poly_exp_integrals(lam, d):
+    """``_poly_exp_integrals`` as it was when it evaluated the direct and the series form at every node."""
+    d = np.asarray(d, dtype=float)
+    x = lam * d
+    with np.errstate(invalid="ignore"):
+        ex = np.exp(x)
+        j0 = np.expm1(x) / lam
+        j1_direct = (ex * (x - 1.0) + 1.0) / lam**2
+        j2_direct = (ex * (x * x - 2.0 * x + 2.0) - 2.0) / lam**3
+    small = np.abs(x) < 1e-3
+    d2 = d * d
+    j1_series = d2 * (0.5 + x * (1.0 / 3.0 + x * (0.125 + x * (1.0 / 30.0 + x / 144.0))))
+    j2_series = d2 * d * (1.0 / 3.0 + x * (0.25 + x * (0.1 + x * (1.0 / 36.0 + x / 168.0))))
+    j1 = np.where(small, j1_series, j1_direct)
+    j2 = np.where(small, j2_series, j2_direct)
+    return j0, j1, j2
 
 
 class TestCumulativeClosedForms:
@@ -145,6 +164,26 @@ class TestCumulativeClosedForms:
         for bad in (-1.0, 60.1):
             with pytest.raises(RateDomainError):
                 m.cumulative_exit(100.0, 60.0, bad)
+
+    @pytest.mark.parametrize("lam", [0.098, -0.05, 1e-6])
+    @pytest.mark.parametrize(
+        "d",
+        [
+            np.array([0.0, 1e-4, 0.0101, 0.0102, 0.5, 5.0, 60.0]),
+            np.linspace(0.0, 100.0, 960),
+            np.array(0.01),
+            np.array(40.0),
+            np.array([]),
+        ],
+        ids=["mixed", "profile", "scalar-small", "scalar-large", "empty"],
+    )
+    def test_poly_exp_integrals_keep_the_both_forms_bits(self, lam, d):
+        # the series runs only at the nodes below |lam*d| = 1e-3; values, shapes and types match both forms
+        want = both_forms_poly_exp_integrals(lam, d)
+        got = _poly_exp_integrals(lam, d)
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 class TestExponentialIncidence:
