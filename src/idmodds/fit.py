@@ -17,7 +17,9 @@ checked against adaptive quadrature of the same odds at the same midpoints,
 all groups in one batch, and the largest relative gap is reported.
 
 The likelihood is maximized by a derivative-free simplex search from four
-start points clipped into the bounds.  The same plan gives the exact
+start points clipped into the bounds: the bounded Nelder-Mead method of
+``scipy.optimize.minimize``, restated here step for step on Python floats,
+so the package needs no scipy at run time.  The same plan gives the exact
 derivatives of the odds in those coefficients, hence the exact observed
 information at the optimum, whose inverse yields the confidence intervals.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -424,19 +426,133 @@ def _quadrature_gap(plan: _LikelihoodPlan, gamma) -> float:
     return gap
 
 
+class _Search(NamedTuple):
+    """Outcome of one simplex search: best vertex, its value, iterations, evaluations, and whether it converged."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+class _BudgetSpent(Exception):
+    """A simplex search asked for an evaluation past its budget."""
+
+
+def _simplex_search(objective, x0, lo, hi, max_iterations: int) -> _Search:
+    """Minimize ``objective`` over the box [lo, hi] by scipy's bounded Nelder-Mead, step for step.
+
+    The non-adaptive method of ``scipy.optimize.minimize(method="Nelder-Mead",
+    bounds=...)``, each operation in scipy's order on Python floats, so the
+    search returns scipy's bits: reflection 1, expansion 2, contraction and
+    shrinkage 1/2, every vertex clipped into the box as np.clip clips it.  The
+    initial simplex steps each component of x0 by 5%, or to 0.00025 from 0, and
+    reflects a vertex past an upper bound back inside.  The search stops once
+    every vertex lies within _XATOL of the best in every component and every
+    value within _FATOL of the best, or when ``max_iterations`` iterations or
+    evaluations are spent; an evaluation past the budget ends the iteration in
+    progress, and ``success`` is False after either cap.  Vertices are ordered
+    by np.argsort and ``fun`` is np.min of the final values, so ties,
+    infinities and NaN fall as in scipy.
+    """
+    lo, hi = [float(b) for b in lo], [float(b) for b in hi]
+    n = len(lo)
+    evals = 0
+
+    def clip(point):
+        # np.clip's rule: NaN passes, and a value equal to a bound becomes the bound (so -0.0 becomes 0.0)
+        point = [v if v > b or v != v else b for v, b in zip(point, lo)]
+        return [v if v < b or v != v else b for v, b in zip(point, hi)]
+
+    def evaluate(point):
+        nonlocal evals
+        if evals >= max_iterations:
+            raise _BudgetSpent
+        evals += 1
+        return objective(point)
+
+    def ordered(simplex, values):
+        order = np.argsort(values).tolist()
+        return [simplex[i] for i in order], [values[i] for i in order]
+
+    start = clip([float(v) for v in x0])
+    simplex = [start]
+    for k in range(n):
+        vertex = list(start)
+        vertex[k] = 1.05 * vertex[k] if vertex[k] != 0 else 0.00025
+        simplex.append(vertex)
+    # reflected inside, so that a start at an upper bound does not clip to a flat simplex
+    simplex = [clip([2 * b - v if v > b else v for v, b in zip(vertex, hi)]) for vertex in simplex]
+    values = [math.inf] * (n + 1)
+    try:
+        for k, vertex in enumerate(simplex):
+            values[k] = evaluate(vertex)
+    except _BudgetSpent:
+        pass
+    simplex, values = ordered(simplex, values)
+
+    # scipy counts from 1; every iteration evaluates at least once after the n + 1 evaluations
+    # above, so the evaluation cap always binds before the iteration cap
+    iterations = 1
+    while evals < max_iterations:
+        try:
+            best, worst = simplex[0], simplex[-1]
+            small = all(abs(v - b) <= _XATOL for vertex in simplex[1:] for v, b in zip(vertex, best))
+            if small and all(abs(values[0] - f) <= _FATOL for f in values[1:]):
+                break
+            total = best
+            for vertex in simplex[1:-1]:
+                total = [s + v for s, v in zip(total, vertex)]
+            centroid = [s / n for s in total]
+            reflected = clip([2 * c - w for c, w in zip(centroid, worst)])
+            f_reflected = evaluate(reflected)
+            if f_reflected < values[0]:
+                expanded = clip([3 * c - 2 * w for c, w in zip(centroid, worst)])
+                f_expanded = evaluate(expanded)
+                if f_expanded < f_reflected:
+                    simplex[-1], values[-1] = expanded, f_expanded
+                else:
+                    simplex[-1], values[-1] = reflected, f_reflected
+            elif f_reflected < values[-2]:
+                simplex[-1], values[-1] = reflected, f_reflected
+            else:
+                if f_reflected < values[-1]:
+                    contracted = clip([1.5 * c - 0.5 * w for c, w in zip(centroid, worst)])
+                    f_contracted = evaluate(contracted)
+                    accepted = f_contracted <= f_reflected
+                else:
+                    contracted = clip([0.5 * c + 0.5 * w for c, w in zip(centroid, worst)])
+                    f_contracted = evaluate(contracted)
+                    accepted = f_contracted < values[-1]
+                if accepted:
+                    simplex[-1], values[-1] = contracted, f_contracted
+                else:
+                    for j in range(1, n + 1):
+                        simplex[j] = clip([b + 0.5 * (v - b) for v, b in zip(simplex[j], best)])
+                        values[j] = evaluate(simplex[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        simplex, values = ordered(simplex, values)
+    return _Search(np.array(simplex[0]), np.min(values), iterations, evals, evals < max_iterations)
+
+
 def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     """Maximize the likelihood over the free mortality-ratio parameters.
 
-    Runs the simplex search, to the tolerances ``_XATOL`` and ``_FATOL``,
-    from each of ``_DEFAULT_STARTS`` with its free components clipped into
-    the bounds, keeps the best, and restarts once from the incumbent to
-    escape premature contraction.  Once the search can start, the result
-    always comes back; ``converged`` and the diagnostics say how much to
-    trust it.  Raises FitInputError when the table's study time is not
-    finite, nothing is free, too few rows are informative, the groups are
-    too old for the likelihood plan, or every start
-    is impossible, naming the mortality ratio when it is not positive up to
-    the oldest group midpoint at any start.
+    Runs the simplex search ``_simplex_search``, to the tolerances ``_XATOL``
+    and ``_FATOL``, from each of ``_DEFAULT_STARTS`` with its free components
+    clipped into the bounds, keeps the best, and restarts once from the
+    incumbent to escape premature contraction.  ``diagnostics["searches"]``
+    records the five searches in that order: start, log-likelihood reached,
+    iterations, evaluations and whether each converged.  Once the search can
+    start, the result always comes back; ``converged`` and the diagnostics
+    say how much to trust it.  Raises FitInputError when the table's study
+    time is not finite, nothing is free, too few rows are informative, the
+    groups are too old for the likelihood plan, or every start is
+    impossible, naming the mortality ratio when it is not positive up to the
+    oldest group midpoint at any start.
     """
     free = config.free_indices
     if len(free) == 0:
@@ -448,37 +564,38 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
         )
     plan = _LikelihoodPlan.build(table, config)
     bounds = [config.bounds[j] for j in free]
-    starts = [np.clip([start[j] for j in free], *np.transpose(bounds)) for start in _DEFAULT_STARTS]
-    # screened outside ``evals``, which counts the search's evaluations alone
+    lower, upper = np.transpose(bounds)
+    starts = [np.clip([start[j] for j in free], lower, upper) for start in _DEFAULT_STARTS]
+    # screened outside the searches, whose evaluations alone ``function_evals`` counts
     if not any(math.isfinite(plan.log_likelihood(config.full_gamma(x0))) for x0 in starts):
         if all(smallest_ratio(*config.full_gamma(x0).tolist(), plan.horizon) <= 0.0 for x0 in starts):
             raise FitInputError(f"the mortality ratio is not positive up to age {plan.horizon:g} at any start point")
         raise FitInputError("the likelihood is minus infinity at every start point")
 
-    evals = 0
     # the pinned components, into which each evaluation writes the free ones
     template, free_at = config.full_gamma(starts[0]), np.array(free)
 
     def objective(free_values):
-        nonlocal evals
-        evals += 1
         gamma = template.copy()
         gamma[free_at] = free_values
         return -plan.log_likelihood(gamma)
 
-    # imported here, its only user, so commands that never fit skip its half-second import
-    from scipy import optimize
+    searches = []
 
-    options = {"xatol": _XATOL, "fatol": _FATOL, "maxiter": config.max_iterations, "maxfev": config.max_iterations}
+    def search(x0):
+        outcome = _simplex_search(objective, x0, lower, upper, config.max_iterations)
+        searches.append({
+            "start": config.full_gamma(x0).tolist(), "loglik": -float(outcome.fun), "iterations": outcome.nit,
+            "evaluations": outcome.nfev, "converged": outcome.success,
+        })
+        return outcome
+
     best = None
-    iterations = 0
     for x0 in starts:
-        outcome = optimize.minimize(objective, x0, method="Nelder-Mead", bounds=bounds, options=options)
-        iterations += outcome.nit
+        outcome = search(x0)
         if np.isfinite(outcome.fun) and (best is None or outcome.fun < best.fun):
             best = outcome
-    restart = optimize.minimize(objective, best.x, method="Nelder-Mead", bounds=bounds, options=options)
-    iterations += restart.nit
+    restart = search(best.x)
     if np.isfinite(restart.fun) and restart.fun <= best.fun:
         best = restart
     gamma_hat = config.full_gamma(best.x)
@@ -489,6 +606,7 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
         "boundary_hits": [],
         "flat_components": [],
         "quadrature_gap": _quadrature_gap(plan, gamma_hat),
+        "searches": searches,
     }
     for j in free:
         lo, hi = config.bounds[j]
@@ -514,5 +632,6 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
 
     return FitResult(
         gamma_hat=gamma_hat, loglik=-float(best.fun), hessian=hessian, covariance=covariance_full, ci95=ci_full,
-        converged=bool(best.success), iterations=int(iterations), function_evals=int(evals), diagnostics=diagnostics,
+        converged=bool(best.success), iterations=sum(entry["iterations"] for entry in searches),
+        function_evals=sum(entry["evaluations"] for entry in searches), diagnostics=diagnostics,
     )

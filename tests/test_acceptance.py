@@ -25,9 +25,11 @@ from idmodds import (
     SimConfig,
     fit,
     group_prevalence,
+    log_likelihood,
     prevalence,
     reference_rate_model,
     replicate_study,
+    wald_intervals,
 )
 from idmodds.prevalence import (
     cross_section_profile,
@@ -56,10 +58,29 @@ def report(line):
     print(f"\n{line}")
 
 
+def bundled_table():
+    path = resources.files("idmodds.data") / "table1.csv"
+    return AgeGroupTable.from_csv(str(path), cross_section_time=100.0)
+
+
+def difference_hessian(table, gamma, h):
+    """Hessian of ``log_likelihood`` at ``gamma`` by central second differences of step ``h`` in each component.
+
+    Entry (j, k) is [l(g + h e_j + h e_k) - l(g + h e_j - h e_k) - l(g - h e_j + h e_k)
+    + l(g - h e_j - h e_k)] / (4 h^2), a central difference of central-difference
+    gradients, so a diagonal entry steps 2h each way.
+    """
+    gamma, steps = np.asarray(gamma, dtype=float), h * np.eye(3)
+    hessian = np.empty((3, 3))
+    for j, k in np.ndindex(3, 3):
+        corners = [log_likelihood(gamma + sj * steps[j] + sk * steps[k], table) for sj in (1, -1) for sk in (1, -1)]
+        hessian[j, k] = (corners[0] - corners[1] - corners[2] + corners[3]) / (4.0 * h * h)
+    return hessian
+
+
 @pytest.fixture(scope="module")
 def reference_fit():
-    path = resources.files("idmodds.data") / "table1.csv"
-    table = AgeGroupTable.from_csv(str(path), cross_section_time=100.0)
+    table = bundled_table()
     start = time.perf_counter()
     result = fit(table, FitConfig())
     return result, time.perf_counter() - start
@@ -102,6 +123,30 @@ def test_a1_fit_reproduces_published_estimates(reference_fit):
     )
     assert np.all(contains_truth), f"intervals {ci} miss {TRUE_GAMMA}"
     assert seconds < 60.0
+
+
+def test_a1_published_intervals_match_a_difference_hessian(reference_fit):
+    # a consistency finding: the published intervals are Wald intervals at the published point from a
+    # step-1e-3 difference Hessian, while the fit's come from the exact one
+    table = bundled_table()
+    _, intervals = wald_intervals(PUBLISHED_GAMMA, -difference_hessian(table, PUBLISHED_GAMMA, 1e-3))
+    half_width_ratio = (intervals[:, 1] - intervals[:, 0]) / (PUBLISHED_CI[:, 1] - PUBLISHED_CI[:, 0])
+    endpoint_tol = 0.15 * (PUBLISHED_CI[:, 1] - PUBLISHED_CI[:, 0])
+    slack = np.max(np.abs(intervals - PUBLISHED_CI) / endpoint_tol[:, None])
+    # with a small step the differences reproduce the exact information of the fit
+    result, _ = reference_fit
+    fine = -difference_hessian(table, result.gamma_hat, 1e-4)
+    agreement = np.max(np.abs(fine - result.hessian) / np.abs(result.hessian))
+
+    ok = bool(np.all(np.abs(half_width_ratio - 1.0) <= 0.05)) and slack <= 0.15 and agreement <= 0.01
+    report(
+        f"A1 published intervals from a step-1e-3 difference Hessian {'PASS' if ok else 'FAIL'}: "
+        f"half-width ratios {np.round(half_width_ratio, 3).tolist()}, worst endpoint {slack:.1%} of budget; "
+        f"step 1e-4 against the exact information {agreement:.1e}"
+    )
+    assert np.all(np.abs(half_width_ratio - 1.0) <= 0.05), f"half-width ratios {half_width_ratio}"
+    assert slack <= 0.15, f"interval endpoints {intervals} vs {PUBLISHED_CI}, {slack:.1%} of budget"
+    assert agreement <= 0.01, f"step-1e-4 differences deviate from the exact information by {agreement:.1e}"
 
 
 def test_a2_odds_route_agreement():

@@ -1104,7 +1104,7 @@ class TestConsoleScript:
 
     @pytest.mark.parametrize("module", ["scipy.optimize", "jsonschema", "concurrent.futures"])
     def test_cli_import_skips_unused_module(self, module):
-        # only fit uses scipy.optimize and only a parallel simulate the process pool; no command needs jsonschema
+        # no command imports scipy, only a parallel simulate the process pool, and no command needs jsonschema
         code = (
             "import sys; import idmodds.cli; from idmodds.config import load_run_config; "
             f"load_run_config({str(BUNDLED_CONFIG)!r}); "
@@ -1113,6 +1113,18 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_fit_runs_without_scipy(self, tmp_path):
+        # the fit's simplex search is the package's own, so fitting the bundled table never imports scipy
+        code = (
+            "import sys; from idmodds.cli import main; "
+            f"code = main(['fit', '--out-dir', {str(tmp_path)!r}]); "
+            "print(code, 'scipy' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert json.loads((tmp_path / "fit_result.json").read_text())["converged"] is True
 
     def test_entry_point_help(self):
         # Call the declared target the way the setuptools console-script wrapper does.

@@ -13,15 +13,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
+from scipy import optimize
 
 from idmodds.fit import (
     _DEFAULT_BOUNDS,
     _DEFAULT_STARTS,
+    _FATOL,
+    _XATOL,
     FitConfig,
     FitInputError,
     _largest_initial_ratio,
     _LikelihoodPlan,
     _lookback_rule,
+    _simplex_search,
     fit,
     group_prevalence,
     log_likelihood,
@@ -424,6 +428,18 @@ class TestFitReferenceTable:
         result, _ = reference_fit
         assert 0.0 <= result.diagnostics["quadrature_gap"] <= 1e-12
 
+    def test_each_search_recorded(self, reference_fit):
+        result, _ = reference_fit
+        searches = result.diagnostics["searches"]
+        # the four starts, then the restart from the best point they reached
+        assert [entry["start"] for entry in searches[:-1]] == [list(start) for start in _DEFAULT_STARTS]
+        best_of_starts = max(entry["loglik"] for entry in searches[:-1])
+        assert log_likelihood(searches[-1]["start"], reference_table()) == best_of_starts
+        assert sum(entry["evaluations"] for entry in searches) == result.function_evals
+        assert sum(entry["iterations"] for entry in searches) == result.iterations
+        assert max(entry["loglik"] for entry in searches) == result.loglik
+        assert all(entry["converged"] for entry in searches)
+
     def test_json_serialization(self, reference_fit):
         result, _ = reference_fit
         payload = json.loads(json.dumps(result.to_json_dict()))
@@ -490,6 +506,20 @@ class TestFitProperties:
         assert len(builds) == 1
         fit(table, config)
         assert len(builds) == 2
+
+    def test_function_evals_count_every_search_evaluation(self, monkeypatch):
+        calls = []
+        evaluate = _LikelihoodPlan.log_likelihood
+
+        def counted(plan, gamma):
+            calls.append(gamma)
+            return evaluate(plan, gamma)
+
+        monkeypatch.setattr(_LikelihoodPlan, "log_likelihood", counted)
+        result = fit(reference_table(), FitConfig())
+        # the start screen stops at the first start with a finite likelihood, here the first
+        assert len(calls) == result.function_evals + 1
+        assert result.function_evals == 1256 and result.iterations == 669
 
     def test_boundary_hit_reported(self):
         config = FitConfig(bounds=((0.0, 1.0), (0.0, 50.0), (1e-6, 1.0)))
@@ -606,6 +636,100 @@ class TestFitProperties:
             warnings.simplefilter("error")
             with pytest.raises(FitInputError, match=re.escape(f"group 3 [{lo:g}, {hi:g}) takes the likelihood plan")):
                 fit(table)
+
+
+def scipy_search(objective, x0, lo, hi, max_iterations):
+    """scipy's bounded Nelder-Mead at the fit's tolerances and caps: the oracle of ``_simplex_search``."""
+    options = {"xatol": _XATOL, "fatol": _FATOL, "maxiter": max_iterations, "maxfev": max_iterations}
+    return optimize.minimize(objective, x0, method="Nelder-Mead", bounds=list(zip(lo, hi)), options=options)
+
+
+def assert_same_search(ours, theirs):
+    assert np.asarray(ours.x, dtype=float).tobytes() == np.asarray(theirs.x, dtype=float).tobytes()
+    assert np.float64(ours.fun).tobytes() == np.float64(theirs.fun).tobytes()
+    assert (ours.nit, ours.nfev, ours.success) == (theirs.nit, theirs.nfev, theirs.success)
+
+
+def resample(seed, index) -> AgeGroupTable:
+    """A binomial resample of the reference table, drawn as the benchmark draws its odd rounds."""
+    table = reference_table()
+    counts = np.random.default_rng([seed, index]).binomial(table.n, table.c / table.n)
+    return AgeGroupTable(100.0, table.age_lo, table.age_hi, table.n, counts)
+
+
+class TestSimplexSearch:
+    """``_simplex_search`` takes scipy's Nelder-Mead steps bit for bit."""
+
+    @staticmethod
+    def fit_with_both(table, config, monkeypatch):
+        """Fit with every search run by both engines; the fit goes on with ours.  Returns the number of searches."""
+        pairs = []
+
+        def both(objective, x0, lo, hi, max_iterations):
+            ours = _simplex_search(objective, x0, lo, hi, max_iterations)
+            pairs.append((ours, scipy_search(objective, x0, lo, hi, max_iterations)))
+            return ours
+
+        monkeypatch.setattr(importlib.import_module("idmodds.fit"), "_simplex_search", both)
+        result = fit(table, config)
+        for ours, theirs in pairs:
+            assert_same_search(ours, theirs)
+        return result, len(pairs)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FitConfig(),
+            FitConfig(fixed_gamma=(None, 5.0, None)),
+            FitConfig(bounds=((0.0, 1.0), (0.0, 50.0), (0.0, 0.5))),
+            FitConfig(bounds=((-math.inf, 1.0), (0.0, 50.0), (0.0, 20.0))),
+            FitConfig(max_iterations=3),
+        ],
+        ids=["default", "gamma2-pinned", "gamma3-box-narrowed", "gamma1-unbounded-below", "three-iterations"],
+    )
+    def test_every_search_of_a_reference_fit_matches_scipy(self, config, monkeypatch):
+        result, searches = self.fit_with_both(reference_table(), config, monkeypatch)
+        assert searches == len(_DEFAULT_STARTS) + 1
+        assert result.converged == (config.max_iterations > 3)
+
+    @pytest.mark.parametrize("seed, index", list(itertools.product((1, 2, 3), (1, 3, 5, 7))))
+    def test_every_search_of_a_resample_fit_matches_scipy(self, seed, index, monkeypatch):
+        result, searches = self.fit_with_both(resample(seed, index), FitConfig(), monkeypatch)
+        assert searches == len(_DEFAULT_STARTS) + 1
+        if (seed, index) == (1, 1):
+            # its optimum lies on the gamma3 = 0 edge, where R touches zero
+            assert result.diagnostics["boundary_hits"] == [2] and result.gamma_hat[2] < 1e-6
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3, 4, 7, 40, 4000])
+    @pytest.mark.parametrize(
+        "objective, x0, lo, hi",
+        [
+            # Rosenbrock's valley, bounded below at the optimum's x
+            (lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2, (1.2, -1.0), (1.0, -2.0), (2.0, 2.0)),
+            # a start on an upper bound and at zero, and a region where the objective is infinite
+            (lambda x: math.inf if x[0] + x[1] > 1.5 else (x[0] - 1) ** 2 + 3 * x[1] ** 2 + x[2] ** 2,
+             (1.0, 0.0, -0.5), (-math.inf, -1.0, -1.0), (1.0, 1.0, math.inf)),
+            # one dimension, ties where the objective is flat
+            (lambda x: max(abs(x[0]) - 0.25, 0.0), (3.0,), (-5.0,), (5.0,)),
+            # a staircase, where trial points often tie with the vertices
+            (lambda x: float(math.floor(4 * x[0]) + math.floor(3 * x[1])), (0.9, 0.7), (-1.0, -1.0), (1.0, 1.0)),
+            # a start at -0.0 on a lower bound of 0.0, which clipping turns into 0.0
+            (lambda x: (x[1] - 0.3) ** 2, (-0.0, 1.0), (0.0, -1.0), (1.0, 1.0)),
+        ],
+        ids=["rosenbrock", "infinite-region", "flat-1d", "staircase", "signed-zero"],
+    )
+    def test_toy_objectives_match_scipy(self, objective, x0, lo, hi, max_iterations):
+        assert_same_search(
+            _simplex_search(objective, x0, lo, hi, max_iterations),
+            scipy_search(objective, np.array(x0), lo, hi, max_iterations),
+        )
+
+    def test_a_fit_returns_the_bits_of_a_scipy_driven_fit(self, monkeypatch):
+        table = resample(1, 3)
+        ours = fit(table, FitConfig()).to_json_dict()
+        monkeypatch.setattr(importlib.import_module("idmodds.fit"), "_simplex_search", scipy_search)
+        theirs = fit(table, FitConfig()).to_json_dict()
+        assert json.dumps(ours) == json.dumps(theirs)
 
 
 class TestFitConfigValidation:
