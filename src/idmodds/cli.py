@@ -167,6 +167,7 @@ def cmd_evaluate(config: RunConfig, args, out_dir: str, manifest: dict) -> int:
 
 
 def cmd_simulate(config: RunConfig, args, out_dir: str, manifest: dict) -> int:
+    workers = thread_limit()
     if args.replicates < 1:
         raise ConfigError("--replicates must be >= 1")
     if args.seed is not None and args.seed < 0:
@@ -179,7 +180,6 @@ def cmd_simulate(config: RunConfig, args, out_dir: str, manifest: dict) -> int:
         births = calibrate_births_per_year(model, sim_config)
         sim_config = dataclasses.replace(sim_config, births_per_year=births)
         manifest["calibrated_births_per_year"] = births
-    workers = thread_limit()
     manifest["rng_seed"] = sim_config.rng_seed
     manifest["replicate_seeds"] = [sim_config.rng_seed + i for i in range(args.replicates)]
     manifest["workers"] = workers
@@ -290,7 +290,7 @@ def cmd_crosscheck(config: RunConfig, args, out_dir: str, manifest: dict) -> int
     builtin = not isinstance(model.incidence, ExponentialIncidence)
     companion = RateModel(ExponentialIncidence(k2=0.01), model.m0, model.ratio) if builtin else model
     special = prevalence_odds_exponential(companion, t, a).odds
-    general = prevalence_odds_pseudo_convolution(companion, t, a).odds
+    general = prevalence_odds_pseudo_convolution(companion, t, a).odds if builtin else pseudo
     deviation = _relative_spread([special, general])
     report["exponential_special_case"] = {
         "builtin_companion_model": builtin,

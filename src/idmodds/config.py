@@ -65,8 +65,7 @@ _SCHEMA = _closed(
         births_per_year={"type": ["number", "null"]}, birth_window=_NUMBERS, cross_section_time=_NUMBER,
         age_groups=_ROWS, rng_seed=_INTEGER, target_alive=_INTEGER,
     ),
-    fit=_closed(bounds=_ROWS, fixed_gamma={"type": "array", "items": {"type": ["number", "null"]}},
-                max_iterations=_INTEGER),
+    fit=_closed(bounds=_ROWS, fixed_gamma={"type": "array", "items": {"type": ["number", "null"]}}),
     output=_closed(directory={"type": "string"}),
 )
 

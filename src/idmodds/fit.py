@@ -19,9 +19,12 @@ all groups in one batch, and the largest relative gap is reported.
 The likelihood is maximized by a derivative-free simplex search from four
 start points clipped into the bounds: the bounded Nelder-Mead method of
 ``scipy.optimize.minimize``, restated here step for step on Python floats,
-so the package needs no scipy at run time.  The same plan gives the exact
-derivatives of the odds in those coefficients, hence the exact observed
-information at the optimum, whose inverse yields the confidence intervals.
+so the package needs no scipy at run time.  Each search has the fixed
+budget ``_MAX_EVALUATIONS``, checked between iterations; every search that
+stops on its tolerances takes scipy's steps bit for bit.  The same plan
+gives the exact derivatives of the odds in those coefficients, hence the
+exact observed information at the optimum, whose inverse yields the
+confidence intervals.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from idmodds.rates import (
     reference_rate_model,
     smallest_ratio,
 )
-from idmodds.simulate import AgeGroupTable, _whole_number, check_age_groups
+from idmodds.simulate import AgeGroupTable, check_age_groups
 
 __all__ = [
     "FitConfig",
@@ -64,9 +67,11 @@ _DEFAULT_BOUNDS = ((0.0, 1.0), (0.0, 50.0), (0.0, 20.0))
 _DEFAULT_STARTS = ((0.01, 2.0, 1.0), (0.001, 1.0, 0.5), (0.1, 10.0, 1.5), (0.3, 20.0, 3.0))
 _FIT_QUADRATURE = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=400)
 # Nelder-Mead stops once the simplex spans less than _XATOL in every parameter
-# and its log-likelihood values differ by less than _FATOL.
+# and its log-likelihood values differ by less than _FATOL, or at the first
+# iteration end with _MAX_EVALUATIONS likelihood evaluations spent.
 _XATOL = 1e-6
 _FATOL = 1e-8
+_MAX_EVALUATIONS = 4000
 
 
 @dataclass(frozen=True)
@@ -80,23 +85,21 @@ class FitConfig:
     its midpoint, and the adaptive check of the likelihood plan at the
     optimum has fixed tolerances.  The simplex searches start from
     ``_DEFAULT_STARTS`` clipped into the bounds and stop at the fixed
-    tolerances ``_XATOL`` and ``_FATOL``; ``max_iterations`` caps their
-    iterations and likelihood evaluations per search.  No setting bounds
-    where R must be positive: the likelihood needs it up to the table's
-    oldest group midpoint.  ``bounds`` and ``fixed_gamma`` are stored as
-    tuples, ``max_iterations`` as an int.
+    tolerances ``_XATOL`` and ``_FATOL``, or at the fixed cap of
+    ``_MAX_EVALUATIONS`` likelihood evaluations per search, checked between
+    iterations.  No setting bounds where R must be positive: the likelihood
+    needs it up to the table's oldest group midpoint.  ``bounds`` and
+    ``fixed_gamma`` are stored as tuples.
     """
 
     incidence: IncidenceSpec = field(default_factory=PositivePartIncidence)
     m0: GompertzParams = field(default_factory=lambda: reference_rate_model().m0)
     bounds: tuple = _DEFAULT_BOUNDS
     fixed_gamma: tuple = (None, None, None)
-    max_iterations: int = 4000
 
     def __post_init__(self):
         object.__setattr__(self, "bounds", tuple(tuple(pair) for pair in self.bounds))
         object.__setattr__(self, "fixed_gamma", tuple(self.fixed_gamma))
-        object.__setattr__(self, "max_iterations", _whole_number(self.max_iterations, "max_iterations", 1))
         if len(self.bounds) != 3 or any(len(b) != 2 or not b[0] < b[1] for b in self.bounds):
             raise ValueError("bounds must be three increasing (lo, hi) pairs")
         if len(self.fixed_gamma) != 3:
@@ -436,11 +439,7 @@ class _Search(NamedTuple):
     success: bool
 
 
-class _BudgetSpent(Exception):
-    """A simplex search asked for an evaluation past its budget."""
-
-
-def _simplex_search(objective, x0, lo, hi, max_iterations: int) -> _Search:
+def _simplex_search(objective, x0, lo, hi, max_evaluations: int) -> _Search:
     """Minimize ``objective`` over the box [lo, hi] by scipy's bounded Nelder-Mead, step for step.
 
     The non-adaptive method of ``scipy.optimize.minimize(method="Nelder-Mead",
@@ -450,11 +449,12 @@ def _simplex_search(objective, x0, lo, hi, max_iterations: int) -> _Search:
     initial simplex steps each component of x0 by 5%, or to 0.00025 from 0, and
     reflects a vertex past an upper bound back inside.  The search stops once
     every vertex lies within _XATOL of the best in every component and every
-    value within _FATOL of the best, or when ``max_iterations`` iterations or
-    evaluations are spent; an evaluation past the budget ends the iteration in
-    progress, and ``success`` is False after either cap.  Vertices are ordered
-    by np.argsort and ``fun`` is np.min of the final values, so ties,
-    infinities and NaN fall as in scipy.
+    value within _FATOL of the best, and ``success`` says it stopped so.  The
+    whole initial simplex is always evaluated, and ``max_evaluations`` is
+    checked only between iterations: the search stops at the first iteration
+    end with that many evaluations spent.  Vertices are ordered by np.argsort
+    and ``fun`` is np.min of the final values, so ties, infinities and NaN fall
+    as in scipy.
     """
     lo, hi = [float(b) for b in lo], [float(b) for b in hi]
     n = len(lo)
@@ -467,8 +467,6 @@ def _simplex_search(objective, x0, lo, hi, max_iterations: int) -> _Search:
 
     def evaluate(point):
         nonlocal evals
-        if evals >= max_iterations:
-            raise _BudgetSpent
         evals += 1
         return objective(point)
 
@@ -484,75 +482,68 @@ def _simplex_search(objective, x0, lo, hi, max_iterations: int) -> _Search:
         simplex.append(vertex)
     # reflected inside, so that a start at an upper bound does not clip to a flat simplex
     simplex = [clip([2 * b - v if v > b else v for v, b in zip(vertex, hi)]) for vertex in simplex]
-    values = [math.inf] * (n + 1)
-    try:
-        for k, vertex in enumerate(simplex):
-            values[k] = evaluate(vertex)
-    except _BudgetSpent:
-        pass
-    simplex, values = ordered(simplex, values)
+    simplex, values = ordered(simplex, [evaluate(vertex) for vertex in simplex])
 
-    # scipy counts from 1; every iteration evaluates at least once after the n + 1 evaluations
-    # above, so the evaluation cap always binds before the iteration cap
+    # scipy counts from 1
     iterations = 1
-    while evals < max_iterations:
-        try:
-            best, worst = simplex[0], simplex[-1]
-            small = all(abs(v - b) <= _XATOL for vertex in simplex[1:] for v, b in zip(vertex, best))
-            if small and all(abs(values[0] - f) <= _FATOL for f in values[1:]):
-                break
-            total = best
-            for vertex in simplex[1:-1]:
-                total = [s + v for s, v in zip(total, vertex)]
-            centroid = [s / n for s in total]
-            reflected = clip([2 * c - w for c, w in zip(centroid, worst)])
-            f_reflected = evaluate(reflected)
-            if f_reflected < values[0]:
-                expanded = clip([3 * c - 2 * w for c, w in zip(centroid, worst)])
-                f_expanded = evaluate(expanded)
-                if f_expanded < f_reflected:
-                    simplex[-1], values[-1] = expanded, f_expanded
-                else:
-                    simplex[-1], values[-1] = reflected, f_reflected
-            elif f_reflected < values[-2]:
-                simplex[-1], values[-1] = reflected, f_reflected
+    while evals < max_evaluations:
+        best, worst = simplex[0], simplex[-1]
+        small = all(abs(v - b) <= _XATOL for vertex in simplex[1:] for v, b in zip(vertex, best))
+        if small and all(abs(values[0] - f) <= _FATOL for f in values[1:]):
+            break
+        total = best
+        for vertex in simplex[1:-1]:
+            total = [s + v for s, v in zip(total, vertex)]
+        centroid = [s / n for s in total]
+        reflected = clip([2 * c - w for c, w in zip(centroid, worst)])
+        f_reflected = evaluate(reflected)
+        if f_reflected < values[0]:
+            expanded = clip([3 * c - 2 * w for c, w in zip(centroid, worst)])
+            f_expanded = evaluate(expanded)
+            if f_expanded < f_reflected:
+                simplex[-1], values[-1] = expanded, f_expanded
             else:
-                if f_reflected < values[-1]:
-                    contracted = clip([1.5 * c - 0.5 * w for c, w in zip(centroid, worst)])
-                    f_contracted = evaluate(contracted)
-                    accepted = f_contracted <= f_reflected
-                else:
-                    contracted = clip([0.5 * c + 0.5 * w for c, w in zip(centroid, worst)])
-                    f_contracted = evaluate(contracted)
-                    accepted = f_contracted < values[-1]
-                if accepted:
-                    simplex[-1], values[-1] = contracted, f_contracted
-                else:
-                    for j in range(1, n + 1):
-                        simplex[j] = clip([b + 0.5 * (v - b) for v, b in zip(simplex[j], best)])
-                        values[j] = evaluate(simplex[j])
-            iterations += 1
-        except _BudgetSpent:
-            pass
+                simplex[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+        else:
+            if f_reflected < values[-1]:
+                contracted = clip([1.5 * c - 0.5 * w for c, w in zip(centroid, worst)])
+                f_contracted = evaluate(contracted)
+                accepted = f_contracted <= f_reflected
+            else:
+                contracted = clip([0.5 * c + 0.5 * w for c, w in zip(centroid, worst)])
+                f_contracted = evaluate(contracted)
+                accepted = f_contracted < values[-1]
+            if accepted:
+                simplex[-1], values[-1] = contracted, f_contracted
+            else:
+                for j in range(1, n + 1):
+                    simplex[j] = clip([b + 0.5 * (v - b) for v, b in zip(simplex[j], best)])
+                    values[j] = evaluate(simplex[j])
+        iterations += 1
         simplex, values = ordered(simplex, values)
-    return _Search(np.array(simplex[0]), np.min(values), iterations, evals, evals < max_iterations)
+    # the loop ends early only on the tolerances
+    return _Search(np.array(simplex[0]), np.min(values), iterations, evals, evals < max_evaluations)
 
 
 def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     """Maximize the likelihood over the free mortality-ratio parameters.
 
     Runs the simplex search ``_simplex_search``, to the tolerances ``_XATOL``
-    and ``_FATOL``, from each of ``_DEFAULT_STARTS`` with its free components
-    clipped into the bounds, keeps the best, and restarts once from the
-    incumbent to escape premature contraction.  ``diagnostics["searches"]``
-    records the five searches in that order: start, log-likelihood reached,
-    iterations, evaluations and whether each converged.  Once the search can
-    start, the result always comes back; ``converged`` and the diagnostics
-    say how much to trust it.  Raises FitInputError when the table's study
-    time is not finite, nothing is free, too few rows are informative, the
-    groups are too old for the likelihood plan, or every start is
-    impossible, naming the mortality ratio when it is not positive up to the
-    oldest group midpoint at any start.
+    and ``_FATOL`` within ``_MAX_EVALUATIONS`` evaluations, from each of
+    ``_DEFAULT_STARTS`` with its free components clipped into the bounds,
+    keeps the best, and restarts once from the incumbent to escape premature
+    contraction; ``converged`` says the kept search stopped on the
+    tolerances.  ``diagnostics["searches"]`` records the five searches in
+    that order: start, log-likelihood reached, iterations, evaluations and
+    whether each converged.  Once the search can start, the result always
+    comes back; ``converged`` and the diagnostics say how much to trust it.
+    Raises FitInputError when the table's study time is not finite, nothing
+    is free, too few rows are informative, the groups are too old for the
+    likelihood plan, or every start is impossible, naming the mortality
+    ratio when it is not positive up to the oldest group midpoint at any
+    start.
     """
     free = config.free_indices
     if len(free) == 0:
@@ -583,7 +574,7 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     searches = []
 
     def search(x0):
-        outcome = _simplex_search(objective, x0, lower, upper, config.max_iterations)
+        outcome = _simplex_search(objective, x0, lower, upper, _MAX_EVALUATIONS)
         searches.append({
             "start": config.full_gamma(x0).tolist(), "loglik": -float(outcome.fun), "iterations": outcome.nit,
             "evaluations": outcome.nfev, "converged": outcome.success,

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 import idmodds
 from idmodds.cli import _build_parser, _relative_spread, _richardson, main, thread_limit
@@ -135,9 +136,9 @@ class TestRunConfig:
             load_run_config(str(path))
 
     def test_fit_section_drives_fit_config(self, tmp_path):
-        document = {"fit": {"max_iterations": 17, "fixed_gamma": [None, 5.0, None]}}
+        document = {"fit": {"bounds": [[0.0, 1.0], [0.0, 50.0], [0.0, 0.5]], "fixed_gamma": [None, 5.0, None]}}
         fit_config = parse_run_config(document).build_fit_config()
-        assert fit_config.max_iterations == 17
+        assert fit_config.bounds == ((0.0, 1.0), (0.0, 50.0), (0.0, 0.5))
         assert fit_config.fixed_gamma == (None, 5.0, None)
 
     def test_bundled_document_states_library_defaults(self):
@@ -158,12 +159,13 @@ class TestRunConfig:
             ("fit", {"xatol": 1e-5}),
             ("fit", {"fatol": 1e-7}),
             ("fit", {"starts": [[0.01, 2.0, 1.0]]}),
+            ("fit", {"max_iterations": 4000}),
             ("ratio", {"max_duration": 120.0}),
             ("simulation", {"max_age": 110.0}),
         ],
         ids=[
             "hessian_step_scale", "quadrature", "include_binomial_coefficient", "group_evaluation", "xatol", "fatol",
-            "starts", "max_duration", "max_age",
+            "starts", "max_iterations", "max_duration", "max_age",
         ],
     )
     def test_hessian_step_scale_no_longer_accepted(self, where, section, tmp_path, capsys):
@@ -189,10 +191,9 @@ class TestRunConfig:
             ("rng_seed", {"simulation": {"rng_seed": -1}}),
             ("birth_window", {"simulation": {"birth_window": [0.0, 30.0, 60.0]}}),
             ("age_groups", {"simulation": {"age_groups": [[40.0, 45.0, 50.0]]}}),
-            ("max_iterations", {"fit": {"max_iterations": 0}}),
             ("directory", {"output": {"directory": ""}}),
         ],
-        ids=["negative-seed", "birth-window-triple", "age-group-triple", "zero-iterations", "empty-directory"],
+        ids=["negative-seed", "birth-window-triple", "age-group-triple", "empty-directory"],
     )
     def test_value_rules_of_the_dataclasses_exit_2(self, field, document, tmp_path, capsys):
         # the schema checks only keys and kinds; these rules are stated by the classes built from the values
@@ -557,11 +558,10 @@ class TestFit:
     def test_missing_data_file_is_config_error(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "absent.csv"), "--out-dir", str(tmp_path / "o")]) == 2
 
-    def test_non_convergence_exits_4_with_outputs(self, tmp_path):
-        document = {"fit": {"max_iterations": 3}}
-        config = write_config(tmp_path, document)
+    def test_non_convergence_exits_4_with_outputs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("idmodds.fit"), "_MAX_EVALUATIONS", 3)
         out = tmp_path / "out"
-        code = main(["fit", "--config", config, "--out-dir", str(out)])
+        code = main(["fit", "--out-dir", str(out)])
         assert code == 4
         result = json.loads((out / "fit_result.json").read_text())
         assert result["converged"] is False
@@ -572,6 +572,13 @@ class TestFit:
         tight = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=1)
         monkeypatch.setattr(importlib.import_module("idmodds.fit"), "_FIT_QUADRATURE", tight)
         assert main(["fit", "--out-dir", str(tmp_path / "o")]) == 3
+
+    def test_plan_far_from_adaptive_quadrature_exits_3(self, tmp_path, monkeypatch, capsys):
+        # two Gauss-Legendre points per lookback piece leave the plan far from the adaptive check at the optimum
+        monkeypatch.setattr(importlib.import_module("idmodds.fit"), "_PLAN_RULE", leggauss(2))
+        assert main(["fit", "--out-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: likelihood quadrature deviates from adaptive quadrature")
 
     def test_manifest_records_quadrature_gap(self, tmp_path):
         out = tmp_path / "out"
@@ -785,6 +792,26 @@ class TestCrosscheck:
     def test_negative_step_is_config_error(self, tmp_path):
         assert main(["crosscheck", "--h", "-0.1", "--out-dir", str(tmp_path / "o")]) == 2
 
+    def test_exponential_model_computes_its_pseudo_convolution_odds_once(self, tmp_path, monkeypatch):
+        # an exponential model is its own companion, so its special case is checked against the triangle's odds
+        cli = importlib.import_module("idmodds.cli")
+        calls = []
+        lone = cli.prevalence_odds_pseudo_convolution
+
+        def counted(*args):
+            calls.append(args)
+            return lone(*args)
+
+        monkeypatch.setattr(cli, "prevalence_odds_pseudo_convolution", counted)
+        out = tmp_path / "o"
+        config = write_config(tmp_path, {"incidence": {"family": "exponential"}})
+        assert main(["crosscheck", "--config", config, "--out-dir", str(out)]) == 0
+        report = json.loads((out / "crosscheck.json").read_text())
+        special = report["exponential_special_case"]
+        assert len(calls) == 1
+        assert special["builtin_companion_model"] is False
+        assert special["odds_general"] == report["formula_triangle"]["odds_pseudo_convolution"]
+
     @pytest.mark.parametrize(
         "document",
         [
@@ -895,6 +922,30 @@ BAD_INPUTS = {
     "fit-overflowing-incidence": ["fit", "--config", "{tmp}/overflow.json"],
     "fit-group-too-old": ["fit", "--data", "{tmp}/ancient.csv"],
     "tabulated-ragged-table": ["evaluate", "--config", "{tmp}/ragged.json"],
+    "config-not-an-object": ["evaluate", "--config", "{tmp}/list.json"],
+    "evaluate-zero-step": ["evaluate", "--step", "0"],
+    "fit-nothing-free": ["fit", "--config", "{tmp}/all_pinned.json"],
+    "simulate-zero-target": ["simulate", "--config", "{tmp}/no_target.json"],
+    "simulate-study-before-births": ["simulate", "--config", "{tmp}/early_study.json"],
+    "fit-csv-short-row": ["fit", "--data", "{tmp}/short_row.csv"],
+    "fit-csv-wrong-index": ["fit", "--data", "{tmp}/wrong_index.csv"],
+    "fit-csv-no-rows": ["fit", "--data", "{tmp}/header_only.csv"],
+    "exponential-nan-parameter": ["evaluate", "--config", "{tmp}/nan_k0.json"],
+    "tabulated-one-point-grid": ["evaluate", "--config", "{tmp}/one_time.json"],
+}
+
+# The refusal each of these inputs must meet, named by a fragment of its message.
+CAUSES = {
+    "config-not-an-object": "configuration must be a JSON object",
+    "evaluate-zero-step": "--step must be positive",
+    "fit-nothing-free": "at least one component must be free",
+    "simulate-zero-target": "target_alive must be positive",
+    "simulate-study-before-births": "cross section must lie after the first birth",
+    "fit-csv-short-row": "line 2: expected 5 fields, got 4",
+    "fit-csv-wrong-index": "line 2: group index must be 1, got 2",
+    "fit-csv-no-rows": "table has no data rows",
+    "exponential-nan-parameter": "incidence parameters must be finite",
+    "tabulated-one-point-grid": "grids must be 1-D with at least two points",
 }
 
 BAD_CONFIGS = {
@@ -904,6 +955,15 @@ BAD_CONFIGS = {
     "overflow.json": b'{"incidence": {"family": "exponential", "k0": 50}}',
     "ancient.csv": b"k,age_lo,age_hi,n,c\n1,40,45,9858,283\n2,45,50,9786,501\n3,50,1e300,9597,781\n",
     "ragged.json": b'{"incidence": {"family": "tabulated", "times": [0, 1], "ages": [0, 1], "table": [[0, 1], [0]]}}',
+    "list.json": b"[1, 2]",
+    "all_pinned.json": b'{"fit": {"fixed_gamma": [0.04, 5.0, 1.0]}}',
+    "no_target.json": b'{"simulation": {"births_per_year": null, "target_alive": 0}}',
+    "early_study.json": b'{"simulation": {"cross_section_time": -1}}',
+    "short_row.csv": b"k,age_lo,age_hi,n,c\n1,40,45,9858\n",
+    "wrong_index.csv": b"k,age_lo,age_hi,n,c\n2,40,45,9858,283\n",
+    "header_only.csv": b"k,age_lo,age_hi,n,c\n",
+    "nan_k0.json": b'{"incidence": {"family": "exponential", "k0": NaN}}',
+    "one_time.json": b'{"incidence": {"family": "tabulated", "times": [0], "ages": [0, 1], "table": [[0, 1]]}}',
 }
 
 # Inputs the configuration admits but the numerics do not: exit 3 with one "numerical failure:" line.
@@ -929,11 +989,12 @@ def run_quietly(argv, tmp_path, capsys):
 
 
 class TestInputErrors:
-    @pytest.mark.parametrize("argv", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
-    def test_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
-        code, err = run_quietly(argv, tmp_path, capsys)
+    @pytest.mark.parametrize("name", list(BAD_INPUTS), ids=list(BAD_INPUTS))
+    def test_exits_2_with_one_error_line(self, name, tmp_path, capsys):
+        code, err = run_quietly(BAD_INPUTS[name], tmp_path, capsys)
         assert code == 2
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert CAUSES.get(name, "") in err
 
     @pytest.mark.parametrize("argv", list(NUMERIC_FAILURES.values()), ids=list(NUMERIC_FAILURES))
     def test_exits_3_with_one_line(self, argv, tmp_path, capsys):
@@ -1053,6 +1114,16 @@ class TestEnvironment:
         monkeypatch.setenv("IDM_ODDS_THREADS", "many")
         config = write_config(tmp_path, TINY_SIM)
         assert main(["simulate", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_simulate_reads_the_thread_limit_before_calibrating(self, monkeypatch, tmp_path, capsys):
+        # the bundled configuration calibrates its births; a negative thread limit is refused before that work
+        def no_calibration(*args):
+            raise AssertionError("calibrated before the thread limit was read")
+
+        monkeypatch.setattr(importlib.import_module("idmodds.cli"), "calibrate_births_per_year", no_calibration)
+        monkeypatch.setenv("IDM_ODDS_THREADS", "-1")
+        assert main(["simulate", "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: IDM_ODDS_THREADS must be >= 0\n"
 
     def test_bad_config_path_is_config_error(self, tmp_path):
         assert main(["evaluate", "--config", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path / "o")]) == 2

@@ -18,6 +18,7 @@ from idmodds.prevalence import (
     AgeProfile,
     PrevalenceResult,
     _lookback_edges,
+    _nonnegative_odds,
     _odds_at,
     _odds_kernel,
     _onset_flow,
@@ -581,8 +582,37 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             reconstruct_incidence(p0, p0, lambda t, a: 0.0, lambda t, a: 0.0)
 
+    def test_gap_beyond_the_age_range_rejected(self):
+        ages = np.array([40.0, 41.0, 42.0])
+        p0 = AgeProfile(100.0, ages, np.full(3, 0.1))
+        p1 = AgeProfile(105.0, ages, np.full(3, 0.1))
+        with pytest.raises(ValueError, match="time gap exceeds the age range"):
+            reconstruct_incidence(p0, p1, lambda t, a: 0.0, lambda t, a: 0.0)
+
 
 class TestProfiles:
+    @pytest.mark.parametrize(
+        "ages, values", [([40.0, 41.0], [0.1]), ([[40.0, 41.0]], [[0.1, 0.1]])], ids=["unequal", "two-dimensional"]
+    )
+    def test_age_profile_needs_matching_one_dimensional_arrays(self, ages, values):
+        with pytest.raises(ValueError, match="matching 1-D arrays"):
+            AgeProfile(100.0, ages, values)
+
+    def test_negative_age_rejected(self, model):
+        with pytest.raises(ValueError, match="age must be nonnegative"):
+            prevalence(model, 100.0, -1.0)
+        with pytest.raises(ValueError, match="age must be nonnegative"):
+            cross_section_profile(model, 100.0, [40.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1e-300], ids=["infinite", "nan", "negative"])
+    def test_odds_must_be_finite_and_nonnegative(self, bad):
+        # no odds route was found to reach this: an exponential incidence steep enough to overflow the
+        # odds first sends a non-finite value through the integrand, which the quadrature refuses
+        with pytest.raises(ValueError, match="odds must be finite and nonnegative, got .* at age 50"):
+            _nonnegative_odds(np.array([0.5, bad]), np.array([40.0, 50.0]))
+        odds = np.array([0.0, 0.5])
+        assert _nonnegative_odds(odds, np.array([40.0, 50.0])) is odds
+
     @pytest.mark.parametrize("family", ["positive_part", "exponential", "tabulated"])
     @pytest.mark.parametrize("kind", ["prevalence", "odds"])
     def test_several_times_match_lone_profiles(self, model, family, kind):

@@ -296,6 +296,11 @@ def test_batch_rejects_bad_arguments_before_any_call(lo, hi, breakpoints):
     assert calls == []
 
 
+def test_batch_rejects_unequal_limit_counts():
+    with pytest.raises(ValueError, match="lower and upper limits must have the same length"):
+        adaptive_quad_many(lambda x, k: x, [0.0, 0.0], [1.0])
+
+
 def tied_pieces(x):
     """cos(15 u) on every unit piece [j, j + 1), u = x - j, at amplitude 4 on pieces 40 and 45 and 1 elsewhere.
 

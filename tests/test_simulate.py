@@ -823,6 +823,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 1"):
             AgeGroupTable.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "age_lo, age_hi, n, c",
+        [([40.0], [45.0, 50.0], [1], [0]), ([40.0], [45.0], [1, 2], [0, 0]), ([[40.0]], [[45.0]], [[1]], [[0]])],
+        ids=["ages", "counts", "two-dimensional"],
+    )
+    def test_columns_must_be_matching_one_dimensional_arrays(self, age_lo, age_hi, n, c):
+        with pytest.raises(ValueError, match="table columns must be matching 1-D arrays"):
+            AgeGroupTable(100.0, age_lo, age_hi, n, c)
+
     def test_count_invariant_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("k,age_lo,age_hi,n,c\n1,40.0,45.0,5,100\n")
