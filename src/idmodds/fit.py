@@ -452,7 +452,7 @@ def _simplex_search(objective, x0, lo, hi, max_evaluations: int) -> _Search:
     value within _FATOL of the best, and ``success`` says it stopped so.  The
     whole initial simplex is always evaluated, and ``max_evaluations`` is
     checked only between iterations: the search stops at the first iteration
-    end with that many evaluations spent.  Vertices are ordered by np.argsort
+    end with that many evaluations spent.  Vertices are ordered by argsort
     and ``fun`` is np.min of the final values, so ties, infinities and NaN fall
     as in scipy.
     """
@@ -471,7 +471,7 @@ def _simplex_search(objective, x0, lo, hi, max_evaluations: int) -> _Search:
         return objective(point)
 
     def ordered(simplex, values):
-        order = np.argsort(values).tolist()
+        order = np.array(values).argsort().tolist()
         return [simplex[i] for i in order], [values[i] for i in order]
 
     start = clip([float(v) for v in x0])

@@ -13,11 +13,11 @@ the rule to the new intervals of every integral through shared integrand
 calls ``f(x, k)``, where ``k`` holds the owner of each node, so integrals
 that share an integrand (an age profile of odds, say) pay the per-call cost
 once per sweep rather than once per integral.  No call receives more than
-``MAX_INTERVALS`` intervals (15 nodes each), which bounds the working
-memory of a sweep.  Per-integral sums come from ``np.bincount`` over the
-owners, and every decision stays per integral: its tolerance, round-off
-stop, error share and subdivision budget are those of a lone call, and so
-are its bits.  The breakpoints arrive as an (n, K) array, one NaN-padded
+``MAX_INTERVALS`` = 256 intervals (3840 nodes), which bounds the working
+memory of a sweep whatever the batch size.  Per-integral sums come from
+``np.bincount`` over the owners, and every decision stays per integral: its
+tolerance, round-off stop, error share and subdivision budget are those of a
+lone call, and so are its bits.  The breakpoints arrive as an (n, K) array, one NaN-padded
 row per integral, and the first intervals of the whole batch come from one
 row-wise sort of it.
 :func:`adaptive_quad` is the one-integral call, with an integrand ``f(x)``.
@@ -61,13 +61,13 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-# Most intervals one integrand call receives.  Uncapped, a whole profile's
-# first sweep goes to one call, and the integrands' per-node temporaries grow
-# with it: on the perfbench odds-curves workload (2-core x86-64) that ran
-# rounds about 30% faster but raised the peak RSS from 42 to 47 MB, more than
-# the benchmark's 10% bound.  64 keeps a sweep's working memory small while
-# amortizing the call cost.
-MAX_INTERVALS = 64
+# Most intervals one integrand call receives; each call pays the integrand's ~100 numpy dispatches once.
+# On the perfbench odds-curves workload (2-core x86-64, caps interleaved in one process) the median round
+# took 84 ms at a cap of 64, 72 at 128, 68 at 256, 73 at 512 and 69 uncapped.  Against 64, 256 ran
+# its 25 s runs 22% faster in the median for 1.1% more peak RSS; uncapped, the largest tabulated
+# integrand call grew to 17k nodes and 2.7 MB, four times its size at 256.  The cap bounds a sweep's
+# memory whatever the batch size.
+MAX_INTERVALS = 256
 
 # 15-point Kronrod extension of the 7-point Gauss rule (QUADPACK qk15 constants).
 _XGK = np.array([

@@ -234,17 +234,19 @@ class TabulatedIncidence:
         it = np.searchsorted(self.times[1:-1], t, side="right")
         return it * (len(self.ages) - 1) + np.searchsorted(self.ages[1:-1], a, side="right")
 
-    @staticmethod
-    def _interpolate(corners, t, a):
-        """The interpolant at (t, a) of the cells whose cell-table columns are ``corners``, clamped into each cell."""
-        t0, ht, a0, ha, v00, v01, v10, v11 = corners
-        wt = np.clip((t - t0) / ht, 0.0, 1.0)
-        wa = np.clip((a - a0) / ha, 0.0, 1.0)
-        return v00 * (1 - wt) * (1 - wa) + v01 * (1 - wt) * wa + v10 * wt * (1 - wa) + v11 * wt * wa
+    def _interpolate(self, cell, t, a, back=0.0):
+        """The interpolant at (t - back, a - back) in the cells ``cell``, clamped into each, one table row at a time."""
+        t0, ht, a0, ha, v00, v01, v10, v11 = self._cells
+        wt = np.clip((t - back - t0[cell]) / ht[cell], 0.0, 1.0)
+        wa = np.clip((a - back - a0[cell]) / ha[cell], 0.0, 1.0)
+        out = v00[cell] * (1 - wt) * (1 - wa)
+        for v, w_t, w_a in ((v01, 1 - wt, wa), (v10, wt, 1 - wa), (v11, wt, wa)):
+            out += v[cell] * w_t * w_a
+        return out
 
     def rate(self, t, a):
         t, a = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(a, dtype=float))
-        out = self._interpolate(np.take(self._cells, self._cell_of(t, a), axis=1), t, a)
+        out = self._interpolate(self._cell_of(t, a), t, a)
         return float(out) if out.ndim == 0 else out
 
     def _simpson(self, t, a, lo, hi):
@@ -253,9 +255,11 @@ class TabulatedIncidence:
         The three points are interpolated in the cell that holds the piece's midpoint.
         """
         mid = 0.5 * (hi + lo)
-        corners = np.take(self._cells, self._cell_of(t - mid, a - mid), axis=1)
-        at_lo, at_mid, at_hi = (self._interpolate(corners, t - u, a - u) for u in (lo, mid, hi))
-        return (hi - lo) / 6.0 * (at_lo + 4.0 * at_mid + at_hi)
+        cell = self._cell_of(t - mid, a - mid)
+        total = self._interpolate(cell, t, a, lo)
+        total += 4.0 * self._interpolate(cell, t, a, mid)
+        total += self._interpolate(cell, t, a, hi)
+        return (hi - lo) / 6.0 * total
 
     def lines(self, t, a) -> "_TabulatedLines":
         """The cumulative incidence along the life lines ending at the points (t[k], a[k]), each integrated once."""
@@ -296,10 +300,11 @@ class _TabulatedLines:
 
     def lookback(self, delta, k):
         """Integrals over the last ``delta`` years of the lines ``k``."""
-        edges = self._edges[k]
-        below = np.count_nonzero(edges[:, 1:] < delta[:, None], axis=1)
-        lo = np.take_along_axis(edges, below[:, None], axis=1)[:, 0]
-        return self._prefix[k, below] + self._incidence._simpson(self._t[k], self._a[k], lo, delta)
+        below = np.zeros(len(k), dtype=np.intp)
+        for crossing in self._edges.T[1:]:
+            below += crossing[k] < delta
+        # the partial piece first, so its temporaries are freed before the prefix is gathered (addition commutes)
+        return self._incidence._simpson(self._t[k], self._a[k], self._edges[k, below], delta) + self._prefix[k, below]
 
     def from_birth(self, delta, k):
         """Integrals over the lines ``k`` from their reach, the birth when it is the age, up to ``delta`` years back."""

@@ -39,8 +39,16 @@ from idmodds.prevalence import (
     reconstruct_incidence,
     survivor_fraction,
 )
+from idmodds import quadrature
 from idmodds.fit import _DEFAULT_BOUNDS
-from idmodds.quadrature import _W_KRONROD, DEFAULT_QUADRATURE, EDGE_NODE_OFFSET, QuadratureConfig, adaptive_quad
+from idmodds.quadrature import (
+    _W_KRONROD,
+    DEFAULT_QUADRATURE,
+    EDGE_NODE_OFFSET,
+    MAX_INTERVALS,
+    QuadratureConfig,
+    adaptive_quad,
+)
 from idmodds.rates import (
     ExponentialIncidence,
     GompertzParams,
@@ -630,6 +638,34 @@ class TestProfiles:
             assert profile.time == want.time
             np.testing.assert_array_equal(profile.ages, want.ages)
             np.testing.assert_array_equal(profile.values, want.values)
+
+    @pytest.mark.parametrize("family", ["positive_part", "tabulated"])
+    def test_interval_cap_never_changes_a_bit(self, model, monkeypatch, family):
+        incidence = model.incidence if family == "positive_part" else tabulated_incidence()
+        m = RateModel(incidence, model.m0, model.ratio)
+        ages = np.arange(30.0, 100.0, 1.0)
+        sizes = []
+        batch = quadrature._gk15_batch
+
+        def recorded(f, lo, hi, owner):
+            if len(lo) <= quadrature.MAX_INTERVALS:
+                sizes.append(len(lo))
+            return batch(f, lo, hi, owner)
+
+        monkeypatch.setattr(quadrature, "_gk15_batch", recorded)
+        bits, largest = [], []
+        for cap in (1, 64, MAX_INTERVALS):
+            monkeypatch.setattr(quadrature, "MAX_INTERVALS", cap)
+            sizes.clear()
+            values = [cross_section_profile(m, 100.0, ages, "odds", method).values
+                      for method in ("pseudo_convolution", "keiding", "cohort_ratio")]
+            if family == "tabulated":
+                values.append(effective_diseased_mortality(m, 100.0, ages))
+            bits.append([v.tobytes() for v in values])
+            largest.append(max(sizes))
+        assert bits[0] == bits[1] == bits[2]
+        # every cap bound its calls, and the largest cap took more intervals per call than 64
+        assert largest[0] == 1 and largest[1] == 64 and 64 < largest[2] <= MAX_INTERVALS
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -258,18 +258,19 @@ def test_empty_batch_returns_empty_array():
 
 
 def test_large_batch_respects_interval_cap():
-    # 40 integrals with 5 pieces each: 200 intervals in the first sweep
+    # MAX_INTERVALS integrals with 5 pieces each: the first sweep needs 5 full calls
+    n = MAX_INTERVALS
     sizes = []
 
     def f(x, k):
         sizes.append(len(x))
         return np.sin(x + k)
 
-    lo = np.zeros(40)
-    hi = np.full(40, 5.0)
-    got = adaptive_quad_many(f, lo, hi, breakpoints=np.tile([1.0, 2.0, 3.0, 4.0], (40, 1)))
+    lo = np.zeros(n)
+    hi = np.full(n, 5.0)
+    got = adaptive_quad_many(f, lo, hi, breakpoints=np.tile([1.0, 2.0, 3.0, 4.0], (n, 1)))
     assert len(sizes) > 3 and max(sizes) <= MAX_INTERVALS * 15
-    np.testing.assert_allclose(got, np.cos(np.arange(40)) - np.cos(5.0 + np.arange(40)), rtol=1e-12)
+    np.testing.assert_allclose(got, np.cos(np.arange(n)) - np.cos(5.0 + np.arange(n)), rtol=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from idmodds.rates import (
     RatioHorizonError,
     TabulatedIncidence,
     _GatheredLines,
+    _TabulatedLines,
     _poly_exp_integrals,
     reference_rate_model,
 )
@@ -466,6 +467,82 @@ class TestTabulatedKernel:
         tab = TabulatedIncidence(np.array([0.0, 50.0]), np.array([10.0, 20.5]), np.zeros((2, 2)))
         assert tab.kink_times == (0.0, 50.0) and tab.kink_ages == (10.0, 20.5)
         assert all(type(x) is float for x in tab.kink_times + tab.kink_ages)
+
+
+def eight_row_interpolant(tab, cell, t, a):
+    """The interpolant from all eight cell-table rows gathered at once, as before the row-at-a-time form (the oracle)."""
+    t0, ht, a0, ha, v00, v01, v10, v11 = np.take(tab._cells, cell, axis=1)
+    wt = np.clip((t - t0) / ht, 0.0, 1.0)
+    wa = np.clip((a - a0) / ha, 0.0, 1.0)
+    return v00 * (1 - wt) * (1 - wa) + v01 * (1 - wt) * wa + v10 * wt * (1 - wa) + v11 * wt * wa
+
+
+def eight_row_simpson(tab, t, a, lo, hi):
+    """Simpson's rule on each piece through the eight-row interpolant, as before (the oracle)."""
+    mid = 0.5 * (hi + lo)
+    cell = tab._cell_of(t - mid, a - mid)
+    at_lo, at_mid, at_hi = (eight_row_interpolant(tab, cell, t - u, a - u) for u in (lo, mid, hi))
+    return (hi - lo) / 6.0 * (at_lo + 4.0 * at_mid + at_hi)
+
+
+def edge_block_lookback(lines, prefix, delta, k):
+    """A line table's lookbacks through the gathered (n, w+1) block of edge rows, as before (the oracle)."""
+    edges = lines._edges[k]
+    below = np.count_nonzero(edges[:, 1:] < delta[:, None], axis=1)
+    lo = np.take_along_axis(edges, below[:, None], axis=1)[:, 0]
+    return prefix[k, below] + eight_row_simpson(lines._incidence, lines._t[k], lines._a[k], lo, delta)
+
+
+def eight_row_prefix(lines):
+    """Running sums of a line table's pieces between consecutive edges, by the eight-row Simpson's rule."""
+    t, a, edges = lines._t[:, None], lines._a[:, None], lines._edges
+    pieces = eight_row_simpson(lines._incidence, t, a, edges[:, :-1], edges[:, 1:])
+    return np.column_stack((np.zeros(len(edges)), np.cumsum(pieces, axis=1)))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestRowAtATimeInterpolation:
+    """The interpolant read from the cell table a row at a time keeps the eight-row formula's bits."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_rate_and_line_table_match_eight_row_formula(self, data):
+        tab = TestTabulatedKernel.draw_incidence(data)
+        times, ages = tab.times.tolist(), tab.ages.tolist()
+        # outside the grid on every side, on its time and age lines, and at its nodes
+        n = data.draw(st.integers(1, 12))
+        t = data.draw(st.lists(st.one_of(st.floats(times[0] - 30.0, times[-1] + 30.0), st.sampled_from(times)),
+                               min_size=n, max_size=n))
+        a = data.draw(st.lists(st.one_of(st.floats(0.0, ages[-1] + 30.0), st.sampled_from(ages)),
+                               min_size=n, max_size=n))
+        nodes_t, nodes_a = np.meshgrid(times, ages, indexing="ij")
+        t, a = np.concatenate((t, nodes_t.ravel())), np.concatenate((a, nodes_a.ravel()))
+        assert_same_bits(tab.rate(t, a), eight_row_interpolant(tab, tab._cell_of(t, a), t, a))
+        for tk, ak in zip(t.tolist(), a.tolist()):
+            got = tab.rate(tk, ak)
+            assert isinstance(got, float)
+            assert_same_bits(got, eight_row_interpolant(tab, tab._cell_of(np.asarray(tk), np.asarray(ak)), tk, ak))
+
+        segments = [TestTabulatedKernel.draw_segment(data, tab) for _ in range(data.draw(st.integers(1, 5)))]
+        t, a, delta = (np.array(column) for column in zip(*segments))
+        lines = _TabulatedLines(tab, t, a, a)
+        prefix = eight_row_prefix(lines)
+        assert_same_bits(lines._prefix, prefix)
+        # the drawn lookback, zero, the whole line and every edge of the line table
+        width = lines._edges.shape[1]
+        k = np.concatenate((np.tile(np.arange(len(a)), 3), np.repeat(np.arange(len(a)), width)))
+        nodes = np.concatenate((delta, np.zeros_like(a), a, lines._edges.ravel()))
+        assert_same_bits(lines.lookback(nodes, k), edge_block_lookback(lines, prefix, nodes, k))
+        # a 0-d segment, integrated up to its own lookback
+        for tk, ak, dk in segments:
+            one = _TabulatedLines(tab, np.array([tk]), np.array([ak]), np.array([dk]))
+            got = tab.cumulative(tk, ak, dk)
+            assert isinstance(got, float)
+            assert_same_bits(got, edge_block_lookback(one, eight_row_prefix(one), np.array([dk]), np.array([0]))[0])
 
 
 class TestValidation:
