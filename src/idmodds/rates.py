@@ -96,7 +96,12 @@ class GompertzParams:
 
     def cumulative(self, t, a, delta):
         """Integral of the rate over the last ``delta`` years of the life line ending at (t, a)."""
-        return (self.rate(t, a) - self.rate(t - delta, a - delta)) / self.slope
+        return self.cumulative_and_rate(t, a, delta)[0]
+
+    def cumulative_and_rate(self, t, a, delta):
+        """:meth:`cumulative` and the rate at (t, a), which it contains, from one evaluation of that rate."""
+        end = self.rate(t, a)
+        return (end - self.rate(t - delta, a - delta)) / self.slope, end
 
 
 @dataclass(frozen=True)
@@ -424,7 +429,8 @@ class RateModel:
 
     # -- cumulative hazards along a life line ending at (t, a) ------------
 
-    def _check_span(self, a, delta):
+    def check_span(self, a, delta):
+        """Raise RateDomainError unless 0 <= delta <= a: a lookback must stay on its life line."""
         delta_arr = np.asarray(delta)
         if np.any(delta_arr < 0.0) or np.any(delta_arr > np.asarray(a)):
             raise RateDomainError("lookback must satisfy 0 <= delta <= a")
@@ -443,17 +449,22 @@ class RateModel:
             )
 
     def cumulative_m0(self, t, a, delta):
-        self._check_span(a, delta)
+        self.check_span(a, delta)
         return self.m0.cumulative(t, a, delta)
 
     def cumulative_incidence(self, t, a, delta):
-        self._check_span(a, delta)
+        self.check_span(a, delta)
         return self.incidence.cumulative(t, a, delta)
 
     def cumulative_exit(self, t, a, delta):
         """Cumulative hazard of leaving the healthy state, by death or onset, over the last ``delta`` years."""
-        self._check_span(a, delta)
+        self.check_span(a, delta)
         return self.m0.cumulative(t, a, delta) + self.incidence.cumulative(t, a, delta)
+
+    def exit_hazard_rate(self, t, a, delta):
+        """Unchecked :meth:`cumulative_exit` and its slope in ``delta``, the exit rate m0 + i at (t, a), sharing m0."""
+        m0_cumulative, m0_rate = self.m0.cumulative_and_rate(t, a, delta)
+        return m0_cumulative + self.incidence.cumulative(t, a, delta), m0_rate + self.incidence.rate(t, a)
 
     def exit_lines(self, t, a) -> "_ExitLines":
         """The healthy-exit hazard CM0 + CI along the life lines ending at the points (t[k], a[k]).
@@ -472,7 +483,7 @@ class RateModel:
         combined with the coefficients of R, which must be positive up to
         the longest ``d`` (:meth:`check_ratio`).
         """
-        self._check_span(a, d)
+        self.check_span(a, d)
         self.check_ratio(d)
         return self.course_hazard(t, a, d)
 
@@ -481,6 +492,10 @@ class RateModel:
         c0, c1, c2 = self.ratio.coefficients
         base, (j0, j1, j2) = course_moments(self.m0, t, a, d)
         return base * (c2 * j2 + c1 * j1 + c0 * j0)
+
+    def course_hazard_rate(self, t, a, d):
+        """Unchecked :meth:`course_hazard` and its slope in ``d``, the diseased mortality m0 R at (t, a)."""
+        return self.course_hazard(t, a, d), self.m0.rate(t, a) * self.ratio.ratio(d)
 
 
 class _ExitLines:

@@ -264,44 +264,45 @@ _MAX_LIVES = 10_000_000
 _MAX_SPAN = 2.0**52
 
 
-def _invert(value_at, rate_at, target, cap):
-    """Solve value_at(i, s) = target[i] for s in [0, cap[i]] for all lives i; NaN where the cap is never reached.
+def _invert(hazard_at, target, cap):
+    """Solve H(i, s) = target[i] for s in [0, cap[i]] for all lives i; NaN where the cap is never reached.
 
-    Newton iteration clipped to a shrinking bracket, with bisection whenever
-    the step leaves it.  Each life stops on its own, at a Newton step or a
-    bracket shorter than ``_TOL``, and only the unfinished ones are
-    evaluated again.  ``value_at`` must be nondecreasing in ``s`` with value
-    0 at ``s = 0``; ``rate_at`` is its derivative.
+    ``hazard_at(i, s)`` returns H at ``s`` for the lives ``i`` and its slope
+    in ``s``; H must be nondecreasing, and at most the target at ``s = 0``.
+    Newton steps on log H - log target, which an exponential hazard makes
+    nearly linear, start at the cap from the values that picked the lives
+    reaching their targets there.  They are clipped to a shrinking bracket,
+    with bisection whenever a step leaves it or is not finite, as at a zero
+    slope or a zero H.  Each life stops on its own, at a step shorter than
+    ``_TOL`` years or a bracket shorter than ``_TOL``, and only the
+    unfinished ones are evaluated again.
     """
     out = np.full(target.shape, np.nan)
-    live = np.flatnonzero(value_at(np.arange(target.size), cap) - target >= 0.0)
-    lo = np.zeros(live.size)
-    hi = cap[live]
-    s = 0.5 * hi
+    value, slope = hazard_at(np.arange(target.size), cap)
+    live = np.flatnonzero(value >= target)
+    value, slope, goal, s = value[live], slope[live], target[live], cap[live]
+    lo, hi = np.zeros(live.size), s
     for _ in range(_MAX_STEPS):
-        if live.size == 0:
-            return out
-        f = value_at(live, s) - target[live]
-        below = f < 0.0
+        below = value < goal
         lo = np.where(below, s, lo)
         hi = np.where(below, hi, s)
-        slope = rate_at(live, s)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = f / slope
+            step = np.log(value / goal) * value / slope
             candidate = s - step
         # a step that lands on the root can fall on a bracket end, which still counts
-        converged = (slope > 0.0) & (np.abs(step) < _TOL)
-        newton = converged | ((slope > 0.0) & (lo < candidate) & (candidate < hi))
-        s = np.where(newton, np.clip(candidate, lo, hi), 0.5 * (lo + hi))
-        done = np.where(newton, converged, hi - lo < _TOL)
+        converged = (positive := slope > 0.0) & (np.abs(step) < _TOL)
+        newton = converged | (positive & (lo < candidate) & (candidate < hi))
+        s = np.where(newton, np.minimum(np.maximum(candidate, lo), hi), 0.5 * (lo + hi))
+        done = converged | (~newton & (hi - lo < _TOL))
         out[live[done]] = s[done]
-        busy = ~done
-        live, s, lo, hi = live[busy], s[busy], lo[busy], hi[busy]
-    if live.size:
-        raise SamplerConvergenceError(
-            f"hazard inversion did not converge within {_MAX_STEPS} iterations for {live.size} lives"
-        )
-    return out
+        busy = np.flatnonzero(~done)
+        live, s, lo, hi, goal = live[busy], s[busy], lo[busy], hi[busy], goal[busy]
+        if live.size == 0:
+            return out
+        value, slope = hazard_at(live, s)
+    raise SamplerConvergenceError(
+        f"hazard inversion did not converge within {_MAX_STEPS} iterations for {live.size} lives"
+    )
 
 
 def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draws, end_age):
@@ -313,18 +314,15 @@ def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draw
     course's cumulative diseased mortality at its duration draw.  A life
     whose hazard stays below the draw until its ``end_age`` (a scalar or one
     age per life) is censored there.  All lives are solved as one batch, so
-    the caller bounds its size.  Raises RatioHorizonError when the mortality
-    ratio is not positive on the durations the courses reach, which end at
-    ``end_age``.
+    the caller bounds its size.  No step reaches past ``end_age``, so it is
+    checked once: RateDomainError when negative.  Raises RatioHorizonError
+    when the mortality ratio is not positive on the durations the courses
+    reach, which end at ``end_age``.
     """
     end_age = np.broadcast_to(np.asarray(end_age, dtype=float), birth.shape)
+    model.check_span(end_age, end_age)
     onset, death = np.full((2, birth.size), np.nan)
-    first_exit = _invert(
-        lambda i, s: model.cumulative_exit(birth[i] + s, s, s),
-        lambda i, s: model.mortality_healthy(birth[i] + s, s) + model.incidence_rate(birth[i] + s, s),
-        exit_draws,
-        end_age,
-    )
+    first_exit = _invert(lambda i, s: model.exit_hazard_rate(birth[i] + s, s, s), exit_draws, end_age)
     exited = np.flatnonzero(~np.isnan(first_exit))
     age = first_exit[exited]
     when = birth[exited] + age
@@ -347,12 +345,7 @@ def _course_durations(model: RateModel, onset_time, onset_age, draws, end_age):
     """
     caps = end_age - onset_age
     model.check_ratio(caps)
-    return _invert(
-        lambda i, d: model.course_hazard(onset_time[i] + d, onset_age[i] + d, d),
-        lambda i, d: model.mortality_healthy(onset_time[i] + d, onset_age[i] + d) * model.ratio.ratio(d),
-        draws,
-        caps,
-    )
+    return _invert(lambda i, d: model.course_hazard_rate(onset_time[i] + d, onset_age[i] + d, d), draws, caps)
 
 
 def calibrate_births_per_year(model: RateModel, config: SimConfig) -> float:
@@ -412,7 +405,9 @@ def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
     solved; only those whose age at the cross-section lies in a group are
     solved and kept, since no table counts the others.  Each is followed
     until the cross-section; an onset or death after it is NaN, like one
-    that never happens.  Raises StudySizeError, before any draw, when the
+    that never happens.  The ledger's columns are the front of the birth,
+    exit-draw and duration-draw arrays: each chunk's held lives are written
+    over draws already read.  Raises StudySizeError, before any draw, when the
     births over the window up to the cross-section exceed the cap on lives
     or span too many years.  Raises RatioHorizonError when the mortality
     ratio is not positive on the durations the solved courses reach: at
@@ -431,7 +426,7 @@ def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
     rng = np.random.default_rng(config.rng_seed)
     birth = _birth_schedule(lo, span, births_per_year, rng)
     draws = (birth, rng.exponential(size=birth.size), rng.random(birth.size), rng.exponential(size=birth.size))
-    onset, death = np.full((2, birth.size), np.nan)
+    onset, death = draws[1], draws[3]
     kept = 0
     for start in range(0, birth.size, _CHUNK):
         part = slice(start, start + _CHUNK)
@@ -439,9 +434,9 @@ def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
         held = np.flatnonzero(np.logical_or.reduce([_in_group(age, glo, ghi) for glo, ghi in config.age_groups]))
         born, exits, types, durations = (column[part][held] for column in draws)
         rows = slice(kept, kept + held.size)
-        # no study sees an event after the cross-section, so no life is followed past it
+        # held lives move to the front, over draws that this chunk or an earlier one has read; no study sees
+        # an event after the cross-section, so no life is followed past it
         onset[rows], death[rows] = _life_courses(model, born, exits, types, durations, age[held])
-        # held births move to the front, over births that this chunk or an earlier one has read
         birth[rows] = born
         kept = rows.stop
     return PopulationLedger(birth[:kept], onset[:kept], death[:kept])

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import idmodds.simulate
 from idmodds.fit import group_prevalence
 from idmodds.prevalence import diseased_population, healthy_population, survivor_fraction
 from idmodds.quadrature import adaptive_quad
@@ -20,6 +21,7 @@ from idmodds.rates import (
     GompertzParams,
     MortalityRatioParams,
     PositivePartIncidence,
+    RateDomainError,
     RateModel,
     RatioHorizonError,
     TabulatedIncidence,
@@ -30,8 +32,10 @@ from idmodds.simulate import (
     AgeGroupTable,
     EmptyStudyError,
     PopulationLedger,
+    SamplerConvergenceError,
     SimConfig,
     StudySizeError,
+    _TOL,
     _birth_schedule,
     _course_durations,
     _invert,
@@ -72,21 +76,82 @@ def zero_rate_model():
     )
 
 
+# Birth rate that calibrates the reference study to its expected 74 388 alive in the age groups.
+CALIBRATED_BIRTHS = 1985.0888100629938
+
+# Hazards with their slopes, each with a target, a cap and the root, whose log-scale Newton step
+# needs a safeguard: a vertex (zero slope inside), a hazard that is 0 below 1.5 (log 0) and a
+# linear hazard whose first step from the cap overshoots below 0.
+SAFEGUARD_CASES = {
+    "vertex": (lambda s: ((s - 2.0) ** 3 + 8.0, 3.0 * (s - 2.0) ** 2), 0.5, 4.0, 2.0 - 7.5 ** (1.0 / 3.0)),
+    "zero_below": (lambda s: (np.maximum(s - 1.5, 0.0) ** 2, 2.0 * np.maximum(s - 1.5, 0.0)), 1e-4, 4.0, 1.51),
+    "linear": (lambda s: (s.copy(), np.ones_like(s)), 0.01, 10.0, 0.01),
+}
+
+
 class TestInvert:
     def test_newton_step_onto_the_root_stops(self):
-        # the first Newton step of a linear value lands exactly on each target, which is
-        # also the bracket's upper end; the solve must stop there instead of bisecting on
+        # 2**s is linear on the log scale, so the first step from the cap lands exactly on
+        # each root, which the next evaluation finds at the bracket's upper end; the third
+        # target is the value at the cap.  Each solve must stop there instead of bisecting on.
         calls = []
 
-        def value_at(i, s):
+        def hazard_at(i, s):
             calls.append(i.size)
-            return np.array(s, dtype=float)
+            return 2.0**s, math.log(2.0) * 2.0**s
 
-        target = np.array([3.0, 1.25, 8.75])
-        out = _invert(value_at, lambda i, s: np.ones(i.size), target, np.full(target.size, 10.0))
-        np.testing.assert_array_equal(out, target)
-        # one call to screen the caps, one at the bracket midpoint, one at the root
-        assert len(calls) <= 3
+        out = _invert(hazard_at, 2.0 ** np.array([9.0, 8.0, 10.0]), np.full(3, 10.0))
+        np.testing.assert_array_equal(out, [9.0, 8.0, 10.0])
+        # one call to screen the caps, one at the two roots
+        assert calls == [3, 2]
+
+    @pytest.mark.parametrize("case", SAFEGUARD_CASES)
+    def test_log_step_safeguards_converge(self, case):
+        # the bisection fallback takes over from steps that are infinite, NaN or outside the
+        # bracket, with no RuntimeWarning (an error under the test settings)
+        hazard, target, cap, root = SAFEGUARD_CASES[case]
+        points = []
+
+        def hazard_at(i, s):
+            points.append(s.copy())
+            return hazard(s)
+
+        (out,) = _invert(hazard_at, np.array([target]), np.array([cap]))
+        assert abs(out - root) <= _TOL
+        value, slope = hazard(np.concatenate(points))
+        # each case reached the state it is named for
+        reached = {"vertex": slope == 0.0, "zero_below": value == 0.0, "linear": value == 5.0}
+        assert reached[case].any()
+
+    def test_step_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(idmodds.simulate, "_MAX_STEPS", 3)
+        hazard, target, cap, _ = SAFEGUARD_CASES["linear"]
+        with pytest.raises(SamplerConvergenceError, match="within 3 iterations for 1 lives"):
+            _invert(lambda i, s: hazard(s), np.array([target]), np.array([cap]))
+
+    def test_negative_follow_up_age_is_domain_error(self):
+        # the lookbacks are checked once, on the follow-up ages, not at each step
+        draws = np.array([1.0, 1.0]), np.array([0.5, 0.5]), np.array([1.0, 1.0])
+        with pytest.raises(RateDomainError, match="lookback"):
+            _life_courses(reference_rate_model(), np.array([10.0, 20.0]), *draws, np.array([50.0, -1.0]))
+
+    def test_hazard_evaluations_per_held_life(self, monkeypatch):
+        # a work count, not a timing: every hazard evaluation of one life counts once, and the
+        # seed-3 reference study takes 3.20 per held life (4.59 with plain Newton from half the cap)
+        evaluations = 0
+        invert = idmodds.simulate._invert
+
+        def counted(hazard_at, target, cap):
+            def hazard(i, s):
+                nonlocal evaluations
+                evaluations += i.size
+                return hazard_at(i, s)
+
+            return invert(hazard, target, cap)
+
+        monkeypatch.setattr(idmodds.simulate, "_invert", counted)
+        ledger = run_simulation(reference_rate_model(), SimConfig(births_per_year=CALIBRATED_BIRTHS, rng_seed=3))
+        assert evaluations <= 3.4 * len(ledger)
 
 
 class TestSampleLife:
