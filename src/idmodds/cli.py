@@ -70,14 +70,9 @@ _INPUT_ERRORS = (
     OSError,
 )
 
-_NUMERIC_ERRORS = (
-    QuadratureError,
-    SamplerConvergenceError,
-    FloatingPointError,
-    np.linalg.LinAlgError,
-    ZeroDivisionError,
-    OverflowError,
-)
+# ArithmeticError covers FloatingPointError, ZeroDivisionError and OverflowError; numpy's
+# LinAlgError is a ValueError, which main catches with the other numerical failures
+_NUMERIC_ERRORS = (QuadratureError, SamplerConvergenceError, ArithmeticError)
 
 
 # Most ages one `evaluate` grid may hold, checked before anything is allocated.

@@ -187,18 +187,21 @@ def healthy_population(model: RateModel, t, a):
     return _shaped(survivor_fraction(model, t, a, a), shape)
 
 
-def _onset_flow(model: RateModel, t, a, exit_here):
-    """Case density times exp(``exit_here``), as a batch integrand over duration.
+def _onset_flow(model: RateModel, t, a, per_survivor: bool):
+    """Case density, over the healthy survivor fraction if ``per_survivor``, as a batch integrand over duration.
 
     ``density(d, k)`` is the flow into disease at (t[k] - d, a[k] - d) times
-    survival with disease to (t[k], a[k]), scaled by exp(exit_here[k]).  The
-    scale and the three cumulative hazards form one exponent, so long life
-    lines cannot underflow stepwise and the product stays finite where both
-    factors do not.  The exit hazards come from one
-    :meth:`~idmodds.rates.RateModel.exit_lines` batch; R must have been
+    survival with disease to (t[k], a[k]).  The exit hazards come from one
+    :meth:`~idmodds.rates.RateModel.exit_lines` batch, whose whole line,
+    ``from_birth`` at lookback 0, gives the survivor fraction divided out.
+    That and the three cumulative hazards form one exponent, so long life
+    lines cannot underflow stepwise and the density over the survivor
+    fraction stays finite where each alone does not.  R must have been
     checked on [0, a].
     """
     exits = model.exit_lines(t, a)
+    n = len(a)
+    exit_here = exits.from_birth(np.zeros(n), np.arange(n)) if per_survivor else np.zeros(n)
 
     def density(d, k):
         tk, ak = t[k], a[k]
@@ -206,11 +209,6 @@ def _onset_flow(model: RateModel, t, a, exit_here):
         return model.incidence_rate(tk - d, ak - d) * np.exp(exponent)
 
     return density
-
-
-def _surviving_onsets(model: RateModel, t, a):
-    """Case density over the healthy survivor fraction, as a batch integrand over duration (see :func:`_onset_flow`)."""
-    return _onset_flow(model, t, a, model.cumulative_exit(t, a, a))
 
 
 def diseased_population(model: RateModel, t, a):
@@ -221,7 +219,7 @@ def diseased_population(model: RateModel, t, a):
     scalar point.
     """
     t, a, shape = _points(t, a)
-    return _shaped(_over_lookback(model, t, a, _onset_flow(model, t, a, np.zeros(len(a))), DEFAULT_QUADRATURE), shape)
+    return _shaped(_over_lookback(model, t, a, _onset_flow(model, t, a, False), DEFAULT_QUADRATURE), shape)
 
 
 def effective_diseased_mortality(model: RateModel, t, a, quadrature: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -238,17 +236,16 @@ def effective_diseased_mortality(model: RateModel, t, a, quadrature: QuadratureC
     if model.ratio.gamma1 == 0.0:
         model.check_ratio(a)
         return _shaped(base * model.ratio.gamma3, shape)
-    # integrals 0..n-1 count the cases, n..2n-1 weight them by the mortality ratio; both are
-    # scaled by one over the healthy survivor fraction, which cancels in their ratio
+    # integrals 0..n-1 count the cases, n..2n-1 weight them by the mortality ratio, both on the
+    # n points' lines; both are scaled by one over the healthy survivor fraction, which cancels in their ratio
     n = len(a)
-    t2, a2 = np.tile(t, 2), np.tile(a, 2)
-    density = _surviving_onsets(model, t2, a2)
+    density = _onset_flow(model, t, a, True)
 
     def integrand(d, k):
-        value = density(d, k)
+        value = density(d, k % n)
         return np.where(k < n, value, model.ratio.ratio(d) * value)
 
-    total, weighted = np.split(_over_lookback(model, t2, a2, integrand, quadrature), 2)
+    total, weighted = np.split(_over_lookback(model, np.tile(t, 2), np.tile(a, 2), integrand, quadrature), 2)
     cases = total > 0.0
     return _shaped(np.where(cases, base * weighted / np.where(cases, total, 1.0), 0.0), shape)
 
@@ -281,7 +278,7 @@ def _odds_at(model: RateModel, t, ages, method: str, quadrature: QuadratureConfi
     if method == "keiding":
         # onset flow times survival with disease up to age a, over the onset age y,
         # divided by the healthy survivor fraction at a
-        flow = _surviving_onsets(model, t, a)
+        flow = _onset_flow(model, t, a, True)
         # the lookback edges mapped through y = a - delta: the same kinks and recent-onset layer
         edges = a[:, None] - _lookback_edges(inc, t, a, _onset_rate(model, t, a))
         return adaptive_quad_many(lambda y, k: flow(a[k] - y, k), np.zeros(len(a)), a, quadrature, edges)
@@ -304,7 +301,7 @@ def _odds_at(model: RateModel, t, ages, method: str, quadrature: QuadratureConfi
 
         return front * _over_lookback(model, t, a, factor, quadrature)
     # diseased over healthy cohort counts, the survivor fraction divided out under the integral
-    return _over_lookback(model, t, a, _surviving_onsets(model, t, a), quadrature)
+    return _over_lookback(model, t, a, _onset_flow(model, t, a, True), quadrature)
 
 
 def prevalence_odds_keiding(model: RateModel, t: float, a: float) -> PrevalenceResult:

@@ -934,7 +934,7 @@ BAD_INPUTS = {
     "tabulated-one-point-grid": ["evaluate", "--config", "{tmp}/one_time.json"],
 }
 
-# The refusal each of these inputs must meet, named by a fragment of its message.
+# The refusal each of these inputs, or of NUMERIC_FAILURES below, must meet, named by a fragment of its message.
 CAUSES = {
     "config-not-an-object": "configuration must be a JSON object",
     "evaluate-zero-step": "--step must be positive",
@@ -946,6 +946,8 @@ CAUSES = {
     "fit-csv-no-rows": "table has no data rows",
     "exponential-nan-parameter": "incidence parameters must be finite",
     "tabulated-one-point-grid": "grids must be 1-D with at least two points",
+    "evaluate-odds-sum-overflow": "odds must be finite and nonnegative, got inf at age 140",
+    "crosscheck-odds-sum-overflow": "odds must be finite and nonnegative, got inf at age 140",
 }
 
 BAD_CONFIGS = {
@@ -964,6 +966,18 @@ BAD_CONFIGS = {
     "header_only.csv": b"k,age_lo,age_hi,n,c\n",
     "nan_k0.json": b'{"incidence": {"family": "exponential", "k0": NaN}}',
     "one_time.json": b'{"incidence": {"family": "tabulated", "times": [0], "ages": [0, 1], "table": [[0, 1]]}}',
+    # the healthy exit balances m1 on the old part of each life line, so the odds kernel plateaus near
+    # e**704: the integrand stays finite, but its sum overflows
+    "plateau.json": json.dumps({
+        "incidence": {
+            "family": "tabulated",
+            "times": [-1000.0, 1000.0],
+            "ages": [*range(0, 120, 5), 119.999, 120, 125, 130, 135, 140, 200],
+            "table": [[10.0] * 25 + [45.2] * 6] * 2,
+        },
+        "m0": {"xi1": -50.0, "xi2": 1e-9, "xi3": 0.0},
+        "ratio": {"gamma1": 0.0, "gamma2": 5.0, "gamma3": 10.0 / math.exp(-50.0)},
+    }).encode(),
 }
 
 # Inputs the configuration admits but the numerics do not: exit 3 with one "numerical failure:" line.
@@ -971,6 +985,9 @@ NUMERIC_FAILURES = {
     "evaluate-ages-beyond-survival": ["evaluate", "--age-min", "0", "--age-max", "5000", "--step", "100"],
     # the onset layer's edge count, log2(m1 * age), overflows here
     "evaluate-onset-layer-overflow": ["evaluate", "--age-min", "7130", "--age-max", "7131", "--step", "1"],
+    "evaluate-odds-sum-overflow": ["evaluate", "--config", "{tmp}/plateau.json", "--age-min", "139", "--age-max", "140",
+                                   "--step", "1"],
+    "crosscheck-odds-sum-overflow": ["crosscheck", "--config", "{tmp}/plateau.json", "--age", "140"],
 }
 
 
@@ -996,13 +1013,25 @@ class TestInputErrors:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert CAUSES.get(name, "") in err
 
-    @pytest.mark.parametrize("argv", list(NUMERIC_FAILURES.values()), ids=list(NUMERIC_FAILURES))
-    def test_exits_3_with_one_line(self, argv, tmp_path, capsys):
-        code, err = run_quietly(argv, tmp_path, capsys)
+    @pytest.mark.parametrize("name", list(NUMERIC_FAILURES), ids=list(NUMERIC_FAILURES))
+    def test_exits_3_with_one_line(self, name, tmp_path, capsys):
+        code, err = run_quietly(NUMERIC_FAILURES[name], tmp_path, capsys)
         assert code == 3
         assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+        assert CAUSES.get(name, "") in err
         # a conversion error leaking from inside the numerics names no cause the user can act on
         assert "cannot convert" not in err
+
+    @pytest.mark.parametrize(
+        "error", [FloatingPointError, np.linalg.LinAlgError, ZeroDivisionError, OverflowError, ArithmeticError]
+    )
+    def test_arithmetic_and_linear_algebra_errors_exit_3(self, error, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(importlib.import_module("idmodds.cli"), "cross_section_profile", failing)
+        assert main(["evaluate", "--out-dir", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "numerical failure: boom\n"
 
 
 MANIFEST_KEYS = [

@@ -380,6 +380,40 @@ class TestLikelihoodPlan:
         result = fit(table, config)
         assert math.isfinite(result.loglik) and result.diagnostics["quadrature_gap"] <= 1e-8
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        g1=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        g2=st.floats(0.0, 50.0),
+        g3=st.one_of(st.just(0.0), st.sampled_from([5e-324, 2.2250738585072014e-308]), st.floats(0.0, 1e-300),
+                     st.floats(0.0, 20.0)),
+    )
+    def test_positive_ratio_rule_is_stated_once(self, g1, g2, g3):
+        # RateModel.check_ratio, the plan's minus-infinity rule and the fit's start screen state the
+        # same rule; in the default box R's least value up to the horizon is gamma3, so the rule is its edge
+        config, table = FitConfig(), reference_table()
+        plan = _LikelihoodPlan.build(table, config)
+        assert g2 <= plan.horizon
+        try:
+            config.build_model((g1, g2, g3)).check_ratio([plan.horizon])
+            refused = False
+        except RatioHorizonError:
+            refused = True
+        value = plan.log_likelihood((g1, g2, g3))
+        assert value == -math.inf if refused else math.isfinite(value)
+        # every start clipped onto gamma3, with gamma1 and gamma2 pinned: the screen refuses exactly these
+        screened = FitConfig(bounds=(*_DEFAULT_BOUNDS[:2], (g3 - 1.0, g3)), fixed_gamma=(g1, g2, None))
+
+        class Searched(Exception):
+            pass
+
+        def searched(*args):
+            raise Searched
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(importlib.import_module("idmodds.fit"), "_simplex_search", searched)
+            with pytest.raises(FitInputError if refused else Searched, match="not positive" if refused else None):
+                fit(table, screened)
+
 
 @pytest.fixture(scope="module")
 def reference_fit():

@@ -25,7 +25,6 @@ from idmodds.prevalence import (
     _onset_layer,
     _onset_rate,
     _profiles,
-    _surviving_onsets,
     cross_section_profile,
     diseased_population,
     effective_diseased_mortality,
@@ -138,7 +137,7 @@ class TestHealthyPopulation:
 
 def case_density(model, t, a, d):
     """The density over disease duration ``d`` of the diseased at (t, a): the onset-flow integrand, unscaled."""
-    return float(_onset_flow(model, np.array([t]), np.array([a]), np.zeros(1))(np.array([d]), np.array([0]))[0])
+    return float(_onset_flow(model, np.array([t]), np.array([a]), False)(np.array([d]), np.array([0]))[0])
 
 
 class TestCaseDensity:
@@ -614,12 +613,22 @@ class TestProfiles:
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, -1e-300], ids=["infinite", "nan", "negative"])
     def test_odds_must_be_finite_and_nonnegative(self, bad):
-        # no odds route was found to reach this: an exponential incidence steep enough to overflow the
-        # odds first sends a non-finite value through the integrand, which the quadrature refuses
         with pytest.raises(ValueError, match="odds must be finite and nonnegative, got .* at age 50"):
             _nonnegative_odds(np.array([0.5, bad]), np.array([40.0, 50.0]))
         odds = np.array([0.0, 0.5])
         assert _nonnegative_odds(odds, np.array([40.0, 50.0])) is odds
+
+    @pytest.mark.parametrize("method", ["pseudo_convolution", "cohort_ratio", "keiding"])
+    def test_plateaued_kernel_overflows_the_odds_sum(self, method):
+        # the healthy exit balances m1 on the old part of each life line, so the kernel plateaus near
+        # e**704: every integrand value is finite, but their sum overflows and only the guard refuses it
+        ages = [*range(0, 120, 5), 119.999, 120.0, 125.0, 130.0, 135.0, 140.0, 200.0]
+        rates = [10.0 if age < 120.0 else 45.2 for age in ages]
+        incidence = TabulatedIncidence(np.array([-1000.0, 1000.0]), np.array(ages, dtype=float), np.array([rates] * 2))
+        ratio = MortalityRatioParams(0.0, 5.0, 10.0 / math.exp(-50.0))
+        m = RateModel(incidence, GompertzParams(-50.0, 1e-9, 0.0), ratio)
+        with pytest.raises(ValueError, match="^odds must be finite and nonnegative, got inf at age 140$"):
+            prevalence(m, 100.0, 140.0, method)
 
     @pytest.mark.parametrize("family", ["positive_part", "exponential", "tabulated"])
     @pytest.mark.parametrize("kind", ["prevalence", "odds"])
@@ -891,7 +900,7 @@ def test_keiding_reflected_edges_match_onset_age_oracle(model, points):
     # keiding lays its onset-age edges as a minus the lookback edges; the per-point
     # onset-age rule, a lone integral each, must give the same odds
     for tk, ak in points:
-        flow = _surviving_onsets(model, np.array([tk]), np.array([ak]))
+        flow = _onset_flow(model, np.array([tk]), np.array([ak]), True)
         want = adaptive_quad(
             lambda y: flow(ak - y, np.zeros(len(y), dtype=int)), 0.0, ak,
             breakpoints=scalar_onset_age_breakpoints(model, tk, ak),
