@@ -35,7 +35,6 @@ from idmodds.prevalence import (
     prevalence_odds_keiding,
     prevalence_odds_pseudo_convolution,
     reconstruct_incidence,
-    survivor_fraction,
 )
 from idmodds.simulate import (
     AgeGroupTable,
@@ -81,7 +80,6 @@ __all__ = [
     "prevalence_odds_keiding",
     "prevalence_odds_pseudo_convolution",
     "reconstruct_incidence",
-    "survivor_fraction",
     "AgeGroupTable",
     "PopulationLedger",
     "SimConfig",

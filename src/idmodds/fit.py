@@ -46,6 +46,7 @@ from idmodds.rates import (
     MortalityRatioParams,
     PositivePartIncidence,
     RateModel,
+    _ExitLines,
     course_moments,
     ratio_coefficients,
     reference_rate_model,
@@ -293,9 +294,8 @@ class _LikelihoodPlan:
         empty = np.flatnonzero(np.bincount(owner[keep], minlength=len(ages)) == 0)
         keep[np.searchsorted(owner, empty)] = True
         owner, delta, weighted = owner[keep], delta[keep], weighted[keep]
-        a = ages[owner]
-        exponent = config.incidence.lines(times, ages).lookback(delta, owner) + config.m0.cumulative(t, a, delta)
-        base, integrals = course_moments(config.m0, t, a, delta)
+        exponent = _ExitLines(config.m0, config.incidence, times, ages).lookback(delta, owner)
+        base, integrals = course_moments(config.m0, t, ages[owner], delta)
         moments = base * np.stack(integrals)
         blank = weighted == 0.0
         exponent[blank], moments[:, blank] = 0.0, 0.0

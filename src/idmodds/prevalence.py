@@ -40,7 +40,6 @@ __all__ = [
     "PrevalenceResult",
     "AgeProfile",
     "PREVALENCE_METHODS",
-    "survivor_fraction",
     "healthy_population",
     "diseased_population",
     "effective_diseased_mortality",
@@ -151,7 +150,7 @@ def _points(t, a):
     t, a = np.asarray(t, dtype=float), np.asarray(a, dtype=float)
     if t.shape != a.shape:
         t, a = np.broadcast_arrays(t, a)
-    if (a < 0.0).any():
+    if not (a >= 0.0).all():  # NaN too
         raise ValueError("age must be nonnegative")
     return t.ravel(), a.ravel(), a.shape
 
@@ -167,24 +166,15 @@ def _over_lookback(model: RateModel, t, a, integrand, quadrature: QuadratureConf
     return adaptive_quad_many(integrand, np.zeros(len(a)), a, quadrature, edges)
 
 
-def survivor_fraction(model: RateModel, t, a, y):
-    """Probability of still being healthy and alive at age ``y`` on the life line through (t, a).
-
-    The exits from the healthy state are death and disease onset, so this is
-    exp minus the combined cumulative hazard from birth to age ``y``.
-    Accepts arrays; returns a float for a scalar point.
-    """
-    y_arr = np.asarray(y, dtype=float)
-    if not np.all((y_arr >= 0.0) & (y_arr <= np.asarray(a))):
-        raise ValueError("age on the life line must satisfy 0 <= y <= a")
-    out = np.exp(-model.cumulative_exit((t - a) + y, y, y))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def healthy_population(model: RateModel, t, a):
-    """Number of healthy people of age ``a`` at time ``t`` in a birth cohort of size 1; accepts arrays."""
+    """Number of healthy people of age ``a`` at time ``t`` in a birth cohort of size 1; accepts arrays.
+
+    This is the healthy survivor fraction: the exits from the healthy state
+    are death and disease onset, so it is exp minus their combined
+    cumulative hazard over the whole life line ending at (t, a).
+    """
     t, a, shape = _points(t, a)
-    return _shaped(survivor_fraction(model, t, a, a), shape)
+    return _shaped(np.exp(-model.exit_hazard_rate((t - a) + a, a, a)[0]), shape)
 
 
 def _onset_flow(model: RateModel, t, a, per_survivor: bool):
@@ -330,7 +320,7 @@ def prevalence_odds_exponential(model: RateModel, t: float, a: float) -> Prevale
 
 
 def _nonnegative_odds(odds: np.ndarray, ages) -> np.ndarray:
-    """The odds; raises unless finite and nonnegative, as convolution_special's front times integral can overflow."""
+    """The odds; raises unless finite and nonnegative: a plateaued kernel's finite values can sum to inf."""
     bad = ~(np.isfinite(odds) & (odds >= 0.0))
     if np.any(bad):
         raise ValueError(f"odds must be finite and nonnegative, got {odds[bad][0]} at age {np.ravel(ages)[bad][0]:g}")

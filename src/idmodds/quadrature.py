@@ -106,10 +106,12 @@ def _gk15_batch(f, lo, hi, owner):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * _NODES
-    vals = np.asarray(f(pts.ravel(), owner.repeat(len(_NODES))), dtype=float).reshape(pts.shape)
-    kronrod = half * (vals * _W_KRONROD).sum(axis=1)
-    gauss = half * (vals * _W_GAUSS).sum(axis=1)
-    resabs = half * (np.abs(vals) * _W_KRONROD).sum(axis=1)
+    # an integrand or a sum that overflows is refused as non-finite just below, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = np.asarray(f(pts.ravel(), owner.repeat(len(_NODES))), dtype=float).reshape(pts.shape)
+        kronrod = half * (vals * _W_KRONROD).sum(axis=1)
+        gauss = half * (vals * _W_GAUSS).sum(axis=1)
+        resabs = half * (np.abs(vals) * _W_KRONROD).sum(axis=1)
     if not np.isfinite(kronrod).all():
         raise QuadratureError("integrand returned non-finite values")
     return kronrod, np.abs(kronrod - gauss), resabs

@@ -415,18 +415,6 @@ class RateModel:
     def mortality_healthy(self, t, a):
         return self.m0.rate(t, a)
 
-    def mortality_ratio(self, d):
-        if np.any(np.asarray(d) < 0.0):
-            raise RateDomainError("duration must be nonnegative")
-        self.check_ratio(d)
-        return self.ratio.ratio(d)
-
-    def mortality_diseased(self, t, a, d):
-        d_arr = np.asarray(d)
-        if np.any(d_arr < 0.0) or np.any(d_arr > np.asarray(a)):
-            raise RateDomainError("duration must satisfy 0 <= d <= a")
-        return self.mortality_healthy(t, a) * self.mortality_ratio(d)
-
     # -- cumulative hazards along a life line ending at (t, a) ------------
 
     def check_span(self, a, delta):
@@ -456,13 +444,13 @@ class RateModel:
         self.check_span(a, delta)
         return self.incidence.cumulative(t, a, delta)
 
-    def cumulative_exit(self, t, a, delta):
-        """Cumulative hazard of leaving the healthy state, by death or onset, over the last ``delta`` years."""
-        self.check_span(a, delta)
-        return self.m0.cumulative(t, a, delta) + self.incidence.cumulative(t, a, delta)
-
     def exit_hazard_rate(self, t, a, delta):
-        """Unchecked :meth:`cumulative_exit` and its slope in ``delta``, the exit rate m0 + i at (t, a), sharing m0."""
+        """Unchecked hazard CM0 + CI of leaving the healthy state, by death or onset, over the last ``delta`` years.
+
+        Returned with its slope in ``delta``, the exit rate m0 + i at (t, a),
+        which shares its m0 evaluation.  The healthy survivor fraction and
+        the simulator's first-exit inversion read it.
+        """
         m0_cumulative, m0_rate = self.m0.cumulative_and_rate(t, a, delta)
         return m0_cumulative + self.incidence.cumulative(t, a, delta), m0_rate + self.incidence.rate(t, a)
 
@@ -473,7 +461,7 @@ class RateModel:
         family's ``lines``; a tabulated incidence integrates each line once
         for all its nodes.  Nothing checks 0 <= delta <= a[k].
         """
-        return _ExitLines(_GatheredLines(self.m0.cumulative, t, a), self.incidence.lines(t, a))
+        return _ExitLines(self.m0, self.incidence, t, a)
 
     def cumulative_m1(self, t, a, d):
         """Integral of the diseased mortality over a disease course of length ``d`` ending at (t, a).
@@ -501,8 +489,8 @@ class RateModel:
 class _ExitLines:
     """Sums of the healthy-mortality and incidence line hazards; see :meth:`RateModel.exit_lines`."""
 
-    def __init__(self, m0, incidence):
-        self._m0, self._incidence = m0, incidence
+    def __init__(self, m0: GompertzParams, incidence: IncidenceSpec, t, a):
+        self._m0, self._incidence = _GatheredLines(m0.cumulative, t, a), incidence.lines(t, a)
 
     def lookback(self, delta, k):
         return self._m0.lookback(delta, k) + self._incidence.lookback(delta, k)

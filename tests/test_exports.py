@@ -9,7 +9,7 @@ import idmodds
 
 # import_module, because the package re-exports functions named fit and prevalence
 MODULES = [importlib.import_module(f"idmodds.{info.name}") for info in pkgutil.iter_modules(idmodds.__path__)]
-DELETED = ["sample_life", "LifeRecord", "CohortBaseline", "odds_kernel", "case_density"]
+DELETED = ["sample_life", "LifeRecord", "CohortBaseline", "odds_kernel", "case_density", "survivor_fraction"]
 
 
 @pytest.mark.parametrize("module", [idmodds, *MODULES], ids=lambda module: module.__name__)
@@ -25,6 +25,12 @@ def test_package_exports_are_unique():
 def test_deleted_name_is_gone(name):
     # so ``from idmodds import name`` raises ImportError
     assert not hasattr(idmodds, name)
+
+
+@pytest.mark.parametrize("name", ["cumulative_exit", "mortality_ratio", "mortality_diseased"])
+def test_deleted_rate_model_method_is_gone(name):
+    # each hazard is stated once: exit_hazard_rate, course_hazard_rate and the ratio's own ratio serve instead
+    assert not hasattr(idmodds.RateModel, name)
 
 
 def test_ratio_horizon_error_is_defined_once():

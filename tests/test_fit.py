@@ -252,6 +252,24 @@ class TestLikelihoodPlan:
         fast = _LikelihoodPlan.build(table, config).group_prevalence(model.ratio.coefficients)
         np.testing.assert_allclose(fast, oracle, rtol=1e-9, atol=0.0)
 
+    @pytest.mark.parametrize("family", sorted(PLAN_INCIDENCES))
+    def test_exponent_is_the_exit_hazard_at_every_node(self, family):
+        # the plan's CM0 + CI comes from the odds routes' exit lines, with the bits of the closed forms' sum
+        config = FitConfig(incidence=PLAN_INCIDENCES[family])
+        table = reference_table()
+        t = table.cross_section_time
+        ages = 0.5 * (table.age_lo + table.age_hi)
+        kinks = _lookback_edges(config.incidence, np.full(len(ages), t), ages, np.zeros(len(ages)))
+        owner, delta, weights = _lookback_rule(kinks, config.m0, t, ages, _largest_initial_ratio(config.bounds))
+        a = ages[owner]
+        weighted = weights * config.incidence.rate(t - delta, a - delta)
+        kept = weighted != 0.0
+        plan = _LikelihoodPlan.build(table, config)
+        live = plan.weighted != 0.0
+        np.testing.assert_array_equal(plan.weighted[live], weighted[kept])
+        want = config.m0.cumulative(t, a, delta) + config.incidence.cumulative(t, a, delta)
+        np.testing.assert_array_equal(plan.exponent[live], want[kept])
+
     # every family with all components free, and one fit with gamma1 pinned at 0
     @pytest.mark.parametrize(
         "family, fixed",

@@ -36,7 +36,6 @@ from idmodds.prevalence import (
     prevalence_odds_keiding,
     prevalence_odds_pseudo_convolution,
     reconstruct_incidence,
-    survivor_fraction,
 )
 from idmodds import quadrature
 from idmodds.fit import _DEFAULT_BOUNDS
@@ -46,6 +45,7 @@ from idmodds.quadrature import (
     EDGE_NODE_OFFSET,
     MAX_INTERVALS,
     QuadratureConfig,
+    QuadratureError,
     adaptive_quad,
 )
 from idmodds.rates import (
@@ -97,29 +97,6 @@ def tabulated_incidence():
     return TabulatedIncidence(np.array(GRID_TIMES), np.array(GRID_AGES), table)
 
 
-class TestSurvivorFraction:
-    def test_zero_age(self, model):
-        assert survivor_fraction(model, 100.0, 60.0, 0.0) == 1.0
-
-    def test_zero_rates(self):
-        m = zero_rate_model()
-        for y in (0.0, 10.0, 60.0):
-            assert survivor_fraction(m, 100.0, 60.0, y) == 1.0
-
-    def test_reference_point(self, model):
-        # integrate.quad(lambda tau: m0(40+tau, tau) + i(40+tau, tau), 0, 30)
-        assert survivor_fraction(model, 100.0, 60.0, 30.0) == pytest.approx(
-            0.9962030273895139, rel=1e-12
-        )
-        assert 0.0 < survivor_fraction(model, 100.0, 60.0, 30.0) <= 1.0
-
-    def test_domain(self, model):
-        with pytest.raises(ValueError):
-            survivor_fraction(model, 100.0, 60.0, 61.0)
-        with pytest.raises(ValueError):
-            survivor_fraction(model, 100.0, 60.0, -1.0)
-
-
 class TestHealthyPopulation:
     def test_newborn_equals_baseline(self, model):
         # counts are per birth cohort of size 1
@@ -127,12 +104,20 @@ class TestHealthyPopulation:
 
     def test_zero_rates(self):
         m = zero_rate_model()
-        assert healthy_population(m, 100.0, 60.0) == 1.0
+        for a in (0.0, 10.0, 60.0):
+            assert healthy_population(m, 40.0 + a, a) == 1.0
 
     def test_reference_point(self, model):
         assert healthy_population(model, 100.0, 60.0) == pytest.approx(
             0.7979099539363237, rel=1e-12
         )
+        # integrate.quad(lambda tau: m0(40+tau, tau) + i(40+tau, tau), 0, 30)
+        assert healthy_population(model, 70.0, 30.0) == pytest.approx(0.9962030273895139, rel=1e-12)
+
+    @pytest.mark.parametrize("age", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_negative_age_rejected(self, model, age):
+        with pytest.raises(ValueError, match="age must be nonnegative"):
+            healthy_population(model, 100.0, age)
 
 
 def case_density(model, t, a, d):
@@ -203,8 +188,8 @@ class TestEffectiveDiseasedMortality:
         base = float(model.mortality_healthy(t, a))
         # weighted mean of the ratio, frozen from nested raw-rate quadrature
         assert got / base == pytest.approx(3.5934790386179682, rel=1e-9)
-        lo = min(model.mortality_ratio(d) for d in np.linspace(0.0, a, 601))
-        hi = max(model.mortality_ratio(d) for d in np.linspace(0.0, a, 601))
+        ratios = model.ratio.ratio(np.linspace(0.0, a, 601))
+        lo, hi = ratios.min(), ratios.max()
         assert base * lo <= got <= base * hi
 
 
@@ -387,7 +372,7 @@ class TestOddsFormulas:
             t = rng.uniform(50.0, 150.0)
             a = rng.uniform(1.0, 95.0)
             delta = rng.uniform(0.0, a)
-            ratio = survivor_fraction(model, t, a, a - delta) / survivor_fraction(model, t, a, a)
+            ratio = healthy_population(model, t - delta, a - delta) / healthy_population(model, t, a)
             direct = math.exp(
                 model.cumulative_m0(t, a, delta) + model.cumulative_incidence(t, a, delta)
             )
@@ -618,16 +603,28 @@ class TestProfiles:
         odds = np.array([0.0, 0.5])
         assert _nonnegative_odds(odds, np.array([40.0, 50.0])) is odds
 
-    @pytest.mark.parametrize("method", ["pseudo_convolution", "cohort_ratio", "keiding"])
-    def test_plateaued_kernel_overflows_the_odds_sum(self, method):
+    @pytest.mark.parametrize(
+        "method, plateau",
+        [
+            pytest.param(method, plateau, id=method if plateau == 45.2 else f"{method}-{plateau}")
+            for plateau in (45.2, 45.3)
+            for method in ("pseudo_convolution", "cohort_ratio", "keiding")
+        ],
+    )
+    def test_plateaued_kernel_overflows_the_odds_sum(self, method, plateau):
         # the healthy exit balances m1 on the old part of each life line, so the kernel plateaus near
-        # e**704: every integrand value is finite, but their sum overflows and only the guard refuses it
+        # e**704: at 45.2/yr every integrand value is finite, but their sum overflows and only the guard
+        # refuses it; at 45.3/yr the integrand overflows, and the quadrature refuses it with no warning
         ages = [*range(0, 120, 5), 119.999, 120.0, 125.0, 130.0, 135.0, 140.0, 200.0]
-        rates = [10.0 if age < 120.0 else 45.2 for age in ages]
+        rates = [10.0 if age < 120.0 else plateau for age in ages]
         incidence = TabulatedIncidence(np.array([-1000.0, 1000.0]), np.array(ages, dtype=float), np.array([rates] * 2))
         ratio = MortalityRatioParams(0.0, 5.0, 10.0 / math.exp(-50.0))
         m = RateModel(incidence, GompertzParams(-50.0, 1e-9, 0.0), ratio)
-        with pytest.raises(ValueError, match="^odds must be finite and nonnegative, got inf at age 140$"):
+        error, message = {
+            45.2: (ValueError, "^odds must be finite and nonnegative, got inf at age 140$"),
+            45.3: (QuadratureError, "^integrand returned non-finite values$"),
+        }[plateau]
+        with pytest.raises(error, match=message):
             prevalence(m, 100.0, 140.0, method)
 
     @pytest.mark.parametrize("family", ["positive_part", "exponential", "tabulated"])
@@ -731,7 +728,7 @@ def test_independent_quadrature_oracle(model):
 
     def course_hazard(d):
         val, _ = integrate.quad(
-            lambda tau: float(model.mortality_diseased(t - d + tau, a - d + tau, tau)),
+            lambda tau: float(model.mortality_healthy(t - d + tau, a - d + tau) * model.ratio.ratio(tau)),
             0.0,
             d,
             limit=200,

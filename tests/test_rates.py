@@ -49,14 +49,15 @@ class TestPointValues:
         assert model.incidence_rate(0.0, 60.0) == model.incidence_rate(500.0, 60.0)
 
     def test_reference_ratio(self, model):
-        assert model.mortality_ratio(0.0) == pytest.approx(2.0, rel=1e-15)
-        assert model.mortality_ratio(5.0) == pytest.approx(1.0, rel=1e-15)
-        assert model.mortality_ratio(10.0) == pytest.approx(2.0, rel=1e-15)
+        assert model.ratio.ratio(0.0) == pytest.approx(2.0, rel=1e-15)
+        assert model.ratio.ratio(5.0) == pytest.approx(1.0, rel=1e-15)
+        assert model.ratio.ratio(10.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_diseased_factorizes_exactly(self, model):
+        # the course hazard's slope in d is the diseased mortality m1 = m0 * R
         t, a, d = 103.7, 61.2, 7.9
-        lhs = model.mortality_diseased(t, a, d)
-        rhs = model.mortality_healthy(t, a) * model.mortality_ratio(d)
+        lhs = model.course_hazard_rate(t, a, d)[1]
+        rhs = model.mortality_healthy(t, a) * model.ratio.ratio(d)
         assert lhs == rhs
 
 
@@ -106,7 +107,7 @@ class TestCumulativeClosedForms:
             t = rng.uniform(50.0, 150.0)
             d = rng.uniform(0.0, min(a, 60.0))
             want = quad_oracle(
-                lambda tau: model.mortality_diseased(t - d + tau, a - d + tau, tau), 0.0, d
+                lambda tau: model.mortality_healthy(t - d + tau, a - d + tau) * model.ratio.ratio(tau), 0.0, d
             )
             got = model.cumulative_m1(t, a, d)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
@@ -116,7 +117,7 @@ class TestCumulativeClosedForms:
         # cancellation-prone direct formula.
         for d in (1e-9, 1e-6, 1e-4, 5e-3):
             want = quad_oracle(
-                lambda tau: model.mortality_diseased(100.0 - d + tau, 70.0 - d + tau, tau), 0.0, d
+                lambda tau: model.mortality_healthy(100.0 - d + tau, 70.0 - d + tau) * model.ratio.ratio(tau), 0.0, d
             )
             got = model.cumulative_m1(100.0, 70.0, d)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
@@ -157,14 +158,11 @@ class TestCumulativeClosedForms:
         t = np.array([100.0, 103.7, 96.0, 120.0])
         a = np.array([60.0, 81.2, 42.0, 30.0])
         delta = np.array([0.0, 17.5, 42.0, 30.0])
-        want = m.cumulative_m0(t, a, delta) + m.cumulative_incidence(t, a, delta)
-        np.testing.assert_array_equal(m.cumulative_exit(t, a, delta), want)
-        assert m.cumulative_exit(100.0, 60.0, 25.0) == m.cumulative_m0(100.0, 60.0, 25.0) + m.cumulative_incidence(
-            100.0, 60.0, 25.0
-        )
-        for bad in (-1.0, 60.1):
-            with pytest.raises(RateDomainError):
-                m.cumulative_exit(100.0, 60.0, bad)
+        cumulative, rate = m.exit_hazard_rate(t, a, delta)
+        np.testing.assert_array_equal(cumulative, m.cumulative_m0(t, a, delta) + m.cumulative_incidence(t, a, delta))
+        np.testing.assert_array_equal(rate, m.mortality_healthy(t, a) + m.incidence_rate(t, a))
+        one = m.exit_hazard_rate(100.0, 60.0, 25.0)[0]
+        assert one == m.cumulative_m0(100.0, 60.0, 25.0) + m.cumulative_incidence(100.0, 60.0, 25.0)
 
     @pytest.mark.parametrize("lam", [0.098, -0.05, 1e-6])
     @pytest.mark.parametrize(
@@ -551,22 +549,16 @@ class TestValidation:
             GompertzParams(-10.0, 0.1, -0.1)
 
     def test_ratio_must_stay_positive(self, model):
-        # R(d) = -0.01 d^2 + 1 is positive on [0, 10) only: the ratio is built, and every
-        # reader of R refuses exactly when the durations it reads pass d = 10
+        # R(d) = -0.01 d^2 + 1 is positive on [0, 10) only: the ratio is built, and the checked
+        # course hazard refuses exactly when the durations it reads pass d = 10
         short = RateModel(model.incidence, model.m0, MortalityRatioParams(-0.01, 0.0, 1.0))
         for longest in (9.9, 10.0, 50.0):
             durations = np.array([0.5, longest])
-            readers = (
-                lambda: short.mortality_ratio(durations),
-                lambda: short.mortality_diseased(100.0, 60.0, durations),
-                lambda: short.cumulative_m1(100.0, 60.0, durations),
-            )
-            for read in readers:
-                if longest < 10.0:
-                    assert np.all(np.isfinite(read()))
-                else:
-                    with pytest.raises(RatioHorizonError, match=f"\\[0, {longest:g}\\]"):
-                        read()
+            if longest < 10.0:
+                assert np.all(np.isfinite(short.cumulative_m1(100.0, 60.0, durations)))
+            else:
+                with pytest.raises(RatioHorizonError, match=f"\\[0, {longest:g}\\]"):
+                    short.cumulative_m1(100.0, 60.0, durations)
         # a minimum at the vertex inside the durations counts, and the ends do not hide it
         dipped = RateModel(model.incidence, model.m0, MortalityRatioParams(0.04, 5.0, -0.5))
         with pytest.raises(RatioHorizonError):
@@ -581,10 +573,6 @@ class TestValidation:
     def test_domain_errors(self, model):
         with pytest.raises(RateDomainError):
             model.incidence_rate(100.0, -1.0)
-        with pytest.raises(RateDomainError):
-            model.mortality_ratio(-0.5)
-        with pytest.raises(RateDomainError):
-            model.mortality_diseased(100.0, 50.0, 51.0)
         with pytest.raises(RateDomainError):
             model.cumulative_m0(100.0, 50.0, -1.0)
         with pytest.raises(RateDomainError):

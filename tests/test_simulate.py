@@ -14,7 +14,7 @@ from scipy import stats
 
 import idmodds.simulate
 from idmodds.fit import group_prevalence
-from idmodds.prevalence import diseased_population, healthy_population, survivor_fraction
+from idmodds.prevalence import diseased_population, healthy_population
 from idmodds.quadrature import adaptive_quad
 from idmodds.rates import (
     ExponentialIncidence,
@@ -216,9 +216,7 @@ class TestSampleLife:
 
         want = adaptive_quad(
             lambda y: np.asarray(model.incidence_rate(birth + np.asarray(y), np.asarray(y)))
-            * np.array(
-                [survivor_fraction(model, birth + v, v, v) for v in np.atleast_1d(y)]
-            ),
+            * healthy_population(model, birth + np.asarray(y), np.asarray(y)),
             0.0,
             horizon,
             breakpoints=[30.0],
