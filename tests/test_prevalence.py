@@ -97,6 +97,28 @@ def tabulated_incidence():
     return TabulatedIncidence(np.array(GRID_TIMES), np.array(GRID_AGES), table)
 
 
+def survivor_fraction(model, t, a, y):
+    """The share of the cohort aged ``a`` at ``t`` still alive and healthy at age ``y``: the healthy count on its life line."""
+    return healthy_population(model, t - a + y, y)
+
+
+class TestSurvivorFraction:
+    def test_zero_age(self, model):
+        assert survivor_fraction(model, 100.0, 60.0, 0.0) == 1.0
+
+    def test_zero_rates(self):
+        m = zero_rate_model()
+        for y in (0.0, 10.0, 60.0):
+            assert survivor_fraction(m, 100.0, 60.0, y) == 1.0
+
+    def test_reference_point(self, model):
+        # integrate.quad(lambda tau: m0(40+tau, tau) + i(40+tau, tau), 0, 30)
+        assert survivor_fraction(model, 100.0, 60.0, 30.0) == pytest.approx(
+            0.9962030273895139, rel=1e-12
+        )
+        assert 0.0 < survivor_fraction(model, 100.0, 60.0, 30.0) <= 1.0
+
+
 class TestHealthyPopulation:
     def test_newborn_equals_baseline(self, model):
         # counts are per birth cohort of size 1
@@ -104,15 +126,12 @@ class TestHealthyPopulation:
 
     def test_zero_rates(self):
         m = zero_rate_model()
-        for a in (0.0, 10.0, 60.0):
-            assert healthy_population(m, 40.0 + a, a) == 1.0
+        assert healthy_population(m, 100.0, 60.0) == 1.0
 
     def test_reference_point(self, model):
         assert healthy_population(model, 100.0, 60.0) == pytest.approx(
             0.7979099539363237, rel=1e-12
         )
-        # integrate.quad(lambda tau: m0(40+tau, tau) + i(40+tau, tau), 0, 30)
-        assert healthy_population(model, 70.0, 30.0) == pytest.approx(0.9962030273895139, rel=1e-12)
 
     @pytest.mark.parametrize("age", [-1.0, math.nan], ids=["negative", "nan"])
     def test_negative_age_rejected(self, model, age):
