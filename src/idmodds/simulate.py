@@ -145,12 +145,10 @@ class PopulationLedger:
         birth, onset, death = (np.asarray(column, dtype=float) for column in (self.birth, self.onset, self.death))
         if not birth.shape == onset.shape == death.shape or birth.ndim != 1:
             raise ValueError("birth, onset and death must be matching 1-D arrays")
-        has_onset = ~np.isnan(onset)
-        has_death = ~np.isnan(death)
-        if np.any(onset[has_onset] <= birth[has_onset]):
+        # whole columns compared: NaN, an event that did not happen, compares False
+        if np.any(onset <= birth):
             raise ValueError("every onset must come after the birth")
-        floor = np.where(has_onset, onset, birth)
-        if np.any(death[has_death] <= floor[has_death]):
+        if np.any(death <= np.fmax(onset, birth)):
             raise ValueError("every death must come after birth and onset")
         object.__setattr__(self, "birth", birth)
         object.__setattr__(self, "onset", onset)
@@ -250,59 +248,69 @@ class SamplerConvergenceError(RuntimeError):
     """The hazard inversion left lives unsolved after the step limit."""
 
 
-# A study selects and solves its lives this many births at a time, which bounds
-# the per-step temporaries (a tabulated incidence adds a column per grid line)
-# and the selected copies of the draws, while keeping the array arithmetic.
+# Most lives in one hazard call, and births screened for held lives at a time: this bounds the per-step
+# temporaries (a tabulated incidence adds a column per grid line) while keeping the array arithmetic.
 _CHUNK = 16_384
 # Newton-with-bisection steps allowed per life, and its convergence tolerance in years.
 _MAX_STEPS = 200
 _TOL = 1e-10
 # Most lives one study may simulate, about 78 times the reference study's
-# 129 000; each life holds four draws and three event times in memory at once.
+# 129 000; each life holds its four draws in memory at once, its events written over them.
 _MAX_LIVES = 10_000_000
 # Longest birth window, in years, whose one-year slices are numbered exactly in floating point.
 _MAX_SPAN = 2.0**52
 
 
 def _invert(hazard_at, target, cap):
-    """Solve H(i, s) = target[i] for s in [0, cap[i]] for all lives i; NaN where the cap is never reached.
+    """Solve H(i, s) = target[i] for s in [0, cap[i]], each s written over its target; NaN where H stays below.
 
     ``hazard_at(i, s)`` returns H at ``s`` for the lives ``i`` and its slope
     in ``s``; H must be nondecreasing, and at most the target at ``s = 0``.
-    Newton steps on log H - log target, which an exponential hazard makes
-    nearly linear, start at the cap from the values that picked the lives
-    reaching their targets there.  They are clipped to a shrinking bracket,
-    with bisection whenever a step leaves it or is not finite, as at a zero
-    slope or a zero H.  Each life stops on its own, at a step shorter than
-    ``_TOL`` years or a bracket shorter than ``_TOL``, and only the
-    unfinished ones are evaluated again.
+    At most ``_CHUNK`` lives are in flight; as they finish, the next are
+    taken in, screened at the cap in the same hazard call.  Newton steps on
+    log H - log target, which an exponential hazard makes nearly linear,
+    start at the cap, clipped to a shrinking bracket, with bisection when a
+    step leaves it or is not finite, as at a zero slope or a zero H.  A life
+    stops at a step or bracket shorter than ``_TOL`` years, within
+    ``_MAX_STEPS`` steps, so its steps do not depend on the lives in flight.
     """
-    out = np.full(target.shape, np.nan)
-    value, slope = hazard_at(np.arange(target.size), cap)
-    live = np.flatnonzero(value >= target)
-    value, slope, goal, s = value[live], slope[live], target[live], cap[live]
-    lo, hi = np.zeros(live.size), s
-    for _ in range(_MAX_STEPS):
-        below = value < goal
-        lo = np.where(below, s, lo)
-        hi = np.where(below, hi, s)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = np.log(value / goal) * value / slope
-            candidate = s - step
-        # a step that lands on the root can fall on a bracket end, which still counts
-        converged = (positive := slope > 0.0) & (np.abs(step) < _TOL)
-        newton = converged | (positive & (lo < candidate) & (candidate < hi))
-        s = np.where(newton, np.minimum(np.maximum(candidate, lo), hi), 0.5 * (lo + hi))
-        done = converged | (~newton & (hi - lo < _TOL))
-        out[live[done]] = s[done]
+    live, (s, lo, hi, goal) = np.empty(0, dtype=np.intp), np.empty((4, 0))
+    rounds = [0]  # how many lives were taken in before each round
+    while live.size or rounds[-1] < target.size:
+        new = np.arange(rounds[-1], min(rounds[-1] + _CHUNK - live.size, target.size))
+        rounds.append(rounds[-1] + new.size)
+        # a life taken in starts at its cap, bracketed by [0, cap]
+        live, goal = np.concatenate((live, new)), np.concatenate((goal, target[new]))
+        s, lo, hi = (np.concatenate(pair) for pair in ((s, cap[new]), (lo, np.zeros(new.size)), (hi, cap[new])))
+        s, lo, hi, done = _newton_step(*hazard_at(live, s), goal, s, lo, hi, live.size - new.size)
+        finished = np.flatnonzero(done)
+        target[live[finished]] = s[finished]
         busy = np.flatnonzero(~done)
         live, s, lo, hi, goal = live[busy], s[busy], lo[busy], hi[busy], goal[busy]
-        if live.size == 0:
-            return out
-        value, slope = hazard_at(live, s)
-    raise SamplerConvergenceError(
-        f"hazard inversion did not converge within {_MAX_STEPS} iterations for {live.size} lives"
-    )
+        # live keeps the order lives were taken in, so those out of steps, taken _MAX_STEPS rounds ago, lead it
+        if len(rounds) >= _MAX_STEPS and (stuck := np.searchsorted(live, rounds[-_MAX_STEPS])):
+            raise SamplerConvergenceError(
+                f"hazard inversion did not converge within {_MAX_STEPS} iterations for {stuck} lives"
+            )
+    return target
+
+
+def _newton_step(value, slope, goal, s, lo, hi, fresh):
+    """One step from H = ``value`` at ``s``: next points, brackets and which are done; new lives from ``fresh`` on."""
+    below = value < goal
+    lo, hi = np.where(below, s, lo), np.where(below, hi, s)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step = np.log(value / goal) * value / slope
+        candidate = s - step
+    # a step that lands on the root can fall on a bracket end, which still counts
+    converged = (positive := slope > 0.0) & (np.abs(step) < _TOL)
+    newton = converged | (positive & (lo < candidate) & (candidate < hi))
+    s = np.where(newton, np.minimum(np.maximum(candidate, lo), hi), 0.5 * (lo + hi))
+    done = converged | (~newton & (hi - lo < _TOL))
+    # a life just taken in, at its cap, that is below its goal there is done, unsolved
+    s[fresh:][below[fresh:]] = np.nan
+    done[fresh:] |= below[fresh:]
+    return s, lo, hi, done
 
 
 def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draws, end_age):
@@ -313,39 +321,32 @@ def _life_courses(model: RateModel, birth, exit_draws, type_draws, duration_draw
     proportion to the two rates at that age, and after an onset inverts the
     course's cumulative diseased mortality at its duration draw.  A life
     whose hazard stays below the draw until its ``end_age`` (a scalar or one
-    age per life) is censored there.  All lives are solved as one batch, so
-    the caller bounds its size.  No step reaches past ``end_age``, so it is
-    checked once: RateDomainError when negative.  Raises RatioHorizonError
-    when the mortality ratio is not positive on the durations the courses
-    reach, which end at ``end_age``.
+    age per life) is censored there.  Onsets are written over the exit
+    draws and deaths over the duration draws, which are returned.  No step
+    reaches past ``end_age``, so it is checked once: RateDomainError when
+    negative.  Raises RatioHorizonError when the mortality ratio is not
+    positive on the durations the courses reach, which end at ``end_age``.
     """
     end_age = np.broadcast_to(np.asarray(end_age, dtype=float), birth.shape)
     model.check_span(end_age, end_age)
-    onset, death = np.full((2, birth.size), np.nan)
-    first_exit = _invert(lambda i, s: model.exit_hazard_rate(birth[i] + s, s, s), exit_draws, end_age)
-    exited = np.flatnonzero(~np.isnan(first_exit))
-    age = first_exit[exited]
+    onset, death = _invert(lambda i, s: model.exit_hazard_rate(birth[i] + s, s, s), exit_draws, end_age), duration_draws
+    exited = np.flatnonzero(~np.isnan(onset))
+    age = onset[exited]
     when = birth[exited] + age
     onset_rate = model.incidence_rate(when, age)
-    total = onset_rate + model.mortality_healthy(when, age)
-    sick = type_draws[exited] * total < onset_rate
-    death[exited[~sick]] = when[~sick]
-    onset_time = when[sick]
-    duration = _course_durations(model, onset_time, age[sick], duration_draws[exited[sick]], end_age[exited[sick]])
-    onset[exited[sick]] = onset_time
-    death[exited[sick]] = onset_time + duration
-    return onset, death
-
-
-def _course_durations(model: RateModel, onset_time, onset_age, draws, end_age):
-    """Disease durations that spend the draws of cumulative diseased mortality; NaN when alive at ``end_age``.
-
-    The inversion reaches no duration past a course's cap, so R is checked
-    once, up to the caps, and the steps evaluate m1 unchecked.
-    """
-    caps = end_age - onset_age
+    sick = (onset_rate + model.mortality_healthy(when, age)) * type_draws[exited] < onset_rate
+    course = exited[sick]
+    age, caps, draws = age[sick], end_age[course] - age[sick], death[course]
+    death.fill(np.nan)
+    death[exited] = when
+    onset[exited] = np.where(sick, when, np.nan)
+    # the exits' arrays and the end ages are freed before the courses' hazard calls
+    del exited, when, onset_rate, sick, end_age
+    # no course reaches past its cap, so R is checked once, on the caps, and the steps evaluate m1 unchecked
     model.check_ratio(caps)
-    return _invert(lambda i, d: model.course_hazard_rate(onset_time[i] + d, onset_age[i] + d, d), draws, caps)
+    duration = _invert(lambda i, d: model.course_hazard_rate(onset[course[i]] + d, age[i] + d, d), draws, caps)
+    death[course] += duration
+    return onset, death
 
 
 def calibrate_births_per_year(model: RateModel, config: SimConfig) -> float:
@@ -405,14 +406,16 @@ def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
     solved; only those whose age at the cross-section lies in a group are
     solved and kept, since no table counts the others.  Each is followed
     until the cross-section; an onset or death after it is NaN, like one
-    that never happens.  The ledger's columns are the front of the birth,
-    exit-draw and duration-draw arrays: each chunk's held lives are written
-    over draws already read.  Raises StudySizeError, before any draw, when the
-    births over the window up to the cross-section exceed the cap on lives
-    or span too many years.  Raises RatioHorizonError when the mortality
-    ratio is not positive on the durations the solved courses reach: at
-    most the oldest group's upper limit, and at most the cross-section time
-    minus the first birth.  A study that solves no life never reads it.
+    that never happens.  The held lives' draws move to the front of the
+    arrays, ``_CHUNK`` births at a time, and each inversion runs once over
+    them all, at most ``_CHUNK`` lives in flight; the ledger is the front of
+    the birth, exit-draw and duration-draw arrays, events written over spent
+    draws.  Raises StudySizeError, before any draw, when the births over the
+    window up to the cross-section exceed the cap on lives or span too many
+    years.  Raises RatioHorizonError when the mortality ratio is not
+    positive on the durations the solved courses reach: at most the oldest
+    group's upper limit, and at most the cross-section time minus the first
+    birth.  A study that solves no life never reads it.
     """
     births_per_year = config.births_per_year or calibrate_births_per_year(model, config)
     # births after the cross-section never enter the study
@@ -426,20 +429,17 @@ def run_simulation(model: RateModel, config: SimConfig) -> PopulationLedger:
     rng = np.random.default_rng(config.rng_seed)
     birth = _birth_schedule(lo, span, births_per_year, rng)
     draws = (birth, rng.exponential(size=birth.size), rng.random(birth.size), rng.exponential(size=birth.size))
-    onset, death = draws[1], draws[3]
     kept = 0
     for start in range(0, birth.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        age = config.cross_section_time - birth[part]
-        held = np.flatnonzero(np.logical_or.reduce([_in_group(age, glo, ghi) for glo, ghi in config.age_groups]))
-        born, exits, types, durations = (column[part][held] for column in draws)
-        rows = slice(kept, kept + held.size)
-        # held lives move to the front, over draws that this chunk or an earlier one has read; no study sees
-        # an event after the cross-section, so no life is followed past it
-        onset[rows], death[rows] = _life_courses(model, born, exits, types, durations, age[held])
-        birth[rows] = born
-        kept = rows.stop
-    return PopulationLedger(birth[:kept], onset[:kept], death[:kept])
+        age = config.cross_section_time - birth[start : start + _CHUNK]
+        held = start + np.flatnonzero(np.logical_or.reduce([_in_group(age, *group) for group in config.age_groups]))
+        for column in draws:
+            column[kept : kept + held.size] = column[held]
+        kept += held.size
+    birth, exits, types, durations = (column[:kept] for column in draws)
+    # no study sees an event after the cross-section, so no life is followed past it
+    onset, death = _life_courses(model, birth, exits, types, durations, config.cross_section_time - birth)
+    return PopulationLedger(birth, onset, death)
 
 
 def _in_group(age, lo, hi):

@@ -37,7 +37,6 @@ from idmodds.simulate import (
     StudySizeError,
     _TOL,
     _birth_schedule,
-    _course_durations,
     _invert,
     _life_courses,
     atomic_write_text,
@@ -89,6 +88,27 @@ SAFEGUARD_CASES = {
 }
 
 
+def power_of_two(s):
+    """H = 2**s and its slope: linear on the log scale, so a Newton step from the cap lands on the root."""
+    return 2.0**s, math.log(2.0) * 2.0**s
+
+
+def count_hazard_calls(monkeypatch):
+    """Patch the sampler's inversion to record the number of lives in each hazard call, into the list returned."""
+    calls = []
+    invert = idmodds.simulate._invert
+
+    def counted(hazard_at, target, cap):
+        def hazard(i, s):
+            calls.append(i.size)
+            return hazard_at(i, s)
+
+        return invert(hazard, target, cap)
+
+    monkeypatch.setattr(idmodds.simulate, "_invert", counted)
+    return calls
+
+
 class TestInvert:
     def test_newton_step_onto_the_root_stops(self):
         # 2**s is linear on the log scale, so the first step from the cap lands exactly on
@@ -98,7 +118,7 @@ class TestInvert:
 
         def hazard_at(i, s):
             calls.append(i.size)
-            return 2.0**s, math.log(2.0) * 2.0**s
+            return power_of_two(s)
 
         out = _invert(hazard_at, 2.0 ** np.array([9.0, 8.0, 10.0]), np.full(3, 10.0))
         np.testing.assert_array_equal(out, [9.0, 8.0, 10.0])
@@ -129,6 +149,45 @@ class TestInvert:
         with pytest.raises(SamplerConvergenceError, match="within 3 iterations for 1 lives"):
             _invert(lambda i, s: hazard(s), np.array([target]), np.array([cap]))
 
+    def test_step_limit_counts_each_lives_own_steps(self, monkeypatch):
+        # one life in flight at a time: four lives of two steps each take eight rounds, more than
+        # the limit of three, and all converge; a slow life taken in last still gets its three steps
+        monkeypatch.setattr(idmodds.simulate, "_CHUNK", 1)
+        monkeypatch.setattr(idmodds.simulate, "_MAX_STEPS", 3)
+        roots = np.array([9.0, 8.0, 7.0, 6.0])
+        np.testing.assert_array_equal(_invert(lambda i, s: power_of_two(s), 2.0**roots, np.full(4, 10.0)), roots)
+        linear, target, cap, _ = SAFEGUARD_CASES["linear"]
+        calls = []
+
+        def mixed(i, s):
+            calls.append(i.tolist())
+            return power_of_two(s) if i[0] == 0 else linear(s)
+
+        with pytest.raises(SamplerConvergenceError, match="within 3 iterations for 1 lives"):
+            _invert(mixed, np.array([2.0**9, target]), np.array([10.0, cap]))
+        assert calls == [[0], [0], [1], [1], [1]]
+
+    def test_window_smaller_than_the_batch(self, monkeypatch):
+        # lives that need many steps (the safeguard cases), two (2**s, linear on the log scale) and
+        # one (below the target at the cap) share a window of three: each life returns the bits of
+        # solving it alone, and no call holds more than three lives
+        cases = [case[:3] for case in SAFEGUARD_CASES.values()]
+        cases += [(power_of_two, 2.0**7.5, 10.0), (power_of_two, 2.0**11, 10.0)]
+        lives = [cases[k] for k in (0, 3, 4, 1, 3, 2, 4, 0, 3, 1, 2, 3)]
+        alone = [_invert(lambda i, s, h=h: h(s), np.array([target]), np.array([cap]))[0] for h, target, cap in lives]
+        sizes = []
+
+        def hazard_at(i, s):
+            sizes.append(i.size)
+            return np.array([lives[life][0](np.array([point])) for life, point in zip(i, s)])[:, :, 0].T
+
+        monkeypatch.setattr(idmodds.simulate, "_CHUNK", 3)
+        target, cap = np.array([life[1:] for life in lives]).T
+        np.testing.assert_array_equal(_invert(hazard_at, target, cap), alone)
+        assert max(sizes) == 3 and len(sizes) < sum(sizes)
+        # only the two lives below their targets at the cap are unsolved
+        assert np.isnan(alone).sum() == 2
+
     def test_negative_follow_up_age_is_domain_error(self):
         # the lookbacks are checked once, on the follow-up ages, not at each step
         draws = np.array([1.0, 1.0]), np.array([0.5, 0.5]), np.array([1.0, 1.0])
@@ -137,21 +196,13 @@ class TestInvert:
 
     def test_hazard_evaluations_per_held_life(self, monkeypatch):
         # a work count, not a timing: every hazard evaluation of one life counts once, and the
-        # seed-3 reference study takes 3.20 per held life (4.59 with plain Newton from half the cap)
-        evaluations = 0
-        invert = idmodds.simulate._invert
-
-        def counted(hazard_at, target, cap):
-            def hazard(i, s):
-                nonlocal evaluations
-                evaluations += i.size
-                return hazard_at(i, s)
-
-            return invert(hazard, target, cap)
-
-        monkeypatch.setattr(idmodds.simulate, "_invert", counted)
+        # seed-3 reference study takes 3.20 per held life (4.59 with plain Newton from half the cap);
+        # with 16 384 lives in flight it makes 45 hazard calls (195 when each chunk of births was
+        # solved down to its last lives)
+        calls = count_hazard_calls(monkeypatch)
         ledger = run_simulation(reference_rate_model(), SimConfig(births_per_year=CALIBRATED_BIRTHS, rng_seed=3))
-        assert evaluations <= 3.4 * len(ledger)
+        assert sum(calls) <= 3.4 * len(ledger)
+        assert len(calls) <= 50
 
 
 class TestSampleLife:
@@ -235,7 +286,9 @@ class TestSampleLife:
         n, end_age = 4000, FOLLOW_UP_AGE
         birth = rng.uniform(0.0, 65.0, n)
         exit_draws, type_draws, duration_draws = rng.exponential(size=n), rng.random(n), rng.exponential(size=n)
-        onset, death = _life_courses(model, birth, exit_draws, type_draws, duration_draws, end_age)
+        # the courses are written over the exit and duration draws, which the checks below read
+        courses = birth, exit_draws.copy(), type_draws, duration_draws.copy(), end_age
+        onset, death = _life_courses(model, *courses)
 
         exit_age = np.fmin(onset, death) - birth
         exited = ~np.isnan(exit_age)
@@ -271,11 +324,12 @@ class TestSampleLife:
         draws = rng.exponential(size=n), rng.random(n), rng.exponential(size=n)
         cfg = SimConfig()
         end_age = cfg.cross_section_time - birth
-        default = _life_courses(model, birth, *draws, end_age)
+        # each call is given copies, since the courses are written over the draws
+        default = _life_courses(model, birth, *(d.copy() for d in draws), end_age)
         assert np.count_nonzero(~np.isnan(default[0])) > 0
         for chunk in (1, 7):
             parts = [slice(start, start + chunk) for start in range(0, n, chunk)]
-            chunked = [_life_courses(model, birth[p], *(d[p] for d in draws), end_age[p]) for p in parts]
+            chunked = [_life_courses(model, birth[p], *(d[p].copy() for d in draws), end_age[p]) for p in parts]
             for want, got in zip(default, (np.concatenate(column) for column in zip(*chunked))):
                 np.testing.assert_array_equal(got, want)
 
@@ -287,7 +341,11 @@ class TestSampleLife:
         cap = end_age - onset_age
         n = 20000
         draws = np.random.default_rng(41).exponential(size=n)
-        duration = _course_durations(model, np.full(n, onset_time), np.full(n, onset_age), draws, end_age)
+
+        def course(i, d):
+            return model.course_hazard_rate(onset_time + d, onset_age + d, d)
+
+        duration = _invert(course, draws, np.full(n, cap))
 
         def law(d):
             return -np.expm1(-model.cumulative_m1(onset_time + d, onset_age + d, d))
@@ -308,10 +366,13 @@ class TestSampleLife:
             ExponentialIncidence(), GompertzParams(-10.7, 0.1, math.log(0.998)), MortalityRatioParams(-1e-4, 0.0, 1.1)
         )
         # a birth at 0 with onset draws that make it fall ill within its first year
-        course = np.array([0.0]), np.array([1e-9]), np.array([0.0]), np.array([50.0])
+        def course():
+            # fresh draws for each call, which writes the course over them
+            return np.array([0.0]), np.array([1e-9]), np.array([0.0]), np.array([50.0])
+
         with pytest.raises(RatioHorizonError, match="disease durations reached"):
-            _life_courses(model, *course, 110.0)
-        onset, death = _life_courses(model, *course, 100.0)
+            _life_courses(model, *course(), 110.0)
+        onset, death = _life_courses(model, *course(), 100.0)
         assert onset[0] < 1.0 and math.isnan(death[0])
         ledger = run_simulation(model, SimConfig(births_per_year=20.0))
         assert np.count_nonzero(~np.isnan(ledger.onset)) > 0
@@ -699,9 +760,13 @@ class TestHeldLives:
         default = run_simulation(model, cfg)
         table = cross_section(default, cfg)
         assert table.n_total > 0
+        calls = count_hazard_calls(monkeypatch)
         for chunk in (1, 7, 100):
             monkeypatch.setattr(idmodds.simulate, "_CHUNK", chunk)
+            calls.clear()
             ledger = run_simulation(model, cfg)
+            # the window bounds every hazard call, and a life takes its steps whatever shares them
+            assert max(calls) == min(chunk, len(ledger))
             for column in ("birth", "onset", "death"):
                 np.testing.assert_array_equal(getattr(ledger, column), getattr(default, column))
             chunked = cross_section(ledger, cfg)
@@ -985,6 +1050,13 @@ class TestLifeRecordValidation:
     def test_death_before_onset(self):
         with pytest.raises(ValueError, match="death must come after birth and onset"):
             PopulationLedger(np.array([10.0]), np.array([20.0]), np.array([15.0]))
+
+    def test_death_before_onset_beside_absent_onsets(self):
+        # the checks compare whole columns, where a NaN onset compares False, and still see the one breach
+        with pytest.raises(ValueError, match="death must come after birth and onset"):
+            PopulationLedger(np.array([1.0, 2.0, 3.0]), np.array([np.nan, 10.0, np.nan]), np.array([np.nan, 8.0, 5.0]))
+        with pytest.raises(ValueError, match="onset must come after the birth"):
+            PopulationLedger(np.array([1.0, 2.0, 3.0]), np.array([np.nan, 1.5, np.nan]), np.array([4.0, np.nan, 9.0]))
 
     def test_ledger_validation(self):
         # a death before the birth of a life without onset, behind a valid life
