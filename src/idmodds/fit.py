@@ -252,7 +252,9 @@ class _LikelihoodPlan:
     odds are exactly 0.  The plan keeps its table and configuration, the
     oldest group midpoint as ``horizon``, the longest disease duration its
     odds reach, and the nonzero counts: ``cases`` c at ``case_rows``,
-    ``rest`` n - c at ``rest_rows``.
+    ``rest`` n - c at ``rest_rows``.  A row selector is ``slice(None)`` when
+    every group has a nonzero count, so the prevalences are read in place,
+    and else the index array of the groups that do.
     """
 
     table: AgeGroupTable
@@ -262,9 +264,9 @@ class _LikelihoodPlan:
     exponent: np.ndarray
     moments: np.ndarray
     starts: np.ndarray
-    case_rows: np.ndarray
+    case_rows: slice | np.ndarray
     cases: np.ndarray
-    rest_rows: np.ndarray
+    rest_rows: slice | np.ndarray
     rest: np.ndarray
 
     @staticmethod
@@ -301,7 +303,7 @@ class _LikelihoodPlan:
         exponent[blank], moments[:, blank] = 0.0, 0.0
         starts = np.searchsorted(owner, np.arange(len(ages)))
         cases, rest = table.c.astype(float), (table.n - table.c).astype(float)
-        case_rows, rest_rows = np.flatnonzero(cases > 0), np.flatnonzero(rest > 0)
+        case_rows, rest_rows = (slice(None) if counts.all() else np.flatnonzero(counts) for counts in (cases, rest))
         binomial = (case_rows, cases[case_rows], rest_rows, rest[rest_rows])
         return _LikelihoodPlan(table, config, float(np.max(ages)), weighted, exponent, moments, starts, *binomial)
 
@@ -321,10 +323,13 @@ class _LikelihoodPlan:
     def log_likelihood(self, gamma) -> float:
         """``log_likelihood`` of the plan's table and configuration at ``gamma``."""
         gamma = np.asarray(gamma, dtype=float)
-        if gamma.shape != (3,):
-            return -math.inf
-        g1, g2, g3 = values = gamma.tolist()
-        if not all(math.isfinite(value) and lo <= value <= hi for value, (lo, hi) in zip(values, self.config.bounds)):
+        return self.log_likelihood_at(*gamma.tolist()) if gamma.shape == (3,) else -math.inf
+
+    def log_likelihood_at(self, g1: float, g2: float, g3: float) -> float:
+        """``log_likelihood`` at gamma = (g1, g2, g3), given as floats: every evaluation of the fit passes here."""
+        (lo1, hi1), (lo2, hi2), (lo3, hi3) = self.config.bounds
+        inside = math.isfinite(g1) and lo1 <= g1 <= hi1 and math.isfinite(g2) and lo2 <= g2 <= hi2
+        if not (inside and math.isfinite(g3) and lo3 <= g3 <= hi3):
             return -math.inf
         # the rule RateModel.check_ratio enforces, on the durations up to the oldest midpoint
         if smallest_ratio(g1, g2, g3, self.horizon) <= 0.0:
@@ -334,7 +339,7 @@ class _LikelihoodPlan:
         # p lies in [0, 1] or is NaN, so a count is impossible exactly where its probability is 0 or 1
         if 0.0 in p_cases.tolist() or 1.0 in p_rest.tolist():
             return -math.inf
-        return float(self.cases @ np.log(p_cases) + self.rest @ np.log1p(-p_rest))
+        return float(self.cases.dot(np.log(p_cases)) + self.rest.dot(np.log1p(-p_rest)))
 
     def derivatives(self, gamma):
         """Exact gradient and Hessian in gamma of ``log_likelihood`` at a feasible ``gamma``.
@@ -457,13 +462,12 @@ def _simplex_search(objective, x0, lo, hi, max_evaluations: int) -> _Search:
     as in scipy.
     """
     lo, hi = [float(b) for b in lo], [float(b) for b in hi]
-    n = len(lo)
+    box, n = list(zip(lo, hi)), len(lo)
     evals = 0
 
     def clip(point):
         # np.clip's rule: NaN passes, and a value equal to a bound becomes the bound (so -0.0 becomes 0.0)
-        point = [v if v > b or v != v else b for v, b in zip(point, lo)]
-        return [v if v < b or v != v else b for v, b in zip(point, hi)]
+        return [b if v <= b else t if v >= t else v for v, (b, t) in zip(point, box)]
 
     def evaluate(point):
         nonlocal evals
@@ -488,8 +492,9 @@ def _simplex_search(objective, x0, lo, hi, max_evaluations: int) -> _Search:
     iterations = 1
     while evals < max_evaluations:
         best, worst = simplex[0], simplex[-1]
-        small = all(abs(v - b) <= _XATOL for vertex in simplex[1:] for v, b in zip(vertex, best))
-        if small and all(abs(values[0] - f) <= _FATOL for f in values[1:]):
+        if all(abs(values[0] - f) <= _FATOL for f in values[1:]) and all(
+            abs(v - b) <= _XATOL for vertex in simplex[1:] for v, b in zip(vertex, best)
+        ):
             break
         total = best
         for vertex in simplex[1:-1]:
@@ -537,7 +542,10 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     contraction; ``converged`` says the kept search stopped on the
     tolerances.  ``diagnostics["searches"]`` records the five searches in
     that order: start, log-likelihood reached, iterations, evaluations and
-    whether each converged.  Once the search can start, the result always
+    whether each converged.  ``diagnostics["boundary_hits"]`` lists the free
+    components within 1e-4 * (hi - lo) of a bound, or, where that range is
+    infinite, within 1e-4 * max(1, |bound|) of a finite bound; an infinite
+    bound is never hit.  Once the search can start, the result always
     comes back; ``converged`` and the diagnostics say how much to trust it.
     Raises FitInputError when the table's study time is not finite, nothing
     is free, too few rows are informative, the groups are too old for the
@@ -557,19 +565,19 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     bounds = [config.bounds[j] for j in free]
     lower, upper = np.transpose(bounds)
     starts = [np.clip([start[j] for j in free], lower, upper) for start in _DEFAULT_STARTS]
+    # the pinned components, into which each evaluation writes the free ones as floats
+    gamma, evaluate = config.full_gamma(starts[0]).tolist(), plan.log_likelihood_at
+
+    def objective(free_values):
+        for j, value in zip(free, free_values):
+            gamma[j] = float(value)
+        return -evaluate(*gamma)
+
     # screened outside the searches, whose evaluations alone ``function_evals`` counts
-    if not any(math.isfinite(plan.log_likelihood(config.full_gamma(x0))) for x0 in starts):
+    if not any(math.isfinite(objective(x0)) for x0 in starts):
         if all(smallest_ratio(*config.full_gamma(x0).tolist(), plan.horizon) <= 0.0 for x0 in starts):
             raise FitInputError(f"the mortality ratio is not positive up to age {plan.horizon:g} at any start point")
         raise FitInputError("the likelihood is minus infinity at every start point")
-
-    # the pinned components, into which each evaluation writes the free ones
-    template, free_at = config.full_gamma(starts[0]), np.array(free)
-
-    def objective(free_values):
-        gamma = template.copy()
-        gamma[free_at] = free_values
-        return -plan.log_likelihood(gamma)
 
     searches = []
 
@@ -601,7 +609,9 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     }
     for j in free:
         lo, hi = config.bounds[j]
-        if min(gamma_hat[j] - lo, hi - gamma_hat[j]) < 1e-4 * (hi - lo):
+        # an infinite bound is never hit: its distance and its tolerance are both infinite
+        near = [1e-4 * (hi - lo if math.isfinite(hi - lo) else max(1.0, abs(bound))) for bound in (lo, hi)]
+        if gamma_hat[j] - lo < near[0] or hi - gamma_hat[j] < near[1]:
             diagnostics["boundary_hits"].append(j)
 
     information = -plan.derivatives(gamma_hat)[1][np.ix_(free, free)]

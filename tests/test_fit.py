@@ -40,7 +40,9 @@ from idmodds.rates import (
     RateModel,
     RatioHorizonError,
     TabulatedIncidence,
+    ratio_coefficients,
     reference_rate_model,
+    smallest_ratio,
 )
 from idmodds.simulate import AgeGroupTable
 
@@ -62,6 +64,25 @@ def reference_table(cross_section_time=100.0) -> AgeGroupTable:
         n=np.array(REFERENCE_N),
         c=np.array(REFERENCE_C),
     )
+
+
+def edge_table(edge) -> AgeGroupTable:
+    """The bundled table with no cases in its first group, all cases in its last, or its first group empty.
+
+    So the plan's likelihood reads the groups with cases, with non-cases, or both, from gathered rows.
+    """
+    n, c = np.array(REFERENCE_N), np.array(REFERENCE_C)
+    if edge == "first-no-cases":
+        c[0] = 0
+    elif edge == "last-all-cases":
+        c[-1] = n[-1]
+    else:
+        n[0] = c[0] = 0
+    table = reference_table()
+    return AgeGroupTable(table.cross_section_time, table.age_lo, table.age_hi, n, c)
+
+
+EDGE_TABLES = ("first-no-cases", "last-all-cases", "first-empty")
 
 
 def zero_incidence_model() -> RateModel:
@@ -184,6 +205,25 @@ def _component(lo, hi):
         st.sampled_from([lo, hi, math.nan, math.inf, -math.inf]),
         st.floats(lo - span, hi + span),
     )
+
+
+def _array_log_likelihood(plan, gamma) -> float:
+    """The plan's log-likelihood on arrays, its counts gathered at their nonzero rows: the oracle of its scalar core."""
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (3,):
+        return -math.inf
+    g1, g2, g3 = values = gamma.tolist()
+    if not all(math.isfinite(value) and lo <= value <= hi for value, (lo, hi) in zip(values, plan.config.bounds)):
+        return -math.inf
+    if smallest_ratio(g1, g2, g3, plan.horizon) <= 0.0:
+        return -math.inf
+    p = plan.group_prevalence(ratio_coefficients(g1, g2, g3))
+    cases, rest = plan.table.c.astype(float), (plan.table.n - plan.table.c).astype(float)
+    case_rows, rest_rows = np.flatnonzero(cases > 0), np.flatnonzero(rest > 0)
+    p_cases, p_rest = p[case_rows], p[rest_rows]
+    if 0.0 in p_cases.tolist() or 1.0 in p_rest.tolist():
+        return -math.inf
+    return float(cases[case_rows] @ np.log(p_cases) + rest[rest_rows] @ np.log1p(-p_rest))
 
 
 def _adaptive_log_likelihood(gamma, table, config) -> float:
@@ -342,6 +382,29 @@ class TestLikelihoodPlan:
                 accepted = False
         value = _LikelihoodPlan.build(table, config).log_likelihood(gamma)
         assert math.isfinite(value) if accepted else value == -math.inf
+
+    @pytest.mark.parametrize("edge", ["bundled", *EDGE_TABLES])
+    @pytest.mark.parametrize("bounds", [_DEFAULT_BOUNDS, WIDE_BOUNDS], ids=["default-box", "wide-box"])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_scalar_core_returns_the_bits_of_the_array_evaluation(self, edge, bounds, data):
+        # inside, on and beyond the box, NaN and infinities included, so minus infinity is compared too
+        table = reference_table() if edge == "bundled" else edge_table(edge)
+        plan = _LikelihoodPlan.build(table, FitConfig(bounds=bounds))
+        gamma = tuple(data.draw(_component(lo, hi)) for lo, hi in bounds)
+        expected = np.float64(_array_log_likelihood(plan, gamma)).tobytes()
+        assert np.float64(plan.log_likelihood_at(*gamma)).tobytes() == expected
+        assert np.float64(plan.log_likelihood(gamma)).tobytes() == expected
+
+    def test_row_selectors_read_in_place_when_every_group_counts(self):
+        in_place = {"bundled": (True, True), "first-no-cases": (False, True), "last-all-cases": (True, False),
+                    "first-empty": (False, False)}
+        for edge, expected in in_place.items():
+            table = reference_table() if edge == "bundled" else edge_table(edge)
+            plan = _LikelihoodPlan.build(table, FitConfig())
+            assert (isinstance(plan.case_rows, slice), isinstance(plan.rest_rows, slice)) == expected
+            assert plan.cases.tolist() == [c for c in table.c.tolist() if c]
+            assert plan.rest.tolist() == [r for r in (table.n - table.c).tolist() if r]
 
     @pytest.mark.parametrize("layout", ["first", "last"])
     @pytest.mark.parametrize("cases", [0, 3])
@@ -568,13 +631,13 @@ class TestFitProperties:
 
     def test_function_evals_count_every_search_evaluation(self, monkeypatch):
         calls = []
-        evaluate = _LikelihoodPlan.log_likelihood
+        evaluate = _LikelihoodPlan.log_likelihood_at
 
-        def counted(plan, gamma):
-            calls.append(gamma)
-            return evaluate(plan, gamma)
+        def counted(plan, g1, g2, g3):
+            calls.append((g1, g2, g3))
+            return evaluate(plan, g1, g2, g3)
 
-        monkeypatch.setattr(_LikelihoodPlan, "log_likelihood", counted)
+        monkeypatch.setattr(_LikelihoodPlan, "log_likelihood_at", counted)
         result = fit(reference_table(), FitConfig())
         # the start screen stops at the first start with a finite likelihood, here the first
         assert len(calls) == result.function_evals + 1
@@ -593,6 +656,23 @@ class TestFitProperties:
         assert result.ci95 is not None
         assert np.all(np.isfinite(result.ci95))
         np.testing.assert_array_equal(result.ci95, wald_intervals(result.gamma_hat, information)[1])
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [((-math.inf, 1.0), (0.0, 50.0), (0.0, 20.0)), ((0.0, math.inf), (0.0, 50.0), (0.0, 20.0)),
+         ((0.0, 1.0), (0.0, 50.0), (0.0, math.inf))],
+        ids=["gamma1-unbounded-below", "gamma1-unbounded-above", "gamma3-unbounded-above"],
+    )
+    def test_infinite_bound_is_never_hit(self, bounds):
+        # 1e-4 of an infinite range once flagged every component with an infinite bound
+        result = fit(reference_table(), FitConfig(bounds=bounds))
+        assert result.diagnostics["boundary_hits"] == []
+
+    def test_finite_bound_of_an_infinite_range_is_hit(self):
+        # this table's optimum lies on gamma3 = 0; the bound is near within 1e-4 * max(1, |0|)
+        result = fit(edge_table("first-no-cases"), FitConfig(bounds=((0.0, 1.0), (0.0, 50.0), (0.0, math.inf))))
+        assert result.gamma_hat[2] < 1e-4
+        assert result.diagnostics["boundary_hits"] == [2]
 
     def test_pinned_gamma1_flags_gamma2_unidentifiable(self):
         # with gamma1 = 0 the ratio is flat in gamma2, so the likelihood
@@ -641,13 +721,13 @@ class TestFitProperties:
 
     def test_impossible_starts_rejected_before_search(self, monkeypatch):
         calls = []
-        evaluate = _LikelihoodPlan.log_likelihood
+        evaluate = _LikelihoodPlan.log_likelihood_at
 
-        def counted(plan, gamma):
-            calls.append(gamma)
-            return evaluate(plan, gamma)
+        def counted(plan, g1, g2, g3):
+            calls.append((g1, g2, g3))
+            return evaluate(plan, g1, g2, g3)
 
-        monkeypatch.setattr(_LikelihoodPlan, "log_likelihood", counted)
+        monkeypatch.setattr(_LikelihoodPlan, "log_likelihood_at", counted)
         config = FitConfig(incidence=ExponentialIncidence(-1000.0, 0.0, 0.0))
         with pytest.raises(FitInputError, match="every start point"):
             fit(reference_table(), config)
@@ -779,6 +859,13 @@ class TestSimplexSearch:
         if (seed, index) == (1, 1):
             # its optimum lies on the gamma3 = 0 edge, where R touches zero
             assert result.diagnostics["boundary_hits"] == [2] and result.gamma_hat[2] < 1e-6
+
+    @pytest.mark.parametrize("edge", ["first-no-cases", "last-all-cases"])
+    def test_every_search_of_an_edge_table_fit_matches_scipy(self, edge, monkeypatch):
+        # the likelihood reads gathered rows, which no resample of the bundled table needs
+        result, searches = self.fit_with_both(edge_table(edge), FitConfig(), monkeypatch)
+        assert searches == len(_DEFAULT_STARTS) + 1
+        assert result.converged
 
     @pytest.mark.parametrize("max_evaluations", [1, 2, 3, 4, 7, 40, 4000])
     @pytest.mark.parametrize(
