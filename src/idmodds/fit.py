@@ -16,15 +16,15 @@ group and two dot products with the counts.  At the optimum the plan is
 checked against adaptive quadrature of the same odds at the same midpoints,
 all groups in one batch, and the largest relative gap is reported.
 
-The likelihood is maximized by a derivative-free simplex search from four
-start points clipped into the bounds: the bounded Nelder-Mead method of
-``scipy.optimize.minimize``, restated here step for step on Python floats,
-so the package needs no scipy at run time.  Each search has the fixed
-budget ``_MAX_EVALUATIONS``, checked between iterations; every search that
-stops on its tolerances takes scipy's steps bit for bit.  The same plan
-gives the exact derivatives of the odds in those coefficients, hence the
-exact observed information at the optimum, whose inverse yields the
-confidence intervals.
+The likelihood is maximized over one fixed box, ``_BOUNDS``, by a
+derivative-free simplex search from four start points inside it: the
+bounded Nelder-Mead method of ``scipy.optimize.minimize``, restated here
+step for step on Python floats, so the package needs no scipy at run time.
+Each search has the fixed budget ``_MAX_EVALUATIONS``, checked between
+iterations; every search that stops on its tolerances takes scipy's steps
+bit for bit.  The same plan gives the exact derivatives of the odds in those
+coefficients, hence the exact observed information at the optimum, whose
+inverse yields the confidence intervals.
 """
 
 from __future__ import annotations
@@ -64,8 +64,13 @@ __all__ = [
     "wald_intervals",
 ]
 
-_DEFAULT_BOUNDS = ((0.0, 1.0), (0.0, 50.0), (0.0, 20.0))
+# The box searched for gamma; it holds every start.
+_BOUNDS = ((0.0, 1.0), (0.0, 50.0), (0.0, 20.0))
 _DEFAULT_STARTS = ((0.01, 2.0, 1.0), (0.001, 1.0, 0.5), (0.1, 10.0, 1.5), (0.3, 20.0, 3.0))
+# Largest R(0) = gamma1 * gamma2**2 + gamma3 in the box, at its upper corner: 2520.
+_LARGEST_INITIAL_RATIO = _BOUNDS[0][1] * _BOUNDS[1][1] ** 2 + _BOUNDS[2][1]
+# Largest condition number of an information matrix that wald_intervals inverts.
+_CONDITION_LIMIT = 1e12
 _FIT_QUADRATURE = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=400)
 # Nelder-Mead stops once the simplex spans less than _XATOL in every parameter
 # and its log-likelihood values differ by less than _FATOL, or at the first
@@ -80,33 +85,29 @@ class FitConfig:
     """The model the likelihood is taken under, besides the data.
 
     Incidence and healthy mortality are treated as known; only the three
-    mortality-ratio parameters are estimated, within ``bounds``.  Components
-    of ``fixed_gamma`` that carry a value are pinned, finite and within their
-    bounds, and excluded from the search.  Every age group is evaluated at
-    its midpoint, and the adaptive check of the likelihood plan at the
-    optimum has fixed tolerances.  The simplex searches start from
-    ``_DEFAULT_STARTS`` clipped into the bounds and stop at the fixed
-    tolerances ``_XATOL`` and ``_FATOL``, or at the fixed cap of
-    ``_MAX_EVALUATIONS`` likelihood evaluations per search, checked between
-    iterations.  No setting bounds where R must be positive: the likelihood
-    needs it up to the table's oldest group midpoint.  ``bounds`` and
-    ``fixed_gamma`` are stored as tuples.
+    mortality-ratio parameters are estimated, within the fixed box
+    ``_BOUNDS``.  Components of ``fixed_gamma`` that carry a value are
+    pinned, within the box, and excluded from the search.  Every age group
+    is evaluated at its midpoint, and the adaptive check of the likelihood
+    plan at the optimum has fixed tolerances.  The simplex searches start
+    from ``_DEFAULT_STARTS`` and stop at the fixed tolerances ``_XATOL`` and
+    ``_FATOL``, or at the fixed cap of ``_MAX_EVALUATIONS`` likelihood
+    evaluations per search, checked between iterations.  No setting bounds
+    where R must be positive: the likelihood needs it up to the table's
+    oldest group midpoint.  ``fixed_gamma`` is stored as a tuple.
     """
 
     incidence: IncidenceSpec = field(default_factory=PositivePartIncidence)
     m0: GompertzParams = field(default_factory=lambda: reference_rate_model().m0)
-    bounds: tuple = _DEFAULT_BOUNDS
     fixed_gamma: tuple = (None, None, None)
 
     def __post_init__(self):
-        object.__setattr__(self, "bounds", tuple(tuple(pair) for pair in self.bounds))
         object.__setattr__(self, "fixed_gamma", tuple(self.fixed_gamma))
-        if len(self.bounds) != 3 or any(len(b) != 2 or not b[0] < b[1] for b in self.bounds):
-            raise ValueError("bounds must be three increasing (lo, hi) pairs")
         if len(self.fixed_gamma) != 3:
             raise ValueError("fixed_gamma must have three entries")
-        for j, (pinned, (lo, hi)) in enumerate(zip(self.fixed_gamma, self.bounds)):
-            if pinned is not None and not (math.isfinite(pinned) and lo <= pinned <= hi):
+        for j, (pinned, (lo, hi)) in enumerate(zip(self.fixed_gamma, _BOUNDS)):
+            # the box is finite, so it also refuses NaN and the infinities
+            if pinned is not None and not lo <= pinned <= hi:
                 raise ValueError(f"pinned gamma{j + 1} = {pinned} must be finite and within its bounds [{lo}, {hi}]")
 
     @property
@@ -133,8 +134,8 @@ class FitResult:
     are None when the information matrix could not be inverted (see
     ``diagnostics``).  A free component is listed in
     ``diagnostics["flat_components"]`` when its row of the free information
-    is at most 1e-12 of that matrix's largest entry, the condition limit of
-    ``wald_intervals``.
+    is at most that matrix's largest entry over ``_CONDITION_LIMIT``, the
+    largest condition number ``wald_intervals`` inverts.
     """
 
     gamma_hat: np.ndarray
@@ -199,30 +200,18 @@ _MAX_PLAN_NODES = 100_000
 _PLAN_GAP_LIMIT = 1e-8
 
 
-def _largest_initial_ratio(bounds) -> float:
-    """Largest R(0) = gamma1 * gamma2**2 + gamma3 over the bounds box.
-
-    R(0) is linear in gamma1, in gamma2**2 and in gamma3, so its maximum sits at
-    an end of each range, the range of gamma2**2 ending at 0 when the gamma2
-    range contains 0.  A zero factor gives 0, even times an infinite one.
-    """
-    (g1_lo, g1_hi), (g2_lo, g2_hi), (_, g3_hi) = bounds
-    squares = [g2_lo * g2_lo, g2_hi * g2_hi] + ([0.0] if g2_lo <= 0.0 <= g2_hi else [])
-    return max(g1 * sq if g1 and sq else 0.0 for g1 in (g1_lo, g1_hi) for sq in squares) + g3_hi
-
-
-def _lookback_rule(kinks, m0: GompertzParams, t: float, ages: np.ndarray, initial_ratio: float):
+def _lookback_rule(kinks, m0: GompertzParams, t: float, ages: np.ndarray):
     """Composite Gauss-Legendre rules over the lookbacks [0, a] of all ``ages``: node age indices, lookbacks, weights.
 
     Each lookback is cut at its incidence ``kinks`` (a NaN-padded row of
     :func:`~idmodds.prevalence._lookback_edges`) and at a/2, a/4, ..., down to
-    the shortest decay length 1/(m0(t, a) * initial_ratio) that the kernel
-    exp(-CM1) can have just after onset, so the recent-onset layer is
-    resolved anywhere in the bounds box.  Intervals between cuts are split
-    into pieces of at most _PLAN_PIECE years at the points np.linspace gives.
+    the shortest decay length 1/(m0(t, a) * _LARGEST_INITIAL_RATIO) that the
+    kernel exp(-CM1) can have just after onset, so the recent-onset layer is
+    resolved anywhere in the box.  Intervals between cuts are split into
+    pieces of at most _PLAN_PIECE years at the points np.linspace gives.
     """
     rate = m0.rate(t, ages)
-    depth = np.clip(np.where(rate > 0.0, rate * initial_ratio * ages, 0.0), 2.0, 2.0**60)
+    depth = np.clip(np.where(rate > 0.0, rate * _LARGEST_INITIAL_RATIO * ages, 0.0), 2.0, 2.0**60)
     halvings = np.ceil(np.log2(depth)).astype(int)
     k = np.arange(1, halvings.max() + 1)
     halves = np.where(k <= halvings[:, None], ages[:, None] * 0.5**k, np.nan)
@@ -290,7 +279,7 @@ class _LikelihoodPlan:
             raise FitInputError(f"{group} takes the likelihood plan past {_MAX_PLAN_NODES} nodes")
         times = np.full(len(ages), t)
         kinks = _lookback_edges(config.incidence, times, ages, np.zeros(len(ages)))
-        owner, delta, weights = _lookback_rule(kinks, config.m0, t, ages, _largest_initial_ratio(config.bounds))
+        owner, delta, weights = _lookback_rule(kinks, config.m0, t, ages)
         weighted = weights * config.incidence.rate(t - delta, ages[owner] - delta)
         keep = weighted != 0.0
         empty = np.flatnonzero(np.bincount(owner[keep], minlength=len(ages)) == 0)
@@ -327,9 +316,9 @@ class _LikelihoodPlan:
 
     def log_likelihood_at(self, g1: float, g2: float, g3: float) -> float:
         """``log_likelihood`` at gamma = (g1, g2, g3), given as floats: every evaluation of the fit passes here."""
-        (lo1, hi1), (lo2, hi2), (lo3, hi3) = self.config.bounds
-        inside = math.isfinite(g1) and lo1 <= g1 <= hi1 and math.isfinite(g2) and lo2 <= g2 <= hi2
-        if not (inside and math.isfinite(g3) and lo3 <= g3 <= hi3):
+        (lo1, hi1), (lo2, hi2), (lo3, hi3) = _BOUNDS
+        # the box is finite, so NaN and the infinities fall outside it
+        if not (lo1 <= g1 <= hi1 and lo2 <= g2 <= hi2 and lo3 <= g3 <= hi3):
             return -math.inf
         # the rule RateModel.check_ratio enforces, on the durations up to the oldest midpoint
         if smallest_ratio(g1, g2, g3, self.horizon) <= 0.0:
@@ -372,9 +361,9 @@ def log_likelihood(gamma, table: AgeGroupTable, config: FitConfig = FitConfig())
     """Binomial log-likelihood of the table under the given mortality-ratio parameters.
 
     Minus infinity encodes every way the parameters can fail: outside the
-    bounds, a mortality ratio not positive up to the oldest group midpoint,
-    the longest disease duration the odds reach, or a group whose predicted
-    prevalence makes the observed count impossible.  Terms with zero count
+    box ``_BOUNDS``, a mortality ratio not positive up to the oldest group
+    midpoint, the longest disease duration the odds reach, or a group whose
+    predicted prevalence makes the observed count impossible.  Terms with zero count
     against zero prevalence contribute zero (the 0*log(0) convention), so a
     disease-free model fits an all-zero table perfectly.  The binomial
     coefficient is a constant in the parameters and is omitted.  Each call
@@ -401,7 +390,7 @@ def wald_intervals(gamma_hat, hessian):
             f"information matrix is not positive definite (eigenvalues {eigenvalues.tolist()})"
         )
     condition = largest / smallest
-    if condition > 1e12:
+    if condition > _CONDITION_LIMIT:
         raise ValueError(f"information matrix is numerically singular (condition number {condition:.3e})")
     covariance = np.linalg.inv(hessian)
     covariance = 0.5 * (covariance + covariance.T)
@@ -537,16 +526,15 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
 
     Runs the simplex search ``_simplex_search``, to the tolerances ``_XATOL``
     and ``_FATOL`` within ``_MAX_EVALUATIONS`` evaluations, from each of
-    ``_DEFAULT_STARTS`` with its free components clipped into the bounds,
-    keeps the best, and restarts once from the incumbent to escape premature
-    contraction; ``converged`` says the kept search stopped on the
-    tolerances.  ``diagnostics["searches"]`` records the five searches in
-    that order: start, log-likelihood reached, iterations, evaluations and
-    whether each converged.  ``diagnostics["boundary_hits"]`` lists the free
-    components within 1e-4 * (hi - lo) of a bound, or, where that range is
-    infinite, within 1e-4 * max(1, |bound|) of a finite bound; an infinite
-    bound is never hit.  Once the search can start, the result always
-    comes back; ``converged`` and the diagnostics say how much to trust it.
+    ``_DEFAULT_STARTS``, all inside the box ``_BOUNDS``, keeps the best, and
+    restarts once from the incumbent to escape premature contraction;
+    ``converged`` says the kept search stopped on the tolerances.
+    ``diagnostics["searches"]`` records the five searches in that order:
+    start, log-likelihood reached, iterations, evaluations and whether each
+    converged.  ``diagnostics["boundary_hits"]`` lists the free components
+    within 1e-4 * (hi - lo) of a bound of the box.  Once the search can
+    start, the result always comes back; ``converged`` and the diagnostics
+    say how much to trust it.
     Raises FitInputError when the table's study time is not finite, nothing
     is free, too few rows are informative, the groups are too old for the
     likelihood plan, or every start is impossible, naming the mortality
@@ -562,9 +550,8 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
             f"{len(free)} free parameters need at least that many informative rows, got {informative}"
         )
     plan = _LikelihoodPlan.build(table, config)
-    bounds = [config.bounds[j] for j in free]
-    lower, upper = np.transpose(bounds)
-    starts = [np.clip([start[j] for j in free], lower, upper) for start in _DEFAULT_STARTS]
+    lower, upper = zip(*(_BOUNDS[j] for j in free))
+    starts = [[start[j] for j in free] for start in _DEFAULT_STARTS]
     # the pinned components, into which each evaluation writes the free ones as floats
     gamma, evaluate = config.full_gamma(starts[0]).tolist(), plan.log_likelihood_at
 
@@ -608,10 +595,8 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
         "searches": searches,
     }
     for j in free:
-        lo, hi = config.bounds[j]
-        # an infinite bound is never hit: its distance and its tolerance are both infinite
-        near = [1e-4 * (hi - lo if math.isfinite(hi - lo) else max(1.0, abs(bound))) for bound in (lo, hi)]
-        if gamma_hat[j] - lo < near[0] or hi - gamma_hat[j] < near[1]:
+        lo, hi = _BOUNDS[j]
+        if gamma_hat[j] - lo < 1e-4 * (hi - lo) or hi - gamma_hat[j] < 1e-4 * (hi - lo):
             diagnostics["boundary_hits"].append(j)
 
     information = -plan.derivatives(gamma_hat)[1][np.ix_(free, free)]
@@ -619,7 +604,7 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
     hessian[np.ix_(free, free)] = information
     # a row below the condition limit of wald_intervals carries no information
     rows = np.abs(information).max(axis=1)
-    diagnostics["flat_components"].extend(j for j, row in zip(free, rows) if row <= 1e-12 * rows.max())
+    diagnostics["flat_components"].extend(j for j, row in zip(free, rows) if row <= rows.max() / _CONDITION_LIMIT)
 
     covariance_full = ci_full = None
     try:

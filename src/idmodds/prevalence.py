@@ -215,9 +215,10 @@ def diseased_population(model: RateModel, t, a):
 def effective_diseased_mortality(model: RateModel, t, a, quadrature: QuadratureConfig = DEFAULT_QUADRATURE):
     """Mortality of the diseased at (t, a) averaged over the disease-duration distribution.
 
-    Defined as 0 where there are no cases.  When the mortality ratio does not
-    depend on duration the average is exact without any integration, and R
-    is checked on the durations [0, a] of the points' courses.  Accepts
+    When the mortality ratio does not depend on duration (gamma1 = 0) the
+    average is m0 * gamma3, exact without any integration, also where there
+    are no cases, and R is checked on the durations [0, a] of the points'
+    courses.  Otherwise it is defined as 0 where there are no cases.  Accepts
     arrays, whose integrals run as one batch; returns a float for a scalar
     point.
     """
@@ -282,14 +283,16 @@ def _odds_at(model: RateModel, t, ages, method: str, quadrature: QuadratureConfi
         return _over_lookback(model, t, a, past_incidence, quadrature)
     if method == "convolution_special":
         # exp(k0 + k1*a + k2*t - (k1+k2)*delta) splits into a (t, a) front times a function of t - delta
-        front = np.array([math.exp(inc.k0 + inc.k1 * ak - inc.k1 * tk) for tk, ak in zip(t.tolist(), a.tolist())])
         kappa = inc.k1 + inc.k2
         kernel = _odds_kernel(model, t, a)
 
         def factor(delta, k):
             return np.exp(kappa * (t[k] - delta)) * kernel(delta, k)
 
-        return front * _over_lookback(model, t, a, factor, quadrature)
+        integrals = _over_lookback(model, t, a, factor, quadrature)
+        # an overflowing front makes the odds inf or NaN, which _nonnegative_odds refuses at its age
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(inc.k0 + inc.k1 * a - inc.k1 * t) * integrals
     # diseased over healthy cohort counts, the survivor fraction divided out under the integral
     return _over_lookback(model, t, a, _onset_flow(model, t, a, True), quadrature)
 

@@ -368,8 +368,10 @@ def _poly_exp_integrals(lam, d):
     over below 1e-3; it is evaluated at those nodes alone, usually none.
     """
     d = np.asarray(d, dtype=float)
+    # a numpy float, so that powers too large for a float overflow to inf, which the callers refuse
+    lam = np.float64(lam)
     x = np.asarray(lam * d)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         ex = np.exp(x)
         j0 = np.expm1(x) / lam
         j1 = np.asarray((ex * (x - 1.0) + 1.0) / lam**2)

@@ -136,9 +136,8 @@ class TestRunConfig:
             load_run_config(str(path))
 
     def test_fit_section_drives_fit_config(self, tmp_path):
-        document = {"fit": {"bounds": [[0.0, 1.0], [0.0, 50.0], [0.0, 0.5]], "fixed_gamma": [None, 5.0, None]}}
+        document = {"fit": {"fixed_gamma": [None, 5.0, None]}}
         fit_config = parse_run_config(document).build_fit_config()
-        assert fit_config.bounds == ((0.0, 1.0), (0.0, 50.0), (0.0, 0.5))
         assert fit_config.fixed_gamma == (None, 5.0, None)
 
     def test_bundled_document_states_library_defaults(self):
@@ -160,12 +159,13 @@ class TestRunConfig:
             ("fit", {"fatol": 1e-7}),
             ("fit", {"starts": [[0.01, 2.0, 1.0]]}),
             ("fit", {"max_iterations": 4000}),
+            ("fit", {"bounds": [[0.0, 1.0], [0.0, 50.0], [0.0, 20.0]]}),
             ("ratio", {"max_duration": 120.0}),
             ("simulation", {"max_age": 110.0}),
         ],
         ids=[
             "hessian_step_scale", "quadrature", "include_binomial_coefficient", "group_evaluation", "xatol", "fatol",
-            "starts", "max_iterations", "max_duration", "max_age",
+            "starts", "max_iterations", "bounds", "max_duration", "max_age",
         ],
     )
     def test_hessian_step_scale_no_longer_accepted(self, where, section, tmp_path, capsys):
@@ -589,60 +589,39 @@ class TestFit:
         assert result["diagnostics"]["quadrature_gap"] == manifest["quadrature_gap"]
 
     @staticmethod
-    def _groups_csv(tmp_path, oldest=True):
-        """A data CSV of groups 40-100 in steps of 5 and, if ``oldest``, a group [100, 110) of midpoint 105."""
-        rows = ["k,age_lo,age_hi,n,c"]
-        for k, lo in enumerate(range(40, 100, 5), start=1):
-            rows.append(f"{k},{lo},{lo + 5},1000,{k * 10}")
-        if oldest:
-            rows.append("13,100,110,500,150")
-        data = tmp_path / ("old.csv" if oldest else "young.csv")
+    def _groups_csv(tmp_path, name, groups):
+        """A data CSV of the groups (age_lo, age_hi, n, c), written as ``name``."""
+        rows = ["k,age_lo,age_hi,n,c"] + [f"{k},{lo},{hi},{n},{c}" for k, (lo, hi, n, c) in enumerate(groups, start=1)]
+        data = tmp_path / name
         data.write_text("\n".join(rows) + "\n")
         return str(data)
 
+    # pinned at gamma2 = 45 and gamma3 = 0, R(d) = gamma1 * (d - 45)**2 is positive only below d = 45
+    PINNED_AT_45 = {"fit": {"fixed_gamma": [None, 45.0, 0.0]}}
+
+    def young_csv(self, tmp_path, top):
+        """Groups from age 30, the last [40, top), with counts near the pinned model's at gamma1 = 0.04."""
+        groups = [(30, 35, 10000, 10), (35, 40, 10000, 83), (40, top, 10000, 244)]
+        return self._groups_csv(tmp_path, f"young-{top}.csv", groups)
+
     def test_no_start_positive_up_to_oldest_midpoint_is_input_error(self, tmp_path, capsys):
-        # gamma = (-1e-4, 0, gamma3) with gamma3 at most 1.1: R(d) = -1e-4 d^2 + gamma3 is
-        # not positive up to the oldest midpoint 105 at any start, but is up to 97.5
-        document = {"fit": {"bounds": [[-0.01, 1.0], [0.0, 50.0], [0.0, 1.1]], "fixed_gamma": [-1e-4, 0.0, None]}}
-        config = write_config(tmp_path, document)
+        # no start is positive up to the oldest midpoint 105 of groups 40-110, every start up to 42.5
+        config = write_config(tmp_path, self.PINNED_AT_45)
         argv = ["fit", "--config", config, "--out-dir", str(tmp_path / "o"), "--data"]
-        assert main(argv + [self._groups_csv(tmp_path)]) == 2
+        old = [(lo, lo + 5, 1000, k * 10) for k, lo in enumerate(range(40, 100, 5), start=1)] + [(100, 110, 500, 150)]
+        assert main(argv + [self._groups_csv(tmp_path, "old.csv", old)]) == 2
         assert capsys.readouterr().err == "error: the mortality ratio is not positive up to age 105 at any start point\n"
-        assert main(argv + [self._groups_csv(tmp_path, oldest=False)]) == 0
+        assert main(argv + [self.young_csv(tmp_path, 45)]) == 0
 
-    def test_fit_horizon_is_the_oldest_midpoint(self, tmp_path):
-        # gamma1 < 0 is allowed by these bounds, and no setting caps the ages a table may hold
-        config = write_config(tmp_path, {"fit": {"bounds": [[-0.01, 1.0], [0.0, 50.0], [0.0, 20.0]]}})
+    def test_fit_horizon_is_the_oldest_midpoint(self, tmp_path, capsys):
+        # a last group [40, 49) reaches past d = 45, but its midpoint does not; [40, 50) has its midpoint there
+        config = write_config(tmp_path, self.PINNED_AT_45)
         out = tmp_path / "o"
-        assert main(["fit", "--config", config, "--data", self._groups_csv(tmp_path), "--out-dir", str(out)]) == 0
+        assert main(["fit", "--config", config, "--data", self.young_csv(tmp_path, 49), "--out-dir", str(out)]) == 0
         g1, g2, g3 = json.loads((out / "fit_result.json").read_text())["gamma_hat"]
-        assert min(g1 * (d - g2) ** 2 + g3 for d in np.linspace(0.0, 105.0, 2101)) > 0.0
-
-    @pytest.mark.parametrize(
-        "document",
-        [
-            {"fit": {"bounds": [[-math.inf, 1.0], [0.0, 50.0], [0.0, 20.0]]}},
-            {"fit": {"bounds": [[0.0, 1.0], [-1e200, 1e200], [0.0, 20.0]]}},
-            {"m0": {"xi1": -1000.0}, "fit": {"bounds": [[0.0, 1.0], [-1e200, 1e200], [0.0, 20.0]]}},
-        ],
-        ids=["infinite-gamma1", "overflowing-gamma2-square", "zero-mortality-overflowing-square"],
-    )
-    def test_unbounded_box_fits(self, tmp_path, capsys, document):
-        # a zero factor times an infinite one once made the plan's lookback depth NaN
-        config = write_config(tmp_path, document)
-        code = main(["fit", "--config", config, "--out-dir", str(tmp_path / "o")])
-        assert code == 0
-        assert "cannot convert" not in capsys.readouterr().err
-
-    def test_narrowed_box_fits(self, tmp_path):
-        # the default starts with gamma3 above the cap are clipped onto it rather than refused
-        config = write_config(tmp_path, {"fit": {"bounds": [[0, 1], [0, 50], [0, 0.5]]}})
-        out = tmp_path / "o"
-        assert main(["fit", "--config", config, "--out-dir", str(out)]) == 0
-        result = json.loads((out / "fit_result.json").read_text())
-        assert result["gamma_hat"][2] == pytest.approx(0.5, abs=1e-6)
-        assert result["diagnostics"]["boundary_hits"] == [2]
-        assert result["diagnostics"]["starts_used"] == 4
+        assert (g2, g3) == (45.0, 0.0) and g1 > 0.0
+        assert main(["fit", "--config", config, "--data", self.young_csv(tmp_path, 50), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: the mortality ratio is not positive up to age 45 at any start point\n"
 
     @pytest.mark.parametrize(
         "fixed, name",
@@ -930,6 +909,8 @@ BAD_INPUTS = {
     "fit-csv-short-row": ["fit", "--data", "{tmp}/short_row.csv"],
     "fit-csv-wrong-index": ["fit", "--data", "{tmp}/wrong_index.csv"],
     "fit-csv-no-rows": ["fit", "--data", "{tmp}/header_only.csv"],
+    "fit-m0-xi2-1e300": ["fit", "--config", "{tmp}/xi2_1e300.json"],
+    "fit-m0-xi3-1e300": ["fit", "--config", "{tmp}/xi3_1e300.json"],
     "exponential-nan-parameter": ["evaluate", "--config", "{tmp}/nan_k0.json"],
     "tabulated-one-point-grid": ["evaluate", "--config", "{tmp}/one_time.json"],
 }
@@ -948,6 +929,11 @@ CAUSES = {
     "tabulated-one-point-grid": "grids must be 1-D with at least two points",
     "evaluate-odds-sum-overflow": "odds must be finite and nonnegative, got inf at age 140",
     "crosscheck-odds-sum-overflow": "odds must be finite and nonnegative, got inf at age 140",
+    **{f"fit-m0-{xi}-1e300": "the likelihood is minus infinity at every start point" for xi in ("xi2", "xi3")},
+    **{
+        f"{command}-m0-{xi}-1e300": "integrand returned non-finite values"
+        for command in ("evaluate", "crosscheck") for xi in ("xi2", "xi3")
+    },
 }
 
 BAD_CONFIGS = {
@@ -966,6 +952,9 @@ BAD_CONFIGS = {
     "header_only.csv": b"k,age_lo,age_hi,n,c\n",
     "nan_k0.json": b'{"incidence": {"family": "exponential", "k0": NaN}}',
     "one_time.json": b'{"incidence": {"family": "tabulated", "times": [0], "ages": [0, 1], "table": [[0, 1]]}}',
+    # a Gompertz slope whose square and cube overflow a float in the course moments
+    "xi2_1e300.json": b'{"m0": {"xi2": 1e300}}',
+    "xi3_1e300.json": b'{"m0": {"xi3": 1e300}}',
     # the healthy exit balances m1 on the old part of each life line, so the odds kernel plateaus near
     # e**704: the integrand stays finite, but its sum overflows
     "plateau.json": json.dumps({
@@ -988,6 +977,10 @@ NUMERIC_FAILURES = {
     "evaluate-odds-sum-overflow": ["evaluate", "--config", "{tmp}/plateau.json", "--age-min", "139", "--age-max", "140",
                                    "--step", "1"],
     "crosscheck-odds-sum-overflow": ["crosscheck", "--config", "{tmp}/plateau.json", "--age", "140"],
+    "evaluate-m0-xi2-1e300": ["evaluate", "--config", "{tmp}/xi2_1e300.json", "--step", "5"],
+    "evaluate-m0-xi3-1e300": ["evaluate", "--config", "{tmp}/xi3_1e300.json", "--step", "5"],
+    "crosscheck-m0-xi2-1e300": ["crosscheck", "--config", "{tmp}/xi2_1e300.json"],
+    "crosscheck-m0-xi3-1e300": ["crosscheck", "--config", "{tmp}/xi3_1e300.json"],
 }
 
 
@@ -1225,6 +1218,31 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False"
         assert json.loads((tmp_path / "fit_result.json").read_text())["converged"] is True
+
+    def test_commands_run_on_the_runtime_alone(self, tmp_path):
+        # numpy is the whole runtime: with every package of the test extra unimportable and warnings as
+        # errors, each command exits 0
+        extra = ("scipy", "jsonschema", "hypothesis", "pytest")
+        for name in extra:
+            (tmp_path / "stubs" / name).mkdir(parents=True)
+            (tmp_path / "stubs" / name / "__init__.py").write_text(f"raise ImportError('no {name} at run time')\n")
+        env = package_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(tmp_path / "stubs"), env["PYTHONPATH"]])
+        runs = [["fit"], ["simulate", "--seed", "3"], ["evaluate", "--step", "5"], ["crosscheck"]]
+        code = "\n".join([
+            "import importlib",
+            "from idmodds.cli import main",
+            f"for name in {extra!r}:",
+            "    try:",
+            "        importlib.import_module(name)",
+            "    except ImportError:",
+            "        continue",
+            "    raise SystemExit(name + ' was imported')",
+            f"print([main(argv + ['--out-dir', {str(tmp_path)!r} + '/' + argv[0]]) for argv in {runs!r}])",
+        ])
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
 
     def test_entry_point_help(self):
         # Call the declared target the way the setuptools console-script wrapper does.

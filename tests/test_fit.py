@@ -16,14 +16,13 @@ from numpy.polynomial.legendre import leggauss
 from scipy import optimize
 
 from idmodds.fit import (
-    _DEFAULT_BOUNDS,
+    _BOUNDS,
     _DEFAULT_STARTS,
     _FATOL,
     _MAX_EVALUATIONS,
     _XATOL,
     FitConfig,
     FitInputError,
-    _largest_initial_ratio,
     _LikelihoodPlan,
     _lookback_rule,
     _simplex_search,
@@ -193,10 +192,6 @@ def _five_point(values, step):
     return (8.0 * (values[1] - values[-1]) - (values[2] - values[-2])) / (12.0 * step)
 
 
-# a box in which R may turn nonpositive on the durations the table reaches, away from its bounds
-WIDE_BOUNDS = ((-0.01, 1.0), (-10.0, 60.0), (-1.0, 20.0))
-
-
 def _component(lo, hi):
     """Values of one component inside, on and beyond [lo, hi], and the non-finite ones."""
     span = hi - lo
@@ -213,7 +208,7 @@ def _array_log_likelihood(plan, gamma) -> float:
     if gamma.shape != (3,):
         return -math.inf
     g1, g2, g3 = values = gamma.tolist()
-    if not all(math.isfinite(value) and lo <= value <= hi for value, (lo, hi) in zip(values, plan.config.bounds)):
+    if not all(math.isfinite(value) and lo <= value <= hi for value, (lo, hi) in zip(values, _BOUNDS)):
         return -math.inf
     if smallest_ratio(g1, g2, g3, plan.horizon) <= 0.0:
         return -math.inf
@@ -251,13 +246,17 @@ def _table_with_empty_group(layout, cases):
     return FitConfig(incidence=incidence), table, 1
 
 
-def _looped_lookback_rule(kinks, m0, t, ages, initial_ratio):
+# R(0) = gamma1 * gamma2**2 + gamma3 at the upper corner of the fit's box, its largest value there
+LARGEST_INITIAL_RATIO = 1.0 * 50.0**2 + 20.0
+
+
+def _looped_lookback_rule(kinks, m0, t, ages):
     """The plan's quadrature rule built one age and one interval at a time with np.linspace."""
     x, w = leggauss(20)
     owner, nodes, weights = [], [], []
     for g, (row, a) in enumerate(zip(kinks, ages.tolist())):
         rate = float(m0.rate(t, a))
-        depth = min(max(rate * initial_ratio * a if rate else 0.0, 2.0), 2.0**60)
+        depth = min(max(rate * LARGEST_INITIAL_RATIO * a if rate else 0.0, 2.0), 2.0**60)
         halves = [a * 0.5**k for k in range(1, math.ceil(math.log2(depth)) + 1)]
         edges = sorted({0.0, a, *row[~np.isnan(row)].tolist(), *halves})
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -270,7 +269,7 @@ def _looped_lookback_rule(kinks, m0, t, ages, initial_ratio):
 
 
 class TestLikelihoodPlan:
-    # the whole default bounds box, corners included
+    # the whole box, corners included
     @pytest.mark.parametrize(
         "family", [pytest.param(family, id=f"{family}-midpoint") for family in sorted(PLAN_INCIDENCES)]
     )
@@ -300,7 +299,7 @@ class TestLikelihoodPlan:
         t = table.cross_section_time
         ages = 0.5 * (table.age_lo + table.age_hi)
         kinks = _lookback_edges(config.incidence, np.full(len(ages), t), ages, np.zeros(len(ages)))
-        owner, delta, weights = _lookback_rule(kinks, config.m0, t, ages, _largest_initial_ratio(config.bounds))
+        owner, delta, weights = _lookback_rule(kinks, config.m0, t, ages)
         a = ages[owner]
         weighted = weights * config.incidence.rate(t - delta, a - delta)
         kept = weighted != 0.0
@@ -330,7 +329,7 @@ class TestLikelihoodPlan:
         # the scale of the step, where a second-order stencil is off by about 1e-5.
         config = FitConfig(incidence=PLAN_INCIDENCES[family], fixed_gamma=fixed)
         free = list(config.free_indices)
-        lo, hi = np.array(config.bounds).T
+        lo, hi = np.array(_BOUNDS).T
         span = hi - lo
         step = 1e-6 * span
         gamma = config.full_gamma(np.clip([g1, g2, g3], lo + 3.0 * step, hi - 3.0 * step)[free])
@@ -364,17 +363,15 @@ class TestLikelihoodPlan:
             # R does not depend on gamma2 when gamma1 = 0, so its row carries no information
             assert np.all(hessian[1, free] == 0.0)
 
-    @pytest.mark.parametrize("bounds", [_DEFAULT_BOUNDS, WIDE_BOUNDS], ids=["default-box", "wide-box"])
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
-    def test_minus_infinity_exactly_where_gamma_is_rejected(self, bounds, data):
-        # inside, on and beyond the box, NaN and infinities included; the wide box lets R turn
-        # negative inside it, so the positivity rule is probed away from the bounds too.  The
-        # oracle is the odds layer's own rule: adaptive group prevalences refuse the gamma.
-        config = FitConfig(bounds=bounds)
+    def test_minus_infinity_exactly_where_gamma_is_rejected(self, data):
+        # inside, on and beyond the box, NaN and infinities included.  The oracle is the odds
+        # layer's own rule: adaptive group prevalences refuse the gamma.
+        config = FitConfig()
         table = reference_table()
-        gamma = tuple(data.draw(_component(lo, hi)) for lo, hi in bounds)
-        accepted = all(lo <= g <= hi for g, (lo, hi) in zip(gamma, bounds))
+        gamma = tuple(data.draw(_component(lo, hi)) for lo, hi in _BOUNDS)
+        accepted = all(lo <= g <= hi for g, (lo, hi) in zip(gamma, _BOUNDS))
         if accepted:
             try:
                 group_prevalence(config.build_model(gamma), table.age_lo, table.age_hi, table.cross_section_time)
@@ -384,14 +381,13 @@ class TestLikelihoodPlan:
         assert math.isfinite(value) if accepted else value == -math.inf
 
     @pytest.mark.parametrize("edge", ["bundled", *EDGE_TABLES])
-    @pytest.mark.parametrize("bounds", [_DEFAULT_BOUNDS, WIDE_BOUNDS], ids=["default-box", "wide-box"])
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
-    def test_scalar_core_returns_the_bits_of_the_array_evaluation(self, edge, bounds, data):
+    def test_scalar_core_returns_the_bits_of_the_array_evaluation(self, edge, data):
         # inside, on and beyond the box, NaN and infinities included, so minus infinity is compared too
         table = reference_table() if edge == "bundled" else edge_table(edge)
-        plan = _LikelihoodPlan.build(table, FitConfig(bounds=bounds))
-        gamma = tuple(data.draw(_component(lo, hi)) for lo, hi in bounds)
+        plan = _LikelihoodPlan.build(table, FitConfig())
+        gamma = tuple(data.draw(_component(lo, hi)) for lo, hi in _BOUNDS)
         expected = np.float64(_array_log_likelihood(plan, gamma)).tobytes()
         assert np.float64(plan.log_likelihood_at(*gamma)).tobytes() == expected
         assert np.float64(plan.log_likelihood(gamma)).tobytes() == expected
@@ -424,42 +420,46 @@ class TestLikelihoodPlan:
             assert np.all(np.isfinite(plan.derivatives(gamma)[1]))
 
     @pytest.mark.parametrize("family", sorted(PLAN_INCIDENCES))
-    @pytest.mark.parametrize("bounds", [_DEFAULT_BOUNDS, WIDE_BOUNDS], ids=["default-box", "wide-box"])
-    def test_batched_rule_equals_looped_rule(self, family, bounds):
+    def test_batched_rule_equals_looped_rule(self, family):
         incidence = PLAN_INCIDENCES[family]
-        m0, initial_ratio = reference_rate_model().m0, _largest_initial_ratio(bounds)
+        m0 = reference_rate_model().m0
         # the bundled table's midpoints, and ages whose lookback pieces do not split exactly
         midpoints = (np.arange(42.5, 95.0, 5.0), np.linspace(41.3, 93.7, 11))
         for t, ages in itertools.product((50.0, 100.0, 150.0), midpoints):
             kinks = _lookback_edges(incidence, np.full(len(ages), t), ages, np.zeros(len(ages)))
-            owner, nodes, weights = _lookback_rule(kinks, m0, t, ages, initial_ratio)
-            looped = _looped_lookback_rule(kinks, m0, t, ages, initial_ratio)
+            owner, nodes, weights = _lookback_rule(kinks, m0, t, ages)
+            looped = _looped_lookback_rule(kinks, m0, t, ages)
             for batched, reference in zip((owner, nodes, weights), looped):
                 np.testing.assert_array_equal(batched, reference)
 
-    def test_largest_initial_ratio_of_unbounded_boxes(self):
-        # a zero end times an infinite (or overflowing) square contributes 0, not NaN
-        assert _largest_initial_ratio(((-math.inf, 1.0), (0.0, 50.0), (0.0, 20.0))) == 2520.0
-        assert _largest_initial_ratio(((0.0, 1.0), (-1e200, 1e200), (0.0, 20.0))) == math.inf
-
     def test_ratio_horizon_beyond_max_duration_rejected(self):
-        # the table's horizon is its oldest midpoint, 105; R(d) = -1e-4 d^2 + 1.1 is positive only
-        # up to d = 104.88, R(d) = -1e-4 d^2 + 1.2 up to d = 109.5
+        # pinned at gamma2 = 45 and gamma3 = 0, R(d) = gamma1 * (d - 45)**2 is positive only below d = 45.
+        # The horizon is the oldest group midpoint, not the oldest age a group reaches: a last group
+        # [40, 49) is accepted, [40, 50) and the bundled table with a group [100, 110) added are refused
+        config, gamma = FitConfig(fixed_gamma=(None, 45.0, 0.0)), (0.04, 45.0, 0.0)
+        model = config.build_model(gamma)
+        young, middle = (
+            AgeGroupTable(100.0, np.array([30.0, 35.0, 40.0]), np.array([35.0, 40.0, top]), np.full(3, 10000),
+                          np.array([10, 83, 244]))
+            for top in (49.0, 50.0)
+        )
         age_lo = np.append(np.arange(40.0, 95.0, 5.0), 100.0)
         age_hi = np.append(age_lo[:-1] + 5.0, 110.0)
-        table = AgeGroupTable(100.0, age_lo, age_hi, np.append(REFERENCE_N, 500), np.append(REFERENCE_C, 100))
-        config = FitConfig(bounds=((-0.01, 1.0), (0.0, 50.0), (0.0, 20.0)))
-        plan = _LikelihoodPlan.build(table, config)
-        assert plan.horizon == 105.0
-        short, long = (-1e-4, 0.0, 1.1), (-1e-4, 0.0, 1.2)
-        assert plan.log_likelihood(short) == -math.inf
-        with pytest.raises(RatioHorizonError):
-            group_prevalence(config.build_model(short), age_lo, age_hi, 100.0)
-        assert math.isfinite(plan.log_likelihood(long))
-        # without the oldest group the same short-lived ratio is feasible
-        assert math.isfinite(_LikelihoodPlan.build(reference_table(), config).log_likelihood(short))
-        result = fit(table, config)
-        assert math.isfinite(result.loglik) and result.diagnostics["quadrature_gap"] <= 1e-8
+        old = AgeGroupTable(100.0, age_lo, age_hi, np.append(REFERENCE_N, 500), np.append(REFERENCE_C, 100))
+        for table, horizon, accepted in ((young, 44.5, True), (middle, 45.0, False), (old, 105.0, False)):
+            plan = _LikelihoodPlan.build(table, config)
+            assert plan.horizon == horizon
+            if accepted:
+                assert math.isfinite(plan.log_likelihood(gamma))
+                group_prevalence(model, table.age_lo, table.age_hi, 100.0)
+                result = fit(table, config)
+                assert math.isfinite(result.loglik) and result.diagnostics["quadrature_gap"] <= 1e-8
+                continue
+            assert plan.log_likelihood(gamma) == -math.inf
+            with pytest.raises(RatioHorizonError):
+                group_prevalence(model, table.age_lo, table.age_hi, 100.0)
+            with pytest.raises(FitInputError, match=f"not positive up to age {horizon:g} at any start point"):
+                fit(table, config)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -481,8 +481,9 @@ class TestLikelihoodPlan:
             refused = True
         value = plan.log_likelihood((g1, g2, g3))
         assert value == -math.inf if refused else math.isfinite(value)
-        # every start clipped onto gamma3, with gamma1 and gamma2 pinned: the screen refuses exactly these
-        screened = FitConfig(bounds=(*_DEFAULT_BOUNDS[:2], (g3 - 1.0, g3)), fixed_gamma=(g1, g2, None))
+        # gamma2 and gamma3 pinned, so every start has gamma1 > 0 and the vertex gamma2 within the
+        # horizon: R's least value is gamma3 there too, and the screen refuses exactly these
+        screened = FitConfig(fixed_gamma=(None, g2, g3))
 
         class Searched(Exception):
             pass
@@ -644,35 +645,18 @@ class TestFitProperties:
         assert result.function_evals == 1256 and result.iterations == 669
 
     def test_boundary_hit_reported(self):
-        config = FitConfig(bounds=((0.0, 1.0), (0.0, 50.0), (1e-6, 1.0)))
-        result = fit(reference_table(), config)
-        # unconstrained optimum has gamma3 slightly above 1, so the cap binds
-        assert result.gamma_hat[2] == pytest.approx(1.0, abs=1e-6)
-        assert 2 in result.diagnostics["boundary_hits"]
-        # curvature is the exact information at the optimum on the cap, so intervals still exist
-        information = -_LikelihoodPlan.build(reference_table(), config).derivatives(result.gamma_hat)[1]
+        # this resample's optimum lies on the gamma3 = 0 edge of the box, where R touches zero
+        table = resample(1, 1)
+        result = fit(table, FitConfig())
+        assert result.gamma_hat[2] < 1e-4
+        assert result.diagnostics["boundary_hits"] == [2]
+        # curvature is the exact information at the optimum on the edge, so intervals still exist
+        information = -_LikelihoodPlan.build(table, FitConfig()).derivatives(result.gamma_hat)[1]
         np.testing.assert_array_equal(result.hessian, information)
         assert np.all(np.isfinite(result.hessian))
         assert result.ci95 is not None
         assert np.all(np.isfinite(result.ci95))
         np.testing.assert_array_equal(result.ci95, wald_intervals(result.gamma_hat, information)[1])
-
-    @pytest.mark.parametrize(
-        "bounds",
-        [((-math.inf, 1.0), (0.0, 50.0), (0.0, 20.0)), ((0.0, math.inf), (0.0, 50.0), (0.0, 20.0)),
-         ((0.0, 1.0), (0.0, 50.0), (0.0, math.inf))],
-        ids=["gamma1-unbounded-below", "gamma1-unbounded-above", "gamma3-unbounded-above"],
-    )
-    def test_infinite_bound_is_never_hit(self, bounds):
-        # 1e-4 of an infinite range once flagged every component with an infinite bound
-        result = fit(reference_table(), FitConfig(bounds=bounds))
-        assert result.diagnostics["boundary_hits"] == []
-
-    def test_finite_bound_of_an_infinite_range_is_hit(self):
-        # this table's optimum lies on gamma3 = 0; the bound is near within 1e-4 * max(1, |0|)
-        result = fit(edge_table("first-no-cases"), FitConfig(bounds=((0.0, 1.0), (0.0, 50.0), (0.0, math.inf))))
-        assert result.gamma_hat[2] < 1e-4
-        assert result.diagnostics["boundary_hits"] == [2]
 
     def test_pinned_gamma1_flags_gamma2_unidentifiable(self):
         # with gamma1 = 0 the ratio is flat in gamma2, so the likelihood
@@ -733,19 +717,10 @@ class TestFitProperties:
             fit(reference_table(), config)
         assert 0 < len(calls) <= len(_DEFAULT_STARTS)
 
-    def test_narrowed_box_clips_the_starts(self):
-        # three of the four starts have gamma3 above 0.5; clipped onto the cap, the search still runs
-        config = FitConfig(bounds=((0.0, 1.0), (0.0, 50.0), (0.0, 0.5)))
-        result = fit(reference_table(), config)
-        assert result.converged
-        assert result.gamma_hat[2] == pytest.approx(0.5, abs=1e-6)
-        assert result.diagnostics["boundary_hits"] == [2]
-        assert result.diagnostics["starts_used"] == len(_DEFAULT_STARTS)
-
     def test_default_box_holds_every_start(self):
-        # so clipping leaves a default-configuration fit exactly as it was
+        # so the searches start inside the box, with nothing clipped
         for start in _DEFAULT_STARTS:
-            assert all(lo <= value <= hi for value, (lo, hi) in zip(start, _DEFAULT_BOUNDS))
+            assert all(lo <= value <= hi for value, (lo, hi) in zip(start, _BOUNDS))
 
     @pytest.mark.parametrize("time", [math.nan, math.inf], ids=["nan", "inf"])
     def test_study_time_must_be_finite(self, time):
@@ -833,11 +808,9 @@ class TestSimplexSearch:
         [
             (FitConfig(), _MAX_EVALUATIONS),
             (FitConfig(fixed_gamma=(None, 5.0, None)), _MAX_EVALUATIONS),
-            (FitConfig(bounds=((0.0, 1.0), (0.0, 50.0), (0.0, 0.5))), _MAX_EVALUATIONS),
-            (FitConfig(bounds=((-math.inf, 1.0), (0.0, 50.0), (0.0, 20.0))), _MAX_EVALUATIONS),
             (FitConfig(), 3),
         ],
-        ids=["default", "gamma2-pinned", "gamma3-box-narrowed", "gamma1-unbounded-below", "cap-of-three"],
+        ids=["default", "gamma2-pinned", "cap-of-three"],
     )
     def test_every_search_of_a_reference_fit_matches_scipy(self, config, max_evaluations, monkeypatch):
         monkeypatch.setattr(importlib.import_module("idmodds.fit"), "_MAX_EVALUATIONS", max_evaluations)
@@ -911,13 +884,20 @@ class TestSimplexSearch:
 
 
 class TestFitConfigValidation:
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            FitConfig(bounds=((1.0, 0.0), (0.0, 50.0), (0.0, 20.0)))
-
-    def test_has_no_starts_field(self):
-        with pytest.raises(TypeError):
-            FitConfig(starts=((0.01, 2.0, 1.0),))
+    # fields since removed: the starts, the bounds and the search budget are the module
+    # constants _DEFAULT_STARTS, _BOUNDS and _MAX_EVALUATIONS, so every value is refused by name
+    @pytest.mark.parametrize(
+        "name, value",
+        [("starts", ((0.01, 2.0, 1.0),)), ("bounds", _BOUNDS), ("max_iterations", 0), ("max_iterations", -3),
+         ("max_iterations", 2.5), ("max_iterations", True), ("max_iterations", 17.0)],
+        ids=["starts", "bounds", "max_iterations-zero", "max_iterations-negative", "max_iterations-fractional",
+             "max_iterations-bool", "max_iterations-integral-float"],
+    )
+    def test_removed_field_is_refused_by_name(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            FitConfig(**{name: value})
+        assert not hasattr(FitConfig(), name)
+        assert type(_MAX_EVALUATIONS) is int and _MAX_EVALUATIONS >= 1
 
     @pytest.mark.parametrize(
         "fixed, name",
@@ -932,24 +912,11 @@ class TestFitConfigValidation:
     def test_pinned_component_on_its_bound_accepted(self):
         assert FitConfig(fixed_gamma=(0.0, 50.0, None)).free_indices == (2,)
 
-    # max_iterations is no longer a field: each search has the fixed budget
-    # _MAX_EVALUATIONS, so every value once checked here is refused by name
-    @pytest.mark.parametrize("value", [0, -3, 2.5, True], ids=["zero", "negative", "fractional", "bool"])
-    def test_max_iterations_must_be_a_positive_integer(self, value):
-        with pytest.raises(TypeError, match="max_iterations"):
-            FitConfig(max_iterations=value)
-        assert type(_MAX_EVALUATIONS) is int and _MAX_EVALUATIONS >= 1
-
-    def test_integral_float_max_iterations_is_stored_as_int(self):
-        with pytest.raises(TypeError, match="max_iterations"):
-            FitConfig(max_iterations=17.0)
-        assert type(_MAX_EVALUATIONS) is int and not hasattr(FitConfig(), "max_iterations")
-
     def test_lists_are_stored_as_tuples(self):
-        listed = FitConfig(bounds=[[0.0, 1.0], [0.0, 50.0], [0.0, 20.0]], fixed_gamma=[None, None, None])
-        assert listed == FitConfig()
-        assert listed.bounds == ((0.0, 1.0), (0.0, 50.0), (0.0, 20.0)) and listed.fixed_gamma == (None, None, None)
-        assert hash(listed) == hash(FitConfig())
+        listed = FitConfig(fixed_gamma=[None, 5.0, None])
+        assert listed == FitConfig(fixed_gamma=(None, 5.0, None))
+        assert listed.fixed_gamma == (None, 5.0, None)
+        assert hash(listed) == hash(FitConfig(fixed_gamma=(None, 5.0, None)))
 
 
 class TestWaldIntervals:

@@ -38,7 +38,7 @@ from idmodds.prevalence import (
     reconstruct_incidence,
 )
 from idmodds import quadrature
-from idmodds.fit import _DEFAULT_BOUNDS
+from idmodds.fit import _BOUNDS
 from idmodds.quadrature import (
     _W_KRONROD,
     DEFAULT_QUADRATURE,
@@ -194,6 +194,8 @@ class TestEffectiveDiseasedMortality:
         )
         t, a = 100.0, 60.0
         assert effective_diseased_mortality(m, t, a) == float(m.mortality_healthy(t, a)) * 1.7
+        # also at age 20, before incidence onset, where there are no cases
+        assert effective_diseased_mortality(m, t, 20.0) == float(m.mortality_healthy(t, 20.0)) * 1.7 > 0.0
 
     def test_zero_age(self, model):
         assert effective_diseased_mortality(model, 100.0, 0.0) == 0.0
@@ -426,6 +428,18 @@ class TestExponentialConvolution:
             special = prevalence_odds_exponential(m, t, a).odds
             plain = prevalence_odds_pseudo_convolution(m, t, a).odds
             assert special == pytest.approx(plain, rel=1e-10, abs=1e-300)
+
+    def test_overflow_is_a_typed_refusal(self, model):
+        # a front of exp(720) overflows while the odds it scales are tiny; exp(800) incidence overflows the
+        # kernel too.  Either way the refusal is typed
+        front_only = RateModel(ExponentialIncidence(720.0, 0.0, -18.25), model.m0, model.ratio)
+        with pytest.raises(ValueError, match="^odds must be finite and nonnegative, got inf at age 60$"):
+            prevalence(front_only, 100.0, 60.0, "convolution_special")
+        assert 0.0 < prevalence(front_only, 100.0, 60.0, "pseudo_convolution").odds < 1e-8
+        both = RateModel(ExponentialIncidence(800.0, 0.0, -8.0), model.m0, model.ratio)
+        for method in ("convolution_special", "pseudo_convolution"):
+            with pytest.raises(QuadratureError, match="non-finite"):
+                prevalence(both, 100.0, 60.0, method)
 
     def test_factorization_identity(self):
         rng = np.random.default_rng(24)
@@ -819,9 +833,9 @@ def test_profiles_match_one_point_routes(model, t, ages):
 
 @st.composite
 def box_models(draw):
-    """Rate models of all three incidence families, gamma anywhere in the fit's default box where R > 0."""
+    """Rate models of all three incidence families, gamma anywhere in the fit's box where R > 0."""
     model = draw(random_models())
-    gamma = [draw(st.floats(lo, hi)) for lo, hi in _DEFAULT_BOUNDS]
+    gamma = [draw(st.floats(lo, hi)) for lo, hi in _BOUNDS]
     assume(smallest_ratio(*gamma, 110.0) > 0.0)
     return RateModel(model.incidence, model.m0, MortalityRatioParams(*gamma))
 
