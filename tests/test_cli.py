@@ -624,6 +624,22 @@ class TestFit:
         assert capsys.readouterr().err == "error: the mortality ratio is not positive up to age 45 at any start point\n"
 
     @pytest.mark.parametrize(
+        "fixed", [[0.0, 0.0, None], [None, 50.0, None]], ids=["gamma3-alone-free", "gamma2-on-its-bound"]
+    )
+    def test_pinned_components_are_written_as_pinned(self, tmp_path, fixed):
+        # a pin on a bound of the box is accepted, kept exactly and never reported as a boundary hit
+        config = write_config(tmp_path, {"fit": {"fixed_gamma": fixed}})
+        out = tmp_path / "o"
+        assert main(["fit", "--config", config, "--out-dir", str(out)]) == 0
+        result = json.loads((out / "fit_result.json").read_text())
+        pinned = [j for j, value in enumerate(fixed) if value is not None]
+        assert [result["gamma_hat"][j] for j in pinned] == [fixed[j] for j in pinned]
+        assert all(result["ci95"][j] == [None, None] for j in pinned)
+        assert all(result["ci95"][j][0] < result["ci95"][j][1] for j in range(3) if j not in pinned)
+        assert not set(pinned) & set(result["diagnostics"]["boundary_hits"])
+        assert result["diagnostics"]["free_components"] == [j for j in range(3) if j not in pinned]
+
+    @pytest.mark.parametrize(
         "fixed, name",
         [([None, 80.0, None], "gamma2"), ([None, None, -1.0], "gamma3"), ([math.nan, None, None], "gamma1")],
         ids=["above-bounds", "below-bounds", "nan"],

@@ -19,6 +19,7 @@ from idmodds.fit import (
     _BOUNDS,
     _DEFAULT_STARTS,
     _FATOL,
+    _LARGEST_INITIAL_RATIO,
     _MAX_EVALUATIONS,
     _XATOL,
     FitConfig,
@@ -363,13 +364,15 @@ class TestLikelihoodPlan:
             # R does not depend on gamma2 when gamma1 = 0, so its row carries no information
             assert np.all(hessian[1, free] == 0.0)
 
+    @pytest.mark.parametrize("edge", ["bundled", *EDGE_TABLES])
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
-    def test_minus_infinity_exactly_where_gamma_is_rejected(self, data):
+    def test_minus_infinity_exactly_where_gamma_is_rejected(self, edge, data):
         # inside, on and beyond the box, NaN and infinities included.  The oracle is the odds
-        # layer's own rule: adaptive group prevalences refuse the gamma.
+        # layer's own rule: adaptive group prevalences refuse the gamma.  The edge tables read
+        # their counts from gathered rows, and refuse exactly the same gammas.
         config = FitConfig()
-        table = reference_table()
+        table = reference_table() if edge == "bundled" else edge_table(edge)
         gamma = tuple(data.draw(_component(lo, hi)) for lo, hi in _BOUNDS)
         accepted = all(lo <= g <= hi for g, (lo, hi) in zip(gamma, _BOUNDS))
         if accepted:
@@ -431,6 +434,12 @@ class TestLikelihoodPlan:
             looped = _looped_lookback_rule(kinks, m0, t, ages)
             for batched, reference in zip((owner, nodes, weights), looped):
                 np.testing.assert_array_equal(batched, reference)
+
+    def test_largest_initial_ratio_is_the_upper_corner_of_the_box(self):
+        # the lookback depth of the plan is set by the largest R(0) = gamma1 * gamma2**2 + gamma3 in the box
+        corners = itertools.product(*_BOUNDS)
+        assert _LARGEST_INITIAL_RATIO == max(g1 * g2**2 + g3 for g1, g2, g3 in corners) == LARGEST_INITIAL_RATIO
+        assert _LARGEST_INITIAL_RATIO == 2520.0
 
     def test_ratio_horizon_beyond_max_duration_rejected(self):
         # pinned at gamma2 = 45 and gamma3 = 0, R(d) = gamma1 * (d - 45)**2 is positive only below d = 45.
@@ -658,6 +667,29 @@ class TestFitProperties:
         assert np.all(np.isfinite(result.ci95))
         np.testing.assert_array_equal(result.ci95, wald_intervals(result.gamma_hat, information)[1])
 
+    def test_bound_of_an_edge_table_optimum_is_hit(self):
+        # with no cases in its first group, the table's optimum lies on the gamma3 = 0 edge of the box
+        result = fit(edge_table("first-no-cases"), FitConfig())
+        assert result.gamma_hat[2] < 1e-4
+        assert result.diagnostics["boundary_hits"] == [2]
+
+    @pytest.mark.parametrize(
+        "fixed",
+        [(0.0, None, None), (1.0, None, None), (None, 50.0, None), (None, None, 20.0)],
+        ids=["gamma1-at-0", "gamma1-at-1", "gamma2-at-50", "gamma3-at-20"],
+    )
+    def test_pinned_component_on_a_bound_is_never_hit(self, fixed):
+        # only free components are searched, so only they can be reported on a bound: within
+        # 1e-4 of the box's width of either end
+        result = fit(reference_table(), FitConfig(fixed_gamma=fixed))
+        pinned = next(j for j, value in enumerate(fixed) if value is not None)
+        assert result.gamma_hat[pinned] == fixed[pinned]
+        near = [
+            j for j, (lo, hi) in enumerate(_BOUNDS)
+            if j != pinned and min(result.gamma_hat[j] - lo, hi - result.gamma_hat[j]) < 1e-4 * (hi - lo)
+        ]
+        assert result.diagnostics["boundary_hits"] == near
+
     def test_pinned_gamma1_flags_gamma2_unidentifiable(self):
         # with gamma1 = 0 the ratio is flat in gamma2, so the likelihood
         # carries no information about it
@@ -809,8 +841,13 @@ class TestSimplexSearch:
             (FitConfig(), _MAX_EVALUATIONS),
             (FitConfig(fixed_gamma=(None, 5.0, None)), _MAX_EVALUATIONS),
             (FitConfig(), 3),
+            (FitConfig(fixed_gamma=(0.0, None, None)), _MAX_EVALUATIONS),
+            (FitConfig(fixed_gamma=(0.0, 0.0, None)), _MAX_EVALUATIONS),
+            (FitConfig(fixed_gamma=(None, None, 20.0)), _MAX_EVALUATIONS),
         ],
-        ids=["default", "gamma2-pinned", "cap-of-three"],
+        # searches of two free components, one of them flat, of one, and against the gamma1 = 0 edge
+        ids=["default", "gamma2-pinned", "cap-of-three", "gamma1-pinned-at-0", "gamma3-alone-free",
+             "gamma3-pinned-at-20"],
     )
     def test_every_search_of_a_reference_fit_matches_scipy(self, config, max_evaluations, monkeypatch):
         monkeypatch.setattr(importlib.import_module("idmodds.fit"), "_MAX_EVALUATIONS", max_evaluations)
