@@ -146,11 +146,10 @@ def cmd_evaluate(config: RunConfig, args, out_dir: str, manifest: dict) -> int:
     ages = args.age_min + args.step * np.arange(count + 1)
     ages = ages[ages <= args.age_max + 1e-9]
 
-    header = ["age", "odds_analytic"]
-    routes = [args.method]
+    header, routes = ["age", "odds_analytic"], ["pseudo_convolution"]
     if args.method == "all":
         header += ["odds_keiding", "odds_cohort"]
-        routes = ["pseudo_convolution", "keiding", "cohort_ratio"]
+        routes += ["keiding", "cohort_ratio"]
     columns = [ages] + [cross_section_profile(model, args.t, ages, "odds", route).values for route in routes]
 
     lines = [",".join(header)] + [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
@@ -360,9 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--step", type=float, default=0.25)
     evaluate.add_argument(
         "--method",
-        choices=["pseudo_convolution", "keiding", "cohort_ratio", "all"],
+        choices=["pseudo_convolution", "all"],
         default="pseudo_convolution",
-        help="odds route; 'all' adds comparison columns",
+        help="odds route: the pseudo-convolution alone, or 'all' to add the keiding and cohort-ratio columns",
     )
     evaluate.set_defaults(handler=cmd_evaluate)
 

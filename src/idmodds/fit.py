@@ -67,8 +67,8 @@ __all__ = [
 # The box searched for gamma; it holds every start.
 _BOUNDS = ((0.0, 1.0), (0.0, 50.0), (0.0, 20.0))
 _DEFAULT_STARTS = ((0.01, 2.0, 1.0), (0.001, 1.0, 0.5), (0.1, 10.0, 1.5), (0.3, 20.0, 3.0))
-# Largest R(0) = gamma1 * gamma2**2 + gamma3 in the box, at its upper corner: 2520.
-_LARGEST_INITIAL_RATIO = _BOUNDS[0][1] * _BOUNDS[1][1] ** 2 + _BOUNDS[2][1]
+# Largest R(0) in the box, at its upper corner: 2520.
+_LARGEST_INITIAL_RATIO = ratio_coefficients(*(hi for _, hi in _BOUNDS))[0]
 # Largest condition number of an information matrix that wald_intervals inverts.
 _CONDITION_LIMIT = 1e12
 _FIT_QUADRATURE = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=400)
@@ -241,9 +241,7 @@ class _LikelihoodPlan:
     odds are exactly 0.  The plan keeps its table and configuration, the
     oldest group midpoint as ``horizon``, the longest disease duration its
     odds reach, and the nonzero counts: ``cases`` c at ``case_rows``,
-    ``rest`` n - c at ``rest_rows``.  A row selector is ``slice(None)`` when
-    every group has a nonzero count, so the prevalences are read in place,
-    and else the index array of the groups that do.
+    ``rest`` n - c at ``rest_rows``.
     """
 
     table: AgeGroupTable
@@ -253,9 +251,9 @@ class _LikelihoodPlan:
     exponent: np.ndarray
     moments: np.ndarray
     starts: np.ndarray
-    case_rows: slice | np.ndarray
+    case_rows: np.ndarray
     cases: np.ndarray
-    rest_rows: slice | np.ndarray
+    rest_rows: np.ndarray
     rest: np.ndarray
 
     @staticmethod
@@ -292,7 +290,7 @@ class _LikelihoodPlan:
         exponent[blank], moments[:, blank] = 0.0, 0.0
         starts = np.searchsorted(owner, np.arange(len(ages)))
         cases, rest = table.c.astype(float), (table.n - table.c).astype(float)
-        case_rows, rest_rows = (slice(None) if counts.all() else np.flatnonzero(counts) for counts in (cases, rest))
+        case_rows, rest_rows = np.flatnonzero(cases), np.flatnonzero(rest)
         binomial = (case_rows, cases[case_rows], rest_rows, rest[rest_rows])
         return _LikelihoodPlan(table, config, float(np.max(ages)), weighted, exponent, moments, starts, *binomial)
 
@@ -308,11 +306,6 @@ class _LikelihoodPlan:
         """Model prevalence of every group, as ``group_prevalence`` defines it."""
         odds = np.add.reduceat(self._terms(coefficients), self.starts)
         return odds / (1.0 + odds)
-
-    def log_likelihood(self, gamma) -> float:
-        """``log_likelihood`` of the plan's table and configuration at ``gamma``."""
-        gamma = np.asarray(gamma, dtype=float)
-        return self.log_likelihood_at(*gamma.tolist()) if gamma.shape == (3,) else -math.inf
 
     def log_likelihood_at(self, g1: float, g2: float, g3: float) -> float:
         """``log_likelihood`` at gamma = (g1, g2, g3), given as floats: every evaluation of the fit passes here."""
@@ -367,11 +360,13 @@ def log_likelihood(gamma, table: AgeGroupTable, config: FitConfig = FitConfig())
     against zero prevalence contribute zero (the 0*log(0) convention), so a
     disease-free model fits an all-zero table perfectly.  The binomial
     coefficient is a constant in the parameters and is omitted.  Each call
-    builds the table's likelihood plan (about 0.5 ms for the bundled table;
-    ``fit`` builds it once); a table whose study time is not finite, or whose
-    midpoints are too old for the plan, raises FitInputError.
+    builds the table's likelihood plan (``fit`` builds it once); a table
+    whose study time is not finite, or whose midpoints are too old for the
+    plan, raises FitInputError.
     """
-    return _LikelihoodPlan.build(table, config).log_likelihood(gamma)
+    plan = _LikelihoodPlan.build(table, config)
+    gamma = np.asarray(gamma, dtype=float)
+    return plan.log_likelihood_at(*gamma.tolist()) if gamma.shape == (3,) else -math.inf
 
 
 def wald_intervals(gamma_hat, hessian):
@@ -588,7 +583,6 @@ def fit(table: AgeGroupTable, config: FitConfig = FitConfig()) -> FitResult:
 
     diagnostics = {
         "free_components": list(free),
-        "starts_used": len(starts),
         "boundary_hits": [],
         "flat_components": [],
         "quadrature_gap": _quadrature_gap(plan, gamma_hat),

@@ -346,7 +346,7 @@ class TestLikelihoodPlan:
         for col, j in enumerate(free):
             shift = np.zeros(3)
             shift[j] = step[j]
-            values = {k: plan.log_likelihood(gamma + k * shift) for k in (-2, -1, 1, 2)}
+            values = {k: plan.log_likelihood_at(*(gamma + k * shift)) for k in (-2, -1, 1, 2)}
             assume(all(math.isfinite(v) for v in values.values()))
             differences[col] = _five_point(values, step[j])
             slopes = {k: plan.derivatives(gamma + k * shift)[0][free] for k in values}
@@ -380,7 +380,7 @@ class TestLikelihoodPlan:
                 group_prevalence(config.build_model(gamma), table.age_lo, table.age_hi, table.cross_section_time)
             except RatioHorizonError:
                 accepted = False
-        value = _LikelihoodPlan.build(table, config).log_likelihood(gamma)
+        value = _LikelihoodPlan.build(table, config).log_likelihood_at(*gamma)
         assert math.isfinite(value) if accepted else value == -math.inf
 
     @pytest.mark.parametrize("edge", ["bundled", *EDGE_TABLES])
@@ -393,15 +393,14 @@ class TestLikelihoodPlan:
         gamma = tuple(data.draw(_component(lo, hi)) for lo, hi in _BOUNDS)
         expected = np.float64(_array_log_likelihood(plan, gamma)).tobytes()
         assert np.float64(plan.log_likelihood_at(*gamma)).tobytes() == expected
-        assert np.float64(plan.log_likelihood(gamma)).tobytes() == expected
+        assert np.float64(log_likelihood(gamma, table)).tobytes() == expected
 
-    def test_row_selectors_read_in_place_when_every_group_counts(self):
-        in_place = {"bundled": (True, True), "first-no-cases": (False, True), "last-all-cases": (True, False),
-                    "first-empty": (False, False)}
-        for edge, expected in in_place.items():
+    def test_row_selectors_are_the_groups_with_a_nonzero_count(self):
+        for edge in ["bundled", *EDGE_TABLES]:
             table = reference_table() if edge == "bundled" else edge_table(edge)
             plan = _LikelihoodPlan.build(table, FitConfig())
-            assert (isinstance(plan.case_rows, slice), isinstance(plan.rest_rows, slice)) == expected
+            assert plan.case_rows.tolist() == [g for g, c in enumerate(table.c.tolist()) if c]
+            assert plan.rest_rows.tolist() == [g for g, r in enumerate((table.n - table.c).tolist()) if r]
             assert plan.cases.tolist() == [c for c in table.c.tolist() if c]
             assert plan.rest.tolist() == [r for r in (table.n - table.c).tolist() if r]
 
@@ -459,12 +458,12 @@ class TestLikelihoodPlan:
             plan = _LikelihoodPlan.build(table, config)
             assert plan.horizon == horizon
             if accepted:
-                assert math.isfinite(plan.log_likelihood(gamma))
+                assert math.isfinite(plan.log_likelihood_at(*gamma))
                 group_prevalence(model, table.age_lo, table.age_hi, 100.0)
                 result = fit(table, config)
                 assert math.isfinite(result.loglik) and result.diagnostics["quadrature_gap"] <= 1e-8
                 continue
-            assert plan.log_likelihood(gamma) == -math.inf
+            assert plan.log_likelihood_at(*gamma) == -math.inf
             with pytest.raises(RatioHorizonError):
                 group_prevalence(model, table.age_lo, table.age_hi, 100.0)
             with pytest.raises(FitInputError, match=f"not positive up to age {horizon:g} at any start point"):
@@ -488,7 +487,7 @@ class TestLikelihoodPlan:
             refused = False
         except RatioHorizonError:
             refused = True
-        value = plan.log_likelihood((g1, g2, g3))
+        value = plan.log_likelihood_at(g1, g2, g3)
         assert value == -math.inf if refused else math.isfinite(value)
         # gamma2 and gamma3 pinned, so every start has gamma1 > 0 and the vertex gamma2 within the
         # horizon: R's least value is gamma3 there too, and the screen refuses exactly these
